@@ -16,9 +16,12 @@ carries.  The single engine pays that per *query*; the dual engine pays a
 widened version (the query node's own extent inflates the radius) per
 *query-BVH node*, of which there are ``~cn/group_size``, plus per-member
 work at the leaf fringe.  The query-set dispersion enters through the
-expected group extent ``(vol(chunk)/cn)^(1/d) · group_size^(1/d)`` — a
-tightly clustered chunk yields tiny groups whose widened radius is
-barely larger than ``eps``, which is exactly when aggregation wins.
+group extent, measured on the Morton-ordered chunk as the median extent
+of its runs of ``group_size`` queries — a tightly clustered chunk yields
+tiny groups whose widened radius is barely larger than ``eps``, which is
+exactly when aggregation wins.  When a group reaches much farther than
+one member's ball (:data:`DUAL_MAX_WIDENING`), its members share little
+and the chunk goes single whatever the counts say.
 
 Predicted counts are priced with the fitted cost model's marginal rates
 (:class:`repro.obs.fit.FittedCostModel`; the per-kernel entry when one
@@ -51,6 +54,14 @@ DUAL_PAIR_FACTOR = 3.0
 #: re-tests and fringe classification) relative to the shared leaf-test
 #: count.
 DUAL_MEMBER_FACTOR = 1.25
+
+#: The dual engine is chosen only while a query group's reach — the
+#: ball swept over the group's extent, ``(2·eps + g_ext)^d`` — is at most
+#: this many times one member's ``(2·eps)^d``.  Past it the members share
+#: little of what the group reaches and the per-member fringe re-tests
+#: dominate: on ngsim (n=4000) count rounds, dual ran 3x slower than
+#: single at widening ~30 and 1.3x faster at 1.7.
+DUAL_MAX_WIDENING = 2.0
 
 #: The dual engine must be predicted at least this much cheaper to be
 #: chosen: near-ties go to the single engine, whose constants are better
@@ -119,12 +130,18 @@ def choose_engine(
     cost_model=None,
     kernel_name: str = "bvh_traverse",
     tree_stats=None,
+    component_masked: bool = False,
 ) -> EngineDecision:
     """Pick ``"single"`` or ``"dual"`` for one chunk of queries.
 
     A pure function of its inputs (tree geometry, chunk geometry, eps,
     group size, the cost model's rates): the same chunk always gets the
     same engine, which is what makes ``auto`` runs reproducible.
+
+    ``component_masked`` chunks (Borůvka's nearest-other-component
+    searches) always go single: the single engine drops a query at the
+    first subtree uniform in its own component, while a query group
+    drops a subtree only where every member shares that component.
     """
     cn, d = chunk_points.shape
     n = max(int(tree.n_primitives), 1)
@@ -141,12 +158,18 @@ def choose_engine(
     nv_single = cn * (2.0 * l_single + depth)
     leaf_tests = cn * l_single
 
-    # Query-set dispersion -> expected query-group extent.
+    # Query-group extent, measured on the chunk itself: chunks arrive in
+    # Morton order, so runs of ``group_size`` consecutive queries are the
+    # groups the query-BVH build makes (a uniform-density guess from the
+    # chunk's bounding box overstates them badly on clustered data).
     gs = max(1, int(group_size))
-    chunk_ext = chunk_points.max(axis=0) - chunk_points.min(axis=0)
-    vol = float(np.prod(np.maximum(chunk_ext, 1e-300)))
-    spacing = (vol / cn) ** (1.0 / d) if cn else 0.0
-    g_ext = spacing * gs ** (1.0 / d)
+    runs = cn // gs
+    if runs:
+        blk = chunk_points[: runs * gs].reshape(runs, gs, d)
+        g_ext = float(np.median((blk.max(axis=1) - blk.min(axis=1)).max(axis=1)))
+    else:
+        g_ext = float((chunk_points.max(axis=0) - chunk_points.min(axis=0)).max())
+    widening = ((2.0 * eps + g_ext) / (2.0 * eps)) ** d if eps > 0 else math.inf
     l_dual = _leaf_overlap(a, scene_ext, 2.0 * eps + g_ext)
     nv_dual = DUAL_PAIR_FACTOR * (cn / gs) * (2.0 * l_dual + depth)
     member_work = DUAL_MEMBER_FACTOR * leaf_tests
@@ -157,7 +180,12 @@ def choose_engine(
     pred_single = launch + r_nv * nv_single + r_de * leaf_tests
     pred_dual = launch + r_nv * (nv_dual + member_work) + r_de * leaf_tests
 
-    engine = "dual" if pred_dual < AUTO_MARGIN * pred_single else "single"
+    dual = (
+        pred_dual < AUTO_MARGIN * pred_single
+        and widening <= DUAL_MAX_WIDENING
+        and not component_masked
+    )
+    engine = "dual" if dual else "single"
     return EngineDecision(
         engine=engine,
         pred_single_seconds=pred_single,

@@ -1,23 +1,26 @@
-"""Batched k-nearest-neighbour queries on the linear BVH.
+"""Batched k-nearest-neighbour radii on the linear BVH.
 
-The hierarchical variant (HDBSCAN, built on the paper's DBSCAN* — Section
-2.1) needs each point's *core distance*: the distance to its ``k``-th
-nearest neighbour.  ArborX ships a kNN traversal next to its radius
-search; here the batched equivalent is an **expanding-radius search**, a
-formulation that reuses the wavefront radius machinery unchanged:
+HDBSCAN (built on the paper's DBSCAN*, Section 2.1) needs each point's
+*core distance*: the distance to its ``k``-th nearest neighbour.  As in
+ArborX's nearest-neighbour query, every query searches at its own radius
+(the ``(m,)`` ``eps`` form of the traversal kernels), in two phases:
 
-1. start from a density-based radius guess and run the early-terminated
-   *count* kernel; queries with fewer than ``k`` neighbours double their
-   radius and repeat (every round is one batched traversal of only the
-   unsatisfied queries);
-2. with a per-query sufficient radius known, one gather traversal
-   collects (query, distance) pairs, and a segmented selection extracts
-   the ``k``-th smallest per query.
+1. **rung search** (``knn_expand``): query ``q`` tries radii on the
+   ladder ``r0[q] · 2^j``, ``r0`` the density estimate or a warm start.
+   Each round is one early-terminated count with every pending query at
+   its own rung; a query gallops from ``j = 0`` (``±1, ±2, ±4, ...``)
+   until bracketed, then bisects to the *smallest* rung holding ``>= k``
+   points, in ``2·log2|j| + O(1)`` rounds.  ``>= k`` coincident points
+   satisfy every rung, so the descent stops at :data:`LADDER_FLOOR`;
+2. **gather** (``knn_gather``): one traversal per query chunk at those
+   radii collects (query, squared distance) pairs, and a segmented sort
+   picks each query's ``k``-th smallest.  The rung below held fewer than
+   ``k`` points, so each radius is under twice the true ``k``-th
+   distance and a query gathers ``O(2^d · k)`` pairs in bounded-density
+   neighbourhoods, however far the density estimate was off.
 
-The expected number of rounds is O(1) for any density regime (each round
-multiplies the searched volume by ``2^d``), and transient memory stays
-proportional to the final gather, which the radius bound keeps within a
-constant factor of ``k`` per query in bounded-density data.
+Any rung holding ``>= k`` points yields the exact ``k``-th distance, so
+results never depend on the ladder, the start or any scheduling knob.
 
 Distances are always measured to the *primitive coordinates*: for trees
 whose leaves are zero-extent point boxes those coincide with the leaf
@@ -34,6 +37,14 @@ from repro.bvh.traversal import DEFAULT_CHUNK_SIZE, count_within, for_each_leaf_
 from repro.bvh.tree import BVH
 from repro.device.device import Device, default_device
 from repro.device.primitives import scatter_add
+
+#: Rungs below the start radius the search may descend.  ``>= k``
+#: coincident points satisfy every rung, so this floor is what ends
+#: their descent; the answer is exact at any rung holding ``>= k``.
+LADDER_FLOOR = 64
+
+#: "No rung known to hold ``>= k`` points yet" (rungs never come close).
+_OPEN = 1 << 40
 
 
 def _initial_radius(tree: BVH, k: int) -> float:
@@ -83,7 +94,7 @@ def _count_points_within(
     tree: BVH,
     queries: np.ndarray,
     pts_by_pos: np.ndarray,
-    r: float,
+    r: np.ndarray,
     stop_at: int,
     device: Device,
     chunk_size: int | None,
@@ -96,8 +107,9 @@ def _count_points_within(
 
     ``count_within`` counts *leaf-box* hits, which over-counts true point
     neighbours when leaves have extent; this variant re-tests every leaf
-    hit against the primitive coordinate so the expanding-radius loop
-    never declares a query satisfied on box geometry alone.
+    hit against the primitive coordinate (at the query's own radius
+    ``r[q]``) so the rung search never declares a query satisfied on box
+    geometry alone.
     """
     m = queries.shape[0]
     counts = np.zeros(m, dtype=np.int64)
@@ -107,7 +119,7 @@ def _count_points_within(
         diff = queries[q_ids] - pts_by_pos[leaf_pos]
         d2 = np.einsum("ij,ij->i", diff, diff)
         device.counters.add("distance_evals", q_ids.shape[0])
-        within = d2 <= r2
+        within = d2 <= r2[q_ids]
         scatter_add(counts, q_ids[within], counters=device.counters)
 
     def finished(ids: np.ndarray) -> np.ndarray:
@@ -157,10 +169,11 @@ def knn_radii(
         numbering.  Required when the tree's leaf boxes have extent;
         optional (and bit-neutral) for point-leaf trees.
     initial_radius:
-        Warm-start search radius — a scalar or per-query ``(m,)`` array.
-        Must not exceed each query's true k-th neighbour distance is NOT
-        required; any positive value is correct (undersized radii just
-        spend extra doubling rounds).  Defaults to the density estimate.
+        Anchor of each query's radius ladder — a scalar or per-query
+        ``(m,)`` array of finite, positive values (``ValueError``
+        otherwise).  Any such value gives the same result; one near the
+        true k-th distance just settles in fewer rounds.  Defaults to the
+        density estimate.
     watchdog:
         Optional zero-argument callable polled once per traversal
         wavefront step across every counting round and the gather phase;
@@ -177,89 +190,74 @@ def knn_radii(
         raise ValueError(
             f"k={k} exceeds the number of primitives ({tree.n_primitives})"
         )
+    if initial_radius is None:
+        r0 = np.full(m, _initial_radius(tree, k))
+    else:
+        r0 = np.asarray(initial_radius, dtype=np.float64)
+        if r0.ndim and r0.shape != (m,):
+            raise ValueError(f"initial_radius must be a scalar or ({m},); got {r0.shape}")
+        if not (np.isfinite(r0).all() and (r0 > 0).all()):
+            raise ValueError("initial_radius entries must be finite and positive")
+        r0 = np.broadcast_to(r0, (m,))
     if m == 0:
         return np.zeros(0, dtype=np.float64)
     pts_by_pos = _points_by_position(tree, points)
     n_int = tree.n_internal
     degenerate_leaves = np.array_equal(tree.node_lo[n_int:], tree.node_hi[n_int:])
 
-    # --- phase 1: expanding-radius counting -------------------------------
-    if initial_radius is None:
-        radius = np.full(m, _initial_radius(tree, k), dtype=np.float64)
-    else:
-        radius = np.broadcast_to(
-            np.asarray(initial_radius, dtype=np.float64), (m,)
-        ).copy()
-        if not np.all(radius > 0):
-            raise ValueError("initial_radius entries must be positive")
-    satisfied = np.zeros(m, dtype=bool)
+    # --- phase 1: per-query rung search -----------------------------------
+    lo = np.full(m, -LADDER_FLOOR - 1)  # highest rung known to hold < k
+    hi = np.full(m, _OPEN)  # lowest rung known to hold >= k
+    rung = np.zeros(m, dtype=np.int64)
+    pending = np.arange(m)
     with dev.kernel("knn_expand", threads=m) as launch:
         rounds = 0
-        while not satisfied.all():
+        while pending.size:
             rounds += 1
-            pending = np.flatnonzero(~satisfied)
-            # The count kernel takes one radius per batch; pending queries
-            # may carry distinct radii (warm starts, uneven doubling), so
-            # group them by radius value — with the default uniform start
-            # this is exactly one group per round.
-            pending_r = radius[pending]
-            for r in np.unique(pending_r):
-                rows = pending[pending_r == r]
-                if degenerate_leaves:
-                    counts = count_within(
-                        tree,
-                        queries[rows],
-                        float(r),
-                        stop_at=k,
-                        device=dev,
-                        chunk_size=chunk_size,
-                        query_order=query_order,
-                        traversal=traversal,
-                        watchdog=watchdog,
-                        backend=backend,
-                    )
-                else:
-                    counts = _count_points_within(
-                        tree,
-                        queries[rows],
-                        pts_by_pos,
-                        float(r),
-                        k,
-                        dev,
-                        chunk_size,
-                        query_order,
-                        traversal,
-                        watchdog,
-                        backend,
-                    )
-                done = counts >= k
-                satisfied[rows[done]] = True
-                radius[rows[~done]] *= 2.0
+            r = np.ldexp(r0[pending], rung[pending])
+            if degenerate_leaves:
+                counts = count_within(
+                    tree, queries[pending], r, stop_at=k, device=dev,
+                    chunk_size=chunk_size, query_order=query_order,
+                    traversal=traversal, watchdog=watchdog, backend=backend,
+                )
+            else:
+                counts = _count_points_within(
+                    tree, queries[pending], pts_by_pos, r, k, dev,
+                    chunk_size, query_order, traversal, watchdog, backend,
+                )
+            done = counts >= k
+            hi[pending[done]] = rung[pending[done]]
+            lo[pending[~done]] = rung[pending[~done]]
+            pending = pending[hi[pending] - lo[pending] > 1]
+            p_lo, p_hi = lo[pending], hi[pending]
+            rung[pending] = np.where(
+                p_hi == _OPEN,
+                p_lo + np.maximum(p_lo, 1),  # gallop up: 1, 2, 4, ...
+                np.where(
+                    p_lo < -LADDER_FLOOR,  # gallop down, clamped at the floor
+                    np.maximum(p_hi - np.maximum(-p_hi, 1), -LADDER_FLOOR),
+                    (p_lo + p_hi) // 2,  # bracketed: bisect
+                ),
+            )
         launch.steps = rounds
 
-    # --- phase 2: gather + segmented k-th smallest --------------------------
-    # Queries may have very different final radii; gather in chunks to
-    # bound the transient pair set.
+    # --- phase 2: gather at the settled radii + segmented k-th smallest -----
+    # Chunked so the transient pair set stays proportional to the chunk.
+    radius = np.ldexp(r0, hi)
     out = np.empty(m, dtype=np.float64)
-    order = np.argsort(radius, kind="stable")  # group similar radii
     if chunk_size is None or chunk_size <= 0:
         chunk_size = m
     with dev.kernel("knn_gather", threads=m):
         for start in range(0, m, chunk_size):
-            rows = order[start : start + chunk_size]
-            r = float(radius[rows].max())
-            q_pts = queries[rows]
+            q_pts = queries[start : start + chunk_size]
             collected_q: list[np.ndarray] = []
             collected_d: list[np.ndarray] = []
 
             def on_hits(q_ids: np.ndarray, leaf_pos: np.ndarray) -> None:
-                # Distance to the primitive coordinate itself — leaf-box
-                # geometry (centres) ranks wrong the moment a leaf has
-                # extent, and the k-th selection below needs true point
-                # distances.
+                # True point distances (leaf boxes may have extent); q_ids
+                # is a pool-backed view, so copy it to hold it across steps.
                 diff = q_pts[q_ids] - pts_by_pos[leaf_pos]
-                # q_ids is a pool-backed view only valid during the call;
-                # copy because the gather holds it across steps.
                 collected_q.append(q_ids.copy())
                 collected_d.append(np.einsum("ij,ij->i", diff, diff))
                 if not degenerate_leaves:
@@ -268,7 +266,7 @@ def knn_radii(
             for_each_leaf_hit(
                 tree,
                 q_pts,
-                r,
+                radius[start : start + chunk_size],
                 on_hits,
                 device=dev,
                 kernel_name="knn_gather_chunk",
@@ -280,13 +278,9 @@ def knn_radii(
             )
             qs = np.concatenate(collected_q)
             ds = np.concatenate(collected_d)
-            # segmented k-th smallest: lexsort by (query, distance)
             sel = np.lexsort((ds, qs))
-            qs_sorted = qs[sel]
-            ds_sorted = ds[sel]
-            starts = np.searchsorted(qs_sorted, np.arange(rows.shape[0]))
-            kth = ds_sorted[starts + (k - 1)]
-            out[rows] = np.sqrt(kth)
+            starts = np.searchsorted(qs[sel], np.arange(q_pts.shape[0]))
+            out[start : start + chunk_size] = np.sqrt(ds[sel][starts + (k - 1)])
     return out
 
 

@@ -18,17 +18,23 @@ early aggregated-traversal prototypes:
   box test covers many queries, while sparse regions split down to small
   groups that stay prunable.  :data:`DENSE_LEAF_CAP_FACTOR` bounds how
   large a dense leaf may grow, keeping the per-member work at the leaf
-  fringe linear.
+  fringe linear.  Conversely a *sparse* node — longest edge above
+  :data:`SPARSE_LEAF_EXT_FACTOR` times its largest member radius — keeps
+  splitting below ``group_size`` (down to :data:`SPARSE_LEAF_MIN`), so
+  tight per-query radii do not re-test every member of a wide leaf at
+  leaf parents only the leaf's box reaches.
 
 Node ids live in one packed id space mirroring the internal-before-leaf
 numbering of :class:`repro.bvh.tree.BVH`: internal nodes are
 ``0 .. n_inner-1`` (in creation = breadth-first order, so each level's
 internal ids are contiguous), leaves are ``n_inner .. n_nodes-1``.  A
 query node's box is the tight AABB of its member *points* (not
-eps-inflated): testing ``mindist(node_box, tree_box) <= eps`` is the
-exact Minkowski form of "the eps-inflated query AABB intersects the tree
-box" under the L2 metric, and for a single-member leaf it degenerates to
-exactly the per-query sphere/box test the single engine runs.
+eps-inflated), and its radius ``r_max`` the largest of its members'
+search radii: testing ``mindist(node_box, tree_box) <= r_max`` is the
+exact Minkowski form of "the ``r_max``-inflated query AABB intersects
+the tree box" under the L2 metric, and for a single-member leaf it
+degenerates to exactly the per-query sphere/box test the single engine
+runs.
 
 All output arrays are taken from the caller's scratch pool (duck-typed —
 any object with the :class:`repro.bvh.traversal._FrontierPool` ``take``
@@ -58,6 +64,17 @@ DENSE_LEAF_CAP_FACTOR = 8
 #: member identically and further splitting only adds frontier entries.
 DENSE_LEAF_EXT_FRACTION = 0.5
 
+#: A node whose longest edge exceeds this many times its largest member
+#: radius keeps splitting below ``group_size``: every member of a leaf is
+#: re-tested at each leaf parent the *group* reaches, so a leaf much
+#: wider than its members' search balls pays for parents none of them
+#: reach (tight per-query radii, e.g. kNN core distances).
+SPARSE_LEAF_EXT_FACTOR = 4.0
+
+#: Leaves this small stop splitting regardless of their extent: their
+#: fringe re-tests are already bounded by a few per parent.
+SPARSE_LEAF_MIN = 4
+
 
 @dataclass
 class QueryBVH:
@@ -86,6 +103,10 @@ class QueryBVH:
         ``(n_nodes,)`` minimum traversal-mask position over members (or
         ``None``): a subtree with ``range_hi <= mask_min`` is hidden from
         *every* member, so the whole query node skips it in one test.
+    r_max:
+        ``(n_nodes,)`` largest search radius over members: a tree node
+        farther than ``r_max`` from the node's box is out of reach of
+        *every* member, so the whole query node skips it in one test.
     top:
         Seed node ids — always ``[0]`` (the root).
     levels:
@@ -111,6 +132,7 @@ class QueryBVH:
     child1: np.ndarray
     ext: np.ndarray
     mask_min: np.ndarray | None
+    r_max: np.ndarray
     top: np.ndarray
     levels: tuple
     leaf_order: np.ndarray
@@ -124,14 +146,15 @@ def build_query_bvh(
     points: np.ndarray,
     mask: np.ndarray | None,
     group_size: int,
-    eps: float,
+    radii: np.ndarray,
     pool,
 ) -> QueryBVH:
     """Build the query BVH over one chunk's Morton-sorted query points.
 
     ``points`` are the chunk's queries in schedule (Morton) order;
     ``mask`` the matching traversal-mask positions (or ``None``);
-    ``eps`` feeds the density-adaptive leaf rule only (never results).
+    ``radii`` the matching search radii, summarised per node as
+    ``r_max`` and also feeding the density-adaptive leaf rule.
     The build is a pure function of its inputs — same chunk, same
     hierarchy.  Output arrays are views into ``pool`` slots (grown once,
     reused per chunk).
@@ -139,9 +162,6 @@ def build_query_bvh(
     cn, _dim = points.shape
     group_size = max(1, int(group_size))
     dense_cap = group_size * DENSE_LEAF_CAP_FACTOR
-    # group_size=1 means "degenerate to per-query traversal": the dense
-    # rule is disabled so every leaf holds exactly one query.
-    dense_ext = DENSE_LEAF_EXT_FRACTION * float(eps) if group_size > 1 else -1.0
 
     # Level-by-level construction over a *tiling* of [0, cn): every
     # segment is owned by a node (finalised leaves stay in the tiling so
@@ -157,6 +177,7 @@ def build_query_bvh(
     mlo_l: list[np.ndarray] = []
     mhi_l: list[np.ndarray] = []
     msk_l: list[np.ndarray] = []
+    rad_l: list[np.ndarray] = []
     leaf_l: list[np.ndarray] = []
     fchild_l: list[np.ndarray] = []
     level_sizes: list[int] = []
@@ -174,8 +195,16 @@ def build_query_bvh(
         n_hi = seg_hi[new]
         n_ext = (n_hi - n_lo).max(axis=1)
         n_cnt = ends[new] - starts[new]
-        leaf = (n_cnt <= group_size) | ((n_ext <= dense_ext) & (n_cnt <= dense_cap))
+        n_rad = np.maximum.reduceat(radii, starts)[new]
+        leaf = n_cnt <= group_size
+        if group_size > 1:
+            # group_size=1 means "degenerate to per-query traversal": the
+            # dense and sparse rules are off so every leaf holds exactly
+            # one query.
+            leaf &= (n_ext <= SPARSE_LEAF_EXT_FACTOR * n_rad) | (n_cnt <= SPARSE_LEAF_MIN)
+            leaf |= (n_ext <= DENSE_LEAF_EXT_FRACTION * n_rad) & (n_cnt <= dense_cap)
 
+        rad_l.append(n_rad)
         lo_l.append(n_lo)
         hi_l.append(n_hi)
         ext_l.append(n_ext)
@@ -241,6 +270,8 @@ def build_query_bvh(
     if mask is not None:
         mask_min = pool.take("qg_mask", n_total)
         mask_min[perm] = np.concatenate(msk_l)
+    r_max = pool.take("qg_r_max", n_total, dtype=np.float64)
+    r_max[perm] = np.concatenate(rad_l)
 
     child0 = pool.take("qg_child0", n_inner, dtype=np.int32)
     child1 = pool.take("qg_child1", n_inner, dtype=np.int32)
@@ -280,6 +311,7 @@ def build_query_bvh(
         child1=child1,
         ext=ext,
         mask_min=mask_min,
+        r_max=r_max,
         top=top,
         levels=tuple(levels),
         leaf_order=leaf_order,

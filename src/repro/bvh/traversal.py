@@ -174,6 +174,28 @@ class _FrontierPool:
             self.nbytes = 0
 
 
+def search_radii(eps, m: int) -> float | np.ndarray:
+    """Validate a search radius: a scalar (returned as ``float``) or one
+    radius per query (returned as an ``(m,)`` float64 array).  Either
+    form must be finite and non-negative."""
+    if np.ndim(eps) == 0:
+        eps = float(eps)
+        if eps < 0 or not np.isfinite(eps):
+            raise ValueError(f"eps must be finite and non-negative; got {eps}")
+        return eps
+    radii = np.asarray(eps, dtype=np.float64)
+    if radii.shape != (m,):
+        raise ValueError(f"per-query eps must have shape ({m},); got {radii.shape}")
+    if not (np.isfinite(radii).all() and (radii >= 0).all()):
+        raise ValueError("per-query eps entries must be finite and non-negative")
+    return radii
+
+
+def chunk_radius(eps: float | np.ndarray, ids: np.ndarray) -> float:
+    """The radius a chunk is priced at: its largest query radius."""
+    return float(eps[ids].max()) if isinstance(eps, np.ndarray) else eps
+
+
 def query_schedule(queries: np.ndarray, query_order: str) -> np.ndarray | None:
     """The chunking permutation for ``query_order`` (``None`` = input order).
 
@@ -195,7 +217,7 @@ def query_schedule(queries: np.ndarray, query_order: str) -> np.ndarray | None:
 def for_each_leaf_hit(
     tree: BVH,
     queries: np.ndarray,
-    eps: float,
+    eps: float | np.ndarray,
     callback: LeafCallback,
     mask_positions: np.ndarray | None = None,
     finished_fn: Callable[[np.ndarray], np.ndarray] | None = None,
@@ -224,9 +246,15 @@ def for_each_leaf_hit(
     queries:
         ``(m, d)`` query centres; each is searched with radius ``eps``.
     eps:
-        Search radius; a leaf is *hit* when the minimum distance from the
-        query to the leaf's box is ``<= eps``.  For degenerate (point)
-        leaves this is the exact point-distance predicate.
+        Search radius — one scalar for every query, or an ``(m,)`` array
+        giving query ``q`` the radius ``eps[q]``; either form must be
+        finite and non-negative (``ValueError`` otherwise).  A leaf is
+        *hit* when the minimum distance from the query to the leaf's box
+        is ``<= `` the query's radius.  For degenerate (point) leaves this
+        is the exact point-distance predicate.  A constant array gives
+        results bit-identical to the scalar; every engine, backend and
+        ``auto`` honour per-query radii (``auto`` prices a chunk at its
+        largest radius).
     callback:
         ``callback(query_ids, leaf_positions)`` invoked once per wavefront
         step with the step's hits.  ``leaf_positions`` are *sorted* leaf
@@ -348,10 +376,9 @@ def for_each_leaf_hit(
         raise ValueError(
             f"queries must be (m, {tree.dim}); got shape {queries.shape}"
         )
-    if eps < 0 or not np.isfinite(eps):
-        raise ValueError(f"eps must be finite and non-negative; got {eps}")
     m = queries.shape[0]
-    eps2 = float(eps) * float(eps)
+    eps = search_radii(eps, m)
+    eps2 = eps * eps
     n_int = tree.n_internal
     result = TraversalResult()
     if m == 0:
@@ -438,7 +465,8 @@ def for_each_leaf_hit(
             # through to the chosen engine below.
             ids = np.asarray(_chunk_ids, dtype=np.int64)
             decision = choose_engine(
-                tree, queries[ids], eps, gsz, cost_model, kernel_name, tree_stats
+                tree, queries[ids], chunk_radius(eps, ids), gsz, cost_model,
+                kernel_name, tree_stats, component_of is not None,
             )
             dev.counters.add(f"auto_{decision.engine}_chunks", 1)
             dev.counters.add(
@@ -467,7 +495,8 @@ def for_each_leaf_hit(
                 else:
                     ids = np.arange(chunk_start, chunk_end, dtype=np.int64)
                 decision = choose_engine(
-                    tree, queries[ids], eps, gsz, cost_model, kernel_name, tree_stats
+                    tree, queries[ids], chunk_radius(eps, ids), gsz, cost_model,
+                    kernel_name, tree_stats, component_of is not None,
                 )
                 dev.counters.add(f"auto_{decision.engine}_chunks", 1)
                 dev.counters.add(
@@ -501,8 +530,7 @@ def for_each_leaf_hit(
         return _dual_leaf_hits(
             tree,
             queries,
-            float(eps),
-            eps2,
+            np.broadcast_to(eps, (m,)),
             callback,
             mask_positions,
             finished_fn,
@@ -539,6 +567,10 @@ def for_each_leaf_hit(
     qdt = np.int32 if m <= np.iinfo(np.int32).max else np.int64
     if schedule is not None:
         schedule = schedule.astype(qdt, copy=False)
+    # A scalar keeps its scalar compare: running it through the per-row
+    # gather below made the flat fdbscan cells 4-6% slower (ngsim n=8192
+    # and hacc n=16384, interleaved min of 6, 2-CPU x86 host).
+    per_query = isinstance(eps2, np.ndarray)
     pool = _FrontierPool(dev, tree.dim)
     try:
         with dev.kernel(kernel_name, threads=m) as launch:
@@ -554,7 +586,9 @@ def for_each_leaf_hit(
                 root_hi = tree.node_hi[tree.root]
                 clamped = np.clip(queries[chunk_ids], root_lo, root_hi)
                 diff = queries[chunk_ids] - clamped
-                ok = np.einsum("nd,nd->n", diff, diff) <= eps2
+                ok = np.einsum("nd,nd->n", diff, diff) <= (
+                    eps2[chunk_ids] if per_query else eps2
+                )
                 if mask_positions is not None:
                     ok &= tree.node_range_hi[tree.root] > mask_positions[chunk_ids]
                 if component_of is not None:
@@ -640,7 +674,12 @@ def for_each_leaf_hit(
                         dev.counters.add("box_tests", n_tested - n_leaf_tests)
                     else:
                         dev.counters.add("box_tests", n_tested)
-                    np.less_equal(d2, eps2, out=keep)
+                    if per_query:
+                        q_r2 = pool.take("q_r2", n_par, dtype=np.float64)
+                        np.take(eps2, par_q, out=q_r2)
+                        np.less_equal(d2, q_r2[:, None], out=keep)
+                    else:
+                        np.less_equal(d2, eps2, out=keep)
                     if tested is not None:
                         keep &= tested
                     if mask_positions is not None:
@@ -672,8 +711,7 @@ def for_each_leaf_hit(
 def _dual_leaf_hits(
     tree: BVH,
     queries: np.ndarray,
-    eps: float,
-    eps2: float,
+    radii: np.ndarray,
     callback: LeafCallback,
     mask_positions: np.ndarray | None,
     finished_fn: Callable[[np.ndarray], np.ndarray] | None,
@@ -710,7 +748,7 @@ def _dual_leaf_hits(
     ancestors', and ``finished_fn`` is monotone, so "query ``q`` reaches
     node ``P``" in the single engine is the *local* predicate
 
-    ``d2(q, P.box) <= eps²  and  range_hi(P) > mask[q]  and  not
+    ``d2(q, P.box) <= eps_q²  and  range_hi(P) > mask[q]  and  not
     finished(q, at P's generation)``
 
     — independent of the path taken to ``P``.  The dual engine therefore
@@ -730,9 +768,17 @@ def _dual_leaf_hits(
     early-exit depend only on its own hits), so forcing Morton order here
     changes no result.
 
-    Query-side scratch (sorted chunk coordinates, the query BVH, the
-    finished double-buffer) is charged to the memory model under the
-    ``"qgroups"`` tag; the frontier itself stays under ``"frontier"``.
+    Per-query radii (``radii``; a scalar ``eps`` arrives broadcast)
+    enter the same way as the mask: each query node carries its members'
+    largest radius (``QueryBVH.r_max``), which every group-level test
+    uses — a member that reaches a node proves its group does too — while
+    the per-member re-tests and the leaf-fringe classification compare
+    against each member's own radius.
+
+    Query-side scratch (sorted chunk coordinates and radii, the query
+    BVH, the finished double-buffer) is charged to the memory model under
+    the ``"qgroups"`` tag; the frontier itself stays under
+    ``"frontier"``.
 
     Component masking extends the reach predicate with "``node``'s
     subtree is not uniform in ``q``'s component": query nodes carry a
@@ -782,6 +828,10 @@ def _dual_leaf_hits(
                 cn = chunk_ids.shape[0]
                 chunk_pts = qpool.take2d("chunk_pts", cn)
                 np.take(queries, chunk_ids, axis=0, out=chunk_pts)
+                chunk_r = qpool.take("chunk_r", cn, dtype=np.float64)
+                np.take(radii, chunk_ids, out=chunk_r)
+                chunk_r2 = qpool.take("chunk_r2", cn, dtype=np.float64)
+                np.multiply(chunk_r, chunk_r, out=chunk_r2)
                 chunk_mask = None
                 if mask_positions is not None:
                     chunk_mask = qpool.take("chunk_mask", cn)
@@ -796,7 +846,7 @@ def _dual_leaf_hits(
                     # seed-and-deliver step (seed test uncounted).
                     clamped = np.clip(chunk_pts, node_lo[root], node_hi[root])
                     diff = chunk_pts - clamped
-                    ok = np.einsum("nd,nd->n", diff, diff) <= eps2
+                    ok = np.einsum("nd,nd->n", diff, diff) <= chunk_r2
                     if chunk_mask is not None:
                         ok &= node_rng_hi[root] > chunk_mask
                     if chunk_comp is not None:
@@ -814,9 +864,11 @@ def _dual_leaf_hits(
                     continue
 
                 qg = build_query_bvh(
-                    chunk_pts, chunk_mask, group_size, eps, qpool
+                    chunk_pts, chunk_mask, group_size, chunk_r, qpool
                 )
                 n_qinner = qg.n_inner
+                node_r2 = qpool.take("node_r2", qg.n_nodes, dtype=np.float64)
+                np.multiply(qg.r_max, qg.r_max, out=node_r2)
 
                 # Uniform-component summary per query node (-1 = mixed):
                 # the component analogue of the node AABB.  Seeded at the
@@ -849,7 +901,7 @@ def _dual_leaf_hits(
                     0.0,
                     np.maximum(node_lo[root] - qg.hi[top], qg.lo[top] - node_hi[root]),
                 )
-                okt = np.einsum("nd,nd->n", gap, gap) <= eps2
+                okt = np.einsum("nd,nd->n", gap, gap) <= node_r2[top]
                 if chunk_mask is not None:
                     okt &= node_rng_hi[root] > qg.mask_min[top]
                 if ucomp is not None:
@@ -953,15 +1005,17 @@ def _dual_leaf_hits(
                             # engine — drop it from the parent re-test.
                             cok = node_components[e_n][seg] != chunk_comp[mpos]
                             live = cok if live is None else live & cok
-                        # Admission guarantees mindist(group, node) <= eps;
-                        # when even the farthest member corner is within
-                        # eps, every member reaches — no per-member test.
+                        # Admission guarantees mindist(group, node) <= the
+                        # group's largest radius; a member whose own radius
+                        # covers even the farthest node corner reaches
+                        # without a per-member box test.
+                        mem_r2 = chunk_r2[mpos]
                         far = np.maximum(
                             node_hi[e_n] - qg.lo[e_g], qg.hi[e_g] - node_lo[e_n]
                         )
-                        allin = np.einsum("nd,nd->n", far, far) <= eps2
-                        reach = allin[seg] if live is None else allin[seg] & live
-                        need = ~allin[seg]
+                        allin = np.einsum("nd,nd->n", far, far)[seg] <= mem_r2
+                        reach = allin if live is None else allin & live
+                        need = ~allin
                         if live is not None:
                             need &= live
                         ridx = np.flatnonzero(need)
@@ -969,7 +1023,7 @@ def _dual_leaf_hits(
                             pn = e_n[seg[ridx]]
                             pts_r = chunk_pts[mpos[ridx]]
                             d = pts_r - np.clip(pts_r, node_lo[pn], node_hi[pn])
-                            reach[ridx] = np.einsum("nd,nd->n", d, d) <= eps2
+                            reach[ridx] = np.einsum("nd,nd->n", d, d) <= mem_r2[ridx]
                         dev.counters.add(
                             "box_tests",
                             mpos.shape[0] if live is None
@@ -991,25 +1045,26 @@ def _dual_leaf_hits(
                             dev.counters.add(leaf_counter, idx.shape[0])
                             if idx.shape[0] == 0:
                                 continue
-                            # Entry-level leaf classification: members of a
-                            # group whose box cannot reach the leaf all
-                            # miss; members of a group entirely within eps
-                            # of the whole leaf box all hit.  Only the
-                            # ambiguous band computes per-member distances.
+                            # Leaf classification from entry-level bounds:
+                            # a member whose radius misses the group's
+                            # nearest approach to the leaf misses; one whose
+                            # radius covers the group-to-leaf farthest
+                            # corner hits.  Only the ambiguous band
+                            # computes per-member distances.
                             lo_k = clo[sel, k]
                             hi_k = chi[sel, k]
                             gapl = np.maximum(
                                 0.0,
                                 np.maximum(lo_k - qg.hi[e_g], qg.lo[e_g] - hi_k),
                             )
-                            near = np.einsum("nd,nd->n", gapl, gapl) <= eps2
                             farl = np.maximum(
                                 hi_k - qg.lo[e_g], qg.hi[e_g] - lo_k
                             )
-                            allhit = np.einsum("nd,nd->n", farl, farl) <= eps2
                             sidx = seg[idx]
-                            hit = allhit[sidx]
-                            sub = np.flatnonzero((near & ~allhit)[sidx])
+                            r2_i = mem_r2[idx]
+                            hit = np.einsum("nd,nd->n", farl, farl)[sidx] <= r2_i
+                            near = np.einsum("nd,nd->n", gapl, gapl)[sidx] <= r2_i
+                            sub = np.flatnonzero(near & ~hit)
                             if sub.size:
                                 li = idx[sub]
                                 leaf_n = ch[sel, k][seg[li]]
@@ -1017,7 +1072,7 @@ def _dual_leaf_hits(
                                 dd = lpts - np.clip(
                                     lpts, node_lo[leaf_n], node_hi[leaf_n]
                                 )
-                                hit[sub] = np.einsum("nd,nd->n", dd, dd) <= eps2
+                                hit[sub] = np.einsum("nd,nd->n", dd, dd) <= r2_i[sub]
                             if chunk_mask is not None:
                                 hit &= crng[sel, k][sidx] > chunk_mask[mpos[idx]]
                             if finished_fn is not None:
@@ -1073,8 +1128,8 @@ def _dual_leaf_hits(
                                 [child_ext[stay], child_ext[rep2]]
                             )
                     # One box-box test per (query node, tree child): the
-                    # exact Minkowski form of "eps-inflated group AABB
-                    # intersects node box".
+                    # exact Minkowski form of "group AABB inflated by its
+                    # largest member radius intersects node box".
                     gap = np.maximum(
                         0.0,
                         np.maximum(cand_lo - qg.hi[cand_q], qg.lo[cand_q] - cand_hi),
@@ -1090,7 +1145,7 @@ def _dual_leaf_hits(
                     dev.counters.add(
                         "box_tests_saved", int(np.maximum(lcount - 1, 0).sum())
                     )
-                    keep = d2g <= eps2
+                    keep = d2g <= node_r2[cand_q]
                     if chunk_mask is not None:
                         keep &= cand_rng > qg.mask_min[cand_q]
                     if ucomp is not None:
@@ -1115,7 +1170,7 @@ def _dual_leaf_hits(
 def count_within(
     tree: BVH,
     queries: np.ndarray,
-    eps: float,
+    eps: float | np.ndarray,
     stop_at: float | None = None,
     mask_positions: np.ndarray | None = None,
     device: Device | None = None,
@@ -1132,6 +1187,9 @@ def count_within(
     _chunk_ids: np.ndarray | None = None,
 ) -> np.ndarray:
     """Count leaves within ``eps`` of each query (point-leaf trees).
+
+    ``eps`` is a scalar or an ``(m,)`` per-query radius array, validated
+    and honoured exactly as in :func:`for_each_leaf_hit`.
 
     With ``stop_at`` set, a query's traversal terminates early once its
     count reaches ``stop_at`` — the paper's core-point determination
@@ -1169,6 +1227,7 @@ def count_within(
     """
     dev = default_device(device)
     m = np.asarray(queries).shape[0]
+    eps = search_radii(eps, m)
     if stop_at is not None and (not np.isfinite(stop_at) or stop_at <= 0):
         raise ValueError(f"stop_at must be positive and finite; got {stop_at}")
     if leaf_weights is not None:
@@ -1194,8 +1253,6 @@ def count_within(
             raise ValueError(
                 f"queries must be (m, {tree.dim}); got shape {queries.shape}"
             )
-        if eps < 0 or not np.isfinite(eps):
-            raise ValueError(f"eps must be finite and non-negative; got {eps}")
         if traversal not in TRAVERSALS:
             raise ValueError(
                 f"traversal must be one of {TRAVERSALS}; got {traversal!r}"

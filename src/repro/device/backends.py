@@ -222,7 +222,8 @@ def _execute_job(wdev: Device, caches: dict, payload: dict) -> dict:
     mask = call_arrays.get("mask")
     weights = call_arrays.get("weights")
     ids = payload["ids"]
-    eps = payload["eps"]
+    # Per-query radii travel in the call arena next to the queries.
+    eps = call_arrays.get("radii", payload["eps"])
     kernel_name = payload["kernel_name"]
 
     wdev.counters.reset()
@@ -558,8 +559,10 @@ class ProcessBackend(ExecutionBackend):
         return ref
 
     @staticmethod
-    def _call_arrays(queries, mask_positions, leaf_weights) -> dict:
+    def _call_arrays(queries, eps, mask_positions, leaf_weights) -> dict:
         arrays = {"queries": queries}
+        if isinstance(eps, np.ndarray):
+            arrays["radii"] = eps
         if mask_positions is not None:
             arrays["mask"] = mask_positions
         if leaf_weights is not None:
@@ -599,12 +602,14 @@ class ProcessBackend(ExecutionBackend):
             return [traversal] * len(chunks)
         from repro.bvh.autotune import choose_engine
         from repro.bvh.qgroups import DEFAULT_GROUP_SIZE
+        from repro.bvh.traversal import chunk_radius
 
         gsz = group_size if group_size is not None else DEFAULT_GROUP_SIZE
         engines = []
         for ids in chunks:
             decision = choose_engine(
-                tree, queries[ids], eps, gsz, cost_model, kernel_name, tree_stats
+                tree, queries[ids], chunk_radius(eps, ids), gsz, cost_model,
+                kernel_name, tree_stats,
             )
             dev.counters.add(f"auto_{decision.engine}_chunks", 1)
             dev.counters.add(
@@ -737,7 +742,7 @@ class ProcessBackend(ExecutionBackend):
         )
         self._ensure_pool()
         tree_ref = self._publish_tree(tree)
-        call_arena = ShmArena(self._call_arrays(queries, mask_positions, None))
+        call_arena = ShmArena(self._call_arrays(queries, eps, mask_positions, None))
         call_ref = (call_arena.name, call_arena.ref())
         jobs = [
             {
@@ -745,7 +750,7 @@ class ProcessBackend(ExecutionBackend):
                 "tree": tree_ref,
                 "call": call_ref,
                 "ids": ids,
-                "eps": float(eps),
+                "eps": None if isinstance(eps, np.ndarray) else eps,
                 "kernel_name": kernel_name,
                 "leaf_test_is_distance": leaf_test_is_distance,
                 "traversal": engine,
@@ -828,7 +833,7 @@ class ProcessBackend(ExecutionBackend):
         self._ensure_pool()
         tree_ref = self._publish_tree(tree)
         call_arena = ShmArena(
-            self._call_arrays(queries, mask_positions, leaf_weights)
+            self._call_arrays(queries, eps, mask_positions, leaf_weights)
         )
         call_ref = (call_arena.name, call_arena.ref())
         jobs = [
@@ -837,7 +842,7 @@ class ProcessBackend(ExecutionBackend):
                 "tree": tree_ref,
                 "call": call_ref,
                 "ids": ids,
-                "eps": float(eps),
+                "eps": None if isinstance(eps, np.ndarray) else eps,
                 "kernel_name": "bvh_count",
                 "stop_at": None if stop_at is None else float(stop_at),
                 "traversal": engine,

@@ -21,6 +21,7 @@ from repro.bench.smoke import auto_regret_alarms, auto_selection_alarms
 from repro.bvh.autotune import AUTO_MARGIN, EngineDecision, choose_engine
 from repro.bvh.aabb import boxes_from_points
 from repro.bvh.builder import build_bvh
+from repro.bvh.traversal import for_each_leaf_hit, query_schedule
 from repro.core.densebox import fdbscan_densebox
 from repro.core.fdbscan import fdbscan
 from repro.core.index import DBSCANIndex
@@ -122,6 +123,56 @@ class TestAutoParity:
             extra["auto_single_chunks"] + extra["auto_dual_chunks"]
             == res.info["auto"]["single_chunks"] + res.info["auto"]["dual_chunks"]
         )
+
+
+def _radii(X, seed=12):
+    """Random per-query radii, every ninth one zero."""
+    radii = np.random.default_rng(seed).uniform(0.0, 0.3, X.shape[0])
+    radii[::9] = 0.0
+    return radii
+
+
+def _decision_counters(tree, X, eps, **kwargs):
+    dev = Device()
+    for_each_leaf_hit(tree, X, eps, lambda q, p: None, device=dev,
+                      traversal="auto", **kwargs)
+    return dev.counters.snapshot()
+
+
+class TestAutoPerQueryRadii:
+    def test_chunk_priced_at_its_largest_radius(self):
+        # one chunk whose largest radius is 0.25 makes the decision a
+        # scalar eps=0.25 run makes
+        X = _clustered()
+        tree = build_bvh(*boxes_from_points(X))
+        radii = _radii(X) * (0.25 / 0.3)
+        radii[17] = 0.25
+        counters = [
+            _decision_counters(tree, X, eps, chunk_size=None)
+            for eps in (radii, 0.25)
+        ]
+        for key in ("auto_single_chunks", "auto_dual_chunks", "auto_pred_cost_us"):
+            assert counters[0].get(key) == counters[1].get(key), key
+
+
+class TestChooserRegimes:
+    def _case(self):
+        X = _clustered(n=1200)
+        tree = build_bvh(*boxes_from_points(X))
+        return tree, X[query_schedule(X, "morton")][:300]
+
+    def test_component_masked_chunks_go_single(self):
+        tree, Xm = self._case()
+        free = choose_engine(tree, Xm, 0.25, 32)
+        masked = choose_engine(tree, Xm, 0.25, 32, component_masked=True)
+        assert free.engine == "dual" and masked.engine == "single"
+        assert masked.pred_dual_seconds == free.pred_dual_seconds
+
+    def test_radius_below_group_extent_goes_single(self):
+        # members of a group far wider than their balls share nothing
+        tree, Xm = self._case()
+        assert choose_engine(tree, Xm, 1e-3, 32).engine == "single"
+        assert choose_engine(tree, Xm, 0.0, 32).engine == "single"
 
 
 class TestAutoDeterminism:

@@ -20,6 +20,9 @@ import os
 import numpy as np
 import pytest
 
+from repro.bvh.aabb import boxes_from_points
+from repro.bvh.builder import build_bvh
+from repro.bvh.traversal import count_within, for_each_leaf_hit
 from repro.core.fdbscan import fdbscan
 from repro.device.backends import ProcessBackend, coerce_backend
 from repro.device.device import Device, KernelFaultError
@@ -142,6 +145,68 @@ class TestAlgorithmParity:
         assert res.info["backend"] == "process"
         np.testing.assert_array_equal(serial.labels, res.labels)
         assert sdev.counters.snapshot() == dev.counters.snapshot()
+
+
+class TestPerQueryRadii:
+    """Per-query radii ride the call arena to the workers; the replayed
+    hit stream and every counter must equal the serial engine's."""
+
+    def _case(self):
+        X = _dataset()
+        radii = np.random.default_rng(4).uniform(0.0, 0.3, X.shape[0])
+        radii[::11] = 0.0
+        tree = build_bvh(*boxes_from_points(X))
+        sorted_pos = np.empty(X.shape[0], dtype=np.int64)
+        sorted_pos[tree.order] = np.arange(X.shape[0])
+        return X, radii, tree, sorted_pos
+
+    @pytest.mark.parametrize("traversal", ["single", "dual", "auto"])
+    def test_leaf_hits_match_serial(self, pool, traversal):
+        X, radii, tree, sorted_pos = self._case()
+        out = {}
+        for name, bk in (("serial", None), ("process", pool)):
+            hits = []
+            dev = Device()
+            for_each_leaf_hit(
+                tree, X, radii,
+                lambda q, p: hits.append((q.astype(np.int64), p.astype(np.int64))),
+                mask_positions=sorted_pos, device=dev, chunk_size=120,
+                traversal=traversal, backend=bk,
+            )
+            out[name] = (
+                np.concatenate([h[0] for h in hits]),
+                np.concatenate([h[1] for h in hits]),
+                dev.counters.snapshot(),
+            )
+        # the backend replays the serial (chunk, step) sequence exactly
+        np.testing.assert_array_equal(out["process"][0], out["serial"][0])
+        np.testing.assert_array_equal(out["process"][1], out["serial"][1])
+        serial, proc = out["serial"][2], out["process"][2]
+        for key in set(serial) | set(proc):
+            if key != "kernel_launches":  # serial auto: one launch per chunk
+                assert serial.get(key, 0) == proc.get(key, 0), key
+
+    @pytest.mark.parametrize("traversal", ["single", "dual"])
+    def test_counts_match_serial(self, pool, traversal):
+        X, radii, tree, _ = self._case()
+        out = {}
+        for name, bk in (("serial", None), ("process", pool)):
+            dev = Device()
+            counts = count_within(
+                tree, X, radii, stop_at=6, device=dev, chunk_size=120,
+                traversal=traversal, backend=bk,
+            )
+            out[name] = (counts, dev.counters.snapshot())
+        np.testing.assert_array_equal(out["process"][0], out["serial"][0])
+        assert out["process"][1] == out["serial"][1]
+
+    def test_knn_radii_match_serial(self, pool):
+        from repro.bvh.knn import knn_radii
+
+        X, _, tree, _ = self._case()
+        serial = knn_radii(tree, X, 5, chunk_size=120)
+        proc = knn_radii(tree, X, 5, chunk_size=120, backend=pool)
+        np.testing.assert_array_equal(proc, serial)
 
 
 class TestCoercion:

@@ -236,6 +236,34 @@ class TestLeafHits:
         with pytest.raises(ValueError, match="eps"):
             for_each_leaf_hit(tree, np.zeros((2, 2)), -1.0, lambda q, p: None)
 
+    @pytest.mark.parametrize(
+        "radii",
+        [
+            np.array([0.1, 0.1]),  # wrong length
+            np.full((3, 1), 0.1),  # wrong rank
+            np.array([0.1, np.nan, 0.1]),
+            np.array([0.1, np.inf, 0.1]),
+            np.array([0.1, -0.5, 0.1]),
+        ],
+    )
+    def test_bad_per_query_radii_rejected(self, radii):
+        tree = _tree_over(np.zeros((2, 2)))
+        queries = np.zeros((3, 2))
+        with pytest.raises(ValueError, match="eps"):
+            for_each_leaf_hit(tree, queries, radii, lambda q, p: None)
+        with pytest.raises(ValueError, match="eps"):
+            count_within(tree, queries, radii)
+
+    def test_per_query_radii_match_brute_force(self):
+        rng = np.random.default_rng(26)
+        pts = rng.uniform(0, 1, size=(80, 2))
+        radii = rng.uniform(0, 0.3, size=80)
+        radii[::7] = 0.0
+        tree = _tree_over(pts)
+        d2 = ((pts[:, None, :] - pts[None, :, :]) ** 2).sum(-1)
+        want = (d2 <= (radii * radii)[:, None]).sum(1)
+        np.testing.assert_array_equal(count_within(tree, pts, radii), want)
+
     def test_dim_mismatch_rejected(self):
         tree = _tree_over(np.zeros((2, 2)))
         with pytest.raises(ValueError, match="queries"):

@@ -12,11 +12,18 @@ import pytest
 
 from repro.bvh.aabb import boxes_from_points
 from repro.bvh.builder import build_bvh
-from repro.bvh.traversal import count_within, for_each_leaf_hit
+from repro.bvh.qgroups import SPARSE_LEAF_EXT_FACTOR, SPARSE_LEAF_MIN, build_query_bvh
+from repro.bvh.traversal import (
+    _FrontierPool,
+    count_within,
+    for_each_leaf_hit,
+    query_schedule,
+)
 from repro.core.densebox import fdbscan_densebox
 from repro.core.fdbscan import fdbscan
 from repro.core.index import DBSCANIndex
 from repro.device.device import Device
+from repro.hierarchy.boruvka import _refresh_node_components
 
 ALGORITHMS = {"fdbscan": fdbscan, "fdbscan-densebox": fdbscan_densebox}
 
@@ -158,7 +165,145 @@ class TestTraversalParity:
             count_within(tree, X, 0.1, traversal="triple")
 
 
+def per_query_case(rng, d=2):
+    """Clustered points with random per-query radii (a tenth of them zero)
+    plus an exact lattice — coordinates and radii are binary fractions, so
+    every lattice radius lands *exactly* on lattice distances (ties)."""
+    X = clustered_points(rng, 400, d)
+    radii = rng.uniform(0.0, 0.2, X.shape[0])
+    radii[rng.random(X.shape[0]) < 0.1] = 0.0
+    g = 5.0 + 0.125 * np.arange(10 if d == 2 else 5)
+    lattice = np.stack(np.meshgrid(*[g] * d), axis=-1).reshape(-1, d)
+    # 0.625 is the hypotenuse of the (0.375, 0.5) lattice step: exact too
+    lat_r = rng.choice([0.0, 0.125, 0.25, 0.375, 0.625], lattice.shape[0])
+    return np.concatenate([X, lattice]), np.concatenate([radii, lat_r])
+
+
+def hit_stream(tree, X, eps, traversal, config="plain", backend=None, chunk_size=97,
+               query_order="input"):
+    """Run one traversal; return its concatenated hit stream and counters.
+
+    ``config`` adds the traversal mask, a monotone early exit, or a
+    component mask (queries never see their own component)."""
+    m = X.shape[0]
+    kw = {}
+    seen = np.zeros(m, dtype=np.int64)
+    if config == "mask":
+        sorted_pos = np.empty(m, dtype=np.int64)
+        sorted_pos[tree.order] = np.arange(m)
+        kw["mask_positions"] = sorted_pos
+    elif config == "finished":
+        kw["finished_fn"] = lambda ids: seen[ids] >= 6
+    elif config == "component":
+        comp = np.digitize(X[:, 0], [1.0, 2.0, 3.0]).astype(np.int64)
+        node_comp = np.empty(tree.node_lo.shape[0], dtype=np.int64)
+        _refresh_node_components(tree, comp, node_comp)
+        kw.update(component_of=comp, node_components=node_comp)
+    hits = []
+
+    def on_hits(q_ids, leaf_pos):
+        np.add.at(seen, q_ids, 1)
+        hits.append((q_ids.astype(np.int64), leaf_pos.astype(np.int64)))
+
+    dev = Device(name=f"pq-{traversal}")
+    for_each_leaf_hit(
+        tree, X, eps, on_hits, device=dev, chunk_size=chunk_size,
+        query_order=query_order, traversal=traversal, backend=backend, **kw,
+    )
+    q = np.concatenate([h[0] for h in hits]) if hits else np.zeros(0, np.int64)
+    p = np.concatenate([h[1] for h in hits]) if hits else np.zeros(0, np.int64)
+    return q, p, dev.counters.snapshot()
+
+
+def per_query_order(q, p):
+    """Each query's hits in delivery order (engines may interleave queries
+    differently, but every query must see its own hits in the same order)."""
+    order = np.argsort(q, kind="stable")
+    return q[order], p[order]
+
+
+class TestPerQueryRadii:
+    @pytest.mark.parametrize("config", ["plain", "mask", "finished", "component"])
+    @pytest.mark.parametrize("traversal", ["dual", "auto"])
+    @pytest.mark.parametrize(
+        "query_order,chunk_size,d",
+        [("input", 97, 2), ("morton", 250, 2), ("input", 250, 3), ("morton", 97, 3)],
+    )
+    def test_engines_match_single(self, rng, traversal, config, query_order,
+                                  chunk_size, d):
+        X, radii = per_query_case(rng, d)
+        tree = point_tree(X)
+        kw = dict(chunk_size=chunk_size, query_order=query_order)
+        sq, sp, sc = hit_stream(tree, X, radii, "single", config, **kw)
+        q, p, c = hit_stream(tree, X, radii, traversal, config, **kw)
+        assert sq.size > 0
+        for got, want in zip(per_query_order(q, p), per_query_order(sq, sp)):
+            np.testing.assert_array_equal(got, want)
+        assert c["distance_evals"] == sc["distance_evals"]
+
+    def test_tight_radii_split_wide_leaves(self, rng):
+        # a leaf much wider than its members' balls keeps splitting, down
+        # to SPARSE_LEAF_MIN members
+        X = clustered_points(rng, 600, 2)
+        X = X[query_schedule(X, "morton")]
+        pool = _FrontierPool(Device(), 2, tag="qgroups")
+        try:
+            qg = build_query_bvh(X, None, 32, np.full(X.shape[0], 1e-3), pool)
+            leaves = np.arange(qg.n_inner, qg.n_nodes)
+            size = qg.mem_hi[leaves] - qg.mem_lo[leaves]
+            tight = qg.ext[leaves] <= SPARSE_LEAF_EXT_FACTOR * qg.r_max[leaves]
+            assert (tight | (size <= SPARSE_LEAF_MIN)).all()
+            assert (size <= SPARSE_LEAF_MIN).any()
+        finally:
+            pool.release()
+
+    def test_hits_are_exactly_the_per_query_balls(self, rng):
+        X, radii = per_query_case(rng)
+        tree = point_tree(X)
+        q, p, _ = hit_stream(tree, X, radii, "dual")
+        d2 = ((X[:, None, :] - X[None, :, :]) ** 2).sum(-1)
+        want_q, want_i = np.nonzero(d2 <= (radii * radii)[:, None])
+        got = np.lexsort((tree.order[p], q))
+        np.testing.assert_array_equal(q[got], want_q)
+        np.testing.assert_array_equal(tree.order[p][got], want_i)
+
+    @pytest.mark.parametrize("traversal", ["single", "dual", "auto"])
+    @pytest.mark.parametrize("config", ["plain", "mask", "finished"])
+    def test_scalar_equals_constant_array(self, rng, traversal, config):
+        X = clustered_points(rng, 500, 2)
+        tree = point_tree(X)
+        scalar = hit_stream(tree, X, 0.12, traversal, config)
+        array = hit_stream(tree, X, np.full(X.shape[0], 0.12), traversal, config)
+        np.testing.assert_array_equal(array[0], scalar[0])
+        np.testing.assert_array_equal(array[1], scalar[1])
+        assert array[2] == scalar[2]
+        for stop_at in (None, 5):
+            np.testing.assert_array_equal(
+                count_within(tree, X, np.full(X.shape[0], 0.12), stop_at=stop_at,
+                             traversal=traversal),
+                count_within(tree, X, 0.12, stop_at=stop_at, traversal=traversal),
+            )
+
+
 class TestPruning:
+    def test_dual_prunes_at_core_distance_radii(self):
+        # HDBSCAN's tight per-query radii (kNN rounds, Borůvka) on
+        # clustered data: the dual engine's pruning total stays under the
+        # CI smoke's 0.7x of single's (0.94x without the sparse-leaf rule)
+        from repro.datasets.registry import load_dataset
+        from repro.hierarchy.hdbscan import hdbscan
+
+        X = load_dataset("ngsim", n=2000, seed=0)
+        work = {}
+        for traversal in ("single", "dual"):
+            dev = Device()
+            hdbscan(X, min_cluster_size=5, min_samples=5, device=dev,
+                    traversal=traversal)
+            c = dev.counters.snapshot()
+            work[traversal] = (c.get("box_tests", 0) + c.get("nodes_visited", 0)
+                               + c.get("group_box_tests", 0))
+        assert work["dual"] <= 0.7 * work["single"]
+
     def test_dual_prunes_clustered_data(self, rng):
         # The acceptance property: on clustered data the dual engine's
         # total pruning work (box tests, group tests and frontier node

@@ -13,7 +13,11 @@
    extent) produced a near-zero starting radius and dozens of doubling
    rounds before the first neighbour appeared.
 
-Each test here fails on the corresponding pre-fix code.
+Each test here fails on the corresponding pre-fix code.  The rung-search
+tests bound the per-query radius search: its round count is logarithmic
+in each query's distance (in rungs) from its start radius, the descent
+stops at the ladder floor when ``>= k`` points coincide, and the gather
+stays within a few times ``n·k`` distance evaluations.
 """
 
 import numpy as np
@@ -22,7 +26,8 @@ from scipy.spatial import cKDTree
 
 from repro.bvh.aabb import boxes_from_points
 from repro.bvh.builder import build_bvh
-from repro.bvh.knn import _initial_radius, core_distances, knn_radii
+from repro.bvh.knn import LADDER_FLOOR, _initial_radius, core_distances, knn_radii
+from repro.datasets import load_dataset
 from repro.device.device import Device
 
 
@@ -154,9 +159,11 @@ class TestDegenerateDensityEstimate:
         got = knn_radii(tree, pts, 4, device=dev)
         want = cKDTree(pts).query(pts, k=4)[0][:, -1]
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
-        # a density-scale start needs only a handful of doublings; the
-        # zero-volume estimate (1e-12) needed ~40 to climb back to scale
-        assert dev.profile()["knn_expand"]["steps"] <= 10
+        # a density-scale start lands within a few rungs of every answer;
+        # the zero-volume estimate (1e-12) sat ~40 rungs away
+        rung = _max_rung(_initial_radius(tree, 4), want)
+        assert rung <= 8
+        assert dev.profile()["knn_expand"]["steps"] <= _round_bound(rung)
 
     def test_axis_aligned_3d(self, rng):
         # a planar point set embedded in 3-d: one degenerate extent
@@ -169,10 +176,103 @@ class TestDegenerateDensityEstimate:
         got = knn_radii(tree, pts, 6, device=dev)
         want = cKDTree(pts).query(pts, k=6)[0][:, -1]
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
-        assert dev.profile()["knn_expand"]["steps"] <= 10
+        rung = _max_rung(_initial_radius(tree, 6), want)
+        assert rung <= 8
+        assert dev.profile()["knn_expand"]["steps"] <= _round_bound(rung)
 
     def test_all_coincident(self):
         pts = np.ones((16, 2))
         tree = _point_tree(pts)
         assert _initial_radius(tree, 4) == 1e-12
         np.testing.assert_array_equal(knn_radii(tree, pts, 16), 0.0)
+
+
+def _max_rung(r0, kth):
+    """Largest ``|j|`` over queries of the rung ``r0 * 2**j`` that first
+    reaches the true k-th distance ``kth`` (positive distances only)."""
+    kth = np.asarray(kth)[np.asarray(kth) > 0]
+    return int(np.abs(np.ceil(np.log2(kth / r0))).max()) if kth.size else 0
+
+
+def _round_bound(rung):
+    """Count rounds the gallop-then-bisect search needs to settle every
+    query within ``rung`` rungs of its start (one of slack for ties at an
+    exact rung)."""
+    return 2 * int(np.ceil(np.log2(rung + 2))) + 2
+
+
+class TestRungSearch:
+    """The per-query rung search: bounded rounds, floor-terminated descent,
+    tight gathers."""
+
+    def test_rounds_logarithmic_in_rung_distance(self, rng):
+        # a start radius 2^10 above the answer: one-way doubling could never
+        # come back down; the descent needs ~2*log2(10) rounds
+        pts = rng.uniform(0, 10, (300, 2))
+        tree = _point_tree(pts)
+        want = cKDTree(pts).query(pts, k=5)[0][:, -1]
+        for r0 in (np.median(want) * 2.0**10, np.median(want) * 2.0**-10):
+            dev = Device()
+            got = knn_radii(tree, pts, 5, device=dev, initial_radius=r0)
+            np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
+            steps = dev.profile()["knn_expand"]["steps"]
+            assert steps <= _round_bound(_max_rung(r0, want))
+
+    def test_coincident_subset_terminates_at_floor(self, rng):
+        # k-fold duplicates (k-th distance 0) mixed with spread points
+        spread = rng.uniform(0, 10, (120, 2))
+        pts = np.concatenate([spread, np.repeat(spread[:7], 4, axis=0)])
+        tree = _point_tree(pts)
+        dev = Device()
+        got = knn_radii(tree, pts, 5, device=dev)
+        want = cKDTree(pts).query(pts, k=5)[0][:, -1]
+        np.testing.assert_array_equal(got[want == 0], 0.0)
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
+        # the floored descent is the longest path: 0, -1, ..., -64
+        assert dev.profile()["knn_expand"]["steps"] <= _round_bound(LADDER_FLOOR)
+
+    def test_all_coincident_below_n(self):
+        pts = np.full((40, 3), 2.5)
+        tree = _point_tree(pts)
+        for k in (1, 5, 40):
+            np.testing.assert_array_equal(knn_radii(tree, pts, k), 0.0)
+
+    def test_k_equals_n(self, rng):
+        pts = rng.uniform(0, 3, (64, 2))
+        tree = _point_tree(pts)
+        want = cKDTree(pts).query(pts, k=64)[0][:, -1]
+        for traversal in ("single", "dual"):
+            got = knn_radii(tree, pts, 64, traversal=traversal)
+            np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
+
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    def test_non_finite_initial_radius_rejected_at_entry(self, rng, bad):
+        pts = rng.uniform(0, 1, (20, 2))
+        tree = _point_tree(pts)
+        for value in (bad, np.where(np.arange(20) == 3, bad, 1.0)):
+            with pytest.raises(ValueError, match="initial_radius"):
+                knn_radii(tree, pts, 3, initial_radius=value)
+        # even with no queries to search for
+        with pytest.raises(ValueError, match="initial_radius"):
+            knn_radii(tree, pts[:0], 3, initial_radius=bad)
+
+    def test_initial_radius_shape_checked(self, rng):
+        pts = rng.uniform(0, 1, (20, 2))
+        tree = _point_tree(pts)
+        with pytest.raises(ValueError, match="initial_radius"):
+            knn_radii(tree, pts, 3, initial_radius=np.ones(7))
+
+    def test_ngsim_gather_stays_tight(self):
+        # machine-independent guard on the gather's over-fetch: each query
+        # gathers a few times k pairs (one wide shared radius gathered
+        # ~267 n k on this input)
+        n, k = 4000, 5
+        X = load_dataset("ngsim", n, seed=0)
+        tree = _point_tree(X)
+        dev = Device()
+        got = core_distances(tree, X, k, device=dev)
+        np.testing.assert_allclose(
+            got, cKDTree(X).query(X, k=k)[0][:, -1], rtol=1e-12, atol=1e-12
+        )
+        gather = dev.profile()["knn_gather"]["counters"]["distance_evals"]
+        assert gather <= 5 * n * k
