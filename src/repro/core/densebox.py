@@ -13,14 +13,20 @@ Phases:
 1. **decompose** — grid, dense cells, mixed primitives
    (:func:`repro.grid.dense_cells.decompose`);
 2. **preprocessing** — only isolated points need a core test; their
-   batched traversal counts isolated-point hits directly and scans the
-   members of hit dense boxes, terminating at ``minpts``;
+   batched traversal counts isolated-point hits directly and counts the
+   members of hit dense boxes within ``eps``, terminating at ``minpts``;
 3. **main phase** — (a) all points of each dense cell are unioned
    (they are one cluster by construction); (b) a batched traversal for
    *all* points resolves discovered objects: a point hit follows the
    standard core/border rule; a dense-box hit needs only *one* member
-   within ``eps`` — a short-circuited scan, after which the query is
-   unioned into (or, if non-core, attached to) the cell's cluster.
+   within ``eps``, after which the query is unioned into (or, if
+   non-core, attached to) the cell's cluster.
+
+The counters charge the modelled kernel's linear member scan: to the end
+in preprocessing, to the first member within ``eps`` in the main phase.
+The host finds the same members with less work (:func:`_scan_cells`):
+a block scan that stops after the first hit, and member counts without
+distance math for cells wholly inside the query's ball.
 
 The pair-once mask generalises to the mixed tree: every query is masked by
 the sorted position of *its own primitive* (its point, or its cell's box),
@@ -47,39 +53,62 @@ from repro.device.primitives import (
 from repro.grid.dense_cells import DenseDecomposition
 from repro.unionfind.ecl import EclUnionFind
 
-_BIG = np.iinfo(np.int64).max
 
-
-def _scan_boxes(
-    X: np.ndarray,
+def _scan_cells(
+    cell_pts: np.ndarray,
     deco: DenseDecomposition,
     q_pts: np.ndarray,
-    q_seg_ids: np.ndarray,
-    box_ranks: np.ndarray,
+    ranks: np.ndarray,
     eps2: float,
+    first_only: bool,
 ):
-    """Distance-test the members of hit dense boxes against their queries.
+    """Find the members of hit dense cells that lie within eps of their query.
 
-    ``q_pts`` are the query coordinates indexed by ``q_seg_ids`` per hit;
-    ``box_ranks`` the dense rank of each hit box.  Returns
-    ``(within, seg, members, first_slot, cnts)`` where ``within`` flags each
-    expanded (query, member) test, ``seg`` maps tests back to hits,
-    ``members`` are dataset indices, and ``first_slot`` is the position (in
-    scan order) of the first member within ``eps`` per hit (or ``_BIG``).
+    Hit ``k`` pairs query point ``q_pts[k]`` with dense cell ``ranks[k]``;
+    ``cell_pts`` is ``X[deco.members]``.  Members are tested in scan order in
+    blocks of 1, 2, 4, ...; with ``first_only`` a hit stops after the first
+    block holding a member within eps.  Otherwise a cell whose tight box lies
+    wholly inside the ball yields every member with no distance math (the
+    farthest-corner test is exact: float subtraction, squaring and summation
+    are monotone).  Returns ``(starts, cnts, hit, slot)``: each hit cell's
+    CSR view into ``deco.members``, and the hit and scan slot of every member
+    found, in scan order (with ``first_only``, only each hit's first).
     """
-    starts, cnts = deco.dense_members(box_ranks)
-    mem_slots = concatenated_ranges(starts, cnts)
-    members = deco.members[mem_slots]
-    seg = segment_ids_from_counts(cnts)
-    diff = q_pts[q_seg_ids[seg]] - X[members]
-    within = np.einsum("ij,ij->i", diff, diff) <= eps2
-    pos_in_seg = np.arange(members.shape[0], dtype=np.int64) - np.repeat(
-        np.cumsum(cnts) - cnts, cnts
-    )
-    cand = np.where(within, pos_in_seg, _BIG)
-    first_slot = np.full(box_ranks.shape[0], _BIG, dtype=np.int64)
-    np.minimum.at(first_slot, seg, cand)
-    return within, seg, members, first_slot, cnts
+    starts, cnts = deco.dense_members(ranks)
+    end = cnts.copy()  # scan end per hit; a first-only hit ends at its find
+    hits, slots = [], []
+    active = np.arange(ranks.shape[0])
+    if not first_only:
+        box = deco.n_isolated + ranks
+        far = np.maximum(q_pts - deco.prim_lo[box], deco.prim_hi[box] - q_pts)
+        inside = np.einsum("ij,ij->i", far, far) <= eps2
+        n_in = cnts[inside]
+        hits.append(np.repeat(active[inside], n_in))
+        slots.append(concatenated_ranges(np.zeros_like(n_in), n_in))
+        active = active[~inside]
+    offset, block = 0, 1
+    while active.size:
+        take = np.minimum(cnts[active] - offset, block)
+        h = active[segment_ids_from_counts(take)]
+        slot = concatenated_ranges(np.full(active.shape[0], offset), take)
+        diff = q_pts[h] - cell_pts[starts[h] + slot]
+        ok = np.einsum("ij,ij->i", diff, diff) <= eps2
+        h, slot = h[ok], slot[ok]
+        if first_only:
+            first = np.ones(h.shape[0], dtype=bool)
+            first[1:] = h[1:] != h[:-1]
+            h, slot = h[first], slot[first]
+            end[h] = 0
+        hits.append(h)
+        slots.append(slot)
+        offset += block
+        block *= 2
+        active = active[end[active] > offset]
+    hit, slot = np.concatenate(hits), np.concatenate(slots)
+    # Each list entry is in (hit, slot) order and later rounds hold later
+    # slots, so a stable sort by hit restores scan order.
+    o = np.argsort(hit, kind="stable")
+    return starts, cnts, hit[o], slot[o]
 
 
 def fdbscan_densebox(
@@ -144,6 +173,7 @@ def fdbscan_densebox(
         eps, minpts, device=dev, sample_weight=weights
     )
     order = tree.order
+    cell_pts = X[deco.members]
     if traversal is None:
         traversal = index.traversal or "single"
     info["traversal"] = traversal
@@ -211,19 +241,17 @@ def fdbscan_densebox(
                 if box.any():
                     qb = q_ids[box]
                     ranks = deco.prim_point[prim[box]]
-                    within, seg, box_members, _first, _cnts = _scan_boxes(
-                        X, deco, queries, qb, ranks, eps2
+                    starts, cnts, hit, slot = _scan_cells(
+                        cell_pts, deco, queries[qb], ranks, eps2, first_only=False
                     )
-                    if weights is None:
-                        scatter_add(counts, qb[seg], within, counters=dev.counters)
-                    else:
-                        scatter_add(
-                            counts,
-                            qb[seg],
-                            within * weights[box_members],
-                            counters=dev.counters,
-                        )
-                    dev.counters.add("distance_evals", int(within.shape[0]))
+                    values = None
+                    if weights is not None:  # added one by one, in scan order
+                        values = weights[deco.members[starts[hit] + slot]]
+                    scatter_add(counts, qb[hit], values)
+                    # The kernel tests and scatters every member of every hit
+                    # cell; charge that, not the host's shortcut.
+                    dev.counters.add("scatter_adds", int(cnts.sum()))
+                    dev.counters.add("distance_evals", int(cnts.sum()))
 
             finished_fn = None
             if early_exit:
@@ -298,25 +326,22 @@ def fdbscan_densebox(
                 ranks = ranks[~own]
             if qb.size == 0:
                 return
-            within, seg, members, first_slot, cnts = _scan_boxes(
-                X, deco, X, qb, ranks, eps2
+            starts, cnts, hit, slot = _scan_cells(
+                cell_pts, deco, X[qb], ranks, eps2, first_only=True
             )
-            # Short-circuit emulation: the kernel scans each cell linearly
-            # and stops at the first member within eps, so the work charged
-            # is first-hit-position + 1 (or the full cell on a miss).
-            has = first_slot != _BIG
-            evals = np.where(has, first_slot + 1, cnts)
+            # The kernel scans each cell linearly and stops at the first
+            # member within eps: charge first-hit slot + 1 tests, or the
+            # whole cell on a miss.
+            evals = cnts.copy()
+            evals[hit] = slot + 1
             dev.counters.add("distance_evals", int(evals.sum()))
-            if not has.any():
+            if not hit.size:
                 return
-            q_hit = qb[has]
-            member_starts = deco.dense_members(ranks[has])[0]
-            first_member = deco.members[member_starts + first_slot[has]]
             # The member is a dense-cell point, hence core: a core query is
             # unioned into the cell's cluster, a non-core query becomes a
             # border candidate of it — both are exactly the resolver's
             # per-edge rule for a (query, core member) pair.
-            resolver.add(q_hit, first_member)
+            resolver.add(qb[hit], deco.members[starts[hit] + slot])
 
     for_each_leaf_hit(
         tree,

@@ -374,7 +374,11 @@ def mutual_reachability_mst_boruvka(
                 query_order,
                 traversal,
             )
-            radius = _ladder_up(np.where(best_b >= 0, best_w, cov), r0)
+            # A zero restart (a zero-weight duplicate edge, or a covered
+            # zero ball) would never grow by doubling: floor it at r0 as
+            # the initial warm start does.
+            restart = np.where(best_b >= 0, best_w, cov)
+            radius = _ladder_up(np.where(restart > 0, restart, r0), r0)
             # Points stopped by the component bound may hold no candidate
             # of their own; every component still holds at least one (its
             # bound is finite only once a member found an edge).

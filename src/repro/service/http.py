@@ -69,8 +69,9 @@ def make_handler(service: ClusteringService, lock: threading.Lock):
                 return
             length = int(self.headers.get("Content-Length", 0))
             body = self.rfile.read(length)
+            arrival = service.uptime()
             with lock:
-                response = service.handle(body)
+                response = service.handle(body, arrival=arrival)
             status = response.get("status", "error")
             code = _STATUS_HTTP.get(status)
             if code is None:

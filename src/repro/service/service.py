@@ -150,6 +150,7 @@ class ClusteringService:
     ):
         self.config = config or ServiceConfig()
         self.clock = clock if clock is not None else SimClock()
+        self._started = time.monotonic()
         self.device = device or Device(name="service")
         if str(self.config.backend) != "serial":
             from repro.device.backends import coerce_backend
@@ -309,9 +310,16 @@ class ClusteringService:
 
     # -- the loop --------------------------------------------------------------
 
+    def uptime(self) -> float:
+        """Monotonic wall-clock seconds since the service started: the
+        ``arrival`` the live front-ends (stdin loop, HTTP) pass to
+        :meth:`handle`, so the clock and the admission backlog keep pace
+        with real time."""
+        return time.monotonic() - self._started
+
     def handle_line(self, line: str) -> dict:
         """One stdin-loop request: raw JSON text in, response dict out."""
-        return self.handle(line)
+        return self.handle(line, arrival=self.uptime())
 
     def handle(self, raw, arrival: float | None = None) -> dict:
         """Handle one request (raw JSON text/bytes or a decoded dict).
@@ -740,7 +748,7 @@ class ClusteringService:
             line = line.strip()
             if not line:
                 continue
-            response = self.handle(line)
+            response = self.handle_line(line)
             out_stream.write(_json.dumps(response, separators=(",", ":")) + "\n")
             out_stream.flush()
             served += 1

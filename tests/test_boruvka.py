@@ -109,6 +109,27 @@ class TestEquivalence:
         ref, got = _both_msts(X, 5)
         np.testing.assert_array_equal(np.sort(got[:, 2]), np.sort(ref[:, 2]))
 
+    def test_zero_weight_duplicates_converge(self):
+        # Regression: once a round merges zero-weight duplicate edges, a
+        # point's restart radius was its zero candidate weight, which
+        # never grows by doubling, so the component-NN search failed to
+        # converge.  Only the exchange-property invariants are asserted:
+        # the many tied zero-weight edges may merge in another order than
+        # Prim's, which can change labels but never the sorted weights or
+        # the dendrogram heights.
+        rng = np.random.default_rng(0)
+        base = rng.uniform(size=(200, 2))
+        X = np.concatenate([base, base[:50], base[:50], np.zeros((10, 2))])
+        n = X.shape[0]
+        ref, got = _both_msts(X, 5)
+        np.testing.assert_array_equal(np.sort(got[:, 2]), np.sort(ref[:, 2]))
+        np.testing.assert_array_equal(
+            single_linkage_dendrogram(got, n)[:, 2],
+            single_linkage_dendrogram(ref, n)[:, 2],
+        )
+        res = hdbscan(X, min_cluster_size=5, min_samples=5)
+        assert res.labels.shape == (n,)
+
     def test_collinear(self, rng):
         X = np.column_stack([np.sort(rng.uniform(0, 10, 90)), np.full(90, 2.0)])
         ref, got = _both_msts(X, 4)

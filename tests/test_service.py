@@ -364,6 +364,42 @@ class TestServiceLoop:
         responses = [json.loads(line) for line in out.getvalue().splitlines()]
         assert [r["status"] for r in responses] == ["ok", "ok", "rejected"]
 
+    def test_serve_lines_advances_clock_with_wall_arrivals(self, monkeypatch):
+        # Each stdin request arrives at its wall-clock time since start, so
+        # a paced stream drains the admission backlog instead of piling
+        # every request onto a clock that never moves.
+        import io
+        import time
+        import types
+
+        import repro.service.service as service_module
+
+        wall = [0.0]
+        monkeypatch.setattr(
+            service_module,
+            "time",
+            types.SimpleNamespace(
+                monotonic=lambda: wall[0], perf_counter=time.perf_counter
+            ),
+        )
+        svc = ClusteringService()
+        create = json.dumps({"op": "create_index", "index": "a",
+                             "points": _points(0, 400).tolist()})
+        count = json.dumps({"op": "count", "index": "a", "eps": 0.05,
+                            "min_samples": 5})
+
+        def paced():
+            yield create
+            for _ in range(200):
+                wall[0] += 0.1
+                yield count
+
+        out = io.StringIO()
+        assert svc.serve_lines(paced(), out) == 201
+        statuses = [json.loads(line)["status"] for line in out.getvalue().splitlines()]
+        assert statuses.count("shed") == 0
+        assert svc.clock.now() == pytest.approx(20.0)
+
 
 class TestServiceHTTP:
     def test_http_round_trip_and_metrics_endpoint(self):
