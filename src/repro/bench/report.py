@@ -187,7 +187,14 @@ def format_fault_summary(info: dict, title: str = "-- faults & recovery --") -> 
 
 #: Counters the backend A/B report asserts bit-equal across backends —
 #: the determinism contract of :mod:`repro.device.backends`.
-_AB_COUNTERS = ("distance_evals", "box_tests", "scatter_adds")
+_AB_COUNTERS = (
+    "distance_evals",
+    "box_tests",
+    "scatter_adds",
+    "nodes_visited",
+    "kernel_launches",
+    "thread_steps",
+)
 
 
 def format_backend_ab(

@@ -8,24 +8,30 @@ worker processes, with the tree's arrays published once through
 ``multiprocessing.shared_memory`` (zero-copy for the workers) and only the
 per-chunk results crossing the queue.
 
-The contract (see ``docs/backends.md``) is **bit-identical results**:
+The parent builds the launch's chunk plan
+(:func:`repro.bvh.traversal.chunk_plan`: the ``(ids, engine)`` chunks
+the serial runner would run, with ``auto`` already resolved) and ships
+one job per chunk; each worker runs its chunk through the same
+:func:`~repro.bvh.traversal.run_chunks` runner.  The contract (see
+``docs/backends.md``) is **bit-identical results**:
 
 - *chunk counts* (``count_within``): each query's count accumulates
-  entirely inside its own chunk, so workers run the exact serial per-chunk
-  kernel — including the ``stop_at`` early exit — and the parent scatters
-  the disjoint per-chunk count slices back together.
+  entirely inside its own chunk, so workers run ``count_within``'s own
+  count kernel (:func:`~repro.bvh.traversal.count_kernel`) — including
+  the ``stop_at`` early exit — and the parent scatters the disjoint
+  per-chunk count slices back together.
 - *leaf hits* (``for_each_leaf_hit`` with no ``finished_fn`` and no
   component mask): workers record each wavefront step's ``(query, leaf)``
   batches and the parent replays them through the caller's callback in
   (chunk, step) order — the *identical* callback sequence the serial
-  engine produces, so every downstream consumer (the buffered
+  runner produces, so every downstream consumer (the buffered
   ``PairResolver``, weighted accumulations, union-find counters) is
   reproduced bit-for-bit by construction.
 
 Traversals that keep cross-chunk state (a stateful ``finished_fn``, the
-Borůvka component mask) silently fall back to the serial engine — same
-results, no parallelism — so callers never need to know which kernels
-parallelise.
+Borůvka component mask) or plan a single chunk run the plan serially —
+same results, no parallelism — so callers never need to know which
+kernels parallelise.
 
 Counter merge semantics: worker counter deltas are added to the parent
 device *inside* the parent's wrapping :meth:`Device.kernel` span, except
@@ -210,8 +216,7 @@ def _cached_attach(cache: OrderedDict, key, ref, limit: int):
 def _execute_job(wdev: Device, caches: dict, payload: dict) -> dict:
     # Imported here (not at module top) so a spawned worker resolves the
     # engine through its own interpreter's import machinery.
-    from repro.bvh.traversal import for_each_leaf_hit
-    from repro.device.primitives import scatter_add
+    from repro.bvh.traversal import count_kernel, run_chunks
 
     stamp, tree_ref, meta = payload["tree"]
     _, tree_arrays = _cached_attach(caches["trees"], stamp, tree_ref, _TREE_CACHE)
@@ -219,88 +224,55 @@ def _execute_job(wdev: Device, caches: dict, payload: dict) -> dict:
     call_key, call_ref = payload["call"]
     _, call_arrays = _cached_attach(caches["calls"], call_key, call_ref, _CALL_CACHE)
     queries = call_arrays["queries"]
-    mask = call_arrays.get("mask")
     weights = call_arrays.get("weights")
     ids = payload["ids"]
     # Per-query radii travel in the call arena next to the queries.
     eps = call_arrays.get("radii", payload["eps"])
-    kernel_name = payload["kernel_name"]
 
     wdev.counters.reset()
     before = wdev.counters.snapshot()
-
     if payload["kind"] == "count":
-        # The exact per-chunk kernel `count_within` runs serially: a full
-        # (m,) accumulator (only this chunk's slots are touched), the
-        # same scatter_add accounting, the same `counts >= stop_at`
-        # early-exit closure.
-        m = queries.shape[0]
-        stop_at = payload["stop_at"]
-        if weights is None:
-            counts = np.zeros(m, dtype=np.int64)
-
-            def on_hits(q_ids, _pos):
-                scatter_add(counts, q_ids, counters=wdev.counters)
-
-        else:
-            counts = np.zeros(m, dtype=np.float64)
-
-            def on_hits(q_ids, pos):
-                scatter_add(counts, q_ids, weights[pos], counters=wdev.counters)
-
-        finished_fn = None
-        if stop_at is not None:
-
-            def finished_fn(f_ids):
-                return counts[f_ids] >= stop_at
-
-        res = for_each_leaf_hit(
-            tree,
-            queries,
-            eps,
-            on_hits,
-            mask_positions=mask,
-            finished_fn=finished_fn,
-            device=wdev,
-            kernel_name=kernel_name,
-            chunk_size=None,
-            traversal=payload["traversal"],
-            group_size=payload["group_size"],
-            _chunk_ids=ids,
+        # The count kernel `count_within` runs serially, over a full (m,)
+        # accumulator of which only this chunk's slots are touched.
+        counts = np.zeros(
+            queries.shape[0], dtype=np.int64 if weights is None else np.float64
         )
-        out = {"counts": counts[ids]}
+        on_hits, finished_fn = count_kernel(
+            counts, payload["stop_at"], weights, wdev.counters
+        )
     else:
         # Leaf-hit recording: keep each wavefront step's batch so the
         # parent can replay the exact serial callback sequence.
         step_q: list[np.ndarray] = []
         step_p: list[np.ndarray] = []
+        finished_fn = None
 
         def on_hits(q_ids, pos):
             step_q.append(q_ids.copy())
             step_p.append(pos.copy())
 
-        res = for_each_leaf_hit(
-            tree,
-            queries,
-            eps,
-            on_hits,
-            mask_positions=mask,
-            device=wdev,
-            kernel_name=kernel_name,
-            leaf_test_is_distance=payload["leaf_test_is_distance"],
-            chunk_size=None,
-            traversal=payload["traversal"],
-            group_size=payload["group_size"],
-            _chunk_ids=ids,
-        )
-        if step_q:
-            out = {
-                "hit_q": np.concatenate(step_q),
-                "hit_pos": np.concatenate(step_p),
-                "lens": np.array([a.shape[0] for a in step_q], dtype=np.int64),
-            }
-        else:
-            out = {"hit_q": None, "hit_pos": None, "lens": np.zeros(0, dtype=np.int64)}
+    res = run_chunks(
+        tree,
+        queries,
+        eps,
+        [(ids, payload["engine"])],
+        on_hits,
+        mask_positions=call_arrays.get("mask"),
+        finished_fn=finished_fn,
+        device=wdev,
+        kernel_name=payload["kernel_name"],
+        leaf_test_is_distance=payload["leaf_test_is_distance"],
+    )
+    if payload["kind"] == "count":
+        out = {"counts": counts[ids]}
+    elif step_q:
+        out = {
+            "hit_q": np.concatenate(step_q),
+            "hit_pos": np.concatenate(step_p),
+            "lens": np.array([a.shape[0] for a in step_q], dtype=np.int64),
+        }
+    else:
+        out = {"hit_q": None, "hit_pos": None, "lens": np.zeros(0, dtype=np.int64)}
 
     launch = wdev.launches[-1]
     out.update(
@@ -359,10 +331,11 @@ def _worker_main(worker_id: int, task_q, result_q) -> None:
 class ExecutionBackend:
     """Interface every execution substrate implements.
 
-    ``parallel`` is the dispatch gate: the traversal entry points consult
-    it and hand eligible work to :meth:`run_leaf_hits` /
-    :meth:`run_count`; a ``False`` backend (serial) means "execute in
-    process on the caller's thread" — the engines' default path.
+    ``parallel`` is the dispatch gate: the traversal entry points build
+    a chunk plan, consult it and hand eligible plans to
+    :meth:`run_leaf_hits` / :meth:`run_count`; a ``False`` backend
+    (serial) means "run the plan in process on the caller's thread" —
+    :func:`repro.bvh.traversal.run_chunks`.
     """
 
     name = "serial"
@@ -569,54 +542,7 @@ class ProcessBackend(ExecutionBackend):
             arrays["weights"] = leaf_weights
         return arrays
 
-    # -- scheduling ---------------------------------------------------------
-
-    @staticmethod
-    def _chunks(m: int, chunk_size: int, schedule) -> list[np.ndarray]:
-        out = []
-        for start in range(0, m, chunk_size):
-            end = min(start + chunk_size, m)
-            if schedule is not None:
-                out.append(np.array(schedule[start:end], dtype=np.int64))
-            else:
-                out.append(np.arange(start, end, dtype=np.int64))
-        return out
-
-    @staticmethod
-    def _chunk_engines(
-        tree,
-        queries,
-        eps,
-        chunks,
-        traversal,
-        group_size,
-        cost_model,
-        kernel_name,
-        tree_stats,
-        dev,
-    ) -> list[str]:
-        """Resolve ``traversal="auto"`` parent-side: workers only ever see
-        a concrete engine, so the per-chunk choice (and its counters) is
-        made once, deterministically, regardless of worker scheduling."""
-        if traversal != "auto":
-            return [traversal] * len(chunks)
-        from repro.bvh.autotune import choose_engine
-        from repro.bvh.qgroups import DEFAULT_GROUP_SIZE
-        from repro.bvh.traversal import chunk_radius
-
-        gsz = group_size if group_size is not None else DEFAULT_GROUP_SIZE
-        engines = []
-        for ids in chunks:
-            decision = choose_engine(
-                tree, queries[ids], chunk_radius(eps, ids), gsz, cost_model,
-                kernel_name, tree_stats,
-            )
-            dev.counters.add(f"auto_{decision.engine}_chunks", 1)
-            dev.counters.add(
-                "auto_pred_cost_us", int(decision.pred_seconds * 1e6)
-            )
-            engines.append(decision.engine)
-        return engines
+    # -- dispatch -----------------------------------------------------------
 
     def _dispatch(self, jobs: list[dict]):
         """Run jobs on the pool, yielding ``(seq, out)`` in seq order."""
@@ -698,75 +624,86 @@ class ProcessBackend(ExecutionBackend):
         tree,
         queries,
         eps,
+        plan,
         callback,
         *,
-        mask_positions=None,
-        device=None,
-        kernel_name="bvh_traverse",
-        leaf_test_is_distance=True,
-        chunk_size=None,
-        query_order="input",
-        traversal="single",
-        group_size=None,
-        watchdog=None,
-        morton_schedule=None,
-        cost_model=None,
-        tree_stats=None,
+        mask_positions,
+        device,
+        kernel_name,
+        leaf_test_is_distance,
+        watchdog,
     ):
-        from repro.bvh.traversal import TraversalResult, query_schedule
+        """Run a leaf-hit plan in the workers, replaying every chunk's
+        per-step hit batches through ``callback`` in plan order."""
 
-        dev = device
-        m = queries.shape[0]
-        if watchdog is not None:
-            watchdog()
-        # The dual/auto engines always schedule in Morton order; the
-        # parent computes the permutation once (or reuses the caller's
-        # cached one) and ships pre-sliced chunk ids.
-        order = "morton" if traversal in ("dual", "auto") else query_order
-        if order == "morton" and morton_schedule is not None:
-            schedule = morton_schedule
-        else:
-            schedule = query_schedule(queries, order)
-        chunks = self._chunks(m, chunk_size, schedule)
-        engines = self._chunk_engines(
-            tree,
-            queries,
-            eps,
-            chunks,
-            traversal,
-            group_size,
-            cost_model,
-            kernel_name,
-            tree_stats,
-            dev,
+        def replay(_ids, out):
+            lens = out["lens"]
+            if lens.size:
+                bounds = np.cumsum(lens)[:-1]
+                for q_step, p_step in zip(
+                    np.split(out["hit_q"], bounds), np.split(out["hit_pos"], bounds)
+                ):
+                    callback(q_step, p_step)
+
+        job = {"kind": "hits", "leaf_test_is_distance": leaf_test_is_distance}
+        arrays = self._call_arrays(queries, eps, mask_positions, None)
+        return self._run(
+            tree, queries, eps, plan, job, arrays, device, kernel_name, watchdog, replay
         )
+
+    def run_count(
+        self,
+        tree,
+        queries,
+        eps,
+        plan,
+        counts,
+        *,
+        stop_at,
+        mask_positions,
+        device,
+        leaf_weights,
+        watchdog,
+    ):
+        """Run a count plan in the workers, writing each chunk's counts
+        into its slots of ``counts``."""
+
+        def store(ids, out):
+            counts[ids] = out["counts"]
+
+        job = {"kind": "count", "stop_at": stop_at, "leaf_test_is_distance": True}
+        arrays = self._call_arrays(queries, eps, mask_positions, leaf_weights)
+        return self._run(
+            tree, queries, eps, plan, job, arrays, device, "bvh_count", watchdog, store
+        )
+
+    def _run(
+        self, tree, queries, eps, plan, job, arrays, dev, kernel_name, watchdog, consume
+    ):
+        """One job per plan chunk, their results consumed in plan order
+        inside one parent kernel span."""
+        from repro.bvh.traversal import TraversalResult
+
         self._ensure_pool()
         tree_ref = self._publish_tree(tree)
-        call_arena = ShmArena(self._call_arrays(queries, eps, mask_positions, None))
-        call_ref = (call_arena.name, call_arena.ref())
-        jobs = [
-            {
-                "kind": "hits",
-                "tree": tree_ref,
-                "call": call_ref,
-                "ids": ids,
-                "eps": None if isinstance(eps, np.ndarray) else eps,
-                "kernel_name": kernel_name,
-                "leaf_test_is_distance": leaf_test_is_distance,
-                "traversal": engine,
-                "group_size": group_size,
-            }
-            for ids, engine in zip(chunks, engines)
-        ]
+        call_arena = ShmArena(arrays)
+        job = dict(
+            job,
+            tree=tree_ref,
+            call=(call_arena.name, call_arena.ref()),
+            eps=None if isinstance(eps, np.ndarray) else eps,
+            kernel_name=kernel_name,
+        )
+        jobs = [dict(job, ids=ids, engine=engine) for ids, engine in plan]
         result = TraversalResult()
         try:
-            with dev.kernel(kernel_name, threads=m) as launch:
+            with dev.kernel(kernel_name, threads=queries.shape[0]) as launch:
                 for item in self._dispatch(jobs):
                     if item is None:
                         if watchdog is not None:
                             watchdog()
                         continue
-                    _, out = item
+                    seq, out = item
                     self._merge_counters(dev, out["counters"])
                     result.steps += out["steps"]
                     result.leaf_hits += out["leaf_hits"]
@@ -774,102 +711,11 @@ class ProcessBackend(ExecutionBackend):
                         result.frontier_peak, out["frontier_peak"]
                     )
                     self._record_lane(dev, kernel_name, out)
-                    lens = out["lens"]
-                    if lens.size:
-                        bounds = np.cumsum(lens)[:-1]
-                        for q_step, p_step in zip(
-                            np.split(out["hit_q"], bounds),
-                            np.split(out["hit_pos"], bounds),
-                        ):
-                            callback(q_step, p_step)
+                    consume(plan[seq][0], out)
                 launch.steps = result.steps
         finally:
             call_arena.destroy()
         return result
-
-    def run_count(
-        self,
-        tree,
-        queries,
-        eps,
-        *,
-        stop_at=None,
-        mask_positions=None,
-        device=None,
-        chunk_size=None,
-        leaf_weights=None,
-        query_order="input",
-        traversal="single",
-        group_size=None,
-        watchdog=None,
-        morton_schedule=None,
-        cost_model=None,
-        tree_stats=None,
-    ):
-        from repro.bvh.traversal import query_schedule
-
-        dev = device
-        m = queries.shape[0]
-        if watchdog is not None:
-            watchdog()
-        order = "morton" if traversal in ("dual", "auto") else query_order
-        if order == "morton" and morton_schedule is not None:
-            schedule = morton_schedule
-        else:
-            schedule = query_schedule(queries, order)
-        chunks = self._chunks(m, chunk_size, schedule)
-        engines = self._chunk_engines(
-            tree,
-            queries,
-            eps,
-            chunks,
-            traversal,
-            group_size,
-            cost_model,
-            "bvh_count",
-            tree_stats,
-            dev,
-        )
-        self._ensure_pool()
-        tree_ref = self._publish_tree(tree)
-        call_arena = ShmArena(
-            self._call_arrays(queries, eps, mask_positions, leaf_weights)
-        )
-        call_ref = (call_arena.name, call_arena.ref())
-        jobs = [
-            {
-                "kind": "count",
-                "tree": tree_ref,
-                "call": call_ref,
-                "ids": ids,
-                "eps": None if isinstance(eps, np.ndarray) else eps,
-                "kernel_name": "bvh_count",
-                "stop_at": None if stop_at is None else float(stop_at),
-                "traversal": engine,
-                "group_size": group_size,
-            }
-            for ids, engine in zip(chunks, engines)
-        ]
-        counts = np.zeros(
-            m, dtype=np.int64 if leaf_weights is None else np.float64
-        )
-        steps = 0
-        try:
-            with dev.kernel("bvh_count", threads=m) as launch:
-                for seq_item in self._dispatch(jobs):
-                    if seq_item is None:
-                        if watchdog is not None:
-                            watchdog()
-                        continue
-                    seq, out = seq_item
-                    self._merge_counters(dev, out["counters"])
-                    steps += out["steps"]
-                    self._record_lane(dev, "bvh_count", out)
-                    counts[jobs[seq]["ids"]] = out["counts"]
-                launch.steps = steps
-        finally:
-            call_arena.destroy()
-        return counts
 
 
 # ---------------------------------------------------------------------------

@@ -151,13 +151,6 @@ class TestTraversalParity:
         np.testing.assert_array_equal(dp[order_d], sp[order_s])
         assert dc["distance_evals"] == sc["distance_evals"]
 
-    def test_group_size_one_degenerates_to_per_query(self, rng):
-        X = clustered_points(rng, 300, 2)
-        tree = point_tree(X)
-        single = count_within(tree, X, 0.12, traversal="single")
-        dual = count_within(tree, X, 0.12, traversal="dual", group_size=1)
-        np.testing.assert_array_equal(dual, single)
-
     def test_invalid_traversal_rejected(self, rng):
         X = rng.uniform(0, 1, size=(20, 2))
         tree = point_tree(X)
