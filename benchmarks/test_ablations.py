@@ -13,11 +13,13 @@
    exhibits.
 """
 
+import numpy as np
 import pytest
 
 from benchmarks.conftest import bench_cell, dataset
 from repro.bench.harness import run_once
 from repro.core.api import choose_algorithm
+from repro.core.fdbscan import fdbscan
 
 FIGURE_TITLE = "Ablations: mask / early-exit / auto"
 X_KEY = "min_samples"
@@ -53,6 +55,25 @@ class TestMaskAblation:
         assert masked.counters["distance_evals"] < unmasked.counters["distance_evals"]
         # identical clustering
         assert (masked.n_clusters, masked.n_noise) == (unmasked.n_clusters, unmasked.n_noise)
+
+    def test_mask_keeps_labels(self, benchmark):
+        benchmark.pedantic(lambda: None, rounds=1, iterations=1)
+        X = dataset("road3d", N)
+        masked = fdbscan(X, 0.02, 10, use_mask=True)
+        unmasked = fdbscan(X, 0.02, 10, use_mask=False)
+        np.testing.assert_array_equal(masked.labels, unmasked.labels)
+        np.testing.assert_array_equal(masked.is_core, unmasked.is_core)
+
+    def test_mask_work_claims_without_unions(self, benchmark):
+        # min_samples > n: no core points, so no unions, and the main
+        # phase's pruning of already-joined pairs cannot fire.
+        benchmark.pedantic(lambda: None, rounds=1, iterations=1)
+        X = dataset("road3d", N)
+        masked = run_once("fdbscan", X, 0.02, N + 1, tree_kwargs={"use_mask": True})
+        unmasked = run_once("fdbscan", X, 0.02, N + 1, tree_kwargs={"use_mask": False})
+        assert masked.counters["pairs_processed"] * 2 == unmasked.counters["pairs_processed"]
+        assert masked.counters["nodes_visited"] < unmasked.counters["nodes_visited"]
+        assert masked.counters["distance_evals"] < unmasked.counters["distance_evals"]
 
 
 class TestEarlyExitAblation:

@@ -139,9 +139,12 @@ def choose_engine(
     same engine, which is what makes ``auto`` runs reproducible.
 
     ``component_masked`` chunks (Borůvka's nearest-other-component
-    searches) always go single: the single engine drops a query at the
-    first subtree uniform in its own component, while a query group
-    drops a subtree only where every member shares that component.
+    searches and FDBSCAN's pruned main phase) always go single: the
+    single engine drops a query at the first subtree uniform in its own
+    component, while a query group drops a subtree only where every
+    member shares that component.  Measured on ngsim n=4000: Borůvka
+    launches ran 2.5–4× slower under dual, FDBSCAN's main phase
+    0.083 s dual against 0.023 s single (eps 0.005, minpts 5).
     """
     cn, d = chunk_points.shape
     n = max(int(tree.n_primitives), 1)

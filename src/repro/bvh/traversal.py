@@ -84,6 +84,11 @@ LeafCallback = Callable[[np.ndarray, np.ndarray], None]
 #: A chunk plan: ``(query ids, engine)`` per chunk, in launch order.
 ChunkPlan = list[tuple[np.ndarray, str]]
 
+#: Queries in the first refresh epoch of :func:`spread_epochs`; every
+#: later epoch is :data:`EPOCH_GROWTH` times larger than the one before.
+FIRST_EPOCH = 64
+EPOCH_GROWTH = 4
+
 #: Accepted values for ``query_order``.
 QUERY_ORDERS = ("input", "morton")
 
@@ -241,6 +246,46 @@ def _validated(tree, queries, eps, mask_positions, traversal, query_order):
     if mask_positions is not None:
         mask_positions = np.asarray(mask_positions, dtype=np.int64)
     return queries, eps, mask_positions
+
+
+def spread_epochs(tree: BVH) -> list[np.ndarray]:
+    """The tree's primitives as refresh epochs, in spread order.
+
+    The walk visits sorted leaf positions in bit-reversed order, so every
+    prefix of it samples the whole Morton curve evenly.  It is cut into
+    epochs of :data:`FIRST_EPOCH` positions, then :data:`EPOCH_GROWTH`
+    times more each time.  Each epoch's positions are sorted, so its
+    chunks stay Morton-coherent, and returned as primitive ids
+    (``tree.order``).  The epochs depend on the primitive count alone.
+    """
+    n = tree.n_primitives
+    bits = max(n - 1, 1).bit_length()
+    rank = np.arange(1 << bits, dtype=np.int64)
+    spread = np.zeros_like(rank)
+    for b in range(bits):
+        spread |= ((rank >> b) & 1) << (bits - 1 - b)
+    spread = spread[spread < n]
+    epochs = []
+    start, size = 0, FIRST_EPOCH
+    while start < n:
+        epochs.append(tree.order[np.sort(spread[start : start + size])])
+        start += size
+        size *= EPOCH_GROWTH
+    return epochs
+
+
+def refresh_node_components(
+    tree: BVH, comp: np.ndarray, node_comp: np.ndarray
+) -> None:
+    """Fill ``node_comp`` (one entry per tree node) bottom-up from the
+    per-primitive component ids ``comp``: a node holds its subtree's
+    component when every primitive below it shares one, ``-1`` when
+    mixed.  The ``node_components`` summary of the component mask."""
+    node_comp[tree.n_internal :] = comp[tree.order]
+    for level in reversed(tree.levels):
+        lc = node_comp[tree.left[level]]
+        rc = node_comp[tree.right[level]]
+        node_comp[level] = np.where(lc == rc, lc, -1)
 
 
 def chunk_plan(
@@ -476,8 +521,9 @@ def for_each_leaf_hit(
         when mixed.  A query never sees leaves of its own component, and
         subtrees uniform in the query's component are pruned without
         descending (Borůvka's "nearest neighbour outside my component"
-        query).  Because a subtree uniform in component ``c`` contains
-        only ``c``-leaves, internal pruning is a pure work optimisation:
+        query, and FDBSCAN's "skip pairs already joined").  Because a
+        subtree uniform in component ``c`` contains only ``c``-leaves,
+        internal pruning is a pure work optimisation:
         the delivered hit stream equals leaf-level filtering exactly, in
         both engines.  Same-component leaf children are not counted as
         leaf tests (they are resolved by the id comparison, not a

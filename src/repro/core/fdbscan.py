@@ -11,11 +11,44 @@ framework with one thread (query) per point:
   are never stored.  The traversal uses the paper's leaf-index mask
   (Figure 1): the subtrees holding leaves at sorted positions at or below
   the query's own leaf are hidden, so every unordered pair is processed
-  exactly once, saving memory accesses, distance computations and
+  at most once, saving memory accesses, distance computations and
   Union-Find operations.
 
-Both optimisations are exposed as switches (``use_mask``, ``early_exit``)
-so the ablation benchmarks can quantify each one.
+The main phase also skips pairs that are already joined.  It runs under
+the traversal's component mask: a query never sees a leaf of its own
+union-find component, and a subtree whose points all lie in the query's
+component is pruned without descending.  On dense data nearly every
+pair joins two points already in one cluster, so this removes most of
+the phase's distance tests and unions.
+
+- **Epochs.**  The queries run in refresh epochs
+  (:func:`repro.bvh.traversal.spread_epochs`), one ``fdbscan_main``
+  launch each.  Epoch sizes depend on ``n`` alone: 64 queries, then 4×
+  more each time.  The epochs follow *spread order*:
+  sorted leaf positions walked in bit-reversed order, so the first small
+  epochs sample the whole data set and their unions grow components
+  everywhere before the large epochs run.  Each epoch's queries are
+  sorted by leaf position, so its ``chunk_size`` chunks stay
+  Morton-coherent.  Before each epoch the pair buffer is flushed, every
+  point's component is read with ``find``, and the per-node summaries
+  are rebuilt bottom-up
+  (:func:`repro.bvh.traversal.refresh_node_components`).
+- **Exactness.**  A pair is skipped only when both points were in one
+  component at the last refresh.  Components only merge, so a stale
+  snapshot can only under-prune: every skipped core–core pair is a
+  union that would have changed nothing.  Border and noise points stay
+  singleton sets until :meth:`PairResolver.finalize` attaches them, so
+  no core–border pair is ever skipped, and each border point still sees
+  its minimum-index core neighbour.  Labels and ``is_core`` are
+  therefore identical to the unpruned phase.
+- **Scheduling.**  The epochs replace ``query_order`` in the main phase,
+  which now affects only preprocessing.  ``chunk_size`` still slices
+  each epoch and changes no result or work counter.  The component mask
+  is state carried across chunks, so the main phase runs serially under
+  ``backend="process"``; preprocessing still fans out.
+
+``use_mask`` and ``early_exit`` are exposed as switches so the ablation
+benchmarks can quantify each one.
 """
 
 from __future__ import annotations
@@ -24,7 +57,13 @@ import time
 
 import numpy as np
 
-from repro.bvh.traversal import DEFAULT_CHUNK_SIZE, count_within, for_each_leaf_hit
+from repro.bvh.traversal import (
+    DEFAULT_CHUNK_SIZE,
+    count_within,
+    for_each_leaf_hit,
+    refresh_node_components,
+    spread_epochs,
+)
 from repro.core.framework import DEFAULT_PAIR_BUFFER, PairResolver
 from repro.core.index import DBSCANIndex
 from repro.core.labels import DBSCANResult, finalize_clusters
@@ -66,8 +105,8 @@ def fdbscan(
         Accounting device (optional).
     use_mask:
         Apply the leaf-index traversal mask in the main phase (Section
-        4.1).  Disabling it processes every pair twice — the ablation
-        baseline.
+        4.1).  Disabling it lets each pair be seen from both ends — the
+        ablation baseline.
     early_exit:
         Terminate preprocessing traversals at ``minpts`` neighbours
         (Section 3.2).  Disabling computes full neighbourhood counts
@@ -90,9 +129,10 @@ def fdbscan(
         index used (built here if none was given) is returned in
         ``info["index"]`` for reuse.
     query_order:
-        Traversal scheduling: ``"input"`` chunks queries in input order,
-        ``"morton"`` in Z-curve order for spatially coherent wavefronts
-        (smaller frontiers, better locality).  Labels and work-counter
+        Preprocessing schedule: ``"input"`` chunks queries in input
+        order, ``"morton"`` in Z-curve order for spatially coherent
+        wavefronts (smaller frontiers, better locality).  The main phase
+        always runs in its refresh epochs.  Labels and work-counter
         totals are identical either way.
     pair_buffer:
         Pairs accumulated before each union-find launch in the main phase
@@ -110,11 +150,13 @@ def fdbscan(
         wavefront step in both phases (a deadline's
         :meth:`~repro.faults.Deadline.check`); aborts by raising.
     backend:
-        Execution backend for both traversal phases (``"serial"``,
+        Execution backend for the traversals (``"serial"``,
         ``"process"`` or an
         :class:`~repro.device.backends.ExecutionBackend`); ``None``
         defers to the index's stored preference, then the device's.
-        Labels and work counters are bit-identical across backends.
+        The main phase carries its component mask across chunks and
+        always runs serially.  Labels and work counters are
+        bit-identical across backends.
     cost_model:
         Fitted cost model feeding ``traversal="auto"``'s per-chunk engine
         choice (duck-typed :class:`repro.obs.fit.FittedCostModel`);
@@ -150,9 +192,9 @@ def fdbscan(
         backend = getattr(index, "backend", None)
     _bk = backend if backend is not None else getattr(dev, "backend", None)
     info["backend"] = getattr(_bk, "name", _bk) or "serial"
-    # Scheduling inputs shared by both phases: the cached Morton schedule
-    # (the queries *are* the indexed points here) whenever a Morton order
-    # will be used, and the auto chooser's cost model + tree statistics.
+    # Scheduling inputs: the cached Morton schedule (the queries *are* the
+    # indexed points here) whenever preprocessing will use a Morton order,
+    # and the auto chooser's cost model + tree statistics for both phases.
     morton_schedule = None
     if traversal in ("dual", "auto") or query_order == "morton":
         morton_schedule = index.morton_schedule(dev)
@@ -228,37 +270,48 @@ def fdbscan(
 
     # --- main phase: fused traversal + union-find --------------------------
     uf = EclUnionFind(n, device=dev)
-    mask_positions = tree.position if use_mask else None
     order = tree.order
     resolver = PairResolver(uf, resolution_core, device=dev, buffer_pairs=pair_buffer)
+    # The component mask: each point's component and each tree node's
+    # uniform component (-1 = mixed), as of the last epoch boundary.
+    all_ids = np.arange(n, dtype=np.int64)
+    comp = np.empty(n, dtype=np.int64)
+    node_comp = np.empty(tree.node_lo.shape[0], dtype=np.int64)
+    dev.memory.allocate(comp.nbytes + node_comp.nbytes, "components", transient=True)
 
-    def on_hits(q_ids: np.ndarray, leaf_pos: np.ndarray) -> None:
-        nbr = order[leaf_pos]
-        if not use_mask:
-            keep = nbr != q_ids
-            q = q_ids[keep]
-            nb = nbr[keep]
-        else:
-            q, nb = q_ids, nbr
-        resolver.add(q, nb)
+    try:
+        # One launch per epoch.  An epoch's ids are sorted by leaf position,
+        # which is the tree's Morton order, so they are their own schedule.
+        for ids in spread_epochs(tree):
+            resolver.flush()
+            comp[:] = uf.find(all_ids)
+            refresh_node_components(tree, comp, node_comp)
 
-    for_each_leaf_hit(
-        tree,
-        X,
-        eps,
-        on_hits,
-        mask_positions=mask_positions,
-        device=dev,
-        kernel_name="fdbscan_main",
-        chunk_size=chunk_size,
-        query_order=query_order,
-        traversal=traversal,
-        watchdog=watchdog,
-        backend=backend,
-        morton_schedule=morton_schedule,
-        cost_model=cost_model,
-        tree_stats=tree_stats,
-    )
+            def on_hits(q: np.ndarray, leaf_pos: np.ndarray, ids=ids) -> None:
+                # A query's own leaf is in its own component, so it never hits.
+                resolver.add(ids[q], order[leaf_pos])
+
+            for_each_leaf_hit(
+                tree,
+                X[ids],
+                eps,
+                on_hits,
+                mask_positions=tree.position[ids] if use_mask else None,
+                device=dev,
+                kernel_name="fdbscan_main",
+                chunk_size=chunk_size,
+                query_order="morton",
+                traversal=traversal,
+                component_of=comp[ids],
+                node_components=node_comp,
+                watchdog=watchdog,
+                backend=backend,
+                morton_schedule=np.arange(ids.shape[0]),
+                cost_model=cost_model,
+                tree_stats=tree_stats,
+            )
+    finally:
+        dev.memory.free(comp.nbytes + node_comp.nbytes, "components")
     resolver.finalize()
     t3 = time.perf_counter()
     info["t_main"] = t3 - t2

@@ -38,7 +38,11 @@ import numpy as np
 from repro.bvh.aabb import boxes_from_points
 from repro.bvh.builder import build_bvh
 from repro.bvh.knn import _initial_radius
-from repro.bvh.traversal import DEFAULT_CHUNK_SIZE, for_each_leaf_hit
+from repro.bvh.traversal import (
+    DEFAULT_CHUNK_SIZE,
+    for_each_leaf_hit,
+    refresh_node_components,
+)
 from repro.bvh.tree import BVH
 from repro.device.device import Device, default_device
 from repro.unionfind.ecl import EclUnionFind
@@ -67,17 +71,6 @@ def _ladder_up(values: np.ndarray, anchor: float) -> np.ndarray:
         j = np.ceil(np.log2(values[pos] / anchor))
     out[pos] = anchor * np.exp2(j)
     return out
-
-
-def _refresh_node_components(
-    tree: BVH, comp: np.ndarray, node_comp: np.ndarray
-) -> None:
-    """Bottom-up component summary: uniform id per subtree, -1 for mixed."""
-    node_comp[tree.n_internal :] = comp[tree.order]
-    for level in reversed(tree.levels):
-        lc = node_comp[tree.left[level]]
-        rc = node_comp[tree.right[level]]
-        node_comp[level] = np.where(lc == rc, lc, -1)
 
 
 def _component_nearest(
@@ -358,7 +351,7 @@ def mutual_reachability_mst_boruvka(
             rounds += 1
             dev.counters.add("boruvka_rounds", 1)
             comp = uf.find(ids)
-            _refresh_node_components(tree, comp, node_comp)
+            refresh_node_components(tree, comp, node_comp)
             best_w, best_b, best_u, best_v, cov = _component_nearest(
                 tree,
                 X,

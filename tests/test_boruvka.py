@@ -27,7 +27,8 @@ from repro.hierarchy import (
     mutual_reachability_mst_boruvka,
     single_linkage_dendrogram,
 )
-from repro.hierarchy.boruvka import _ladder_up, _refresh_node_components
+from repro.bvh.traversal import refresh_node_components
+from repro.hierarchy.boruvka import _ladder_up
 from repro.metrics import partitions_equal
 
 
@@ -246,11 +247,11 @@ class TestHelpers:
         tree = _tree_over(X)
         node_comp = np.empty(tree.node_lo.shape[0], dtype=np.int64)
         # all one component: every node summarises to it
-        _refresh_node_components(tree, np.zeros(32, dtype=np.int64), node_comp)
+        refresh_node_components(tree, np.zeros(32, dtype=np.int64), node_comp)
         assert np.all(node_comp == 0)
         # all distinct: every internal node (>= 2 leaves) is mixed
         comp = np.arange(32, dtype=np.int64)
-        _refresh_node_components(tree, comp, node_comp)
+        refresh_node_components(tree, comp, node_comp)
         np.testing.assert_array_equal(
             node_comp[tree.n_internal:], comp[tree.order]
         )

@@ -18,12 +18,12 @@ from repro.bvh.traversal import (
     count_within,
     for_each_leaf_hit,
     query_schedule,
+    refresh_node_components,
 )
 from repro.core.densebox import fdbscan_densebox
 from repro.core.fdbscan import fdbscan
 from repro.core.index import DBSCANIndex
 from repro.device.device import Device
-from repro.hierarchy.boruvka import _refresh_node_components
 
 ALGORITHMS = {"fdbscan": fdbscan, "fdbscan-densebox": fdbscan_densebox}
 
@@ -190,7 +190,7 @@ def hit_stream(tree, X, eps, traversal, config="plain", backend=None, chunk_size
     elif config == "component":
         comp = np.digitize(X[:, 0], [1.0, 2.0, 3.0]).astype(np.int64)
         node_comp = np.empty(tree.node_lo.shape[0], dtype=np.int64)
-        _refresh_node_components(tree, comp, node_comp)
+        refresh_node_components(tree, comp, node_comp)
         kw.update(component_of=comp, node_components=node_comp)
     hits = []
 

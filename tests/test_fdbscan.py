@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from scipy.spatial import cKDTree
 
 from repro.baselines.sequential_dbscan import sequential_dbscan
 from repro.core.fdbscan import fdbscan
@@ -110,10 +111,25 @@ class TestDiagnostics:
         np.testing.assert_array_equal(counts >= 5, res.is_core)
 
     def test_mask_halves_pairs_processed(self, blobs_2d):
+        # min_samples > n: no core points, so no unions and nothing for
+        # the component mask to prune — every pair is processed, once
+        # with the leaf-index mask and twice without it.
+        n = blobs_2d.shape[0]
         dev_m, dev_u = Device(), Device()
-        fdbscan(blobs_2d, 0.3, 5, device=dev_m, use_mask=True)
-        fdbscan(blobs_2d, 0.3, 5, device=dev_u, use_mask=False)
+        fdbscan(blobs_2d, 0.3, n + 1, device=dev_m, use_mask=True)
+        fdbscan(blobs_2d, 0.3, n + 1, device=dev_u, use_mask=False)
+        n_pairs = len(cKDTree(blobs_2d).query_pairs(0.3))
+        assert dev_m.counters.union_ops == 0
+        assert dev_m.counters.pairs_processed == n_pairs
         assert dev_m.counters.pairs_processed * 2 == dev_u.counters.pairs_processed
+
+    def test_pruned_masked_pairs_within_unpruned_half(self, blobs_2d):
+        # With core points the component mask skips pairs already joined,
+        # so the masked main phase processes at most every unordered pair.
+        dev = Device()
+        fdbscan(blobs_2d, 0.3, 5, device=dev, use_mask=True)
+        n_pairs = len(cKDTree(blobs_2d).query_pairs(0.3))
+        assert dev.counters.pairs_processed <= n_pairs
 
     def test_memory_linear_tags(self, blobs_2d):
         dev = Device()

@@ -99,14 +99,18 @@ class TestChunkAndBufferParity:
     @settings(max_examples=15, deadline=None)
     def test_labels_identical_across_chunk_sizes(self, name, seed, eps):
         # The deterministic border attachment makes labels (not merely the
-        # partition) identical across chunkings.
+        # partition) identical across chunkings; FDBSCAN's refresh epochs
+        # depend on n alone, so its work counters are too.
         algo = ALGORITHMS[name]
         X = _mixed_points(seed, 120)
-        baseline = algo(X, eps, 5, chunk_size=1)
+        dev0 = Device()
+        baseline = algo(X, eps, 5, device=dev0, chunk_size=1)
         for chunk in (7, 100, None):
-            result = algo(X, eps, 5, chunk_size=chunk)
+            dev = Device()
+            result = algo(X, eps, 5, device=dev, chunk_size=chunk)
             np.testing.assert_array_equal(result.labels, baseline.labels)
             np.testing.assert_array_equal(result.is_core, baseline.is_core)
+            assert _invariant_counters(dev) == _invariant_counters(dev0)
 
     @pytest.mark.parametrize("name", sorted(ALGORITHMS))
     @given(seed=st.integers(0, 10_000))
