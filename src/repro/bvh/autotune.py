@@ -139,10 +139,10 @@ def choose_engine(
     same engine, which is what makes ``auto`` runs reproducible.
 
     ``component_masked`` chunks (Borůvka's nearest-other-component
-    searches and FDBSCAN's pruned main phase) always go single: the
-    single engine drops a query at the first subtree uniform in its own
-    component, while a query group drops a subtree only where every
-    member shares that component.  Measured on ngsim n=4000: Borůvka
+    searches and the pruned main phases of FDBSCAN and DenseBox) always
+    go single: the single engine drops a query at the first subtree
+    uniform in its own component, while a query group drops a subtree
+    only where every member shares that component.  Measured on ngsim n=4000: Borůvka
     launches ran 2.5–4× slower under dual, FDBSCAN's main phase
     0.083 s dual against 0.023 s single (eps 0.005, minpts 5).
     """

@@ -248,27 +248,31 @@ def _validated(tree, queries, eps, mask_positions, traversal, query_order):
     return queries, eps, mask_positions
 
 
-def spread_epochs(tree: BVH) -> list[np.ndarray]:
-    """The tree's primitives as refresh epochs, in spread order.
+def spread_epochs(positions: np.ndarray) -> list[np.ndarray]:
+    """Query ids as refresh epochs, in spread order.
 
-    The walk visits sorted leaf positions in bit-reversed order, so every
-    prefix of it samples the whole Morton curve evenly.  It is cut into
-    epochs of :data:`FIRST_EPOCH` positions, then :data:`EPOCH_GROWTH`
-    times more each time.  Each epoch's positions are sorted, so its
-    chunks stay Morton-coherent, and returned as primitive ids
-    (``tree.order``).  The epochs depend on the primitive count alone.
+    ``positions[q]`` is query ``q``'s own sorted leaf position; queries
+    may share one (the members of a dense cell share its box).  The walk
+    visits the queries sorted by position (ties in id order) in
+    bit-reversed rank order, so every prefix of it samples the whole
+    Morton curve evenly.  It is cut into epochs of :data:`FIRST_EPOCH`
+    queries, then :data:`EPOCH_GROWTH` times more each time.  Each epoch
+    is sorted by position, so its chunks stay Morton-coherent.  The epoch
+    sizes depend on the query count alone.  Over a points tree
+    (``positions = tree.position``) the sorted queries are ``tree.order``.
     """
-    n = tree.n_primitives
-    bits = max(n - 1, 1).bit_length()
+    m = positions.shape[0]
+    by_position = np.argsort(positions, kind="stable")
+    bits = max(m - 1, 1).bit_length()
     rank = np.arange(1 << bits, dtype=np.int64)
     spread = np.zeros_like(rank)
     for b in range(bits):
         spread |= ((rank >> b) & 1) << (bits - 1 - b)
-    spread = spread[spread < n]
+    spread = spread[spread < m]
     epochs = []
     start, size = 0, FIRST_EPOCH
-    while start < n:
-        epochs.append(tree.order[np.sort(spread[start : start + size])])
+    while start < m:
+        epochs.append(by_position[np.sort(spread[start : start + size])])
         start += size
         size *= EPOCH_GROWTH
     return epochs

@@ -35,21 +35,15 @@ from repro.core.validation import validate_params, validate_points
 from repro.device.device import Device
 from repro.grid.grid import build_grid, compact_cells
 
-#: Dense-cell point fraction above which the auto heuristic picks
-#: FDBSCAN-DenseBox.  Calibrated on the paper's crossovers: Figure 6 shows
-#: the two algorithms near-equal at ~13 % dense occupancy with FDBSCAN
-#: winning below, while Figures 4 and 7 show DenseBox winning decisively
-#: from ~50 % up; 0.25 splits the regimes.
-AUTO_DENSE_FRACTION_THRESHOLD = 0.25
-
-#: At or below this ``min_samples`` the auto heuristic picks FDBSCAN
-#: whatever the dense fraction.  FDBSCAN's count phase then stops at a
-#: point's first neighbour and its main phase skips pairs already joined,
-#: while DenseBox's main phase still tests every pair of nearby cells.
-#: On hacc n=60000, minpts 2 (Figure 7's sweep), FDBSCAN ran 1.3-5x
-#: faster than DenseBox from eps 0.1 to 1.0, and it won or tied on every
-#: minpts-2 cell of ngsim, portotaxi and hacc at n=16384.
-AUTO_FDBSCAN_MAX_MINPTS = 2
+#: Dense-cell point fraction at or above which the auto heuristic picks
+#: FDBSCAN-DenseBox.  Both main phases skip pairs already joined, so
+#: DenseBox costs about what FDBSCAN does when few points sit in dense
+#: cells and wins as soon as a few percent do.  Measured on 73 n=16384
+#: cells (ngsim, portotaxi, hacc, road3d; minpts 2-500) and 10 n=60000
+#: cells, min of 1-4 runs on a 2-CPU host, the rule lands within 1.2x of
+#: the faster algorithm for any threshold from 0.0001 to 0.1, and misses
+#: by up to 1.8x at 0.25 (road3d eps 0.04, minpts 100, fraction 0.22).
+AUTO_DENSE_FRACTION_THRESHOLD = 0.05
 
 
 def dense_fraction_estimate(X: np.ndarray, eps: float, min_samples: int) -> float:
@@ -69,10 +63,7 @@ def dense_fraction_estimate(X: np.ndarray, eps: float, min_samples: int) -> floa
 
 def choose_algorithm(X: np.ndarray, eps: float, min_samples: int) -> str:
     """The Section-6 switching heuristic: DenseBox when dense cells will
-    absorb a substantial share of the points, FDBSCAN otherwise, and
-    always FDBSCAN at ``min_samples <= AUTO_FDBSCAN_MAX_MINPTS``."""
-    if validate_params(eps, min_samples)[1] <= AUTO_FDBSCAN_MAX_MINPTS:
-        return "fdbscan"
+    absorb a share of the points, FDBSCAN otherwise."""
     frac = dense_fraction_estimate(X, eps, min_samples)
     return "fdbscan-densebox" if frac >= AUTO_DENSE_FRACTION_THRESHOLD else "fdbscan"
 

@@ -20,7 +20,18 @@ Phases:
    *all* points resolves discovered objects: a point hit follows the
    standard core/border rule; a dense-box hit needs only *one* member
    within ``eps``, after which the query is unioned into (or, if
-   non-core, attached to) the cell's cluster.
+   non-core, attached to) the cell's cluster.  Step (b) skips objects
+   already in the query's cluster, as FDBSCAN's main phase does
+   (:func:`repro.core.framework.pruned_main_phase`): it runs in refresh
+   epochs in spread order, and before each epoch every primitive takes
+   the component of a representative point (an isolated point its own,
+   a box its cell's first member, which (a) joined to every other).  A
+   query never sees its own primitive, nor any box or point, or
+   subtree of them, already in its component.  On dense data nearly
+   every box hit joins a cell already in the query's cluster, so this
+   removes most of the phase's box scans and unions.  Non-core points
+   stay singletons until the resolver's finalisation, so a border query
+   never shares a component with a box and its hits are never skipped.
 
 The counters charge the modelled kernel's linear member scan: to the end
 in preprocessing, to the first member within ``eps`` in the main phase.
@@ -30,7 +41,8 @@ distance math for cells wholly inside the query's ball.
 
 The pair-once mask generalises to the mixed tree: every query is masked by
 the sorted position of *its own primitive* (its point, or its cell's box),
-so object pairs are processed by exactly one side.
+so object pairs are processed by exactly one side.  The same positions
+order the refresh epochs.
 """
 
 from __future__ import annotations
@@ -40,7 +52,7 @@ import time
 import numpy as np
 
 from repro.bvh.traversal import DEFAULT_CHUNK_SIZE, for_each_leaf_hit
-from repro.core.framework import DEFAULT_PAIR_BUFFER, PairResolver
+from repro.core.framework import DEFAULT_PAIR_BUFFER, PairResolver, pruned_main_phase
 from repro.core.index import DBSCANIndex
 from repro.core.labels import DBSCANResult, finalize_clusters
 from repro.core.validation import validate_params, validate_points, validate_weights
@@ -137,10 +149,10 @@ def fdbscan_densebox(
     same output-preserving scheduling levers — both the isolated-point
     preprocessing and the mixed-primitive main traversal honour the
     chosen engine, and ``watchdog`` is polled per wavefront step in both
-    traversals).  Under a parallel backend the early-exit preprocessing
-    traversal stays serial (its ``finished_fn`` is stateful across
-    chunks) while the main traversal fans out; labels and counters are
-    bit-identical either way.
+    traversals).  ``query_order`` affects only preprocessing; the main
+    phase runs in its refresh epochs.  Both traversals carry state across
+    chunks (the early-exit ``finished_fn``, the component mask), so both
+    run serially under a parallel backend.
     ``info`` additionally carries ``dense_fraction`` (share of points
     inside dense cells — the regime indicator the paper reports),
     ``n_dense_cells`` and ``total_cells`` (the virtual grid size).
@@ -181,14 +193,10 @@ def fdbscan_densebox(
         backend = getattr(index, "backend", None)
     _bk = backend if backend is not None else getattr(dev, "backend", None)
     info["backend"] = getattr(_bk, "name", _bk) or "serial"
-    # The cached Morton schedule is over the indexed points, so it serves
-    # the main traversal (whose queries are exactly X); the preprocessing
-    # traversal queries the isolated subset and schedules itself.  The
+    # The preprocessing traversal queries the isolated subset and
+    # schedules itself; the main phase runs in its refresh epochs.  The
     # mixed tree's shape differs from the points tree's, so the auto
     # chooser runs on its generic depth estimate (tree_stats=None).
-    main_morton = None
-    if traversal in ("dual", "auto") or query_order == "morton":
-        main_morton = index.morton_schedule(dev)
     if traversal == "auto":
         if cost_model is None:
             cost_model = getattr(index, "cost_model", None)
@@ -286,46 +294,33 @@ def fdbscan_densebox(
     uf = EclUnionFind(n, device=dev)
     resolver = PairResolver(uf, resolution_core, device=dev, buffer_pairs=pair_buffer)
 
-    # (a) union all points within each dense cell.
-    if deco.n_dense:
-        starts = deco.cell_starts[deco.dense_cells]
-        cnts = deco.cell_counts[deco.dense_cells]
-        firsts = deco.members[starts]
-        rest = deco.members[concatenated_ranges(starts + 1, cnts - 1)]
-        uf.union(np.repeat(firsts, cnts - 1), rest)
+    # (a) union all points within each dense cell.  A box primitive's
+    # representative is its cell's first member; an isolated point is its own.
+    starts, cnts = deco.dense_members(np.arange(deco.n_dense))
+    firsts = deco.members[starts]
+    rest = deco.members[concatenated_ranges(starts + 1, cnts - 1)]
+    uf.union(np.repeat(firsts, cnts - 1), rest)
+    prim_rep = np.concatenate([deco.isolated_idx, firsts])
 
-    # (b) batched traversal for every point against the mixed tree.
-    mask_positions = None
-    if use_mask:
-        prim_of_point = np.empty(n, dtype=np.int64)
-        prim_of_point[deco.isolated_idx] = np.arange(deco.n_isolated, dtype=np.int64)
-        dense_pts = np.flatnonzero(deco.is_dense_point)
-        prim_of_point[dense_pts] = deco.n_isolated + deco.dense_rank_of_cell[
-            deco.cell_of_point[dense_pts]
-        ]
-        mask_positions = tree.position[prim_of_point]
+    # (b) every point against the mixed tree, skipping primitives already
+    # in its component: its own point or box among them.
+    prim_of_point = np.empty(n, dtype=np.int64)
+    prim_of_point[deco.isolated_idx] = np.arange(deco.n_isolated, dtype=np.int64)
+    dense_pts = np.flatnonzero(deco.is_dense_point)
+    prim_of_point[dense_pts] = deco.n_isolated + deco.dense_rank_of_cell[
+        deco.cell_of_point[dense_pts]
+    ]
 
     def main_hits(q_ids: np.ndarray, leaf_pos: np.ndarray) -> None:
         prim = order[leaf_pos]
         box = deco.prim_is_box[prim]
         pt_hits = ~box
         if pt_hits.any():
-            nbr = deco.prim_point[prim[pt_hits]]
-            q = q_ids[pt_hits]
-            keep = nbr != q  # self-pairs only occur unmasked
-            resolver.add(q[keep], nbr[keep])
+            resolver.add(q_ids[pt_hits], deco.prim_point[prim[pt_hits]])
             dev.counters.add("distance_evals", int(pt_hits.sum()))
         if box.any():
             qb = q_ids[box]
             ranks = deco.prim_point[prim[box]]
-            # Skip the query's own cell (pre-unioned in step (a); only
-            # reachable when the mask is disabled).
-            own = deco.dense_rank_of_cell[deco.cell_of_point[qb]] == ranks
-            if own.any():
-                qb = qb[~own]
-                ranks = ranks[~own]
-            if qb.size == 0:
-                return
             starts, cnts, hit, slot = _scan_cells(
                 cell_pts, deco, X[qb], ranks, eps2, first_only=True
             )
@@ -343,21 +338,22 @@ def fdbscan_densebox(
             # per-edge rule for a (query, core member) pair.
             resolver.add(qb[hit], deco.members[starts[hit] + slot])
 
-    for_each_leaf_hit(
+    pruned_main_phase(
         tree,
         X,
         eps,
+        resolver,
         main_hits,
-        mask_positions=mask_positions,
+        positions=tree.position[prim_of_point],
+        prim_rep=prim_rep,
+        use_mask=use_mask,
         device=dev,
         kernel_name="densebox_main",
         leaf_test_is_distance=False,
         chunk_size=chunk_size,
-        query_order=query_order,
         traversal=traversal,
         watchdog=watchdog,
         backend=backend,
-        morton_schedule=main_morton,
         cost_model=cost_model,
     )
     resolver.finalize()

@@ -14,33 +14,24 @@ framework with one thread (query) per point:
   at most once, saving memory accesses, distance computations and
   Union-Find operations.
 
-The main phase also skips pairs that are already joined.  It runs under
-the traversal's component mask: a query never sees a leaf of its own
-union-find component, and a subtree whose points all lie in the query's
-component is pruned without descending.  On dense data nearly every
-pair joins two points already in one cluster, so this removes most of
-the phase's distance tests and unions.
+The main phase also skips pairs that are already joined
+(:func:`repro.core.framework.pruned_main_phase`, shared with DenseBox).
+It runs under the traversal's component mask: a query never sees a leaf
+of its own union-find component, and a subtree whose points all lie in
+the query's component is pruned without descending.  On dense data
+nearly every pair joins two points already in one cluster, so this
+removes most of the phase's distance tests and unions.
 
-- **Epochs.**  The queries run in refresh epochs
-  (:func:`repro.bvh.traversal.spread_epochs`), one ``fdbscan_main``
-  launch each.  Epoch sizes depend on ``n`` alone: 64 queries, then 4×
-  more each time.  The epochs follow *spread order*:
-  sorted leaf positions walked in bit-reversed order, so the first small
-  epochs sample the whole data set and their unions grow components
-  everywhere before the large epochs run.  Each epoch's queries are
-  sorted by leaf position, so its ``chunk_size`` chunks stay
-  Morton-coherent.  Before each epoch the pair buffer is flushed, every
-  point's component is read with ``find``, and the per-node summaries
-  are rebuilt bottom-up
-  (:func:`repro.bvh.traversal.refresh_node_components`).
-- **Exactness.**  A pair is skipped only when both points were in one
-  component at the last refresh.  Components only merge, so a stale
-  snapshot can only under-prune: every skipped core–core pair is a
-  union that would have changed nothing.  Border and noise points stay
-  singleton sets until :meth:`PairResolver.finalize` attaches them, so
-  no core–border pair is ever skipped, and each border point still sees
-  its minimum-index core neighbour.  Labels and ``is_core`` are
-  therefore identical to the unpruned phase.
+- **Epochs.**  The queries run in refresh epochs, one ``fdbscan_main``
+  launch each: 64 queries, then 4× more each time, in *spread order*
+  (:func:`repro.bvh.traversal.spread_epochs`: sorted leaf positions
+  walked in bit-reversed order), so the first small epochs sample the
+  whole data set and their unions grow components everywhere before the
+  large epochs run.  Components are re-read before each epoch.
+- **Exactness.**  A stale snapshot can only under-prune, and border and
+  noise points stay singleton sets until :meth:`PairResolver.finalize`
+  attaches them, so labels and ``is_core`` are identical to the
+  unpruned phase.
 - **Scheduling.**  The epochs replace ``query_order`` in the main phase,
   which now affects only preprocessing.  ``chunk_size`` still slices
   each epoch and changes no result or work counter.  The component mask
@@ -57,14 +48,8 @@ import time
 
 import numpy as np
 
-from repro.bvh.traversal import (
-    DEFAULT_CHUNK_SIZE,
-    count_within,
-    for_each_leaf_hit,
-    refresh_node_components,
-    spread_epochs,
-)
-from repro.core.framework import DEFAULT_PAIR_BUFFER, PairResolver
+from repro.bvh.traversal import DEFAULT_CHUNK_SIZE, count_within
+from repro.core.framework import DEFAULT_PAIR_BUFFER, PairResolver, pruned_main_phase
 from repro.core.index import DBSCANIndex
 from repro.core.labels import DBSCANResult, finalize_clusters
 from repro.core.validation import validate_params, validate_points, validate_weights
@@ -272,46 +257,29 @@ def fdbscan(
     uf = EclUnionFind(n, device=dev)
     order = tree.order
     resolver = PairResolver(uf, resolution_core, device=dev, buffer_pairs=pair_buffer)
-    # The component mask: each point's component and each tree node's
-    # uniform component (-1 = mixed), as of the last epoch boundary.
-    all_ids = np.arange(n, dtype=np.int64)
-    comp = np.empty(n, dtype=np.int64)
-    node_comp = np.empty(tree.node_lo.shape[0], dtype=np.int64)
-    dev.memory.allocate(comp.nbytes + node_comp.nbytes, "components", transient=True)
 
-    try:
-        # One launch per epoch.  An epoch's ids are sorted by leaf position,
-        # which is the tree's Morton order, so they are their own schedule.
-        for ids in spread_epochs(tree):
-            resolver.flush()
-            comp[:] = uf.find(all_ids)
-            refresh_node_components(tree, comp, node_comp)
+    def on_hits(q_ids: np.ndarray, leaf_pos: np.ndarray) -> None:
+        # A query's own leaf is in its own component, so it never hits.
+        resolver.add(q_ids, order[leaf_pos])
 
-            def on_hits(q: np.ndarray, leaf_pos: np.ndarray, ids=ids) -> None:
-                # A query's own leaf is in its own component, so it never hits.
-                resolver.add(ids[q], order[leaf_pos])
-
-            for_each_leaf_hit(
-                tree,
-                X[ids],
-                eps,
-                on_hits,
-                mask_positions=tree.position[ids] if use_mask else None,
-                device=dev,
-                kernel_name="fdbscan_main",
-                chunk_size=chunk_size,
-                query_order="morton",
-                traversal=traversal,
-                component_of=comp[ids],
-                node_components=node_comp,
-                watchdog=watchdog,
-                backend=backend,
-                morton_schedule=np.arange(ids.shape[0]),
-                cost_model=cost_model,
-                tree_stats=tree_stats,
-            )
-    finally:
-        dev.memory.free(comp.nbytes + node_comp.nbytes, "components")
+    pruned_main_phase(
+        tree,
+        X,
+        eps,
+        resolver,
+        on_hits,
+        positions=tree.position,
+        prim_rep=np.arange(n, dtype=np.int64),
+        use_mask=use_mask,
+        device=dev,
+        kernel_name="fdbscan_main",
+        chunk_size=chunk_size,
+        traversal=traversal,
+        watchdog=watchdog,
+        backend=backend,
+        cost_model=cost_model,
+        tree_stats=tree_stats,
+    )
     resolver.finalize()
     t3 = time.perf_counter()
     info["t_main"] = t3 - t2

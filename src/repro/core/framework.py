@@ -33,12 +33,23 @@ hardware), and it replaces the *first-wins* CAS border attachment with a
 commutative scatter-min over candidate core neighbours, making the final
 labels independent of pair arrival order — and hence identical across
 chunk sizes, query orders and buffering choices.
+
+:func:`pruned_main_phase` is the main-phase loop FDBSCAN, DenseBox and
+the minpts sweep share: it feeds a :class:`PairResolver` while skipping
+pairs whose ends the union-find has already joined.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from repro.bvh.traversal import (
+    LeafCallback,
+    for_each_leaf_hit,
+    refresh_node_components,
+    spread_epochs,
+)
+from repro.bvh.tree import BVH
 from repro.device.atomics import atomic_cas_batch
 from repro.device.device import Device, default_device
 from repro.unionfind.ecl import EclUnionFind
@@ -219,3 +230,84 @@ class PairResolver:
         if pending.size:
             attach_border(self.uf, self._border_min[pending], pending, self.dev)
         self.dev.memory.free(self._border_min.nbytes, "border")
+
+
+def pruned_main_phase(
+    tree: BVH,
+    X: np.ndarray,
+    eps: float,
+    resolver: PairResolver,
+    on_hits: LeafCallback,
+    positions: np.ndarray,
+    prim_rep: np.ndarray,
+    use_mask: bool,
+    device: Device,
+    kernel_name: str,
+    **traversal_kwargs,
+) -> None:
+    """Run a main phase that skips pairs already joined.
+
+    Every point of ``X`` queries ``tree`` once under the component mask:
+    a query never sees a leaf of its own union-find component, and a
+    subtree whose primitives all lie in the query's component is pruned
+    without descending.  ``on_hits(query_ids, leaf_positions)`` gets the
+    surviving hits, with query ids into ``X``, and feeds ``resolver``.
+
+    - **Primitives.**  ``positions[q]`` is the sorted leaf position of
+      query ``q``'s own primitive; it orders the epochs and, with
+      ``use_mask``, is the leaf-index mask.  ``prim_rep[p]`` is a point
+      in primitive ``p``'s component: the point itself for a point
+      leaf, any member of a box whose members were unioned beforehand.
+    - **Epochs.**  The queries run in refresh epochs
+      (:func:`repro.bvh.traversal.spread_epochs`), one ``kernel_name``
+      launch each.  Before each epoch the pair buffer is flushed, every
+      point's component is read with ``find``, and the per-node
+      summaries are rebuilt from ``comp[prim_rep]``
+      (:func:`repro.bvh.traversal.refresh_node_components`).  The
+      epoch's own order is its schedule; ``chunk_size`` still slices it.
+    - **Exactness.**  A pair is skipped only when both ends were in one
+      component at the last refresh.  Components only merge, so a stale
+      snapshot can only under-prune: every skipped core-core pair is a
+      union that would have changed nothing.  Non-core points stay
+      singleton sets until :meth:`PairResolver.finalize` attaches them,
+      so no pair with a non-core end is ever skipped.  The resolved
+      components and labels equal the unpruned phase's.
+
+    The component mask is state carried across chunks, so the phase runs
+    serially under a parallel backend.  The mask arrays are charged to
+    ``device``'s ledger as a transient ``"components"`` tag.
+    ``traversal_kwargs`` go to every
+    :func:`~repro.bvh.traversal.for_each_leaf_hit` launch.
+    """
+    uf = resolver.uf
+    n = X.shape[0]
+    all_ids = np.arange(n, dtype=np.int64)
+    comp = np.empty(n, dtype=np.int64)
+    node_comp = np.empty(tree.node_lo.shape[0], dtype=np.int64)
+    nbytes = comp.nbytes + node_comp.nbytes
+    device.memory.allocate(nbytes, "components", transient=True)
+    try:
+        for ids in spread_epochs(positions):
+            resolver.flush()
+            comp[:] = uf.find(all_ids)
+            refresh_node_components(tree, comp[prim_rep], node_comp)
+
+            def epoch_hits(q: np.ndarray, leaf_pos: np.ndarray, ids=ids) -> None:
+                on_hits(ids[q], leaf_pos)
+
+            for_each_leaf_hit(
+                tree,
+                X[ids],
+                eps,
+                epoch_hits,
+                mask_positions=positions[ids] if use_mask else None,
+                device=device,
+                kernel_name=kernel_name,
+                query_order="morton",
+                component_of=comp[ids],
+                node_components=node_comp,
+                morton_schedule=np.arange(ids.shape[0]),
+                **traversal_kwargs,
+            )
+    finally:
+        device.memory.free(nbytes, "components")

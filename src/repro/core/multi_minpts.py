@@ -12,7 +12,9 @@ tree algorithms:
 2. run **one** full (non-early-terminated) neighbour count, giving
    ``|N_eps(x)|`` for every point — core status for *every* ``minpts``
    value follows by thresholding;
-3. run one main phase per requested ``minpts`` against the shared index.
+3. run one main phase per requested ``minpts`` against the shared index,
+   each skipping pairs already joined, exactly as FDBSCAN's does
+   (:func:`repro.core.framework.pruned_main_phase`).
 
 For FDBSCAN the index and the counts are shared across the whole sweep;
 only the main phases repeat.  (FDBSCAN-DenseBox's index *depends* on
@@ -30,8 +32,8 @@ import numpy as np
 
 from repro.bvh.aabb import boxes_from_points
 from repro.bvh.builder import build_bvh
-from repro.bvh.traversal import DEFAULT_CHUNK_SIZE, count_within, for_each_leaf_hit
-from repro.core.framework import PairResolver
+from repro.bvh.traversal import DEFAULT_CHUNK_SIZE, count_within
+from repro.core.framework import PairResolver, pruned_main_phase
 from repro.core.labels import DBSCANResult, finalize_clusters
 from repro.core.validation import validate_params, validate_points
 from repro.device.device import Device, default_device
@@ -86,6 +88,7 @@ def dbscan_minpts_sweep(
     t_count = time.perf_counter() - t0
 
     order = tree.order
+    all_ids = np.arange(n, dtype=np.int64)
     results: dict[int, DBSCANResult] = {}
     for mp in canon:
         if mp in results:
@@ -107,16 +110,21 @@ def dbscan_minpts_sweep(
         def on_hits(q_ids: np.ndarray, leaf_pos: np.ndarray) -> None:
             resolver.add(q_ids, order[leaf_pos])
 
-        for_each_leaf_hit(
-            tree,
-            X,
-            eps,
-            on_hits,
-            mask_positions=tree.position,
-            device=dev,
-            kernel_name=f"sweep_main_mp{mp}",
-            chunk_size=chunk_size,
-        )
+        # One span per main phase, holding its per-epoch launches.
+        with dev.kernel(f"sweep_main_mp{mp}", threads=n):
+            pruned_main_phase(
+                tree,
+                X,
+                eps,
+                resolver,
+                on_hits,
+                positions=tree.position,
+                prim_rep=all_ids,
+                use_mask=True,
+                device=dev,
+                kernel_name="fdbscan_main",
+                chunk_size=chunk_size,
+            )
         resolver.finalize()
         labels, core_mask, n_clusters = finalize_clusters(uf.parents, is_core, dev.counters)
         results[mp] = DBSCANResult(

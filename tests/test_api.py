@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from repro import DBSCAN, choose_algorithm, dbscan, dense_fraction_estimate
-from repro.core.api import AUTO_DENSE_FRACTION_THRESHOLD, AUTO_FDBSCAN_MAX_MINPTS
+from repro.core.api import AUTO_DENSE_FRACTION_THRESHOLD
 from repro.metrics.equivalence import assert_dbscan_equivalent
 
 
@@ -59,12 +59,6 @@ class TestAutoHeuristic:
     def test_sparse_data_picks_fdbscan(self, rng):
         X = rng.uniform(0, 100, size=(500, 2))
         assert choose_algorithm(X, 0.2, 10) == "fdbscan"
-
-    def test_small_minpts_picks_fdbscan_on_dense_data(self, rng):
-        X = rng.normal(0, 0.01, size=(500, 2))
-        assert dense_fraction_estimate(X, 0.2, AUTO_FDBSCAN_MAX_MINPTS) == 1.0
-        assert choose_algorithm(X, 0.2, AUTO_FDBSCAN_MAX_MINPTS) == "fdbscan"
-        assert choose_algorithm(X, 0.2, AUTO_FDBSCAN_MAX_MINPTS + 1) == "fdbscan-densebox"
 
     def test_fraction_estimate_bounds(self, blobs_2d):
         frac = dense_fraction_estimate(blobs_2d, 0.3, 5)

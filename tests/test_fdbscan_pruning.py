@@ -1,12 +1,14 @@
-"""Exactness of FDBSCAN's component-pruned main phase.
+"""Exactness of the component-pruned main phase.
 
-The main phase skips every subtree already in the query's component, as of
-the last refresh epoch.  These tests check DBSCAN's three-part contract
-against a cKDTree brute force on tie-heavy input (distances exactly eps,
-duplicates, a border point between two clusters), across every scheduling
-knob, and that the pruning really fires.
+FDBSCAN's, DenseBox's and the minpts sweep's main phases skip every
+subtree already in the query's component, as of the last refresh epoch.
+These tests check DBSCAN's three-part contract against a cKDTree brute
+force on tie-heavy input (distances exactly eps, duplicates, a border
+point between two clusters, dense cells that are both pruned and hit),
+across every scheduling knob, and that the pruning really fires.
 """
 
+import functools
 import itertools
 
 import numpy as np
@@ -18,7 +20,10 @@ from scipy.spatial import cKDTree
 from repro.bvh.aabb import boxes_from_points
 from repro.bvh.builder import build_bvh
 from repro.bvh.traversal import spread_epochs
+from repro.core.densebox import fdbscan_densebox
 from repro.core.fdbscan import fdbscan
+from repro.core.index import DBSCANIndex
+from repro.core.multi_minpts import dbscan_minpts_sweep
 from repro.device.device import Device
 
 #: Lattice spacing and eps: a power of two, so lattice distances are exact.
@@ -70,8 +75,28 @@ def _check_contract(X, eps, minpts, weights, labels, is_core):
             assert labels[p] == -1, p
 
 
+def _dense_lattice_points() -> np.ndarray:
+    """Two 12x12 lattice blocks at spacing eps/4, so DenseBox's grid
+    (cell side eps/sqrt(2)) holds up to 9 points per cell, with their
+    facing edges 2 eps apart, a bridge point exactly eps from both,
+    duplicates and isolated noise."""
+    s = SPACING / 4
+    g = np.arange(12) * s
+    a = np.array(list(itertools.product(g, g)))
+    b = a + [19 * s, 0.0]
+    bridge = np.array([[15 * s, 5 * s]])
+    dups = np.array([a[0], a[70], b[143], [3.0, 3.0], [3.0, 3.0]])
+    noise = np.array([[3.0, 0.5], [3.0, 3.0 + 2 * SPACING]])
+    return np.concatenate([a, bridge, b, dups, noise])
+
+
 X_TIES = _tie_heavy_points()
 WEIGHTS = np.where(np.arange(X_TIES.shape[0]) % 3 == 0, 2.0, 1.0)
+X_DENSE = _dense_lattice_points()
+INPUTS = {
+    "ties": (X_TIES, WEIGHTS),
+    "lattice": (X_DENSE, np.where(np.arange(X_DENSE.shape[0]) % 3 == 0, 2.0, 1.0)),
+}
 
 
 @pytest.mark.parametrize("chunk_size", [1, 7, None])
@@ -97,6 +122,63 @@ def test_contract_on_ties_across_knobs(traversal, query_order, chunk_size):
         np.testing.assert_array_equal(res.is_core, reference[key].is_core)
 
 
+@functools.cache
+def _reference(data: str, weighted: bool, minpts: int):
+    X, w = INPUTS[data]
+    return fdbscan(X, SPACING, minpts, sample_weight=w if weighted else None)
+
+
+@pytest.mark.parametrize("chunk_size", [1, 7, None])
+@pytest.mark.parametrize("query_order", ["input", "morton"])
+@pytest.mark.parametrize("traversal", ["single", "dual", "auto"])
+@pytest.mark.parametrize("data", sorted(INPUTS))
+def test_densebox_contract_across_knobs(data, traversal, query_order, chunk_size):
+    X, w = INPUTS[data]
+    for use_mask, weighted, minpts in itertools.product(
+        (True, False), (False, True), (1, 2, 5)
+    ):
+        weights = w if weighted else None
+        res = fdbscan_densebox(
+            X, SPACING, minpts, traversal=traversal,
+            query_order=query_order, chunk_size=chunk_size,
+            use_mask=use_mask, sample_weight=weights,
+        )
+        _check_contract(X, SPACING, minpts, weights, res.labels, res.is_core)
+        # DenseBox's labels equal FDBSCAN's, which are knob-independent.
+        ref = _reference(data, weighted, minpts)
+        np.testing.assert_array_equal(res.labels, ref.labels)
+        np.testing.assert_array_equal(res.is_core, ref.is_core)
+
+
+@pytest.mark.parametrize("chunk_size", [1, 7, None])
+@pytest.mark.parametrize("data", sorted(INPUTS))
+def test_minpts_sweep_contract(data, chunk_size):
+    X, _ = INPUTS[data]
+    results = dbscan_minpts_sweep(X, SPACING, [1, 2, 5], chunk_size=chunk_size)
+    for minpts, res in results.items():
+        _check_contract(X, SPACING, minpts, None, res.labels, res.is_core)
+        ref = _reference(data, False, minpts)
+        np.testing.assert_array_equal(res.labels, ref.labels)
+        np.testing.assert_array_equal(res.is_core, ref.is_core)
+
+
+def test_lattice_exercises_dense_boxes():
+    # The lattice really exercises DenseBox's boxes: most points sit in
+    # dense cells, and the bridge joins the blocks only while it is core.
+    dev = Device()
+    res = fdbscan_densebox(X_DENSE, SPACING, 5, device=dev)
+    n_dense_points = round(res.info["dense_fraction"] * X_DENSE.shape[0])
+    assert n_dense_points > 0.8 * X_DENSE.shape[0]
+    # Box hits join the cells of each block: more unions than the cells' own.
+    assert dev.counters.union_ops > n_dense_points - res.info["n_dense_cells"]
+    bridge, edge_a, edge_b = 144, 11 * 12 + 5, 145 + 5
+    assert not res.is_core[bridge]
+    assert res.labels[bridge] == res.labels[edge_a] != res.labels[edge_b]
+    res3 = fdbscan_densebox(X_DENSE, SPACING, 3)
+    assert res3.is_core[bridge]
+    assert res3.labels[edge_a] == res3.labels[edge_b]
+
+
 def test_bridge_point_joins_one_cluster():
     res = fdbscan(X_TIES, SPACING, 5)
     bridge = 49
@@ -118,15 +200,48 @@ def test_pruning_fires_on_a_dense_blob():
     assert dev.counters.union_ops * 5 < n_pairs
 
 
+def test_densebox_pruning_fires():
+    # Every point of the square is core and in one dense-cell cluster.
+    # Unpruned, each (query, primitive) hit above the query's own leaf is
+    # one union; pruned, only hits that still join two components remain.
+    X = np.random.default_rng(0).uniform(0.0, 1.0, (3000, 2))
+    eps, minpts = 0.1, 5
+    dev = Device()
+    res = fdbscan_densebox(X, eps, minpts, device=dev)
+    assert res.n_clusters == 1 and res.is_core.all()
+
+    deco, tree, _ = DBSCANIndex(X).dense_decomposition(eps, minpts, device=Device())
+    prim = np.empty(X.shape[0], dtype=np.int64)
+    prim[deco.isolated_idx] = np.arange(deco.n_isolated)
+    dense = np.flatnonzero(deco.is_dense_point)
+    prim[dense] = deco.n_isolated + deco.dense_rank_of_cell[deco.cell_of_point[dense]]
+    pos = tree.position[prim]
+    pairs = cKDTree(X).query_pairs(eps, output_type="ndarray")
+    q = np.concatenate([pairs[:, 0], pairs[:, 1]])
+    y = np.concatenate([pairs[:, 1], pairs[:, 0]])
+    above = pos[y] > pos[q]
+    unpruned = np.unique(q[above] * tree.n_primitives + prim[y[above]]).size
+    cell_unions = deco.n_dense_points - deco.n_dense
+    assert unpruned > 10_000
+    assert (dev.counters.union_ops - cell_unions) * 10 < unpruned
+
+
 def test_spread_epochs_partition_the_points():
     X = np.random.default_rng(1).uniform(0, 1, (1000, 2))
     tree = build_bvh(*boxes_from_points(X))
-    epochs = spread_epochs(tree)
+    epochs = spread_epochs(tree.position)
     assert [e.shape[0] for e in epochs] == [64, 256, 680]
     np.testing.assert_array_equal(np.sort(np.concatenate(epochs)), np.arange(1000))
     for e in epochs:
         assert (np.diff(tree.position[e]) > 0).all()
 
+
+def test_spread_epochs_keep_shared_positions_together():
+    # Queries sharing a leaf (a dense cell's members) come in id order.
+    positions = np.array([3, 0, 3, 1, 2, 0, 3])
+    epochs = spread_epochs(positions)
+    assert len(epochs) == 1
+    np.testing.assert_array_equal(epochs[0], [1, 5, 3, 4, 0, 2, 6])
 
 
 def test_component_mask_ledger_freed_when_main_phase_aborts():
