@@ -94,11 +94,6 @@ class RunRecord:
     #: ``counters`` (``auto_single_chunks``/``auto_dual_chunks``/
     #: ``auto_pred_cost_us``) and on the cell span.
     traversal: str = "single"
-    #: execution backend the cell ran under ("serial"/"process").  Like
-    #: ``traversal``, recorded on every cell so A/B sweeps stay
-    #: distinguishable in the history; baselines ignore the backend but
-    #: carry the key.
-    backend: str = "serial"
     seconds: float = float("nan")
     status: str = "ok"  # "ok" | "oom" | "skipped" | "error" | "timeout"
     n_clusters: int = -1
@@ -156,7 +151,6 @@ class RunRecord:
             "eps": self.eps,
             "minpts": self.min_samples,
             "traversal": self.traversal,
-            "backend": self.backend,
             "seconds": self.seconds,
             "status": self.status,
             "clusters": self.n_clusters,
@@ -219,8 +213,6 @@ def run_once(
     fault_plan: FaultPlan | None = None,
     tracer=None,
     traversal: str = "single",
-    backend: str = "serial",
-    workers: int | None = None,
     cell_timeout: float | None = None,
     **kwargs,
 ) -> RunRecord:
@@ -265,13 +257,6 @@ def run_once(
     the cell span next to the measured wall seconds — the predicted vs
     actual comparison the bench report and smoke gate read.
 
-    ``backend`` selects the execution backend (``"serial"``/``"process"``;
-    see :mod:`repro.device.backends`) for tree-based, hierarchy and
-    distributed cells, with ``workers`` sizing the process pool.  Like
-    ``traversal`` it is recorded on every cell — labels and work counters
-    are bit-identical across backends, so an A/B sweep isolates pure
-    wall-clock effects.
-
     ``cell_timeout`` arms a per-attempt wall-clock watchdog
     (:class:`~repro.faults.Deadline`) on the cell's device: every kernel
     launch checks the elapsed time, and a pathological cell records
@@ -286,7 +271,6 @@ def run_once(
         eps=float(eps),
         min_samples=int(min_samples),
         traversal=str(traversal),
-        backend=str(backend),
     )
     is_tree = algorithm.lower() in TREE_ALGORITHMS
     is_distributed = algorithm.lower() in DISTRIBUTED_ALGORITHMS
@@ -299,10 +283,6 @@ def run_once(
         kwargs = {**kwargs, **tree_kwargs}
     if is_tree or is_distributed or is_hierarchy:
         kwargs = {**kwargs, "traversal": traversal}
-        if str(backend) != "serial":
-            from repro.device.backends import coerce_backend
-
-            kwargs = {**kwargs, "backend": coerce_backend(backend, workers=workers)}
     if index is not None and (is_tree or is_hierarchy):
         kwargs = {**kwargs, "index": index}
     phase = _cell_phase(algorithm, dataset, rec.n, rec.eps, rec.min_samples)
@@ -425,8 +405,6 @@ def run_sweep(
     fault_plan: FaultPlan | None = None,
     tracer=None,
     traversal: str = "single",
-    backend: str = "serial",
-    workers: int | None = None,
     cell_timeout: float | None = None,
     **kwargs,
 ) -> list[RunRecord]:
@@ -478,11 +456,6 @@ def run_sweep(
         once per engine (``"single"``/``"dual"``/``"auto"``) for a
         multi-mode comparison; records stay distinguishable by their
         ``traversal`` field.
-    backend / workers:
-        Execution backend for every tree/hierarchy/distributed cell of
-        the sweep (recorded on every record; see :func:`run_once`).  Run
-        the sweep once per backend for an A/B comparison — counters are
-        bit-identical, so any wall-clock difference is pure scheduling.
     cell_timeout:
         Per-cell wall-second watchdog (see :func:`run_once`): a cell
         that exceeds it records ``status="timeout"`` with its partial
@@ -516,8 +489,8 @@ def run_sweep(
         _run_sweep_cells(
             records, over_budget, indexes, any_tree, algorithms, cells, data_for,
             dataset, time_budget, time_budget_mode, capacity_bytes, tree_kwargs,
-            reuse_index, retry_policy, fault_plan, tracer, traversal, backend,
-            workers, cell_timeout, kwargs,
+            reuse_index, retry_policy, fault_plan, tracer, traversal,
+            cell_timeout, kwargs,
         )
     finally:
         tr.end(sweep_span)
@@ -527,8 +500,7 @@ def run_sweep(
 def _run_sweep_cells(
     records, over_budget, indexes, any_tree, algorithms, cells, data_for, dataset,
     time_budget, time_budget_mode, capacity_bytes, tree_kwargs, reuse_index,
-    retry_policy, fault_plan, tracer, traversal, backend, workers, cell_timeout,
-    kwargs,
+    retry_policy, fault_plan, tracer, traversal, cell_timeout, kwargs,
 ) -> None:
     """The cell loop of :func:`run_sweep` (split out so the sweep span can
     bracket it on every exit path)."""
@@ -554,7 +526,6 @@ def _run_sweep_cells(
                         eps=float(cell["eps"]),
                         min_samples=int(cell["min_samples"]),
                         traversal=str(traversal),
-                        backend=str(backend),
                         status="skipped",
                         detail=over_budget[algorithm],
                     )
@@ -573,8 +544,6 @@ def _run_sweep_cells(
                 fault_plan=fault_plan,
                 tracer=tracer,
                 traversal=traversal,
-                backend=backend,
-                workers=workers,
                 cell_timeout=cell_timeout,
                 **kwargs,
             )

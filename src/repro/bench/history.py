@@ -25,12 +25,10 @@ import math
 
 from repro.bench.harness import RunRecord
 
-#: Fields that identify a cell across runs.  ``traversal`` and ``backend``
-#: are part of the identity: a both-mode sweep runs every (algorithm,
-#: cell) pair once per engine/backend, and the runs must not collide in a
-#: comparison (the backend A/B report relies on both variants coexisting
-#: in one history).
-_KEY_FIELDS = ("algorithm", "traversal", "backend", "dataset", "n", "eps", "min_samples")
+#: Fields that identify a cell across runs.  ``traversal`` is part of the
+#: identity: a both-mode sweep runs every (algorithm, cell) pair once per
+#: engine, and the runs must not collide in a comparison.
+_KEY_FIELDS = ("algorithm", "traversal", "dataset", "n", "eps", "min_samples")
 
 
 def _key(record: RunRecord) -> tuple:
@@ -49,7 +47,6 @@ def save_records(path: str, records: list[RunRecord], meta: dict | None = None) 
                 "eps": r.eps,
                 "min_samples": r.min_samples,
                 "traversal": r.traversal,
-                "backend": r.backend,
                 "seconds": None if math.isnan(r.seconds) else r.seconds,
                 "status": r.status,
                 "n_clusters": r.n_clusters,
@@ -108,7 +105,6 @@ def load_records(path: str) -> tuple[list[RunRecord], dict]:
                 eps=float(row["eps"]),
                 min_samples=int(row["min_samples"]),
                 traversal=row.get("traversal", "single"),
-                backend=row.get("backend", "serial"),
                 seconds=float("nan") if row["seconds"] is None else row["seconds"],
                 status=row["status"],
                 n_clusters=int(row["n_clusters"]),

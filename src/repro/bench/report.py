@@ -185,94 +185,6 @@ def format_fault_summary(info: dict, title: str = "-- faults & recovery --") -> 
     return "\n".join(lines)
 
 
-#: Counters the backend A/B report asserts bit-equal across backends —
-#: the determinism contract of :mod:`repro.device.backends`.
-_AB_COUNTERS = (
-    "distance_evals",
-    "box_tests",
-    "scatter_adds",
-    "nodes_visited",
-    "kernel_launches",
-    "thread_steps",
-)
-
-
-def format_backend_ab(
-    records: Sequence[RunRecord],
-    title: str = "-- backend A/B (serial vs process) --",
-    strict: bool = True,
-) -> str:
-    """Per-cell serial-vs-process comparison from one mixed history.
-
-    Pairs records by (algorithm, traversal, dataset, n, eps, minpts)
-    across ``backend="serial"`` / ``backend="process"`` and prints each
-    cell's wall seconds under both backends with the process speedup
-    (``serial / process``; > 1 means the process backend won).  For every
-    pair, the tracked work counters (:data:`_AB_COUNTERS`) are checked
-    for **bit-equality** — the process backend's contract is identical
-    work, different scheduling — and any mismatch is printed and, with
-    ``strict`` (the default), raised as an ``AssertionError``: a counter
-    divergence means the A/B is comparing different computations and the
-    timing column is meaningless.
-    """
-    by_key: dict[tuple, dict[str, RunRecord]] = {}
-    for rec in records:
-        key = (rec.algorithm, rec.traversal, rec.dataset, rec.n, rec.eps, rec.min_samples)
-        by_key.setdefault(key, {})[rec.backend] = rec
-    pairs = [
-        (key, sides["serial"], sides["process"])
-        for key, sides in sorted(by_key.items(), key=lambda kv: str(kv[0]))
-        if "serial" in sides and "process" in sides
-    ]
-    if not pairs:
-        return f"{title}\n(no serial/process record pairs)"
-    mismatches: list[str] = []
-    columns = ["algorithm", "traversal", "n", "serial_s", "process_s", "speedup", "counters"]
-    cells = []
-    for key, ser, proc in pairs:
-        algorithm, traversal, dataset, n, eps, minpts = key
-        equal = all(
-            ser.counters.get(c, 0) == proc.counters.get(c, 0) for c in _AB_COUNTERS
-        )
-        if not equal:
-            detail = ", ".join(
-                f"{c}: serial={ser.counters.get(c, 0)} process={proc.counters.get(c, 0)}"
-                for c in _AB_COUNTERS
-                if ser.counters.get(c, 0) != proc.counters.get(c, 0)
-            )
-            mismatches.append(f"{algorithm}/{traversal} n={n}: {detail}")
-        ok = ser.status == "ok" and proc.status == "ok"
-        speedup = (
-            ser.seconds / proc.seconds if ok and proc.seconds > 0 else float("nan")
-        )
-        cells.append(
-            [
-                algorithm,
-                traversal,
-                _fmt(n),
-                _fmt(ser.seconds) if ser.status == "ok" else ser.status,
-                _fmt(proc.seconds) if proc.status == "ok" else proc.status,
-                f"{speedup:.2f}x" if speedup == speedup else "-",
-                "equal" if equal else "MISMATCH",
-            ]
-        )
-    widths = [max(len(c), *(len(cell[i]) for cell in cells)) for i, c in enumerate(columns)]
-    lines = [title] if title else []
-    lines.append("  ".join(c.rjust(w) for c, w in zip(columns, widths)))
-    lines.append("  ".join("-" * w for w in widths))
-    lines += [
-        "  ".join(cell[i].rjust(widths[i]) for i in range(len(columns))) for cell in cells
-    ]
-    if mismatches:
-        lines.append("counter mismatches (A/B invalid for these cells):")
-        lines += [f"  {m}" for m in mismatches]
-        if strict:
-            raise AssertionError(
-                "backend A/B counter mismatch: " + "; ".join(mismatches)
-            )
-    return "\n".join(lines)
-
-
 #: Density ramp for :func:`ascii_density` (space = empty, @ = densest).
 _DENSITY_RAMP = " .:-=+*#%@"
 

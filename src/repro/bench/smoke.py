@@ -163,8 +163,7 @@ def auto_regret_alarms(records, threshold: float) -> list[str]:
     for rec in records:
         if rec.status != "ok":
             continue
-        key = (rec.algorithm, rec.dataset, rec.n, rec.eps, rec.min_samples,
-               rec.backend)
+        key = (rec.algorithm, rec.dataset, rec.n, rec.eps, rec.min_samples)
         by_engine.setdefault(key, {})[rec.traversal] = rec
     alarms = []
     for key, engines in sorted(by_engine.items()):

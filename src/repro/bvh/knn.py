@@ -101,7 +101,6 @@ def _count_points_within(
     query_order: str,
     traversal: str,
     watchdog=None,
-    backend=None,
 ) -> np.ndarray:
     """Exact point-in-ball counts on trees with non-degenerate leaves.
 
@@ -138,7 +137,6 @@ def _count_points_within(
         query_order=query_order,
         traversal=traversal,
         watchdog=watchdog,
-        backend=backend,
     )
     return counts
 
@@ -154,7 +152,6 @@ def knn_radii(
     query_order: str = "input",
     traversal: str = "single",
     watchdog=None,
-    backend=None,
 ) -> np.ndarray:
     """Distance from each query to its ``k``-th nearest primitive.
 
@@ -219,12 +216,12 @@ def knn_radii(
                 counts = count_within(
                     tree, queries[pending], r, stop_at=k, device=dev,
                     chunk_size=chunk_size, query_order=query_order,
-                    traversal=traversal, watchdog=watchdog, backend=backend,
+                    traversal=traversal, watchdog=watchdog,
                 )
             else:
                 counts = _count_points_within(
                     tree, queries[pending], pts_by_pos, r, k, dev,
-                    chunk_size, query_order, traversal, watchdog, backend,
+                    chunk_size, query_order, traversal, watchdog,
                 )
             done = counts >= k
             hi[pending[done]] = rung[pending[done]]
@@ -292,7 +289,6 @@ def core_distances(
     query_order: str = "input",
     traversal: str = "single",
     watchdog=None,
-    backend=None,
 ) -> np.ndarray:
     """HDBSCAN core distances: distance to the ``min_samples``-th nearest
     point, the point itself included (Campello et al.'s ``d_core`` with the
@@ -306,5 +302,4 @@ def core_distances(
         query_order=query_order,
         traversal=traversal,
         watchdog=watchdog,
-        backend=backend,
     )

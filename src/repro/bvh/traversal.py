@@ -27,12 +27,9 @@ Three properties of the paper's algorithms map directly onto arguments:
 Every traversal is one launch over a **chunk plan**
 (:func:`chunk_plan`): the query set, scheduled in input or Morton order
 and cut into ``chunk_size`` slices, each slice paired with the engine
-that runs it.  The serial runner (:func:`run_chunks`) opens one kernel
-span and runs the plan's chunks in order on one frontier pool; the
-process backend (:mod:`repro.device.backends`) ships the same chunks to
-its workers, which run each one through :func:`run_chunks` too.  Three
-scheduling levers shape the constant factors without changing any
-result:
+that runs it.  The runner (:func:`run_chunks`) opens one kernel span and
+runs the plan's chunks in order on one frontier pool.  Three scheduling
+levers shape the constant factors without changing any result:
 
 - the **frontier pool**: all per-step arrays (the double-buffered
   frontier, compacted hit/parent views, gathered boxes, predicates) live
@@ -71,7 +68,6 @@ from repro.bvh.autotune import choose_engine
 from repro.bvh.tree import BVH
 from repro.bvh.morton import morton_codes
 from repro.bvh.qgroups import DEFAULT_GROUP_SIZE, build_query_bvh
-from repro.device.backends import coerce_backend
 from repro.device.device import Device, default_device
 from repro.device.primitives import (
     concatenated_ranges,
@@ -319,9 +315,7 @@ def chunk_plan(
     chunk with :func:`repro.bvh.autotune.choose_engine` (at the chunk's
     largest radius) and records the ``auto_*`` decision counters on
     ``device``; the other traversals give every chunk their own engine.
-    The chunks and engines depend on the inputs alone, so the serial
-    runner and the process backend run the same chunks on the same
-    engines.
+    The chunks and engines depend on the inputs alone.
     """
     m = queries.shape[0]
     if chunk_size is None or chunk_size <= 0:
@@ -442,7 +436,6 @@ def for_each_leaf_hit(
     component_of: np.ndarray | None = None,
     node_components: np.ndarray | None = None,
     watchdog: Callable[[], None] | None = None,
-    backend=None,
     morton_schedule: np.ndarray | None = None,
     cost_model=None,
     tree_stats=None,
@@ -450,8 +443,7 @@ def for_each_leaf_hit(
     """Stream every ``(query, leaf)`` pair within ``eps`` to ``callback``.
 
     The queries are cut into one :func:`chunk_plan` — ``(ids, engine)``
-    chunks — which either :func:`run_chunks` runs in this process or a
-    parallel ``backend`` runs in its workers.
+    chunks — which :func:`run_chunks` runs as one launch.
 
     Parameters
     ----------
@@ -466,8 +458,8 @@ def for_each_leaf_hit(
         *hit* when the minimum distance from the query to the leaf's box
         is ``<= `` the query's radius.  For degenerate (point) leaves this
         is the exact point-distance predicate.  A constant array gives
-        results bit-identical to the scalar; every engine, backend and
-        ``auto`` honour per-query radii (``auto`` prices a chunk at its
+        results bit-identical to the scalar; every engine and ``auto``
+        honour per-query radii (``auto`` prices a chunk at its
         largest radius).
     callback:
         ``callback(query_ids, leaf_positions)`` invoked once per wavefront
@@ -538,19 +530,7 @@ def for_each_leaf_hit(
         points, so both engines poll it identically).  It aborts the
         traversal by *raising* — the service's deadline enforcement
         threads :meth:`repro.faults.Deadline.check` through here.  A
-        watchdog that returns normally never changes results.  (Under a
-        parallel backend the watchdog is polled between result batches
-        instead of per step — it still aborts the launch by raising.)
-    backend:
-        Execution backend: ``None`` (inherit the device's backend, which
-        defaults to serial), ``"serial"``, ``"process"`` or an
-        :class:`~repro.device.backends.ExecutionBackend` instance.  A
-        parallel backend runs the plan's chunks in worker processes and
-        replays each chunk's per-step hit batches through ``callback`` in
-        (chunk, step) order — the identical callback sequence the serial
-        runner produces — so results and counters are bit-identical.
-        Traversals carrying cross-chunk state (``finished_fn``,
-        ``component_of``) or planned as one chunk run serially.
+        watchdog that returns normally never changes results.
     morton_schedule:
         Optional precomputed Morton permutation for ``queries`` (the
         exact array :func:`query_schedule` would return) — lets callers
@@ -600,15 +580,6 @@ def for_each_leaf_hit(
         kernel_name, morton_schedule, cost_model, tree_stats,
         component_of is not None,
     )
-    bk = coerce_backend(backend if backend is not None else getattr(dev, "backend", None))
-    # Chunks carrying no cross-chunk state can run in worker processes,
-    # which replay their hit batches through `callback` in plan order.
-    if bk.parallel and finished_fn is None and component_of is None and len(plan) > 1:
-        return bk.run_leaf_hits(
-            tree, queries, eps, plan, callback,
-            mask_positions=mask_positions, device=dev, kernel_name=kernel_name,
-            leaf_test_is_distance=leaf_test_is_distance, watchdog=watchdog,
-        )
     return run_chunks(
         tree, queries, eps, plan, callback,
         mask_positions=mask_positions,
@@ -1194,36 +1165,6 @@ def _dual_chunk(
         np.compress(keep, cand_n, out=fr_n)
 
 
-def count_kernel(
-    counts: np.ndarray,
-    stop_at: float | None,
-    leaf_weights: np.ndarray | None,
-    counters,
-) -> tuple[LeafCallback, Callable[[np.ndarray], np.ndarray] | None]:
-    """The ``(callback, finished_fn)`` pair of a count launch: hits
-    scatter-add 1 (or their leaf's weight) into ``counts``, and with
-    ``stop_at`` set a query finishes once its count reaches it.  Shared
-    by :func:`count_within` and the process backend's workers, so both
-    run the same kernel with the same accounting."""
-    if leaf_weights is None:
-
-        def on_hits(q_ids: np.ndarray, _pos: np.ndarray) -> None:
-            scatter_add(counts, q_ids, counters=counters)
-
-    else:
-
-        def on_hits(q_ids: np.ndarray, pos: np.ndarray) -> None:
-            scatter_add(counts, q_ids, leaf_weights[pos], counters=counters)
-
-    finished_fn = None
-    if stop_at is not None:
-
-        def finished_fn(ids: np.ndarray) -> np.ndarray:
-            return counts[ids] >= stop_at
-
-    return on_hits, finished_fn
-
-
 def count_within(
     tree: BVH,
     queries: np.ndarray,
@@ -1236,7 +1177,6 @@ def count_within(
     query_order: str = "input",
     traversal: str = "single",
     watchdog: Callable[[], None] | None = None,
-    backend=None,
     morton_schedule: np.ndarray | None = None,
     cost_model=None,
     tree_stats=None,
@@ -1246,8 +1186,7 @@ def count_within(
     ``eps`` is a scalar or an ``(m,)`` per-query radius array, validated
     and honoured exactly as in :func:`for_each_leaf_hit`, and so are the
     scheduling arguments: the counts run as one ``"bvh_count"`` launch
-    over one :func:`chunk_plan`, in this process or — the counts have no
-    cross-chunk state — on a parallel ``backend``'s workers.
+    over one :func:`chunk_plan`.
 
     With ``stop_at`` set, a query's traversal terminates early once its
     count reaches ``stop_at`` — the paper's core-point determination
@@ -1269,7 +1208,7 @@ def count_within(
     query ids only — an O(frontier) gather, not an O(m) recompute — and a
     query's per-step hit batches depend only on its own tree path, so the
     returned counts are identical for every ``chunk_size``,
-    ``query_order``, ``traversal`` and ``backend``.
+    ``query_order`` and ``traversal``.
 
     ``stop_at`` may be fractional when ``leaf_weights`` is given (weights
     are arbitrary positive floats, so any finite threshold is meaningful);
@@ -1305,15 +1244,22 @@ def count_within(
         tree, queries, eps, traversal, query_order, chunk_size, dev,
         "bvh_count", morton_schedule, cost_model, tree_stats,
     )
-    bk = coerce_backend(backend if backend is not None else getattr(dev, "backend", None))
-    if bk.parallel and len(plan) > 1:
-        bk.run_count(
-            tree, queries, eps, plan, counts, stop_at=stop_at,
-            mask_positions=mask_positions, device=dev,
-            leaf_weights=leaf_weights, watchdog=watchdog,
-        )
-        return counts
-    on_hits, finished_fn = count_kernel(counts, stop_at, leaf_weights, dev.counters)
+    if leaf_weights is None:
+
+        def on_hits(q_ids: np.ndarray, _pos: np.ndarray) -> None:
+            scatter_add(counts, q_ids, counters=dev.counters)
+
+    else:
+
+        def on_hits(q_ids: np.ndarray, pos: np.ndarray) -> None:
+            scatter_add(counts, q_ids, leaf_weights[pos], counters=dev.counters)
+
+    finished_fn = None
+    if stop_at is not None:
+
+        def finished_fn(ids: np.ndarray) -> np.ndarray:
+            return counts[ids] >= stop_at
+
     run_chunks(
         tree, queries, eps, plan, on_hits,
         mask_positions=mask_positions,

@@ -121,15 +121,8 @@ class BVH:
         return self._packed
 
     def invalidate_packed(self) -> None:
-        """Drop the cached parent-major layout (after a box refit).
-
-        Also drops the shared-memory publication stamp: the process
-        backend keys its published copy of the tree's arrays on this
-        attribute, and a refit means workers must receive fresh boxes
-        (see :mod:`repro.device.backends`).
-        """
+        """Drop the cached parent-major layout (after a box refit)."""
         self._packed = None
-        self._shm_stamp = None
 
     def nbytes(self) -> int:
         """Device footprint of the tree's arrays (incl. the packed

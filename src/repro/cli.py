@@ -151,19 +151,6 @@ def _traversal_kwargs(args) -> dict:
     return kwargs
 
 
-def _apply_backend(args, device: Device) -> None:
-    """Attach the ``--backend`` execution backend to the run's device.
-
-    The tree traversals (and the distributed driver) consult
-    ``device.backend`` when no explicit backend is passed, so setting it
-    here routes every eligible kernel of the run — labels and work
-    counters are bit-identical to serial either way."""
-    if getattr(args, "backend", "serial") != "serial":
-        from repro.device.backends import coerce_backend
-
-        device.backend = coerce_backend(args.backend, workers=args.workers)
-
-
 def _cluster_run(args, device: Device, tracer: Tracer | None):
     """Run the cluster/metrics subcommands' single clustering."""
     X = _load_input(args)
@@ -214,7 +201,6 @@ def _cluster_run(args, device: Device, tracer: Tracer | None):
 
 def _cmd_cluster(args) -> int:
     device = Device(capacity_bytes=args.memory_cap)
-    _apply_backend(args, device)
     tracer = _tracer_for(args)
     result = _cluster_run(args, device, tracer)
     print(f"algorithm : {result.info.get('algorithm', args.algorithm)}")
@@ -250,7 +236,6 @@ def _cmd_cluster(args) -> int:
 def _cmd_metrics(args) -> int:
     """Run one clustering and print its metrics exposition."""
     device = Device(capacity_bytes=args.memory_cap)
-    _apply_backend(args, device)
     tracer = _tracer_for(args)
     failure = None
     result = None
@@ -304,55 +289,35 @@ def _cmd_bench(args) -> int:
     # cells — the records stay distinguishable by their ``traversal``
     # field, so the history diff can gate on the dual engine's pruning and
     # the smoke gate can price auto's regret against min(single, dual).
-    # ``--backend both`` nests the same way: every (engine, cell) pair runs
-    # once per backend into one history, keyed apart by ``backend``, which
-    # is what the A/B speedup report pairs back up.
     modes = (
         ("single", "dual", "auto")
         if args.traversal == "both"
         else (args.traversal,)
     )
-    backends = (
-        ("serial", "process") if args.backend == "both" else (args.backend,)
-    )
     records = []
     for mode in modes:
-        for bk in backends:
-            records += run_sweep(
-                algorithms,
-                cells,
-                lambda cell: X,
-                dataset=args.dataset or args.input,
-                time_budget=args.time_budget,
-                time_budget_mode=args.time_budget_mode,
-                capacity_bytes=args.memory_cap,
-                tree_kwargs=tree_kwargs or None,
-                reuse_index=not args.no_reuse_index,
-                retry_policy=policy,
-                fault_plan=plan,
-                tracer=tracer,
-                traversal=mode,
-                backend=bk,
-                workers=args.workers,
-                cell_timeout=args.cell_timeout,
-                n_ranks=args.ranks or 4,
-            )
+        records += run_sweep(
+            algorithms,
+            cells,
+            lambda cell: X,
+            dataset=args.dataset or args.input,
+            time_budget=args.time_budget,
+            time_budget_mode=args.time_budget_mode,
+            capacity_bytes=args.memory_cap,
+            tree_kwargs=tree_kwargs or None,
+            reuse_index=not args.no_reuse_index,
+            retry_policy=policy,
+            fault_plan=plan,
+            tracer=tracer,
+            traversal=mode,
+            cell_timeout=args.cell_timeout,
+            n_ranks=args.ranks or 4,
+        )
     print(format_series(records, x_key=x_key, title="seconds"))
     print()
     print(format_records(records))
     print()
     print(format_kernel_profile(records, title="-- kernel profile (all cells) --"))
-    ab_mismatch = False
-    if args.backend == "both":
-        from repro.bench.report import format_backend_ab
-
-        # strict=False so the table always prints; the mismatch still
-        # fails the command below — a counter divergence between the
-        # backends is a correctness alarm, not a benchmark blemish.
-        ab_text = format_backend_ab(records, strict=False)
-        print()
-        print(ab_text)
-        ab_mismatch = "MISMATCH" in ab_text
     dropped = sum(r.trace_dropped for r in records)
     if dropped:
         affected = sum(1 for r in records if r.trace_dropped)
@@ -421,11 +386,6 @@ def _cmd_bench(args) -> int:
         if not args.allow_failures:
             return 1
         print("continuing despite failed cells (--allow-failures)", file=sys.stderr)
-    if ab_mismatch:
-        # Never excused by --allow-failures: unequal counters mean the
-        # two backends computed different things.
-        print("backend A/B counter mismatch (see report above)", file=sys.stderr)
-        return 1
     return 0
 
 
@@ -450,8 +410,6 @@ def _cmd_serve(args) -> int:
     config = ServiceConfig(
         default_deadline_s=args.deadline,
         cost_model=cost_model,
-        backend=args.backend,
-        workers=args.workers,
     )
 
     if args.traffic:
@@ -599,23 +557,6 @@ def build_parser() -> argparse.ArgumentParser:
                if both else ""),
         )
 
-    def backend_flags(p, both: bool = False):
-        choices = ("serial", "process", "both") if both else ("serial", "process")
-        p.add_argument(
-            "--backend", choices=choices, default="serial",
-            help="execution backend for the tree traversals: 'serial' runs "
-            "chunks in-process, 'process' fans them over shared-memory "
-            "worker processes (identical labels and work counters); with "
-            "--ranks, 'process' also runs each rank as a real OS process"
-            + ("; 'both' runs the sweep once per backend and prints the "
-               "A/B speedup report" if both else ""),
-        )
-        p.add_argument(
-            "--workers", type=int, default=None,
-            help="worker-process count for --backend process "
-            "(default: the machine's CPU count)",
-        )
-
     def cost_model_flag(p):
         p.add_argument(
             "--cost-model", action="store_true",
@@ -653,7 +594,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--profile", action="store_true", help="print the per-kernel time breakdown"
     )
     traversal_flags(cluster)
-    backend_flags(cluster)
     cost_model_flag(cluster)
     cluster.set_defaults(func=_cmd_cluster)
 
@@ -678,7 +618,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="exit 0 even when the run fails (the partial metrics still print)",
     )
     traversal_flags(metrics)
-    backend_flags(metrics)
     metrics.set_defaults(func=_cmd_metrics)
 
     bench = sub.add_parser("bench", help="run a parameter sweep")
@@ -703,7 +642,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     cost_model_flag(bench)
     traversal_flags(bench, both=True)
-    backend_flags(bench, both=True)
     bench.add_argument(
         "--no-reuse-index",
         action="store_true",
@@ -784,17 +722,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="price admission control from this fitted COSTMODEL.json "
         "(written by `repro bench --fit-cost-model`) instead of the "
         "hand-set per-point constants",
-    )
-    serve.add_argument(
-        "--backend", choices=("serial", "process"), default="serial",
-        help="execution backend for the service device: 'process' fans "
-        "eligible traversal chunks over shared-memory worker processes "
-        "(responses stay bit-identical to serial)",
-    )
-    serve.add_argument(
-        "--workers", type=int, default=None,
-        help="worker-process count for --backend process "
-        "(default: the machine's CPU count)",
     )
     serve.add_argument(
         "--event-log", metavar="PATH",

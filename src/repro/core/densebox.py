@@ -137,7 +137,6 @@ def fdbscan_densebox(
     pair_buffer: int | None = DEFAULT_PAIR_BUFFER,
     traversal: str | None = None,
     watchdog=None,
-    backend=None,
     cost_model=None,
 ) -> DBSCANResult:
     """Cluster ``X`` with FDBSCAN-DenseBox.
@@ -145,14 +144,12 @@ def fdbscan_densebox(
     Arguments match :func:`repro.core.fdbscan.fdbscan` (including the
     weighted-density ``sample_weight``: dense cells then threshold summed
     member weight, and the all-members-core guarantee carries over;
-    ``query_order``/``pair_buffer``/``traversal``/``backend`` are the
-    same output-preserving scheduling levers — both the isolated-point
+    ``query_order``/``pair_buffer``/``traversal`` are the same
+    output-preserving scheduling levers — both the isolated-point
     preprocessing and the mixed-primitive main traversal honour the
     chosen engine, and ``watchdog`` is polled per wavefront step in both
     traversals).  ``query_order`` affects only preprocessing; the main
-    phase runs in its refresh epochs.  Both traversals carry state across
-    chunks (the early-exit ``finished_fn``, the component mask), so both
-    run serially under a parallel backend.
+    phase runs in its refresh epochs.
     ``info`` additionally carries ``dense_fraction`` (share of points
     inside dense cells — the regime indicator the paper reports),
     ``n_dense_cells`` and ``total_cells`` (the virtual grid size).
@@ -189,10 +186,6 @@ def fdbscan_densebox(
     if traversal is None:
         traversal = index.traversal or "single"
     info["traversal"] = traversal
-    if backend is None:
-        backend = getattr(index, "backend", None)
-    _bk = backend if backend is not None else getattr(dev, "backend", None)
-    info["backend"] = getattr(_bk, "name", _bk) or "serial"
     # The preprocessing traversal queries the isolated subset and
     # schedules itself; the main phase runs in its refresh epochs.  The
     # mixed tree's shape differs from the points tree's, so the auto
@@ -280,7 +273,6 @@ def fdbscan_densebox(
                 query_order=query_order,
                 traversal=traversal,
                 watchdog=watchdog,
-                backend=backend,
                 cost_model=cost_model,
             )
             is_core[deco.isolated_idx] = counts >= minpts
@@ -353,7 +345,6 @@ def fdbscan_densebox(
         chunk_size=chunk_size,
         traversal=traversal,
         watchdog=watchdog,
-        backend=backend,
         cost_model=cost_model,
     )
     resolver.finalize()

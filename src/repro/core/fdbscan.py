@@ -34,9 +34,7 @@ removes most of the phase's distance tests and unions.
   unpruned phase.
 - **Scheduling.**  The epochs replace ``query_order`` in the main phase,
   which now affects only preprocessing.  ``chunk_size`` still slices
-  each epoch and changes no result or work counter.  The component mask
-  is state carried across chunks, so the main phase runs serially under
-  ``backend="process"``; preprocessing still fans out.
+  each epoch and changes no result or work counter.
 
 ``use_mask`` and ``early_exit`` are exposed as switches so the ablation
 benchmarks can quantify each one.
@@ -71,7 +69,6 @@ def fdbscan(
     pair_buffer: int | None = DEFAULT_PAIR_BUFFER,
     traversal: str | None = None,
     watchdog=None,
-    backend=None,
     cost_model=None,
 ) -> DBSCANResult:
     """Cluster ``X`` with FDBSCAN.
@@ -134,14 +131,6 @@ def fdbscan(
         Optional zero-argument callable polled once per traversal
         wavefront step in both phases (a deadline's
         :meth:`~repro.faults.Deadline.check`); aborts by raising.
-    backend:
-        Execution backend for the traversals (``"serial"``,
-        ``"process"`` or an
-        :class:`~repro.device.backends.ExecutionBackend`); ``None``
-        defers to the index's stored preference, then the device's.
-        The main phase carries its component mask across chunks and
-        always runs serially.  Labels and work counters are
-        bit-identical across backends.
     cost_model:
         Fitted cost model feeding ``traversal="auto"``'s per-chunk engine
         choice (duck-typed :class:`repro.obs.fit.FittedCostModel`);
@@ -173,10 +162,6 @@ def fdbscan(
     if traversal is None:
         traversal = index.traversal or "single"
     info["traversal"] = traversal
-    if backend is None:
-        backend = getattr(index, "backend", None)
-    _bk = backend if backend is not None else getattr(dev, "backend", None)
-    info["backend"] = getattr(_bk, "name", _bk) or "serial"
     # Scheduling inputs: the cached Morton schedule (the queries *are* the
     # indexed points here) whenever preprocessing will use a Morton order,
     # and the auto chooser's cost model + tree statistics for both phases.
@@ -212,7 +197,6 @@ def fdbscan(
             query_order=query_order,
             traversal=traversal,
             watchdog=watchdog,
-            backend=backend,
             morton_schedule=morton_schedule,
             cost_model=cost_model,
             tree_stats=tree_stats,
@@ -241,7 +225,6 @@ def fdbscan(
             query_order=query_order,
             traversal=traversal,
             watchdog=watchdog,
-            backend=backend,
             morton_schedule=morton_schedule,
             cost_model=cost_model,
             tree_stats=tree_stats,
@@ -276,7 +259,6 @@ def fdbscan(
         chunk_size=chunk_size,
         traversal=traversal,
         watchdog=watchdog,
-        backend=backend,
         cost_model=cost_model,
         tree_stats=tree_stats,
     )

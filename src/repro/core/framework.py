@@ -273,9 +273,8 @@ def pruned_main_phase(
       so no pair with a non-core end is ever skipped.  The resolved
       components and labels equal the unpruned phase's.
 
-    The component mask is state carried across chunks, so the phase runs
-    serially under a parallel backend.  The mask arrays are charged to
-    ``device``'s ledger as a transient ``"components"`` tag.
+    The mask arrays are charged to ``device``'s ledger as a transient
+    ``"components"`` tag.
     ``traversal_kwargs`` go to every
     :func:`~repro.bvh.traversal.for_each_leaf_hit` launch.
     """

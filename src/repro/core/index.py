@@ -150,7 +150,6 @@ class DBSCANIndex:
         max_dense_entries: int = DEFAULT_MAX_DENSE_ENTRIES,
         max_binnings: int = DEFAULT_MAX_BINNINGS,
         traversal: str | None = None,
-        backend=None,
         cost_model=None,
     ):
         X = validate_points(X)
@@ -166,20 +165,6 @@ class DBSCANIndex:
             )
         self.traversal = traversal
         self.cost_model = cost_model
-        if backend is not None and isinstance(backend, str):
-            from repro.device.backends import BACKENDS
-
-            if backend not in BACKENDS:
-                raise ValueError(
-                    f"backend must be one of {BACKENDS} or None; got {backend!r}"
-                )
-        #: Stored execution-backend preference (``"serial"``/``"process"``
-        #: or an :class:`~repro.device.backends.ExecutionBackend`), applied
-        #: by runs that pass ``backend=None`` — the scheduling analogue of
-        #: :attr:`traversal`.  The cached structures are backend-
-        #: independent (results are bit-identical across backends), so one
-        #: index serves all of them.
-        self.backend = backend
         self._points: _PointsEntry | None = None
         self._dense: "OrderedDict[tuple, _DenseEntry]" = OrderedDict()
         self._binnings: "OrderedDict[float, _BinningEntry]" = OrderedDict()

@@ -12,6 +12,9 @@ reproduction reports alongside wall-clock time:
   logical thread count, wavefront steps, wall seconds, counter deltas)
   into a bounded ring, giving a per-phase timing breakdown equivalent to
   ``nvprof`` (:meth:`Device.profile`, :meth:`Device.trace_snapshot`).
+  Every kernel runs in this process; the only launches recorded from
+  elsewhere are the distributed driver's OS-process rank lanes
+  (:meth:`Device.record_external_launch`).
 
 The trace additionally supports **build-cost replay**: a block of work
 (e.g. one BVH construction) recorded with :meth:`Device.recording` can be
@@ -125,11 +128,6 @@ class Device:
     #: span in the shared trace tree, parented under whatever span the
     #: tracer currently has open (a benchmark cell, a driver phase...).
     tracer: object = field(default=None, compare=False)
-    #: Optional default :class:`~repro.device.backends.ExecutionBackend`
-    #: (or its string name): traversal entry points called without an
-    #: explicit ``backend=`` inherit this one.  ``None`` means the serial
-    #: in-process path.
-    backend: object = field(default=None, compare=False)
     _epoch: float = field(init=False, default=0.0)
     _kernel_stack: list = field(init=False, default_factory=list, compare=False)
 
@@ -204,25 +202,25 @@ class Device:
         seconds: float,
         steps: int = 0,
         t_start_abs: float | None = None,
-        attributes: dict | None = None,
     ) -> KernelLaunch:
-        """Append a launch executed in *another process* (a worker lane).
+        """Append a launch executed in *another process* (a rank lane of
+        :mod:`repro.distributed.procranks`).
 
         ``t_start_abs`` is the launch's absolute ``perf_counter`` start in
         the remote process — CLOCK_MONOTONIC is system-wide per boot, so
-        the parent translates it into its own epoch (the per-worker epoch
-        handshake: workers report their device epoch once at startup and
+        the parent translates it into its own epoch (the per-rank epoch
+        handshake: ranks report their device epoch once at startup and
         launch starts relative to it).  Without it the launch is laid
         backwards from "now".
 
         The lane's ``self_seconds`` is recorded as 0: its wall time runs
-        *in parallel with* (and inside) the parent's wrapping kernel
-        span, so charging it again would break the "sum of self_seconds
-        counts each wall second at most once" trace invariant.  Counter
-        deltas are likewise **not** attached — the parent merges them
-        into its own counters inside the wrapping span, which keeps
-        per-kernel counter totals single-counted (see
-        ``docs/backends.md``).
+        *in parallel with* the parent, which spends it waiting on the
+        remote process, so charging it again would break the "sum of
+        self_seconds counts each wall second at most once" trace
+        invariant.  Counter
+        deltas are likewise **not** attached — the caller merges them
+        into its own counters, which keeps per-kernel counter totals
+        single-counted (see ``docs/observability.md``).
         """
         if t_start_abs is not None:
             t_start = t_start_abs - self._epoch
@@ -243,14 +241,13 @@ class Device:
             now_rel = time.perf_counter() - self._epoch
             tracer.add_span(
                 name,
-                category="kernel.worker",
+                category="kernel.rank",
                 t_start=max(tracer.now() - (now_rel - t_start), 0.0),
                 seconds=launch.seconds,
                 attributes={
                     "device": self.name,
                     "threads": launch.threads,
                     "steps": launch.steps,
-                    **(attributes or {}),
                 },
             )
         return launch

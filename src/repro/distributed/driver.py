@@ -66,7 +66,6 @@ from repro.bvh.traversal import count_within, for_each_leaf_hit
 from repro.core.framework import resolve_pairs
 from repro.core.labels import DBSCANResult, relabel_consecutive
 from repro.core.validation import validate_params, validate_points
-from repro.device.backends import coerce_backend
 from repro.device.device import Device, KernelFaultError, default_device
 from repro.device.memory import DeviceMemoryError
 from repro.device.primitives import run_length_encode
@@ -179,7 +178,7 @@ def distributed_dbscan(
     tracer=None,
     query_order: str = "input",
     traversal: str = "single",
-    backend=None,
+    backend: str = "serial",
 ) -> DBSCANResult:
     """Cluster ``X`` across ``n_ranks`` simulated ranks.
 
@@ -212,8 +211,9 @@ def distributed_dbscan(
     nest inside the phase that launched them, and every injected fault
     lands on the span that was open when it fired.
 
-    With ``backend="process"`` (or a parallel backend stored on the
-    device/``backend`` argument) each rank becomes a **real OS process**
+    ``backend`` is ``"serial"`` (default: every rank runs in this
+    process on the shared device) or ``"process"`` (``ValueError``
+    otherwise).  With ``"process"`` each rank becomes a **real OS process**
     (:class:`~repro.distributed.procranks.RankPool`): rank-local trees
     and core flags live in the rank process, a plan-driven rank crash is
     an actual ``SIGKILL``, and recovery re-ships the partition's points
@@ -222,6 +222,10 @@ def distributed_dbscan(
     path; rank kernel launches appear as ``name@r<rank>`` lanes on the
     parent device.
     """
+    if backend not in ("serial", "process"):
+        raise ValueError(
+            f"backend must be 'serial' or 'process'; got {backend!r}"
+        )
     X = validate_points(X)
     eps, minpts = validate_params(eps, min_samples)
     dev = default_device(device)
@@ -245,9 +249,8 @@ def distributed_dbscan(
         clock=clock,
         tracer=tracer,
     )
-    bk = coerce_backend(backend if backend is not None else getattr(dev, "backend", None))
     pool = None
-    if bk.parallel:
+    if backend == "process":
         from repro.distributed.procranks import RankPool
 
         pool = RankPool(n_ranks)
@@ -285,10 +288,10 @@ def distributed_dbscan(
         def absorb_rank(p: int, out: dict) -> None:
             """Merge one rank operation's counter delta and kernel lanes.
 
-            Unlike the intra-kernel process backend, rank deltas keep
-            their ``kernel_launches``/``thread_steps`` — in the simulated
-            path the rank kernels launch directly on the shared parent
-            device, so including them is what preserves bit-parity.
+            Rank deltas keep their ``kernel_launches``/``thread_steps`` —
+            in the simulated path the rank kernels launch directly on the
+            shared parent device, so including them is what preserves
+            bit-parity.
             """
             rank = executor[p]
             for key, value in (out.get("counters") or {}).items():
@@ -651,7 +654,7 @@ def distributed_dbscan(
             "n_ranks": n_ranks,
             "query_order": query_order,
             "traversal": traversal,
-            "backend": bk.name,
+            "backend": backend,
             "rank_processes": pool is not None,
             "owned_per_rank": partition.counts().tolist(),
             "ghosts_per_rank": [int(g.shape[0]) for g in halo.ghosts],

@@ -11,7 +11,7 @@ genuine process loss, not a simulated one.  Dead ranks are never
 respawned — partitions are reassigned to surviving rank processes exactly
 as in the simulated path.
 
-Determinism contract (mirrors :mod:`repro.device.backends`):
+Determinism contract:
 
 - each operation runs the *identical* rank-local code the in-process
   driver runs (the helpers are imported from the driver module), so the
@@ -22,8 +22,11 @@ Determinism contract (mirrors :mod:`repro.device.backends`):
   the simulated path the rank kernels launch directly on the shared
   parent device, so the merged totals match exactly);
 - rank kernel launches are replayed onto the parent as ``name@r<rank>``
-  lanes through the same ``perf_counter`` epoch handshake the process
-  backend uses, keeping :meth:`Device.profile` and traces meaningful;
+  lanes through a ``perf_counter`` epoch handshake (each rank reports its
+  device epoch once at startup, and
+  :meth:`~repro.device.device.Device.record_external_launch` translates
+  its launch starts onto the parent's timeline), keeping
+  :meth:`Device.profile` and traces meaningful;
 - injected *device* faults are evaluated by the parent from the pure
   :meth:`~repro.faults.plan.FaultPlan.device_fault_kind` decision and
   raised before the operation is dispatched — equivalent to the
@@ -33,7 +36,8 @@ Determinism contract (mirrors :mod:`repro.device.backends`):
 The message layer (:class:`~repro.distributed.comm.SimulatedComm`
 envelopes, checksums, retransmits) stays in the parent: rank processes
 are the *compute* substrate, while the communication fault model remains
-the simulated one so fault schedules stay seed-stable across backends.
+the simulated one so fault schedules stay seed-stable whether ranks run
+in-process or as OS processes.
 """
 
 from __future__ import annotations

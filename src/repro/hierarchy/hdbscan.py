@@ -158,7 +158,6 @@ def hdbscan(
     traversal: str | None = None,
     query_order: str = "input",
     index: DBSCANIndex | None = None,
-    backend=None,
 ) -> HDBSCANResult:
     """Hierarchical density clustering over the paper's substrates.
 
@@ -186,13 +185,6 @@ def hdbscan(
     index:
         Prebuilt :class:`~repro.core.index.DBSCANIndex` over ``X``; its
         points tree is reused so a sweep shares one build.
-    backend:
-        Execution backend (``"serial"``/``"process"``/instance); ``None``
-        defers to the index's preference, then the device's.  Only the
-        expanding-radius core-distance counting can fan out — the kNN
-        gather and the Borůvka sweeps use stateful early-exit and
-        component masks, so they stay serial under every backend; results
-        are identical regardless.
     """
     X = validate_points(X)
     if min_cluster_size < 2:
@@ -213,8 +205,6 @@ def hdbscan(
     tree, reused = index.points_tree(dev)
     if traversal is None:
         traversal = index.traversal or "single"
-    if backend is None:
-        backend = getattr(index, "backend", None)
     core = core_distances(
         tree,
         X,
@@ -222,7 +212,6 @@ def hdbscan(
         device=dev,
         query_order=query_order,
         traversal=traversal,
-        backend=backend,
     )
     t1 = time.perf_counter()
     mst = _mreach_mst(X, core, tree, mst_algorithm, dev, traversal, query_order)
@@ -239,7 +228,6 @@ def hdbscan(
         "min_samples": min_samples,
         "mst_algorithm": mst_algorithm,
         "traversal": traversal,
-        "backend": getattr(backend, "name", backend) or "serial",
         "index": index,
         "index_reused": reused,
         "t_core": t1 - t0,
@@ -265,7 +253,6 @@ def dbscan_star_cut(
     traversal: str | None = None,
     query_order: str = "input",
     index: DBSCANIndex | None = None,
-    backend=None,
 ) -> np.ndarray:
     """DBSCAN* labels obtained by cutting the density hierarchy at ``eps``.
 
@@ -286,8 +273,6 @@ def dbscan_star_cut(
     tree, _ = index.points_tree(dev)
     if traversal is None:
         traversal = index.traversal or "single"
-    if backend is None:
-        backend = getattr(index, "backend", None)
     core = core_distances(
         tree,
         X,
@@ -295,7 +280,6 @@ def dbscan_star_cut(
         device=dev,
         query_order=query_order,
         traversal=traversal,
-        backend=backend,
     )
     mst = _mreach_mst(X, core, tree, mst_algorithm, dev, traversal, query_order)
 

@@ -102,14 +102,6 @@ class ServiceConfig:
     #: the request ledger for ``last:N``-window objectives), reported by
     #: ``/healthz``, ``/metrics`` gauges and traffic reports.
     slos: tuple = DEFAULT_SLOS
-    #: Execution backend for the service device: ``"serial"`` runs
-    #: traversals in-process, ``"process"`` fans eligible chunk frontiers
-    #: over the shared worker pool (see :mod:`repro.device.backends`) —
-    #: labels and counters stay bit-identical either way.
-    backend: str = "serial"
-    #: Worker-process count for ``backend="process"`` (``None`` = the
-    #: backend default).
-    workers: int | None = None
     #: Bound on the per-request structured event ring (and the JSONL
     #: event file's line cap; see :mod:`repro.service.events`).
     event_log_maxlen: int = DEFAULT_EVENT_MAXLEN
@@ -152,12 +144,6 @@ class ClusteringService:
         self.clock = clock if clock is not None else SimClock()
         self._started = time.monotonic()
         self.device = device or Device(name="service")
-        if str(self.config.backend) != "serial":
-            from repro.device.backends import coerce_backend
-
-            self.device.backend = coerce_backend(
-                self.config.backend, workers=self.config.workers
-            )
         self.fault_plan = fault_plan
         self.retry_policy = retry_policy or RetryPolicy()
         self.tracer = tracer if tracer is not None else NULL_TRACER
@@ -683,7 +669,6 @@ class ClusteringService:
         model = self.config.cost_model
         return {
             "seq": self.seq,
-            "backend": getattr(self.device.backend, "name", None) or "serial",
             "indexes": {name: si.stats() for name, si in self.indexes.items()},
             "breakers": {
                 name: {"state": b.state, "trips": b.trips}

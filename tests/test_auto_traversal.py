@@ -5,7 +5,7 @@ and dual engines with the cost model and runs the cheaper one.  Its
 whole contract is that this choice is pure scheduling — labels,
 ``distance_evals`` and every other work counter must equal the single
 engine's bit for bit across every scheduling knob (query order, chunk
-size, backend, dimension), and the same inputs plus the same cost model
+size, dimension), and the same inputs plus the same cost model
 must always produce the same per-chunk decisions.  These tests pin both
 halves of the contract, the Morton-schedule cache that feeds it, and
 the CI smoke gates that price auto's regret.
@@ -25,15 +25,7 @@ from repro.bvh.traversal import for_each_leaf_hit, query_schedule
 from repro.core.densebox import fdbscan_densebox
 from repro.core.fdbscan import fdbscan
 from repro.core.index import DBSCANIndex
-from repro.device.backends import ProcessBackend
 from repro.device.device import Device
-
-
-@pytest.fixture(scope="module")
-def pool():
-    bk = ProcessBackend(workers=2)
-    yield bk
-    bk.close()
 
 
 def _clustered(n: int = 700, d: int = 2, seed: int = 11) -> np.ndarray:
@@ -49,10 +41,9 @@ def _clustered(n: int = 700, d: int = 2, seed: int = 11) -> np.ndarray:
     )
 
 
-def _run(X, traversal, backend=None, **kwargs):
+def _run(X, traversal, **kwargs):
     dev = Device()
-    res = fdbscan(X, 0.25, 5, device=dev, traversal=traversal,
-                  backend=backend, **kwargs)
+    res = fdbscan(X, 0.25, 5, device=dev, traversal=traversal, **kwargs)
     return res, dev
 
 
@@ -85,23 +76,6 @@ class TestAutoParity:
         for counter in ("distance_evals", "scatter_adds", "pairs_processed"):
             assert adev.counters.snapshot().get(counter) == \
                 bdev.counters.snapshot().get(counter), counter
-
-    def test_auto_process_backend_matches_serial(self, pool):
-        X = _clustered()
-        serial, sdev = _run(X, "auto", chunk_size=150)
-        proc, pdev = _run(X, "auto", backend=pool, chunk_size=150)
-        assert np.array_equal(proc.labels, serial.labels)
-        scount = sdev.counters.snapshot()
-        pcount = pdev.counters.snapshot()
-        # full snapshot equality, auto decision counters included: the
-        # parent-side chooser must reproduce the serial loop's decisions.
-        # kernel_launches alone may differ — the serial dispatcher wraps
-        # each chunk in its own launch, the process backend batches them —
-        # which is launch accounting, not work.
-        for key in set(scount) | set(pcount):
-            if key == "kernel_launches":
-                continue
-            assert scount.get(key, 0) == pcount.get(key, 0), key
 
     def test_auto_densebox_matches_single(self):
         X = _clustered()

@@ -172,7 +172,7 @@ def per_query_case(rng, d=2):
     return np.concatenate([X, lattice]), np.concatenate([radii, lat_r])
 
 
-def hit_stream(tree, X, eps, traversal, config="plain", backend=None, chunk_size=97,
+def hit_stream(tree, X, eps, traversal, config="plain", chunk_size=97,
                query_order="input"):
     """Run one traversal; return its concatenated hit stream and counters.
 
@@ -201,7 +201,7 @@ def hit_stream(tree, X, eps, traversal, config="plain", backend=None, chunk_size
     dev = Device(name=f"pq-{traversal}")
     for_each_leaf_hit(
         tree, X, eps, on_hits, device=dev, chunk_size=chunk_size,
-        query_order=query_order, traversal=traversal, backend=backend, **kw,
+        query_order=query_order, traversal=traversal, **kw,
     )
     q = np.concatenate([h[0] for h in hits]) if hits else np.zeros(0, np.int64)
     p = np.concatenate([h[1] for h in hits]) if hits else np.zeros(0, np.int64)
