@@ -138,13 +138,14 @@ def choose_engine(
     group size, the cost model's rates): the same chunk always gets the
     same engine, which is what makes ``auto`` runs reproducible.
 
-    ``component_masked`` chunks (Borůvka's nearest-other-component
-    searches and the pruned main phases of FDBSCAN and DenseBox) always
-    go single: the single engine drops a query at the first subtree
-    uniform in its own component, while a query group drops a subtree
-    only where every member shares that component.  Measured on ngsim n=4000: Borůvka
-    launches ran 2.5–4× slower under dual, FDBSCAN's main phase
-    0.083 s dual against 0.023 s single (eps 0.005, minpts 5).
+    ``component_masked`` chunks (the pruned main phases of FDBSCAN and
+    DenseBox) always go single: the single engine drops a query at the
+    first subtree uniform in its own component, while a query group
+    drops a subtree only where every member shares that component.
+    Measured on ngsim n=4000: FDBSCAN's main phase took 0.083 s dual
+    against 0.023 s single (eps 0.005, minpts 5).  Borůvka's
+    nearest-other-component searches never reach this chooser; they
+    always run the single engine.
     """
     cn, d = chunk_points.shape
     n = max(int(tree.n_primitives), 1)

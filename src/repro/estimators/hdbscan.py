@@ -34,7 +34,8 @@ class HDBSCAN(BaseEstimator):
         reference); identical dendrogram heights up to tie-permutation.
     traversal:
         ``"single"``/``"dual"`` wavefront engine for the core-distance
-        and Borůvka traversals; ``None`` = engine default.
+        traversals (Borůvka always runs single); ``None`` = engine
+        default.
     query_order:
         ``"input"`` or ``"morton"`` traversal scheduling.
     device:

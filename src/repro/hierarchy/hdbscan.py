@@ -42,7 +42,6 @@ def _mreach_mst(
     tree,
     mst_algorithm: str,
     dev: Device,
-    traversal: str,
     query_order: str,
 ) -> np.ndarray:
     """Dispatch to the requested mutual-reachability MST engine.
@@ -56,7 +55,6 @@ def _mreach_mst(
             core,
             tree=tree,
             device=dev,
-            traversal=traversal,
             query_order=query_order,
         )
     if mst_algorithm == "prim":
@@ -178,8 +176,9 @@ def hdbscan(
         tie-permutation.
     traversal:
         ``"single"``/``"dual"``/``"auto"`` wavefront engine for the
-        core-distance and Borůvka traversals; ``None`` defers to the
-        index's stored preference (default ``"single"``).
+        core-distance traversals; ``None`` defers to the index's stored
+        preference (default ``"single"``).  Borůvka's component-masked
+        searches always run the single engine.
     query_order:
         ``"input"`` or ``"morton"`` traversal scheduling.
     index:
@@ -214,7 +213,7 @@ def hdbscan(
         traversal=traversal,
     )
     t1 = time.perf_counter()
-    mst = _mreach_mst(X, core, tree, mst_algorithm, dev, traversal, query_order)
+    mst = _mreach_mst(X, core, tree, mst_algorithm, dev, query_order)
     Z = single_linkage_dendrogram(mst, n)
     t2 = time.perf_counter()
     condensed = condense_dendrogram(Z, n, min_cluster_size)
@@ -281,7 +280,7 @@ def dbscan_star_cut(
         query_order=query_order,
         traversal=traversal,
     )
-    mst = _mreach_mst(X, core, tree, mst_algorithm, dev, traversal, query_order)
+    mst = _mreach_mst(X, core, tree, mst_algorithm, dev, query_order)
 
     eligible = core <= eps  # DBSCAN* core points
     uf = EclUnionFind(n, device=dev)

@@ -4,8 +4,8 @@ The exchange property guarantees every MST of a graph has the same sorted
 weight multiset, and this repository's Borůvka breaks weight ties by the
 strict total order ``(w, min(a, b), max(a, b))`` — so the tests can (and
 do) demand *bit-equality*: identical sorted weights, identical
-single-linkage dendrogram heights, identical edge sets across traversal
-engines and scheduling knobs.  The pruning claim is asserted directly on
+single-linkage dendrogram heights, identical edge sets across scheduling
+knobs, and the edge set of a dense strict-order reference.  The pruning claim is asserted directly on
 the kernel counters: the Borůvka traversal's distance evaluations must
 stay a small fraction of Prim's unconditional ``n * (n - 1)``.
 """
@@ -28,7 +28,7 @@ from repro.hierarchy import (
     single_linkage_dendrogram,
 )
 from repro.bvh.traversal import refresh_node_components
-from repro.hierarchy.boruvka import _ladder_up
+from repro.datasets.registry import load_dataset
 from repro.metrics import partitions_equal
 
 
@@ -56,6 +56,34 @@ def _normalised_edges(mst):
     u, v = np.minimum(a, b), np.maximum(a, b)
     rows = np.column_stack([w, u, v])
     return rows[np.lexsort((v, u, w))]
+
+
+def _dense_strict_mst(X, core):
+    """Borůvka over the full mutual-reachability matrix, every choice made
+    under the strict order ``(w, u, v)``: the unique MST under that order,
+    as ``_normalised_edges`` rows.  Weights are computed as the BVH
+    search computes them (``sqrt`` of the summed squared differences)."""
+    n = X.shape[0]
+    diff = X[:, None, :] - X[None, :, :]
+    W = np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))
+    W = np.maximum(W, np.maximum(core[:, None], core[None, :]))
+    u, v = np.triu_indices(n, 1)
+    w = W[u, v]
+    comp = np.arange(n)
+    edges = []
+    while len(edges) < n - 1:
+        cross = comp[u] != comp[v]
+        cw, cu, cv = np.tile(w[cross], 2), np.tile(u[cross], 2), np.tile(v[cross], 2)
+        owner = np.concatenate([comp[u[cross]], comp[v[cross]]])
+        s = np.lexsort((cv, cu, cw, owner))
+        first = np.ones(s.size, dtype=bool)
+        first[1:] = owner[s[1:]] != owner[s[:-1]]
+        for e in sorted(set(zip(cw[s[first]], cu[s[first]], cv[s[first]]))):
+            a, b = comp[e[1]], comp[e[2]]
+            if a != b:
+                edges.append(e)
+                comp[comp == max(a, b)] = min(a, b)
+    return np.array(sorted(edges))
 
 
 def _both_msts(X, minpts, **boruvka_kwargs):
@@ -136,16 +164,14 @@ class TestEquivalence:
         ref, got = _both_msts(X, 4)
         np.testing.assert_array_equal(np.sort(got[:, 2]), np.sort(ref[:, 2]))
 
-    @pytest.mark.parametrize("traversal", ["single", "dual"])
     @pytest.mark.parametrize("query_order", ["input", "morton"])
-    def test_scheduling_invariance(self, rng, traversal, query_order):
+    def test_scheduling_invariance(self, rng, query_order):
         X = _clustered(rng, 140)
         tree = _tree_over(X)
         core = core_distances(tree, X, 5)
         base = mutual_reachability_mst_boruvka(X, core, tree=tree)
         got = mutual_reachability_mst_boruvka(
-            X, core, tree=tree, traversal=traversal,
-            query_order=query_order, chunk_size=64,
+            X, core, tree=tree, query_order=query_order, chunk_size=64,
         )
         np.testing.assert_array_equal(_normalised_edges(got), _normalised_edges(base))
 
@@ -157,6 +183,53 @@ class TestEquivalence:
         X = rng.uniform(0, 4, (n, int(rng.integers(1, 4))))
         ref, got = _both_msts(X, minpts)
         np.testing.assert_array_equal(np.sort(got[:, 2]), np.sort(ref[:, 2]))
+
+
+class TestStrictOrder:
+    """The edge set itself, not only the weights, is the strict-order MST,
+    including among the many ties that core distances create."""
+
+    @pytest.mark.parametrize(
+        "name,seed", [("road3d", 3), ("portotaxi", 1), ("hacc", 1)]
+    )
+    def test_matches_dense_oracle(self, name, seed):
+        X = load_dataset(name, n=500, seed=seed)
+        tree = _tree_over(X)
+        core = core_distances(tree, X, 5)
+        got = mutual_reachability_mst_boruvka(X, core, tree=tree)
+        np.testing.assert_array_equal(
+            _normalised_edges(got), _dense_strict_mst(X, core)
+        )
+
+    def test_power_of_two_lattice_with_duplicates(self):
+        g = np.arange(8) * 0.25
+        lattice = np.array(np.meshgrid(g, g)).reshape(2, -1).T
+        X = np.vstack([lattice, lattice[::3]])
+        tree = _tree_over(X)
+        core = core_distances(tree, X, 4)
+        got = mutual_reachability_mst_boruvka(X, core, tree=tree)
+        np.testing.assert_array_equal(
+            _normalised_edges(got), _dense_strict_mst(X, core)
+        )
+
+    def test_radius_pad_reaches_the_boundary_edge(self):
+        # Points 0 and 1 sit at squared distance D with fl(r*r) < D for
+        # r = fl(sqrt(D)); every core is r, so all three edges weigh r and
+        # the strict order keeps (0, 1).  A search launched at exactly r
+        # misses point 1 from point 0 (and 0 from 1) while the midpoint 2
+        # is hit, which would pick (1, 2) in place of (0, 1).
+        X = np.array([[0.0, 0.0], [1.0, 0.6369616873214543], [0.5, 0.3]])
+        d2 = float(np.einsum("ij,ij->i", X[1:2], X[1:2])[0])
+        r = np.sqrt(d2)
+        assert r * r < d2
+        core = np.full(3, r)
+        got = mutual_reachability_mst_boruvka(X, core)
+        np.testing.assert_array_equal(
+            _normalised_edges(got), [[r, 0.0, 1.0], [r, 0.0, 2.0]]
+        )
+        np.testing.assert_array_equal(
+            _normalised_edges(got), _dense_strict_mst(X, core)
+        )
 
 
 class TestValidationAndEdges:
@@ -226,22 +299,6 @@ class TestPruning:
 
 
 class TestHelpers:
-    def test_ladder_up_round_trip(self):
-        anchor = 0.375
-        vals = anchor * np.exp2(np.array([-3.0, 0.0, 2.0, 7.0]))
-        np.testing.assert_array_equal(_ladder_up(vals, anchor), vals)
-
-    def test_ladder_up_bounds(self, rng):
-        anchor = 0.7
-        vals = rng.uniform(1e-6, 1e3, 256)
-        out = _ladder_up(vals, anchor)
-        assert np.all(out >= vals)
-        assert np.all(out < 2.0 * vals)
-
-    def test_ladder_up_zeros_stay_zero(self):
-        out = _ladder_up(np.array([0.0, 1.0]), 0.5)
-        assert out[0] == 0.0 and out[1] > 0
-
     def test_refresh_node_components(self, rng):
         X = rng.uniform(0, 1, (32, 2))
         tree = _tree_over(X)
@@ -268,6 +325,16 @@ class TestPipelineIntegration:
         everyone = np.ones(X.shape[0], dtype=bool)
         assert partitions_equal(fast.labels, ref.labels, everyone)
         np.testing.assert_allclose(fast.probabilities, ref.probabilities)
+
+    def test_hdbscan_traversal_invariance(self):
+        # traversal= steers only the core-distance kNN; every engine
+        # yields the same core distances, hence the same hierarchy
+        X = load_dataset("ngsim", n=300, seed=2)
+        base = hdbscan(X, min_cluster_size=5, traversal="single")
+        for traversal in ("dual", "auto"):
+            got = hdbscan(X, min_cluster_size=5, traversal=traversal)
+            np.testing.assert_array_equal(got.labels, base.labels)
+            np.testing.assert_array_equal(got.probabilities, base.probabilities)
 
     def test_dbscan_star_cut_engines_agree(self, rng):
         X = _clustered(rng, 160)
