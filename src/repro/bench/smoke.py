@@ -38,25 +38,6 @@ An every-engine sweep also gates the **auto chooser**:
   always-single (on the clustered cells the baseline commits precisely
   so dual can win) fails CI even though its results stay correct.
 
-When a fitted cost-model artifact is present (``COSTMODEL.json`` next to
-the baseline file by default, or ``BENCH_SMOKE_COSTMODEL``), the smoke
-additionally gates the
-**cost model's freshness** against the committed baseline — both checks
-machine-independent, so they hold on any CI runner:
-
-- the artifact's source fingerprint must equal the baseline's own row
-  fingerprint (an artifact fitted from a *different* sweep is stale and
-  must be refit with ``repro bench ... --fit-cost-model``);
-- ``drift()`` over the baseline's merged kernel profile must report no
-  alarms at the artifact's committed tolerance (the fit's calibration
-  makes a fresh artifact exactly drift-free here, so any alarm means
-  artifact and baseline diverged).
-
-Setting ``BENCH_SMOKE_DRIFT_TOLERANCE`` additionally drifts the model
-against the *fresh rerun's* profile — a machine-dependent check (wall
-seconds move with the runner), so it is opt-in and needs a generous
-tolerance.
-
 A baseline that includes hierarchy cells (``--algorithms ...,hdbscan``)
 replays the full hierarchy path — BVH core distances, BVH-Borůvka
 mutual-reachability MST, condensed-tree extraction — and the smoke
@@ -102,14 +83,6 @@ AUTO_REGRET_ENV = "BENCH_SMOKE_AUTO_REGRET"
 #: Cells whose better engine finishes faster than this are exempt from
 #: the regret gate — their wall is dominated by launch noise.
 AUTO_REGRET_FLOOR_SECONDS = 0.05
-
-#: Fitted cost-model artifact the smoke gates on (skipped when absent).
-COSTMODEL_ENV = "BENCH_SMOKE_COSTMODEL"
-DEFAULT_COSTMODEL = "COSTMODEL.json"
-
-#: Opt-in tolerance for drifting the model against the *fresh* rerun's
-#: profile (machine-dependent — wall seconds move with the runner).
-DRIFT_TOLERANCE_ENV = "BENCH_SMOKE_DRIFT_TOLERANCE"
 
 #: Alarm categories that fail the smoke run.
 ALARM_KINDS = ("regressions", "rate_regressions", "status_changes", "result_changes")
@@ -220,7 +193,7 @@ def auto_selection_alarms(records) -> list[str]:
     )
     return [
         f"auto never selected the dual engine across {len(deciding)} deciding "
-        f"cell(s) ({cells}) — the cost-model chooser has degenerated to "
+        f"cell(s) ({cells}) — the chooser has degenerated to "
         f"always-single"
     ]
 
@@ -302,53 +275,6 @@ def dual_ratio_alarms(records, threshold: float) -> list[str]:
     return alarms
 
 
-def costmodel_alarms(baseline, records, costmodel_path: str) -> list[str]:
-    """Freshness alarms for a committed cost-model artifact.
-
-    Machine-independent: the artifact must have been fitted from exactly
-    the committed baseline's profile rows (fingerprint equality), and its
-    ``drift()`` over that same baseline must be alarm-free at the
-    committed tolerance — the fit's per-kernel calibration makes a fresh
-    artifact satisfy both by construction.  With
-    ``BENCH_SMOKE_DRIFT_TOLERANCE`` set, the *fresh rerun's* merged
-    profile is drifted too (machine-dependent, opt-in).
-    """
-    from repro.bench.report import merge_kernel_profiles
-    from repro.obs.fit import FittedCostModel, fit_rows, rows_fingerprint
-
-    model = FittedCostModel.load(costmodel_path)
-    alarms: list[str] = []
-    ok_baseline = [r for r in baseline if r.status == "ok" and r.kernels]
-    expected = rows_fingerprint(fit_rows([r.kernels for r in ok_baseline]))
-    if expected != model.source_fingerprint:
-        alarms.append(
-            f"stale artifact: {costmodel_path} was fitted from "
-            f"{model.source_fingerprint[:12]} but the baseline's rows "
-            f"fingerprint is {expected[:12]} — refit with "
-            f"'repro bench ... --fit-cost-model'"
-        )
-    drift = model.drift(merge_kernel_profiles(ok_baseline))
-    for row in drift["alarms"]:
-        alarms.append(
-            f"baseline drift: {row['kernel']} observed {row['observed']:.4g}s "
-            f"vs predicted {row['predicted']:.4g}s (ratio {row['ratio']:.3f}, "
-            f"tolerance {drift['tolerance']:g})"
-        )
-    raw = os.environ.get(DRIFT_TOLERANCE_ENV)
-    if raw:
-        fresh = model.drift(
-            merge_kernel_profiles([r for r in records if r.status == "ok"]),
-            tolerance=float(raw),
-        )
-        for row in fresh["alarms"]:
-            alarms.append(
-                f"fresh-run drift: {row['kernel']} observed "
-                f"{row['observed']:.4g}s vs predicted {row['predicted']:.4g}s "
-                f"(ratio {row['ratio']:.3f}, tolerance {float(raw):g})"
-            )
-    return alarms
-
-
 def _strip_option(argv: list[str], name: str) -> list[str]:
     """Drop ``name`` (and its separate value token, if any) from argv."""
     out: list[str] = []
@@ -396,10 +322,8 @@ def run_smoke(
     if not argv:
         print(f"error: {baseline_path} has no meta['argv'] to replay", file=sys.stderr)
         return 2
-    # The smoke run must never overwrite the baseline, re-enter compare,
-    # or rewrite the committed cost-model artifact.
+    # The smoke run must never overwrite the baseline or re-enter compare.
     argv = _strip_option(_strip_option(list(argv), "--save"), "--compare")
-    argv = _strip_option(argv, "--fit-cost-model")
     args = _sweep_args(argv)
     X = _load_input(args)
     if args.minpts_sweep:
@@ -467,16 +391,6 @@ def run_smoke(
         mst_ratio = _mst_ratio_threshold()
         for entry in mst_ratio_alarms(records, mst_ratio):
             print(f"  mst_ratio_regression: {entry}")
-            failed = True
-    # Default artifact location: next to the baseline file, so smoking an
-    # unrelated baseline (e.g. a test fixture in a tmp dir) never gates
-    # against a stranger's committed artifact.
-    costmodel_path = os.environ.get(COSTMODEL_ENV) or os.path.join(
-        os.path.dirname(baseline_path) or ".", DEFAULT_COSTMODEL
-    )
-    if os.path.exists(costmodel_path):
-        for entry in costmodel_alarms(baseline, records, costmodel_path):
-            print(f"  costmodel: {entry}")
             failed = True
     if not failed:
         print("  ok: no wall, rate, status or result regressions")

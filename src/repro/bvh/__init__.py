@@ -34,7 +34,7 @@ vectorised reproduction:
     interface: ``traversal="single"`` (one frontier row per query) and
     ``traversal="dual"`` (dual-tree: whole query-BVH nodes pruned per tree
     node in one box test), plus ``traversal="auto"`` which picks between
-    them per chunk from the fitted cost model.
+    them per chunk from predicted costs.
 
 ``qgroups``
     The query-side BVH backing the dual engine: density-adaptive groups of
@@ -43,8 +43,8 @@ vectorised reproduction:
 
 ``autotune``
     The ``traversal="auto"`` chooser: prices both engines from tree
-    statistics, query-set dispersion and the fitted cost model's
-    per-counter rates, then dispatches each chunk to the cheaper one.
+    statistics and query-set dispersion at built-in per-counter rates,
+    then dispatches each chunk to the cheaper one.
 
 ``statistics``
     Tree-shape summaries (depths, SAH cost, sibling overlap) feeding the

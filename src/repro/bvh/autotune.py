@@ -1,4 +1,4 @@
-"""Cost-model-driven engine choice for ``traversal="auto"``.
+"""Predicted-cost engine choice for ``traversal="auto"``.
 
 ``auto`` is not a third traversal engine: it is a *scheduler* that, for
 each query chunk, predicts what the single and dual engines would cost
@@ -23,11 +23,9 @@ exactly when aggregation wins.  When a group reaches much farther than
 one member's ball (:data:`DUAL_MAX_WIDENING`), its members share little
 and the chunk goes single whatever the counts say.
 
-Predicted counts are priced with the fitted cost model's marginal rates
-(:class:`repro.obs.fit.FittedCostModel`; the per-kernel entry when one
-exists) so the engine choice tracks the *measured* cost of a frontier
-pair on this machine; without a model, built-in rates keep the decision
-well-defined (and deterministic — same inputs, same choice, always).
+Predicted counts are priced with built-in marginal rates
+(:data:`DEFAULT_RATES`, :data:`DEFAULT_PER_LAUNCH`), so the decision is
+deterministic: same inputs, same choice, always.
 """
 
 from __future__ import annotations
@@ -37,12 +35,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-#: Fallback marginal rates (seconds per counted unit) when no fitted cost
-#: model is available, in the rough proportion the vectorised engines
-#: exhibit: a frontier pair costs more than a leaf distance test because
-#: it carries the gather/compact bookkeeping.
+#: Marginal rates (seconds per counted unit) in the rough proportion the
+#: vectorised engines exhibit: a frontier pair costs more than a leaf
+#: distance test because it carries the gather/compact bookkeeping.
 DEFAULT_RATES = {"nodes_visited": 1.5e-7, "distance_evals": 8.0e-8}
-#: Fallback per-launch overhead (seconds).
+#: Per-launch overhead (seconds).
 DEFAULT_PER_LAUNCH = 5.0e-5
 
 #: Multiplier on the dual engine's predicted (query node, tree node)
@@ -87,31 +84,6 @@ class EngineDecision:
         )
 
 
-def _marginal_rate(cost_model, counter: str, kernel: str) -> float:
-    """The model's marginal seconds-per-unit for one counter (0 launches
-    isolates the linear term), falling back to the built-in rate when the
-    model is absent or assigns the counter no cost."""
-    if cost_model is not None:
-        try:
-            rate = float(cost_model.predict({counter: 1.0}, kernel, 0.0))
-        except Exception:
-            rate = 0.0
-        if rate > 0.0:
-            return rate
-    return DEFAULT_RATES[counter]
-
-
-def _per_launch(cost_model, kernel: str) -> float:
-    if cost_model is not None:
-        try:
-            rate = float(cost_model.predict({}, kernel, 1.0))
-        except Exception:
-            rate = 0.0
-        if rate > 0.0:
-            return rate
-    return DEFAULT_PER_LAUNCH
-
-
 def _leaf_overlap(a: float, extents: np.ndarray, diameter: float) -> float:
     """Expected leaves touched by a query of the given search *diameter*:
     ``prod_j min(a, diameter/E_j · a + 1)`` with ``a`` leaves per axis."""
@@ -127,16 +99,14 @@ def choose_engine(
     chunk_points: np.ndarray,
     eps: float,
     group_size: int,
-    cost_model=None,
-    kernel_name: str = "bvh_traverse",
     tree_stats=None,
     component_masked: bool = False,
 ) -> EngineDecision:
     """Pick ``"single"`` or ``"dual"`` for one chunk of queries.
 
     A pure function of its inputs (tree geometry, chunk geometry, eps,
-    group size, the cost model's rates): the same chunk always gets the
-    same engine, which is what makes ``auto`` runs reproducible.
+    group size): the same chunk always gets the same engine, which is
+    what makes ``auto`` runs reproducible.
 
     ``component_masked`` chunks (the pruned main phases of FDBSCAN and
     DenseBox) always go single: the single engine drops a query at the
@@ -178,9 +148,9 @@ def choose_engine(
     nv_dual = DUAL_PAIR_FACTOR * (cn / gs) * (2.0 * l_dual + depth)
     member_work = DUAL_MEMBER_FACTOR * leaf_tests
 
-    r_nv = _marginal_rate(cost_model, "nodes_visited", kernel_name)
-    r_de = _marginal_rate(cost_model, "distance_evals", kernel_name)
-    launch = _per_launch(cost_model, kernel_name)
+    r_nv = DEFAULT_RATES["nodes_visited"]
+    r_de = DEFAULT_RATES["distance_evals"]
+    launch = DEFAULT_PER_LAUNCH
     pred_single = launch + r_nv * nv_single + r_de * leaf_tests
     pred_dual = launch + r_nv * (nv_dual + member_work) + r_de * leaf_tests
 

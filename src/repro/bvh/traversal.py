@@ -53,7 +53,7 @@ levers shape the constant factors without changing any result:
   the (queries × visited nodes) box-test bill to (query nodes × visited
   nodes) while reproducing the single engine's hits, labels and
   ``distance_evals`` bit-for-bit.  ``traversal="auto"`` is not an engine
-  but a plan: the planner prices each chunk with the fitted cost model
+  but a plan: the planner prices each chunk with built-in rates
   (:mod:`repro.bvh.autotune`) and assigns it the cheaper engine.
 """
 
@@ -92,7 +92,7 @@ QUERY_ORDERS = ("input", "morton")
 #: per query; ``"dual"`` aggregates Morton-adjacent queries into a query
 #: BVH and prunes whole query nodes per tree node (see
 #: :func:`_dual_chunk`); ``"auto"`` picks single or dual *per chunk*
-#: from the cost model's predicted work (see :mod:`repro.bvh.autotune`) —
+#: from its predicted work (see :mod:`repro.bvh.autotune`) —
 #: a pure scheduling choice, results are bit-identical regardless.
 TRAVERSALS = ("single", "dual", "auto")
 
@@ -296,9 +296,7 @@ def chunk_plan(
     query_order: str,
     chunk_size: int | None,
     device: Device,
-    kernel_name: str,
     morton_schedule: np.ndarray | None = None,
-    cost_model=None,
     tree_stats=None,
     component_masked: bool = False,
 ) -> ChunkPlan:
@@ -336,8 +334,8 @@ def chunk_plan(
         if traversal == "auto":
             radius = float(eps[ids].max()) if isinstance(eps, np.ndarray) else eps
             decision = choose_engine(
-                tree, queries[ids], radius, DEFAULT_GROUP_SIZE, cost_model,
-                kernel_name, tree_stats, component_masked,
+                tree, queries[ids], radius, DEFAULT_GROUP_SIZE, tree_stats,
+                component_masked,
             )
             device.counters.add(f"auto_{decision.engine}_chunks", 1)
             device.counters.add(
@@ -437,7 +435,6 @@ def for_each_leaf_hit(
     node_components: np.ndarray | None = None,
     watchdog: Callable[[], None] | None = None,
     morton_schedule: np.ndarray | None = None,
-    cost_model=None,
     tree_stats=None,
 ) -> TraversalResult:
     """Stream every ``(query, leaf)`` pair within ``eps`` to ``callback``.
@@ -538,13 +535,11 @@ def for_each_leaf_hit(
         recomputing the codes here.  Used whenever the plan needs a
         Morton order (``query_order="morton"`` or the dual/auto
         traversals); ignored otherwise.
-    cost_model / tree_stats:
-        ``traversal="auto"`` inputs: a fitted cost model (duck-typed
-        :class:`repro.obs.fit.FittedCostModel`; ``None`` falls back to
-        built-in rates) pricing the planner's per-chunk engine choice,
-        and the tree's :class:`repro.bvh.statistics.TreeStats` feeding
-        the predicted frontier sizes.  Both are advisory — they steer the
-        scheduling decision only, never any result.
+    tree_stats:
+        ``traversal="auto"`` input: the tree's
+        :class:`repro.bvh.statistics.TreeStats`, feeding the planner's
+        predicted frontier sizes.  Advisory — it steers the per-chunk
+        engine choice only, never any result.
 
     Returns
     -------
@@ -577,8 +572,7 @@ def for_each_leaf_hit(
         watchdog()
     plan = chunk_plan(
         tree, queries, eps, traversal, query_order, chunk_size, dev,
-        kernel_name, morton_schedule, cost_model, tree_stats,
-        component_of is not None,
+        morton_schedule, tree_stats, component_of is not None,
     )
     return run_chunks(
         tree, queries, eps, plan, callback,
@@ -1178,7 +1172,6 @@ def count_within(
     traversal: str = "single",
     watchdog: Callable[[], None] | None = None,
     morton_schedule: np.ndarray | None = None,
-    cost_model=None,
     tree_stats=None,
 ) -> np.ndarray:
     """Count leaves within ``eps`` of each query (point-leaf trees).
@@ -1242,7 +1235,7 @@ def count_within(
         watchdog()
     plan = chunk_plan(
         tree, queries, eps, traversal, query_order, chunk_size, dev,
-        "bvh_count", morton_schedule, cost_model, tree_stats,
+        morton_schedule, tree_stats,
     )
     if leaf_weights is None:
 

@@ -329,20 +329,6 @@ def _cmd_bench(args) -> int:
     if args.cost_model:
         print()
         print(format_cost_model(merge_kernel_profiles(records)))
-    if args.fit_cost_model:
-        from repro.obs.fit import fit_from_records, format_fit_summary
-
-        model = fit_from_records(records)
-        model.save(args.fit_cost_model)
-        print()
-        print(format_fit_summary(model))
-        # A freshly fitted model must be drift-free against its own
-        # sources — the calibration guarantees it; anything else is a bug.
-        self_drift = model.drift(merge_kernel_profiles(records))
-        if self_drift["alarms"]:
-            print(f"warning: self-drift alarms on fresh fit: {self_drift['alarms']}",
-                  file=sys.stderr)
-        print(f"cost model written to {args.fit_cost_model}")
     trace_meta = _write_trace(args, tracer)
     if args.save:
         from repro.bench.history import save_records
@@ -396,21 +382,7 @@ def _cmd_serve(args) -> int:
     plan = None
     if args.faults:
         plan = FaultPlan(seed=args.fault_seed, spec=FaultSpec.parse(args.faults))
-    cost_model = None
-    if args.cost_model:
-        from repro.obs.fit import FittedCostModel
-
-        cost_model = FittedCostModel.load(args.cost_model)
-        print(
-            f"cost model {args.cost_model} "
-            f"(source {cost_model.source_fingerprint[:12]}, "
-            f"{len(cost_model.kernels)} kernels)",
-            file=sys.stderr,
-        )
-    config = ServiceConfig(
-        default_deadline_s=args.deadline,
-        cost_model=cost_model,
-    )
+    config = ServiceConfig(default_deadline_s=args.deadline)
 
     if args.traffic:
         report = run_traffic(
@@ -551,7 +523,7 @@ def build_parser() -> argparse.ArgumentParser:
             help="BVH traversal engine for the tree algorithms: 'single' "
             "keeps one frontier row per query, 'dual' prunes query-BVH "
             "groups against each node in one box test, 'auto' picks the "
-            "engine per chunk from the fitted cost model (identical "
+            "engine per chunk from predicted costs (identical "
             "labels and distance counts in every mode)"
             + ("; 'both' runs the sweep once per engine, auto included"
                if both else ""),
@@ -658,15 +630,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--compare", help="diff against a JSON file written by --save"
     )
     bench.add_argument(
-        "--fit-cost-model",
-        nargs="?",
-        const="COSTMODEL.json",
-        metavar="PATH",
-        help="fit the per-kernel linear cost model from this sweep's profiles "
-        "and write the artifact here (default: COSTMODEL.json); "
-        "`repro serve --cost-model PATH` prices admission from it",
-    )
-    bench.add_argument(
         "--cell-timeout", type=float, default=None,
         help="per-cell wall-second watchdog: a pathological cell is stopped "
         "mid-run and recorded as status='timeout' with partial counters",
@@ -716,12 +679,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve.add_argument(
         "--save", help="write the traffic report JSON to this file (--traffic)"
-    )
-    serve.add_argument(
-        "--cost-model", metavar="PATH",
-        help="price admission control from this fitted COSTMODEL.json "
-        "(written by `repro bench --fit-cost-model`) instead of the "
-        "hand-set per-point constants",
     )
     serve.add_argument(
         "--event-log", metavar="PATH",

@@ -33,7 +33,7 @@ from repro.core.index import DBSCANIndex
 from repro.core.labels import DBSCANResult
 from repro.core.validation import validate_params, validate_points
 from repro.device.device import Device
-from repro.grid.grid import build_grid, compact_cells
+from repro.grid.grid import GridOverflowError, build_grid, compact_cells
 
 #: Dense-cell point fraction at or above which the auto heuristic picks
 #: FDBSCAN-DenseBox.  Both main phases skip pairs already joined, so
@@ -63,8 +63,13 @@ def dense_fraction_estimate(X: np.ndarray, eps: float, min_samples: int) -> floa
 
 def choose_algorithm(X: np.ndarray, eps: float, min_samples: int) -> str:
     """The Section-6 switching heuristic: DenseBox when dense cells will
-    absorb a share of the points, FDBSCAN otherwise."""
-    frac = dense_fraction_estimate(X, eps, min_samples)
+    absorb a share of the points, FDBSCAN otherwise.  FDBSCAN also when
+    ``eps`` is too small for the data's extent to build DenseBox's grid
+    (:class:`~repro.grid.grid.GridOverflowError`): it needs no grid."""
+    try:
+        frac = dense_fraction_estimate(X, eps, min_samples)
+    except GridOverflowError:
+        return "fdbscan"
     return "fdbscan-densebox" if frac >= AUTO_DENSE_FRACTION_THRESHOLD else "fdbscan"
 
 

@@ -137,7 +137,6 @@ def fdbscan_densebox(
     pair_buffer: int | None = DEFAULT_PAIR_BUFFER,
     traversal: str | None = None,
     watchdog=None,
-    cost_model=None,
 ) -> DBSCANResult:
     """Cluster ``X`` with FDBSCAN-DenseBox.
 
@@ -191,8 +190,6 @@ def fdbscan_densebox(
     # mixed tree's shape differs from the points tree's, so the auto
     # chooser runs on its generic depth estimate (tree_stats=None).
     if traversal == "auto":
-        if cost_model is None:
-            cost_model = getattr(index, "cost_model", None)
         auto_before = {
             k: dev.counters.extra.get(k, 0)
             for k in ("auto_single_chunks", "auto_dual_chunks", "auto_pred_cost_us")
@@ -273,7 +270,6 @@ def fdbscan_densebox(
                 query_order=query_order,
                 traversal=traversal,
                 watchdog=watchdog,
-                cost_model=cost_model,
             )
             is_core[deco.isolated_idx] = counts >= minpts
             if not early_exit:
@@ -345,7 +341,6 @@ def fdbscan_densebox(
         chunk_size=chunk_size,
         traversal=traversal,
         watchdog=watchdog,
-        cost_model=cost_model,
     )
     resolver.finalize()
     t3 = time.perf_counter()

@@ -69,7 +69,6 @@ def fdbscan(
     pair_buffer: int | None = DEFAULT_PAIR_BUFFER,
     traversal: str | None = None,
     watchdog=None,
-    cost_model=None,
 ) -> DBSCANResult:
     """Cluster ``X`` with FDBSCAN.
 
@@ -123,7 +122,7 @@ def fdbscan(
     traversal:
         Traversal engine for both phases: ``"single"`` (per-query
         frontier), ``"dual"`` (dual-tree query-BVH pruning) or ``"auto"``
-        (per-chunk engine choice from the cost model); ``None`` defers to
+        (per-chunk engine choice from predicted costs); ``None`` defers to
         the index's stored preference (default ``"single"``).  Labels and
         ``distance_evals`` are bit-identical between engines, so the
         choice is pure scheduling.
@@ -131,11 +130,6 @@ def fdbscan(
         Optional zero-argument callable polled once per traversal
         wavefront step in both phases (a deadline's
         :meth:`~repro.faults.Deadline.check`); aborts by raising.
-    cost_model:
-        Fitted cost model feeding ``traversal="auto"``'s per-chunk engine
-        choice (duck-typed :class:`repro.obs.fit.FittedCostModel`);
-        ``None`` defers to the index's stored model, then built-in rates.
-        Advisory only — never affects results.
 
     Returns
     -------
@@ -164,14 +158,12 @@ def fdbscan(
     info["traversal"] = traversal
     # Scheduling inputs: the cached Morton schedule (the queries *are* the
     # indexed points here) whenever preprocessing will use a Morton order,
-    # and the auto chooser's cost model + tree statistics for both phases.
+    # and the auto chooser's tree statistics for both phases.
     morton_schedule = None
     if traversal in ("dual", "auto") or query_order == "morton":
         morton_schedule = index.morton_schedule(dev)
     tree_stats = None
     if traversal == "auto":
-        if cost_model is None:
-            cost_model = getattr(index, "cost_model", None)
         tree_stats = index.tree_statistics(dev)
         auto_before = {
             k: dev.counters.extra.get(k, 0)
@@ -198,7 +190,6 @@ def fdbscan(
             traversal=traversal,
             watchdog=watchdog,
             morton_schedule=morton_schedule,
-            cost_model=cost_model,
             tree_stats=tree_stats,
         )
         is_core = counts >= minpts
@@ -226,7 +217,6 @@ def fdbscan(
             traversal=traversal,
             watchdog=watchdog,
             morton_schedule=morton_schedule,
-            cost_model=cost_model,
             tree_stats=tree_stats,
         )
         is_core = counts >= minpts
@@ -259,7 +249,6 @@ def fdbscan(
         chunk_size=chunk_size,
         traversal=traversal,
         watchdog=watchdog,
-        cost_model=cost_model,
         tree_stats=tree_stats,
     )
     resolver.finalize()

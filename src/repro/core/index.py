@@ -137,11 +137,6 @@ class DBSCANIndex:
         explicit per-call ``traversal=`` always wins.  A pure scheduling
         choice — the cached structures are engine-independent, so one
         index serves every engine.
-    cost_model:
-        Stored fitted cost model (duck-typed
-        :class:`repro.obs.fit.FittedCostModel`) feeding the
-        ``traversal="auto"`` per-chunk engine choice for runs that pass
-        ``cost_model=None``; advisory only, never affects results.
     """
 
     def __init__(
@@ -150,7 +145,6 @@ class DBSCANIndex:
         max_dense_entries: int = DEFAULT_MAX_DENSE_ENTRIES,
         max_binnings: int = DEFAULT_MAX_BINNINGS,
         traversal: str | None = None,
-        cost_model=None,
     ):
         X = validate_points(X)
         self._X = X
@@ -164,7 +158,6 @@ class DBSCANIndex:
                 f"got {traversal!r}"
             )
         self.traversal = traversal
-        self.cost_model = cost_model
         self._points: _PointsEntry | None = None
         self._dense: "OrderedDict[tuple, _DenseEntry]" = OrderedDict()
         self._binnings: "OrderedDict[float, _BinningEntry]" = OrderedDict()

@@ -193,8 +193,8 @@ def distributed_dbscan(
     options (see :func:`repro.bvh.traversal.for_each_leaf_hit`): Morton
     query scheduling sorts every rank's owned+halo queries along the
     Z-curve, the dual engine prunes its query-BVH groups collectively,
-    and ``"auto"`` lets each rank pick the engine per chunk from the
-    cost model.  All are pure work-scheduling choices — the labelling is
+    and ``"auto"`` lets each rank pick the engine per chunk from
+    predicted costs.  All are pure work-scheduling choices — the labelling is
     identical — and all apply identically on recovery reruns, so
     fault-time recompute stays equivalent too.
 

@@ -21,6 +21,14 @@ import numpy as np
 from repro.device.primitives import sort_by_key
 
 _FLAT_ID_LIMIT = np.int64(2) ** 62
+#: Bound on the cells along one axis: per-axis coordinates are int64, and
+#: this keeps the upper-face widening and neighbour offsets clear of 2**63.
+_AXIS_CELL_LIMIT = 2.0**62
+
+
+class GridOverflowError(ValueError):
+    """``eps`` is too small for the data's extent: some axis would need
+    more cells than an int64 coordinate can hold."""
 
 
 @dataclass
@@ -89,7 +97,9 @@ def build_grid(points: np.ndarray, eps: float) -> RegularGrid:
     """Construct the virtual grid for a dataset and search radius.
 
     The domain is the data's bounding box; the cell edge is
-    ``eps / sqrt(d)`` so the cell diameter is ``eps``.
+    ``eps / sqrt(d)`` so the cell diameter is ``eps``.  Raises
+    :class:`GridOverflowError` when an axis would need ``2**62`` cells or
+    more (int64 coordinates would wrap).
     """
     points = np.asarray(points, dtype=np.float64)
     if points.ndim != 2 or points.shape[0] == 0:
@@ -101,7 +111,14 @@ def build_grid(points: np.ndarray, eps: float) -> RegularGrid:
     hi = points.max(axis=0)
     cell_size = float(eps) / math.sqrt(dim)
     extent = hi - lo
-    shape = np.maximum(np.ceil(extent / cell_size), 1).astype(np.int64)
+    cells = np.ceil(extent / cell_size)
+    if not (cells < _AXIS_CELL_LIMIT).all():
+        raise GridOverflowError(
+            f"eps={eps:g} is too small for the data's extent "
+            f"{float(extent.max()):g}: the grid would need "
+            f"{float(cells.max()):.3g} cells along one axis (limit 2**62)"
+        )
+    shape = np.maximum(cells, 1).astype(np.int64)
     # Guard against a point landing exactly on the open upper face due to
     # floating-point division: widen by one cell where that could happen.
     shape = np.where(extent >= shape * cell_size, shape + 1, shape)

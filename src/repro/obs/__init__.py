@@ -13,23 +13,12 @@ Dependency-free observability layer (see ``docs/observability.md``):
   CI runs on emitted traces;
 - :mod:`repro.obs.costmodel` — the per-kernel report joining wall
   seconds with machine-independent work counters and their rates;
-- :mod:`repro.obs.fit`       — fitted per-kernel cost models
-  (closed-form least squares over the cost-model rows) with a
-  serializable ``COSTMODEL.json`` artifact, a predict API for admission
-  control, and a drift check CI gates on;
 - :mod:`repro.obs.slo`       — latency/availability objectives with
   error-budget arithmetic (burn rate, budget remaining) over the
   metrics registry's histograms and counters.
 """
 
 from repro.obs.costmodel import cost_model_rows, format_cost_model
-from repro.obs.fit import (
-    FittedCostModel,
-    fit_cost_model,
-    fit_from_history,
-    fit_from_records,
-    validate_costmodel,
-)
 from repro.obs.slo import (
     DEFAULT_SLOS,
     SLO,
@@ -64,7 +53,6 @@ from repro.obs.span import NULL_TRACER, Span, Tracer
 __all__ = [
     "Counter",
     "DEFAULT_SLOS",
-    "FittedCostModel",
     "Gauge",
     "Histogram",
     "MetricsRegistry",
@@ -75,13 +63,9 @@ __all__ = [
     "chrome_trace",
     "cost_model_rows",
     "evaluate_slos",
-    "fit_cost_model",
-    "fit_from_history",
-    "fit_from_records",
     "format_cost_model",
     "format_slo_report",
     "record_slo_gauges",
-    "validate_costmodel",
     "record_comm_stats",
     "record_fault_summary",
     "record_kernel_counters",

@@ -446,9 +446,9 @@ def record_trace_health(
     ``repro_trace_spans_dropped`` (and ``..._total`` span counts) come
     from the :class:`~repro.obs.span.Tracer`'s bounded ring;
     ``repro_device_trace_dropped`` is each device's evicted-launch count
-    (labelled by device name).  Dropped spans truncate exactly the
-    traces the cost-model fit consumes, so the drops must be visible on
-    the same scrape surface as everything else.
+    (labelled by device name).  Dropped spans truncate the traces and
+    kernel profiles, so the drops must be visible on the same scrape
+    surface as everything else.
     """
     if tracer is not None:
         registry.gauge(

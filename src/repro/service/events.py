@@ -10,13 +10,13 @@ predicted_cost, observed_wall, backlog, pressure, retry_after,
 trace_id, span_id``
 
 — where ``predicted_cost`` is the admission controller's virtual-cost
-estimate (fitted model or per-point fallback, see
+estimate (per-point constants with a floor, see
 ``docs/service.md``), ``observed_wall`` is the measured wall latency,
 and ``trace_id``/``span_id`` are the exemplar linking the record to the
 request's span in the trace tree.  A shed or deadline miss in a traffic
 report can therefore be joined to its exact trace, and the
-predicted-vs-observed columns are the raw material the cost-model drift
-analysis reads back.
+predicted-vs-observed columns show how far admission's estimate is from
+the measured cost.
 
 The log is **bounded** two ways: the in-memory ring keeps the last
 ``maxlen`` events (``dropped`` counts evictions, surfaced as a gauge),

@@ -82,7 +82,7 @@ class ServiceConfig:
     breaker_cooldown: float = 5.0
     rebuild_every: int = 64
     result_cache_size: int = 32
-    #: Virtual seconds per point for the admission cost model; the floor
+    #: Virtual seconds per point that admission charges each op; the floor
     #: keeps tiny requests from being free.
     cost_per_point: dict = field(
         default_factory=lambda: {
@@ -91,13 +91,6 @@ class ServiceConfig:
         }
     )
     cost_floor: float = 1e-3
-    #: Optional fitted cost model (:class:`repro.obs.fit.FittedCostModel`,
-    #: loaded from a ``COSTMODEL.json``).  When set, admission prices a
-    #: request from the model's fitted per-point work rates instead of the
-    #: hand-set ``cost_per_point`` seconds — the constants above then only
-    #: provide each op's *relative* weight against ``cluster``, and remain
-    #: the full fallback when the model carries no per-point rates.
-    cost_model: object | None = None
     #: Service-level objectives evaluated over the metrics registry (and
     #: the request ledger for ``last:N``-window objectives), reported by
     #: ``/healthz``, ``/metrics`` gauges and traffic reports.
@@ -274,17 +267,6 @@ class ClusteringService:
             n = index.n_live if index is not None else 0
             if req.points is not None:
                 n = max(n, req.points.shape[0])
-        model = self.config.cost_model
-        if model is not None:
-            # Ops with their own fitted per-point rates (count/knn) are
-            # priced from exactly the work their kernels do; everything
-            # else falls back to the pooled cluster rates, with the
-            # hand-set constants only supplying the op's *relative*
-            # weight.  A pure function of (op, n) — determinism holds.
-            base = self.config.cost_per_point.get("cluster") or per_point
-            est = model.cost_for_points(n, scale=per_point / base, op=req.op)
-            if est is not None:
-                return max(self.config.cost_floor, est)
         return max(self.config.cost_floor, per_point * n)
 
     def _journal_mutation(self, req: Request, extra: dict) -> None:
@@ -642,7 +624,6 @@ class ClusteringService:
             name: {"state": b.state, "trips": b.trips}
             for name, b in self.breakers.items()
         }
-        model = self.config.cost_model
         ok = all(s["ok"] for s in slos) and all(
             b["state"] != "open" for b in breakers.values()
         )
@@ -660,13 +641,9 @@ class ClusteringService:
             },
             "slos": slos,
             "events": self.events.stats(),
-            "cost_model": (
-                getattr(model, "source_fingerprint", None) if model is not None else None
-            ),
         }
 
     def _stats(self) -> dict:
-        model = self.config.cost_model
         return {
             "seq": self.seq,
             "indexes": {name: si.stats() for name, si in self.indexes.items()},
@@ -683,9 +660,6 @@ class ClusteringService:
             "replayed_entries": self.replayed_entries,
             "requests_handled": len(self.ledger),
             "events": self.events.stats(),
-            "cost_model": (
-                getattr(model, "source_fingerprint", None) if model is not None else None
-            ),
         }
 
     def verify_metrics_ledger(self) -> dict:

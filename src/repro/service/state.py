@@ -151,6 +151,9 @@ class ServiceIndex:
         rows = np.ascontiguousarray(rows, dtype=np.float64)
         if rows.ndim != 2 or rows.shape[1] != self.dim:
             raise ValueError(f"insert rows must be (k, {self.dim}); got {rows.shape}")
+        # The grown point set must stay valid (finite squared distances)
+        # before anything is applied.
+        validate_points(np.concatenate([self.slot_points[self.alive], rows]))
         if ids is None:
             new_ids = list(range(self.next_id, self.next_id + rows.shape[0]))
         else:

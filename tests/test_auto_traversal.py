@@ -1,12 +1,12 @@
 """``traversal="auto"`` parity, determinism and gating.
 
 Auto is a *dispatcher*, not an engine: per chunk it prices the single
-and dual engines with the cost model and runs the cheaper one.  Its
+and dual engines with built-in rates and runs the cheaper one.  Its
 whole contract is that this choice is pure scheduling — labels,
 ``distance_evals`` and every other work counter must equal the single
 engine's bit for bit across every scheduling knob (query order, chunk
-size, dimension), and the same inputs plus the same cost model
-must always produce the same per-chunk decisions.  These tests pin both
+size, dimension), and the same inputs must always produce the same
+per-chunk decisions.  These tests pin both
 halves of the contract, the Morton-schedule cache that feeds it, and
 the CI smoke gates that price auto's regret.
 """
@@ -45,18 +45,6 @@ def _run(X, traversal, **kwargs):
     dev = Device()
     res = fdbscan(X, 0.25, 5, device=dev, traversal=traversal, **kwargs)
     return res, dev
-
-
-class _StubModel:
-    """Duck-typed FittedCostModel with fixed marginal rates."""
-
-    RATES = {"nodes_visited": 2.0e-7, "distance_evals": 1.0e-7}
-
-    def predict(self, counters: dict, kernel: str, launches: float) -> float:
-        total = launches * 1.0e-5
-        for name, value in counters.items():
-            total += self.RATES.get(name, 0.0) * value
-        return total
 
 
 class TestAutoParity:
@@ -155,14 +143,10 @@ class TestAutoDeterminism:
         runs = [_run(X, "auto", chunk_size=200)[0].info["auto"] for _ in range(2)]
         assert runs[0] == runs[1]
 
-    @pytest.mark.parametrize("cost_model", [None, _StubModel()])
-    def test_choose_engine_is_a_pure_function(self, cost_model):
+    def test_choose_engine_is_a_pure_function(self):
         X = _clustered(n=400)
         tree = build_bvh(*boxes_from_points(X))
-        decisions = [
-            choose_engine(tree, X[:256], 0.25, 32, cost_model, "fdbscan_main", None)
-            for _ in range(3)
-        ]
+        decisions = [choose_engine(tree, X[:256], 0.25, 32) for _ in range(3)]
         assert all(d == decisions[0] for d in decisions)
         first = decisions[0]
         assert first.engine in ("single", "dual")

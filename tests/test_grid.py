@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.grid.grid import RegularGrid, build_grid, compact_cells
+from repro.grid.grid import GridOverflowError, RegularGrid, build_grid, compact_cells
 
 
 class TestBuildGrid:
@@ -128,6 +128,27 @@ class TestCompactCells:
         assert not grid.flat_ids_fit()
         with pytest.raises(OverflowError):
             grid.flatten_coords(np.zeros((1, 3), dtype=np.int64))
+
+    def test_axis_cell_overflow_raises(self):
+        # One axis would need ~1.4e20 >= 2**63 cells: the int64 cast used
+        # to wrap, and DenseBox then returned the far point as a member
+        # of the single cluster.
+        from repro import dbscan
+
+        rng = np.random.default_rng(0)
+        X = np.concatenate([rng.uniform(0, 1e-12, (200, 2)), [[1e8, 1e8]]])
+        with pytest.raises(GridOverflowError, match="eps=1e-12.*extent 1e\\+08"):
+            build_grid(X, 1e-12)
+        assert issubclass(GridOverflowError, ValueError)
+        with pytest.raises(GridOverflowError):
+            dbscan(X, 1e-12, 5, algorithm="fdbscan-densebox")
+        # algorithm="auto" needs the grid only to pick an algorithm: it
+        # falls back to FDBSCAN, which needs none and answers correctly.
+        ref = dbscan(X, 1e-12, 5, algorithm="fdbscan")
+        auto = dbscan(X, 1e-12, 5, algorithm="auto")
+        np.testing.assert_array_equal(auto.labels, ref.labels)
+        np.testing.assert_array_equal(auto.is_core, ref.is_core)
+        assert ref.n_clusters == 1 and ref.labels[-1] == -1
 
     @given(st.integers(0, 10_000), st.floats(0.05, 0.5), st.integers(1, 3))
     @settings(max_examples=30, deadline=None)
