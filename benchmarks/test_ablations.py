@@ -98,8 +98,13 @@ class TestEarlyExitAblation:
         early = run_once("fdbscan", X, 0.005, 10, tree_kwargs={"early_exit": True})
         full = run_once("fdbscan", X, 0.005, 10, tree_kwargs={"early_exit": False})
         # preprocessing node visits collapse when stopping at minpts=10 in
-        # a regime where |N(x)| is in the thousands
-        assert early.counters["nodes_visited"] < full.counters["nodes_visited"] / 2
+        # a regime where |N(x)| is in the thousands.  Read off the count
+        # kernel: contained-subtree credit makes even the full count cheap,
+        # so the whole fit's total is mostly the (identical) main phase.
+        def count_visits(rec):
+            return rec.kernels["bvh_count"]["counters"]["nodes_visited"]
+
+        assert count_visits(early) < count_visits(full) / 2
         assert (early.n_clusters, early.n_noise) == (full.n_clusters, full.n_noise)
 
 

@@ -69,13 +69,9 @@ RATE_COUNTERS = (
     "nodes_visited",
     "pairs_processed",
     "box_tests",
-    "group_box_tests",
     "scatter_adds",
     "thread_steps",
 )
-# ``box_tests_saved`` is deliberately NOT rate-tracked: it *grows* when the
-# dual engine prunes better, and the regression comparison would misread
-# that improvement as a rate regression.
 
 
 @dataclass
@@ -87,13 +83,6 @@ class RunRecord:
     n: int
     eps: float
     min_samples: int
-    #: traversal engine the cell ran under ("single"/"dual"/"auto").
-    #: Recorded on every cell — including non-tree algorithms, which
-    #: ignore the engine but keep the history key unique when a sweep
-    #: runs several modes.  An "auto" cell's per-chunk decisions land in
-    #: ``counters`` (``auto_single_chunks``/``auto_dual_chunks``/
-    #: ``auto_pred_cost_us``) and on the cell span.
-    traversal: str = "single"
     seconds: float = float("nan")
     status: str = "ok"  # "ok" | "oom" | "skipped" | "error" | "timeout"
     n_clusters: int = -1
@@ -150,7 +139,6 @@ class RunRecord:
             "n": self.n,
             "eps": self.eps,
             "minpts": self.min_samples,
-            "traversal": self.traversal,
             "seconds": self.seconds,
             "status": self.status,
             "clusters": self.n_clusters,
@@ -179,8 +167,7 @@ DISTRIBUTED_ALGORITHMS = {"distributed", "distributed-fdbscan"}
 #: registry.  Hierarchy cells ignore ``eps`` (it is recorded on the cell
 #: for grid bookkeeping only) and derive ``min_cluster_size`` from the
 #: cell's ``min_samples`` unless one is passed through ``kwargs``.  They
-#: accept a prebuilt ``index=`` and the ``traversal=`` engine selector
-#: like the tree algorithms do.
+#: accept a prebuilt ``index=`` like the tree algorithms do.
 HIERARCHY_ALGORITHMS = {"hdbscan"}
 
 
@@ -212,7 +199,6 @@ def run_once(
     retry_policy: RetryPolicy | None = None,
     fault_plan: FaultPlan | None = None,
     tracer=None,
-    traversal: str = "single",
     cell_timeout: float | None = None,
     **kwargs,
 ) -> RunRecord:
@@ -247,16 +233,6 @@ def run_once(
     kernel spans — and, for distributed cells, the driver's phase and
     comm spans — nested inside it.
 
-    ``traversal`` selects the BVH traversal engine for tree-based and
-    distributed cells (``"single"``/``"dual"``/``"auto"``; baselines
-    ignore it) and is recorded on every cell so multi-mode sweeps stay
-    distinguishable in the history.  An ``"auto"`` cell additionally
-    records the per-chunk engine decisions and the chooser's predicted
-    cost in its counter snapshot (``auto_single_chunks`` /
-    ``auto_dual_chunks`` / ``auto_pred_cost_us``) and mirrors them onto
-    the cell span next to the measured wall seconds — the predicted vs
-    actual comparison the bench report and smoke gate read.
-
     ``cell_timeout`` arms a per-attempt wall-clock watchdog
     (:class:`~repro.faults.Deadline`) on the cell's device: every kernel
     launch checks the elapsed time, and a pathological cell records
@@ -270,7 +246,6 @@ def run_once(
         n=int(np.asarray(X).shape[0]),
         eps=float(eps),
         min_samples=int(min_samples),
-        traversal=str(traversal),
     )
     is_tree = algorithm.lower() in TREE_ALGORITHMS
     is_distributed = algorithm.lower() in DISTRIBUTED_ALGORITHMS
@@ -281,8 +256,6 @@ def run_once(
     )
     if tree_kwargs and is_tree:
         kwargs = {**kwargs, **tree_kwargs}
-    if is_tree or is_distributed or is_hierarchy:
-        kwargs = {**kwargs, "traversal": traversal}
     if index is not None and (is_tree or is_hierarchy):
         kwargs = {**kwargs, "index": index}
     phase = _cell_phase(algorithm, dataset, rec.n, rec.eps, rec.min_samples)
@@ -377,17 +350,6 @@ def run_once(
             cspan.attributes["status"] = rec.status
             cspan.attributes["attempts"] = rec.attempts
             cspan.attributes["faults"] = rec.faults
-            if str(traversal) == "auto":
-                cspan.attributes["auto_single_chunks"] = rec.counters.get(
-                    "auto_single_chunks", 0
-                )
-                cspan.attributes["auto_dual_chunks"] = rec.counters.get(
-                    "auto_dual_chunks", 0
-                )
-                cspan.attributes["auto_pred_cost_seconds"] = (
-                    rec.counters.get("auto_pred_cost_us", 0) * 1e-6
-                )
-                cspan.attributes["auto_actual_seconds"] = rec.seconds
     return rec
 
 
@@ -404,7 +366,6 @@ def run_sweep(
     retry_policy: RetryPolicy | None = None,
     fault_plan: FaultPlan | None = None,
     tracer=None,
-    traversal: str = "single",
     cell_timeout: float | None = None,
     **kwargs,
 ) -> list[RunRecord]:
@@ -450,12 +411,6 @@ def run_sweep(
         ``sweep`` root span with every cell (and everything inside it —
         kernels, comm, distributed phases, replayed builds) as children
         on a single shared timeline.
-    traversal:
-        Traversal engine for every tree/distributed cell of the sweep
-        (recorded on every record; see :func:`run_once`).  Run the sweep
-        once per engine (``"single"``/``"dual"``/``"auto"``) for a
-        multi-mode comparison; records stay distinguishable by their
-        ``traversal`` field.
     cell_timeout:
         Per-cell wall-second watchdog (see :func:`run_once`): a cell
         that exceeds it records ``status="timeout"`` with its partial
@@ -489,8 +444,8 @@ def run_sweep(
         _run_sweep_cells(
             records, over_budget, indexes, any_tree, algorithms, cells, data_for,
             dataset, time_budget, time_budget_mode, capacity_bytes, tree_kwargs,
-            reuse_index, retry_policy, fault_plan, tracer, traversal,
-            cell_timeout, kwargs,
+            reuse_index, retry_policy, fault_plan, tracer, cell_timeout,
+            kwargs,
         )
     finally:
         tr.end(sweep_span)
@@ -500,7 +455,7 @@ def run_sweep(
 def _run_sweep_cells(
     records, over_budget, indexes, any_tree, algorithms, cells, data_for, dataset,
     time_budget, time_budget_mode, capacity_bytes, tree_kwargs, reuse_index,
-    retry_policy, fault_plan, tracer, traversal, cell_timeout, kwargs,
+    retry_policy, fault_plan, tracer, cell_timeout, kwargs,
 ) -> None:
     """The cell loop of :func:`run_sweep` (split out so the sweep span can
     bracket it on every exit path)."""
@@ -525,7 +480,6 @@ def _run_sweep_cells(
                         n=int(X.shape[0]),
                         eps=float(cell["eps"]),
                         min_samples=int(cell["min_samples"]),
-                        traversal=str(traversal),
                         status="skipped",
                         detail=over_budget[algorithm],
                     )
@@ -543,7 +497,6 @@ def _run_sweep_cells(
                 retry_policy=retry_policy,
                 fault_plan=fault_plan,
                 tracer=tracer,
-                traversal=traversal,
                 cell_timeout=cell_timeout,
                 **kwargs,
             )

@@ -7,7 +7,7 @@ performance across commits, never trust memory of what a number was).
 
 Records round-trip losslessly through :func:`save_records` /
 :func:`load_records`; :func:`compare_records` matches cells by their
-identity (algorithm, traversal engine, dataset, n, eps, minpts) and
+identity (algorithm, dataset, n, eps, minpts) and
 reports per-cell speedups with a regression threshold.
 
 Besides wall seconds, the comparison tracks **per-point counter rates**
@@ -25,10 +25,8 @@ import math
 
 from repro.bench.harness import RunRecord
 
-#: Fields that identify a cell across runs.  ``traversal`` is part of the
-#: identity: a both-mode sweep runs every (algorithm, cell) pair once per
-#: engine, and the runs must not collide in a comparison.
-_KEY_FIELDS = ("algorithm", "traversal", "dataset", "n", "eps", "min_samples")
+#: Fields that identify a cell across runs.
+_KEY_FIELDS = ("algorithm", "dataset", "n", "eps", "min_samples")
 
 
 def _key(record: RunRecord) -> tuple:
@@ -46,7 +44,6 @@ def save_records(path: str, records: list[RunRecord], meta: dict | None = None) 
                 "n": r.n,
                 "eps": r.eps,
                 "min_samples": r.min_samples,
-                "traversal": r.traversal,
                 "seconds": None if math.isnan(r.seconds) else r.seconds,
                 "status": r.status,
                 "n_clusters": r.n_clusters,
@@ -104,7 +101,6 @@ def load_records(path: str) -> tuple[list[RunRecord], dict]:
                 n=int(row["n"]),
                 eps=float(row["eps"]),
                 min_samples=int(row["min_samples"]),
-                traversal=row.get("traversal", "single"),
                 seconds=float("nan") if row["seconds"] is None else row["seconds"],
                 status=row["status"],
                 n_clusters=int(row["n_clusters"]),

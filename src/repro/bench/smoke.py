@@ -16,28 +16,6 @@ fails (exit 1) when the fresh records regress:
 - any **status change** (ok -> oom) or **result change** (labels
   summary moved) — correctness alarms, never threshold-gated.
 
-A baseline saved from a ``--traversal both`` sweep replays every engine
-(single, dual *and* auto — the sweep runs once per engine, exactly like
-the CLI), and the smoke additionally gates on the **dual engine's
-pruning win**: for every tree cell present under both concrete engines,
-the dual engine's total pruning work
-``box_tests + group_box_tests + nodes_visited`` must stay at or below
-``BENCH_SMOKE_DUAL_RATIO`` (default 0.7) times the single engine's
-``box_tests + nodes_visited``.  That is the machine-independent form of
-the dual engine's reason to exist — a code change that silently degrades
-group pruning fails CI even when wall seconds stay flat.
-
-An every-engine sweep also gates the **auto chooser**:
-
-- **regret**: each ok ``auto`` cell's wall seconds must stay at or below
-  ``BENCH_SMOKE_AUTO_REGRET`` (default 1.1) times the *better* concrete
-  engine's wall on the same cell — all three cells ran in this same
-  smoke process, so the comparison is same-machine and fair;
-- **selection**: across the committed cells, auto must have picked the
-  dual engine for at least one chunk — a chooser that degenerates to
-  always-single (on the clustered cells the baseline commits precisely
-  so dual can win) fails CI even though its results stay correct.
-
 A baseline that includes hierarchy cells (``--algorithms ...,hdbscan``)
 replays the full hierarchy path — BVH core distances, BVH-Borůvka
 mutual-reachability MST, condensed-tree extraction — and the smoke
@@ -69,20 +47,9 @@ DEFAULT_BASELINE = "BENCH_sweep.json"
 WALL_THRESHOLD_ENV = "BENCH_SMOKE_WALL_THRESHOLD"
 RATE_THRESHOLD_ENV = "BENCH_SMOKE_RATE_THRESHOLD"
 
-#: Ceiling on dual/single pruning work per cell of a both-mode sweep.
-DUAL_RATIO_ENV = "BENCH_SMOKE_DUAL_RATIO"
-
 #: Ceiling on the Borůvka MST traversal's distance work per hierarchy
 #: cell, as a fraction of Prim's n(n-1) distance evaluations.
 MST_RATIO_ENV = "BENCH_SMOKE_MST_RATIO"
-
-#: Ceiling on an auto cell's wall seconds over min(single, dual) wall on
-#: the same cell of an every-engine sweep.
-AUTO_REGRET_ENV = "BENCH_SMOKE_AUTO_REGRET"
-
-#: Cells whose better engine finishes faster than this are exempt from
-#: the regret gate — their wall is dominated by launch noise.
-AUTO_REGRET_FLOOR_SECONDS = 0.05
 
 #: Alarm categories that fail the smoke run.
 ALARM_KINDS = ("regressions", "rate_regressions", "status_changes", "result_changes")
@@ -96,106 +63,6 @@ def _threshold(env: str, default: float) -> float:
     if value <= 1.0:
         raise ValueError(f"{env} must be > 1.0; got {raw!r}")
     return value
-
-
-def _dual_ratio_threshold(default: float = 0.7) -> float:
-    raw = os.environ.get(DUAL_RATIO_ENV)
-    if raw is None:
-        return default
-    value = float(raw)
-    if value <= 0.0:
-        raise ValueError(f"{DUAL_RATIO_ENV} must be > 0; got {raw!r}")
-    return value
-
-
-def _auto_regret_threshold(default: float = 1.1) -> float:
-    raw = os.environ.get(AUTO_REGRET_ENV)
-    if raw is None:
-        return default
-    value = float(raw)
-    if value <= 1.0:
-        raise ValueError(f"{AUTO_REGRET_ENV} must be > 1.0; got {raw!r}")
-    return value
-
-
-def auto_regret_alarms(records, threshold: float) -> list[str]:
-    """Auto cells of an every-engine sweep that ran slower than
-    ``threshold`` times the better concrete engine.
-
-    Cells are paired by their full parameter key minus ``traversal``;
-    only ``"ok"`` auto cells whose single/dual twins are both ``"ok"``
-    participate, and only cells that actually made engine decisions
-    (``auto_single_chunks + auto_dual_chunks > 0`` — baselines carry the
-    traversal key but never choose).  All three cells ran in this same
-    process, so the wall comparison is same-machine.  Cells whose better
-    concrete engine finishes under :data:`AUTO_REGRET_FLOOR_SECONDS` are
-    exempt: at millisecond scale the gate would be measuring launch
-    noise, not the engine choice.
-    """
-    by_engine: dict[tuple, dict[str, object]] = {}
-    for rec in records:
-        if rec.status != "ok":
-            continue
-        key = (rec.algorithm, rec.dataset, rec.n, rec.eps, rec.min_samples)
-        by_engine.setdefault(key, {})[rec.traversal] = rec
-    alarms = []
-    for key, engines in sorted(by_engine.items()):
-        auto = engines.get("auto")
-        single = engines.get("single")
-        dual = engines.get("dual")
-        if auto is None or single is None or dual is None:
-            continue
-        decisions = auto.counters.get("auto_single_chunks", 0) + auto.counters.get(
-            "auto_dual_chunks", 0
-        )
-        if not decisions:
-            continue
-        best = min(single.seconds, dual.seconds)
-        if best < AUTO_REGRET_FLOOR_SECONDS:
-            continue
-        if auto.seconds > threshold * best:
-            alarms.append(
-                f"{auto.algorithm} [{auto.dataset} n={auto.n} eps={auto.eps:g} "
-                f"minpts={auto.min_samples}] auto wall {auto.seconds:.4g}s > "
-                f"{threshold:g} x min(single {single.seconds:.4g}s, "
-                f"dual {dual.seconds:.4g}s)"
-            )
-    return alarms
-
-
-def auto_selection_alarms(records) -> list[str]:
-    """Alarm when the auto chooser never picked the dual engine anywhere.
-
-    The committed baseline includes clustered high-``eps`` cells chosen
-    precisely because the dual engine wins there; an auto run that makes
-    decisions yet selects single for every chunk of every cell means the
-    chooser has degenerated, even though results stay correct.  Sweeps
-    with no deciding auto cells (no tree algorithms under auto) are
-    exempt.
-    """
-    deciding = [
-        rec
-        for rec in records
-        if rec.traversal == "auto"
-        and rec.status == "ok"
-        and (
-            rec.counters.get("auto_single_chunks", 0)
-            + rec.counters.get("auto_dual_chunks", 0)
-        )
-    ]
-    if not deciding:
-        return []
-    dual_chunks = sum(rec.counters.get("auto_dual_chunks", 0) for rec in deciding)
-    if dual_chunks:
-        return []
-    cells = ", ".join(
-        f"{rec.algorithm}[n={rec.n} eps={rec.eps:g}]" for rec in deciding[:6]
-    )
-    return [
-        f"auto never selected the dual engine across {len(deciding)} deciding "
-        f"cell(s) ({cells}) — the chooser has degenerated to "
-        f"always-single"
-    ]
 
 
 def _mst_ratio_threshold(default: float = 0.25) -> float:
@@ -230,47 +97,8 @@ def mst_ratio_alarms(records, threshold: float) -> list[str]:
         if ratio > threshold:
             alarms.append(
                 f"{rec.algorithm} [{rec.dataset} n={rec.n} eps={rec.eps:g} "
-                f"minpts={rec.min_samples} {rec.traversal}] boruvka_nn "
+                f"minpts={rec.min_samples}] boruvka_nn "
                 f"distance_evals / n(n-1) = {ratio:.3f} > {threshold:g}"
-            )
-    return alarms
-
-
-def _pruning_work(rec, dual: bool) -> int:
-    """The machine-independent pruning total of one tree cell."""
-    total = rec.counters.get("box_tests", 0) + rec.counters.get("nodes_visited", 0)
-    if dual:
-        total += rec.counters.get("group_box_tests", 0)
-    return total
-
-
-def dual_ratio_alarms(records, threshold: float) -> list[str]:
-    """Cells of a both-mode sweep where the dual engine's pruning work
-    exceeds ``threshold`` times the single engine's.
-
-    Cells are paired by their full parameter key minus ``traversal``;
-    only ``"ok"`` cells that performed box tests under the single engine
-    participate (baselines and failed cells carry no pruning signal).
-    """
-    singles = {}
-    for rec in records:
-        if rec.traversal == "single" and rec.status == "ok":
-            key = (rec.algorithm, rec.dataset, rec.n, rec.eps, rec.min_samples)
-            singles[key] = rec
-    alarms = []
-    for rec in records:
-        if rec.traversal != "dual" or rec.status != "ok":
-            continue
-        key = (rec.algorithm, rec.dataset, rec.n, rec.eps, rec.min_samples)
-        base = singles.get(key)
-        if base is None or not base.counters.get("box_tests", 0):
-            continue
-        ratio = _pruning_work(rec, dual=True) / _pruning_work(base, dual=False)
-        if ratio > threshold:
-            alarms.append(
-                f"{rec.algorithm} [{rec.dataset} n={rec.n} eps={rec.eps:g} "
-                f"minpts={rec.min_samples}] dual/single pruning work "
-                f"{ratio:.3f} > {threshold:g}"
             )
     return alarms
 
@@ -341,23 +169,16 @@ def run_smoke(
     tree_kwargs = (
         {"query_order": args.query_order} if args.query_order != "input" else None
     )
-    traversal = getattr(args, "traversal", "single")
-    modes = (
-        ("single", "dual", "auto") if traversal == "both" else (traversal,)
+    records = run_sweep(
+        args.algorithms.split(","),
+        cells,
+        lambda cell: X,
+        dataset=args.dataset or args.input,
+        capacity_bytes=args.memory_cap,
+        tree_kwargs=tree_kwargs,
+        reuse_index=not args.no_reuse_index,
+        n_ranks=args.ranks or 4,
     )
-    records = []
-    for mode in modes:
-        records += run_sweep(
-            args.algorithms.split(","),
-            cells,
-            lambda cell: X,
-            dataset=args.dataset or args.input,
-            capacity_bytes=args.memory_cap,
-            tree_kwargs=tree_kwargs,
-            reuse_index=not args.no_reuse_index,
-            traversal=mode,
-            n_ranks=args.ranks or 4,
-        )
     report = compare_records(
         baseline,
         records,
@@ -375,18 +196,6 @@ def run_smoke(
             print(f"  {kind[:-1] if kind.endswith('s') else kind}: {entry}")
             if kind in ALARM_KINDS:
                 failed = True
-    if len(modes) > 1:
-        ratio = _dual_ratio_threshold()
-        for entry in dual_ratio_alarms(records, ratio):
-            print(f"  dual_ratio_regression: {entry}")
-            failed = True
-        regret = _auto_regret_threshold()
-        for entry in auto_regret_alarms(records, regret):
-            print(f"  auto_regret: {entry}")
-            failed = True
-        for entry in auto_selection_alarms(records):
-            print(f"  auto_selection: {entry}")
-            failed = True
     if any(a.lower() in HIERARCHY_ALGORITHMS for a in args.algorithms.split(",")):
         mst_ratio = _mst_ratio_threshold()
         for entry in mst_ratio_alarms(records, mst_ratio):

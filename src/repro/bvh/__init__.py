@@ -30,25 +30,13 @@ vectorised reproduction:
     time").  Provides early termination at ``minpts`` (preprocessing),
     streaming leaf-hit callbacks that never materialise neighbour lists
     (the fused main phase) and the leaf-index *mask* of Section 4.1 that
-    processes each neighbour pair exactly once.  Two engines share this
-    interface: ``traversal="single"`` (one frontier row per query) and
-    ``traversal="dual"`` (dual-tree: whole query-BVH nodes pruned per tree
-    node in one box test), plus ``traversal="auto"`` which picks between
-    them per chunk from predicted costs.
-
-``qgroups``
-    The query-side BVH backing the dual engine: density-adaptive groups of
-    Morton-sorted queries built by median bisection, in the same packed
-    internal-before-leaf layout as the tree.
-
-``autotune``
-    The ``traversal="auto"`` chooser: prices both engines from tree
-    statistics and query-set dispersion at built-in per-counter rates,
-    then dispatches each chunk to the cheaper one.
+    processes each neighbour pair exactly once.  Unweighted counts credit
+    a subtree that lies wholly inside the query's ball with its leaf
+    count instead of walking it.
 
 ``statistics``
-    Tree-shape summaries (depths, SAH cost, sibling overlap) feeding the
-    chooser and the observability surface.
+    Tree-shape summaries (depths, SAH cost, sibling overlap) for the
+    observability surface.
 """
 
 from repro.bvh.aabb import (
@@ -59,10 +47,8 @@ from repro.bvh.aabb import (
 )
 from repro.bvh.builder import build_bvh
 from repro.bvh.morton import morton_codes, normalize_to_grid
-from repro.bvh.qgroups import QueryBVH, build_query_bvh
 from repro.bvh.refit import refit_bvh
 from repro.bvh.traversal import (
-    TRAVERSALS,
     TraversalResult,
     count_within,
     for_each_leaf_hit,
@@ -71,12 +57,9 @@ from repro.bvh.tree import BVH
 
 __all__ = [
     "BVH",
-    "QueryBVH",
-    "TRAVERSALS",
     "TraversalResult",
     "boxes_from_points",
     "build_bvh",
-    "build_query_bvh",
     "count_within",
     "for_each_leaf_hit",
     "merge_aabbs",

@@ -19,6 +19,19 @@ def boxes_from_points(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return points.copy(), points.copy()
 
 
+def point_bounds(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per-axis ``(lo, hi)`` of a non-empty ``(n, d)`` point set.
+
+    Reduces one column at a time: on C-ordered ``(n, d <= 3)`` arrays that
+    is several times faster than numpy's ``min(axis=0)``/``max(axis=0)``,
+    and min/max are exact, so the bounds are identical.
+    """
+    cols = range(points.shape[1])
+    lo = np.array([points[:, j].min() for j in cols], dtype=np.float64)
+    hi = np.array([points[:, j].max() for j in cols], dtype=np.float64)
+    return lo, hi
+
+
 def scene_bounds(lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The AABB enclosing an entire box set (one ``(d,)`` pair)."""
     if lo.shape[0] == 0:

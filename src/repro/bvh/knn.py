@@ -99,7 +99,6 @@ def _count_points_within(
     device: Device,
     chunk_size: int | None,
     query_order: str,
-    traversal: str,
     watchdog=None,
 ) -> np.ndarray:
     """Exact point-in-ball counts on trees with non-degenerate leaves.
@@ -135,7 +134,6 @@ def _count_points_within(
         leaf_test_is_distance=False,
         chunk_size=chunk_size,
         query_order=query_order,
-        traversal=traversal,
         watchdog=watchdog,
     )
     return counts
@@ -150,7 +148,6 @@ def knn_radii(
     points: np.ndarray | None = None,
     initial_radius: np.ndarray | float | None = None,
     query_order: str = "input",
-    traversal: str = "single",
     watchdog=None,
 ) -> np.ndarray:
     """Distance from each query to its ``k``-th nearest primitive.
@@ -216,12 +213,12 @@ def knn_radii(
                 counts = count_within(
                     tree, queries[pending], r, stop_at=k, device=dev,
                     chunk_size=chunk_size, query_order=query_order,
-                    traversal=traversal, watchdog=watchdog,
+                    watchdog=watchdog,
                 )
             else:
                 counts = _count_points_within(
                     tree, queries[pending], pts_by_pos, r, k, dev,
-                    chunk_size, query_order, traversal, watchdog,
+                    chunk_size, query_order, watchdog,
                 )
             done = counts >= k
             hi[pending[done]] = rung[pending[done]]
@@ -270,7 +267,6 @@ def knn_radii(
                 leaf_test_is_distance=degenerate_leaves,
                 chunk_size=None,
                 query_order=query_order,
-                traversal=traversal,
                 watchdog=watchdog,
             )
             qs = np.concatenate(collected_q)
@@ -287,7 +283,6 @@ def core_distances(
     min_samples: int,
     device: Device | None = None,
     query_order: str = "input",
-    traversal: str = "single",
     watchdog=None,
 ) -> np.ndarray:
     """HDBSCAN core distances: distance to the ``min_samples``-th nearest
@@ -300,6 +295,5 @@ def core_distances(
         device=device,
         points=X,
         query_order=query_order,
-        traversal=traversal,
         watchdog=watchdog,
     )

@@ -24,6 +24,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.bvh.aabb import point_bounds
+
 MAX_MORTON_DIM = 3
 
 _BITS_PER_AXIS = {1: 62, 2: 31, 3: 21}
@@ -99,10 +101,10 @@ def morton_codes(points: np.ndarray, lo: np.ndarray | None = None, hi: np.ndarra
         return np.zeros(0, dtype=np.int64)
     if not np.isfinite(points).all():
         raise ValueError("points must be finite to compute Morton codes")
-    if lo is None:
-        lo = points.min(axis=0)
-    if hi is None:
-        hi = points.max(axis=0)
+    if lo is None or hi is None:
+        own_lo, own_hi = point_bounds(points)
+        lo = own_lo if lo is None else lo
+        hi = own_hi if hi is None else hi
     grid = normalize_to_grid(points, lo, hi, bits)
     if dim == 1:
         code = grid[:, 0]

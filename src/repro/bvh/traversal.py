@@ -24,12 +24,11 @@ Three properties of the paper's algorithms map directly onto arguments:
   or below ``p`` is hidden from query ``q``, so only neighbours at sorted
   positions ``> p`` are reported and each pair is processed exactly once.
 
-Every traversal is one launch over a **chunk plan**
-(:func:`chunk_plan`): the query set, scheduled in input or Morton order
-and cut into ``chunk_size`` slices, each slice paired with the engine
-that runs it.  The runner (:func:`run_chunks`) opens one kernel span and
-runs the plan's chunks in order on one frontier pool.  Three scheduling
-levers shape the constant factors without changing any result:
+Every traversal is one launch over a **chunk plan** (:func:`chunk_plan`):
+the query set, scheduled in input or Morton order and cut into
+``chunk_size`` slices.  The runner (:func:`run_chunks`) opens one kernel
+span and runs the chunks in order on one frontier pool.  Three levers
+shape the constant factors without changing any result:
 
 - the **frontier pool**: all per-step arrays (the double-buffered
   frontier, compacted hit/parent views, gathered boxes, predicates) live
@@ -44,17 +43,12 @@ levers shape the constant factors without changing any result:
   lever ArborX pulls by sorting queries along the space-filling curve.
   The hit stream per query is unchanged (only the chunk membership
   moves), so every derived result is identical;
-- the **engine** per chunk: ``"single"`` (:func:`_single_chunk`) walks
-  one frontier row per query; ``"dual"`` (:func:`_dual_chunk`)
-  aggregates Morton-adjacent queries into a density-adaptive query-side
-  BVH (:mod:`repro.bvh.qgroups`) and advances *(query node, tree node)*
-  pairs instead, refining whichever side of a pair is looser: one
-  box-box test prunes a whole query subtree per tree node, collapsing
-  the (queries × visited nodes) box-test bill to (query nodes × visited
-  nodes) while reproducing the single engine's hits, labels and
-  ``distance_evals`` bit-for-bit.  ``traversal="auto"`` is not an engine
-  but a plan: the planner prices each chunk with built-in rates
-  (:mod:`repro.bvh.autotune`) and assigns it the cheaper engine.
+- **contained-subtree counts** (:func:`count_within`, unmasked and
+  unweighted): a child whose box lies wholly inside the query's ball
+  adds its leaf count to the query and never enters the frontier, instead
+  of being walked down to its leaves.  Only nodes whose diagonal is at
+  most twice the largest radius can be contained, so only those pay the
+  far-corner test.  Counts stay exact (see :func:`_credit_contained`).
 """
 
 from __future__ import annotations
@@ -64,21 +58,15 @@ from typing import Callable
 
 import numpy as np
 
-from repro.bvh.autotune import choose_engine
 from repro.bvh.tree import BVH
 from repro.bvh.morton import morton_codes
-from repro.bvh.qgroups import DEFAULT_GROUP_SIZE, build_query_bvh
 from repro.device.device import Device, default_device
-from repro.device.primitives import (
-    concatenated_ranges,
-    scatter_add,
-    segment_ids_from_counts,
-)
+from repro.device.primitives import scatter_add
 
 LeafCallback = Callable[[np.ndarray, np.ndarray], None]
 
-#: A chunk plan: ``(query ids, engine)`` per chunk, in launch order.
-ChunkPlan = list[tuple[np.ndarray, str]]
+#: A chunk plan: the query ids of each chunk, in launch order.
+ChunkPlan = list[np.ndarray]
 
 #: Queries in the first refresh epoch of :func:`spread_epochs`; every
 #: later epoch is :data:`EPOCH_GROWTH` times larger than the one before.
@@ -87,14 +75,6 @@ EPOCH_GROWTH = 4
 
 #: Accepted values for ``query_order``.
 QUERY_ORDERS = ("input", "morton")
-
-#: Accepted values for ``traversal``: ``"single"`` walks one frontier row
-#: per query; ``"dual"`` aggregates Morton-adjacent queries into a query
-#: BVH and prunes whole query nodes per tree node (see
-#: :func:`_dual_chunk`); ``"auto"`` picks single or dual *per chunk*
-#: from its predicted work (see :mod:`repro.bvh.autotune`) —
-#: a pure scheduling choice, results are bit-identical regardless.
-TRAVERSALS = ("single", "dual", "auto")
 
 
 @dataclass
@@ -222,13 +202,9 @@ def query_schedule(queries: np.ndarray, query_order: str) -> np.ndarray | None:
     return np.argsort(morton_codes(queries), kind="stable").astype(np.int64)
 
 
-def _validated(tree, queries, eps, mask_positions, traversal, query_order):
+def _validated(tree, queries, eps, mask_positions, query_order):
     """The checks and coercions every entry point applies to its inputs:
     ``(queries, eps, mask_positions)`` ready for :func:`chunk_plan`."""
-    if traversal not in TRAVERSALS:
-        raise ValueError(
-            f"traversal must be one of {TRAVERSALS}; got {traversal!r}"
-        )
     if query_order not in QUERY_ORDERS:
         raise ValueError(
             f"query_order must be one of {QUERY_ORDERS}; got {query_order!r}"
@@ -289,61 +265,34 @@ def refresh_node_components(
 
 
 def chunk_plan(
-    tree: BVH,
     queries: np.ndarray,
-    eps: float | np.ndarray,
-    traversal: str,
     query_order: str,
     chunk_size: int | None,
-    device: Device,
     morton_schedule: np.ndarray | None = None,
-    tree_stats=None,
-    component_masked: bool = False,
 ) -> ChunkPlan:
-    """Cut validated queries into the ``(ids, engine)`` chunks one launch
-    runs, in launch order.
+    """Cut validated queries into the chunks one launch runs, in launch
+    order.
 
-    Queries are scheduled in ``query_order`` — always Morton for the dual
-    and ``auto`` traversals, the dual engine's grouping order — using the
-    caller's cached ``morton_schedule`` when given, then sliced every
-    ``chunk_size`` (``None`` or ``<= 0`` = one chunk).  Ids are absolute
-    query ids in the narrowest index dtype that fits (real traversal
-    kernels carry 32-bit ids; halving the index traffic of a
-    bandwidth-bound wavefront is a direct win).  ``"auto"`` prices each
-    chunk with :func:`repro.bvh.autotune.choose_engine` (at the chunk's
-    largest radius) and records the ``auto_*`` decision counters on
-    ``device``; the other traversals give every chunk their own engine.
-    The chunks and engines depend on the inputs alone.
+    Queries are scheduled in ``query_order`` — using the caller's cached
+    ``morton_schedule`` for the Morton order when given — then sliced
+    every ``chunk_size`` (``None`` or ``<= 0`` = one chunk).  Ids are
+    absolute query ids in the narrowest index dtype that fits (real
+    traversal kernels carry 32-bit ids; halving the index traffic of a
+    bandwidth-bound wavefront is a direct win).  The chunks depend on the
+    inputs alone.
     """
     m = queries.shape[0]
     if chunk_size is None or chunk_size <= 0:
         chunk_size = m
-    order = query_order if traversal == "single" else "morton"
-    if order == "morton" and morton_schedule is not None:
+    if query_order == "morton" and morton_schedule is not None:
         schedule = morton_schedule
     else:
-        schedule = query_schedule(queries, order)
+        schedule = query_schedule(queries, query_order)
     qdt = np.int32 if m <= np.iinfo(np.int32).max else np.int64
     if schedule is None:
         schedule = np.arange(m, dtype=qdt)
     schedule = schedule.astype(qdt, copy=False)
-    plan = []
-    for start in range(0, m, chunk_size):
-        ids = schedule[start : start + chunk_size]
-        engine = traversal
-        if traversal == "auto":
-            radius = float(eps[ids].max()) if isinstance(eps, np.ndarray) else eps
-            decision = choose_engine(
-                tree, queries[ids], radius, DEFAULT_GROUP_SIZE, tree_stats,
-                component_masked,
-            )
-            device.counters.add(f"auto_{decision.engine}_chunks", 1)
-            device.counters.add(
-                "auto_pred_cost_us", int(decision.pred_seconds * 1e6)
-            )
-            engine = decision.engine
-        plan.append((ids, engine))
-    return plan
+    return [schedule[start : start + chunk_size] for start in range(0, m, chunk_size)]
 
 
 def run_chunks(
@@ -360,38 +309,35 @@ def run_chunks(
     device: Device,
     kernel_name: str,
     leaf_test_is_distance: bool = True,
+    contained: np.ndarray | None = None,
 ) -> TraversalResult:
-    """Run a chunk plan as one kernel launch: each chunk on its engine, in
-    plan order, sharing one frontier pool (and one query-side pool for
-    dual chunks).  Chunks run sequentially, so cross-chunk state — a
-    stateful ``finished_fn``, the component mask — behaves the same for
-    any plan.  Inputs must already be validated (see
-    :func:`for_each_leaf_hit` for their meaning)."""
+    """Run a chunk plan as one kernel launch: each chunk in plan order,
+    sharing one frontier pool.  Chunks run sequentially, so cross-chunk
+    state — a stateful ``finished_fn``, the component mask — behaves the
+    same for any plan.  Inputs must already be validated (see
+    :func:`for_each_leaf_hit` for their meaning).  ``contained`` is the
+    count array of a contained-subtree count (see
+    :func:`_credit_contained`)."""
     dev = device
     m = queries.shape[0]
-    # A scalar keeps its scalar compare in the single engine: running it
-    # through the per-row gather made the flat fdbscan cells 4-6% slower
-    # (ngsim n=8192 and hacc n=16384, interleaved min of 6, 2-CPU x86
-    # host).  The dual engine always reads one radius per query.
+    # A scalar keeps its scalar compare: running it through the per-row
+    # gather made the flat fdbscan cells 4-6% slower (ngsim n=8192 and
+    # hacc n=16384, interleaved min of 6, 2-CPU x86 host).
     eps2 = eps * eps
-    radii = np.broadcast_to(eps, (m,))
     result = TraversalResult()
-    shared = (
-        callback, mask_positions, finished_fn, component_of, node_components,
-        leaf_test_is_distance, dev, result,
-    )
     pool = _FrontierPool(dev, tree.dim)
-    qpool = _FrontierPool(dev, tree.dim, tag="qgroups")
     try:
+        if contained is not None:
+            contained = _contained_gate(tree, eps, contained, pool)
         with dev.kernel(kernel_name, threads=m) as launch:
-            for ids, engine in plan:
-                if engine == "dual":
-                    _dual_chunk(ids, tree, queries, radii, *shared, pool, qpool)
-                else:
-                    _single_chunk(ids, tree, queries, eps2, *shared, pool)
+            for ids in plan:
+                _single_chunk(
+                    ids, tree, queries, eps2, callback, mask_positions,
+                    finished_fn, component_of, node_components,
+                    leaf_test_is_distance, dev, result, pool, contained,
+                )
             launch.steps = result.steps
     finally:
-        qpool.release()
         pool.release()
     return result
 
@@ -401,11 +347,11 @@ def _polled(
     watchdog: Callable[[], None] | None,
 ) -> Callable[[np.ndarray], np.ndarray] | None:
     """Thread ``watchdog`` through the ``finished_fn`` evaluation points:
-    both engines already consult ``finished_fn`` every wavefront step, so
-    composing it there gives per-step deadline polling with no new hook
-    in the hot loops.  The all-``False`` answer (no inner ``finished_fn``)
-    is freshly allocated per call — the engines negate the returned array
-    in place — and trivially monotone, as the dual engine requires."""
+    the traversal already consults ``finished_fn`` every wavefront step,
+    so composing it there gives per-step deadline polling with no new
+    hook in the hot loop.  The all-``False`` answer (no inner
+    ``finished_fn``) is freshly allocated per call — the traversal
+    negates the returned array in place."""
     if watchdog is None:
         return finished_fn
 
@@ -430,17 +376,15 @@ def for_each_leaf_hit(
     leaf_test_is_distance: bool = True,
     chunk_size: int | None = DEFAULT_CHUNK_SIZE,
     query_order: str = "input",
-    traversal: str = "single",
     component_of: np.ndarray | None = None,
     node_components: np.ndarray | None = None,
     watchdog: Callable[[], None] | None = None,
     morton_schedule: np.ndarray | None = None,
-    tree_stats=None,
 ) -> TraversalResult:
     """Stream every ``(query, leaf)`` pair within ``eps`` to ``callback``.
 
-    The queries are cut into one :func:`chunk_plan` — ``(ids, engine)``
-    chunks — which :func:`run_chunks` runs as one launch.
+    The queries are cut into one :func:`chunk_plan`, which
+    :func:`run_chunks` runs as one launch.
 
     Parameters
     ----------
@@ -455,9 +399,7 @@ def for_each_leaf_hit(
         *hit* when the minimum distance from the query to the leaf's box
         is ``<= `` the query's radius.  For degenerate (point) leaves this
         is the exact point-distance predicate.  A constant array gives
-        results bit-identical to the scalar; every engine and ``auto``
-        honour per-query radii (``auto`` prices a chunk at its
-        largest radius).
+        results bit-identical to the scalar.
     callback:
         ``callback(query_ids, leaf_positions)`` invoked once per wavefront
         step with the step's hits.  ``leaf_positions`` are *sorted* leaf
@@ -490,22 +432,6 @@ def for_each_leaf_hit(
         ``"input"`` (default) chunks queries in input order; ``"morton"``
         chunks them in Z-curve order for spatial coherence.  Results are
         identical either way — only the wavefront composition changes.
-    traversal:
-        The engine of every plan chunk.  ``"single"`` (default) walks one
-        frontier row per query; ``"dual"`` aggregates Morton-sorted
-        queries into groups of up to
-        :data:`~repro.bvh.qgroups.DEFAULT_GROUP_SIZE` and prunes whole
-        groups against each node in one box test, expanding to the
-        per-query path only where a node has leaf children; ``"auto"``
-        lets the planner pick single or dual per chunk.  Labels,
-        delivered hits and ``distance_evals`` are bit-identical between
-        the engines; ``box_tests``/``nodes_visited`` drop (group pruning
-        is the point) while new ``group_box_tests``/``box_tests_saved``
-        counters account the aggregated work.  The dual engine requires a
-        *monotone* ``finished_fn`` (once finished, always finished) —
-        true of every early-exit in this codebase — and dual and
-        ``auto`` always schedule queries in Morton order (``query_order``
-        is validated but does not change results in any engine).
     component_of / node_components:
         Optional *component mask* (passed together): ``component_of[q]``
         is query ``q``'s component id (``>= 0``) and
@@ -516,30 +442,23 @@ def for_each_leaf_hit(
         descending (Borůvka's "nearest neighbour outside my component"
         query, and FDBSCAN's "skip pairs already joined").  Because a
         subtree uniform in component ``c`` contains only ``c``-leaves,
-        internal pruning is a pure work optimisation:
-        the delivered hit stream equals leaf-level filtering exactly, in
-        both engines.  Same-component leaf children are not counted as
-        leaf tests (they are resolved by the id comparison, not a
-        distance computation).
+        internal pruning is a pure work optimisation: the delivered hit
+        stream equals leaf-level filtering exactly.  Same-component leaf
+        children are not counted as leaf tests (they are resolved by the
+        id comparison, not a distance computation).
     watchdog:
         Optional zero-argument callable polled once on entry and once per
         wavefront step (piggybacking on the ``finished_fn`` evaluation
-        points, so both engines poll it identically).  It aborts the
-        traversal by *raising* — the service's deadline enforcement
-        threads :meth:`repro.faults.Deadline.check` through here.  A
-        watchdog that returns normally never changes results.
+        points).  It aborts the traversal by *raising* — the service's
+        deadline enforcement threads :meth:`repro.faults.Deadline.check`
+        through here.  A watchdog that returns normally never changes
+        results.
     morton_schedule:
         Optional precomputed Morton permutation for ``queries`` (the
         exact array :func:`query_schedule` would return) — lets callers
         that cache the schedule (``DBSCANIndex.morton_schedule``) skip
-        recomputing the codes here.  Used whenever the plan needs a
-        Morton order (``query_order="morton"`` or the dual/auto
-        traversals); ignored otherwise.
-    tree_stats:
-        ``traversal="auto"`` input: the tree's
-        :class:`repro.bvh.statistics.TreeStats`, feeding the planner's
-        predicted frontier sizes.  Advisory — it steers the per-chunk
-        engine choice only, never any result.
+        recomputing the codes here.  Used with ``query_order="morton"``;
+        ignored otherwise.
 
     Returns
     -------
@@ -547,7 +466,7 @@ def for_each_leaf_hit(
     """
     dev = default_device(device)
     queries, eps, mask_positions = _validated(
-        tree, queries, eps, mask_positions, traversal, query_order
+        tree, queries, eps, mask_positions, query_order
     )
     m = queries.shape[0]
     if m == 0:
@@ -570,10 +489,7 @@ def for_each_leaf_hit(
             )
     if watchdog is not None:
         watchdog()
-    plan = chunk_plan(
-        tree, queries, eps, traversal, query_order, chunk_size, dev,
-        morton_schedule, tree_stats, component_of is not None,
-    )
+    plan = chunk_plan(queries, query_order, chunk_size, morton_schedule)
     return run_chunks(
         tree, queries, eps, plan, callback,
         mask_positions=mask_positions,
@@ -600,10 +516,11 @@ def _single_chunk(
     dev: Device,
     result: TraversalResult,
     pool: _FrontierPool,
+    contained: tuple[np.ndarray, np.ndarray] | None,
 ) -> None:
-    """One chunk through the single engine: a frontier row per query,
-    expanded level by level until no pair survives.  ``eps2`` is the
-    squared radius, scalar or per query."""
+    """One chunk: a frontier row per query, expanded level by level until
+    no pair survives.  ``eps2`` is the squared radius, scalar or per
+    query."""
     n_int = tree.n_internal
     ch_ids, ch_lo, ch_hi, ch_rng_hi = tree.packed_children()
     # Node ids are as narrow as the tree allows and query ids as narrow
@@ -725,6 +642,10 @@ def _single_chunk(
             fin = finished_fn(par_q)
             np.logical_not(fin, out=fin)
             keep &= fin[:, None]
+        if contained is not None:
+            _credit_contained(
+                keep, ex_q, ex_n, par_n, tree, queries, eps2, contained, dev, pool
+            )
 
         # -- compact the survivors back into the frontier -------
         size = int(np.count_nonzero(keep))
@@ -735,428 +656,105 @@ def _single_chunk(
         np.compress(flat, ex_n.reshape(two_k), out=fr_n)
 
 
-def _dual_chunk(
-    chunk_ids: np.ndarray,
+def _contained_gate(
+    tree: BVH,
+    eps: float | np.ndarray,
+    counts: np.ndarray,
+    pool: _FrontierPool,
+) -> tuple[np.ndarray, np.ndarray] | None:
+    """``(counts, gate)`` for :func:`_credit_contained`, or ``None`` when
+    no node can be contained.  ``gate`` is ``(n_internal, 2)`` in the
+    packed child layout: "this child is internal and its squared diagonal
+    is at most ``4 r_max**2``".  It is rebuilt per call from the current
+    boxes (O(n_internal), so a refit needs no invalidation) in pool
+    slots, so the frontier charge covers it."""
+    n_int = tree.n_internal
+    if n_int == 0:
+        return None
+    ext = pool.take2d("c_ext", n_int)
+    np.subtract(tree.node_hi[:n_int], tree.node_lo[:n_int], out=ext)
+    diag2 = pool.take("c_diag2", n_int, dtype=np.float64)
+    np.einsum("nd,nd->n", ext, ext, out=diag2)
+    ch_ids = tree.packed_children()[0]
+    ch_diag2 = pool.take2("c_ch_diag2", n_int, dtype=np.float64)
+    # Leaf children clip to a stand-in id; the last line gates them off.
+    np.take(diag2, ch_ids, out=ch_diag2, mode="clip")
+    gate = pool.take2("c_gate", n_int, dtype=bool)
+    np.less_equal(ch_diag2, 4.0 * float(np.max(eps)) ** 2, out=gate)
+    gate &= ch_ids < n_int
+    return (counts, gate) if gate.any() else None
+
+
+def _credit_contained(
+    keep: np.ndarray,
+    ex_q: np.ndarray,
+    ex_n: np.ndarray,
+    par_n: np.ndarray,
     tree: BVH,
     queries: np.ndarray,
-    radii: np.ndarray,
-    callback: LeafCallback,
-    mask_positions: np.ndarray | None,
-    finished_fn: Callable[[np.ndarray], np.ndarray] | None,
-    component_of: np.ndarray | None,
-    node_components: np.ndarray | None,
-    leaf_test_is_distance: bool,
+    eps2: float | np.ndarray,
+    contained: tuple[np.ndarray, np.ndarray],
     dev: Device,
-    result: TraversalResult,
     pool: _FrontierPool,
-    qpool: _FrontierPool,
 ) -> None:
-    """One chunk through the dual-tree engine, over both hierarchies.
+    """Credit every surviving child whose box lies inside its query's
+    ball with its leaf count, and drop it from ``keep``.
 
-    The chunk's Morton-sorted queries are built into a density-adaptive
-    query BVH (:func:`repro.bvh.qgroups.build_query_bvh`) and the
-    frontier carries ``(query_node, tree_node)`` pairs seeded at
-    (query root, tree root).  The tree side descends strictly one level
-    per step (that is what keeps the finished-generation bookkeeping
-    aligned with the single engine); the query side descends *adaptively*
-    within each step: before the pair test, any pair whose query node is
-    internal and longer-edged than the tree child it faces is replaced by
-    its two children, repeatedly, so the box-box test always compares
-    boxes of commensurate extent — the "split the looser side" policy of
-    a classic dual-tree walk, realised level-synchronously.  One box-box
-    test then decides a whole query subtree's descent
-    (``group_box_tests``), so the per-query sphere-box tests the single
-    engine pays at every internal node collapse to one test per query
-    node (``box_tests_saved``).
-
-    **Why results are bit-identical to the single engine.**  Child boxes
-    nest inside parent boxes and leaf visibility ranges nest inside their
-    ancestors', and ``finished_fn`` is monotone, so "query ``q`` reaches
-    node ``P``" in the single engine is the *local* predicate
-
-    ``d2(q, P.box) <= eps_q²  and  range_hi(P) > mask[q]  and  not
-    finished(q, at P's generation)``
-
-    — independent of the path taken to ``P``.  The dual engine therefore
-    defers all per-query decisions to the nodes where they matter:
-    whenever a frontier entry's tree node has a leaf child, the engine
-    re-evaluates that reach predicate per member (the parent re-test,
-    charged to ``box_tests``), counts one leaf test per reaching member
-    per leaf child (exactly the single engine's ``distance_evals``), and
-    emits hits through the same per-query predicate the single engine
-    applies.  Both engines advance strictly level-by-level and deliver a
-    depth-``d`` leaf's hits on step ``d+1``, so the ``finished_fn``
-    generations line up: hits computed on step ``s`` are gated by the
-    finished state *after* step ``s``'s deliveries (``fin_now``) and
-    counted work by the state that admitted the frontier (``fin_prev``),
-    mirroring the single engine's admit-then-expand ordering.  Per-query
-    hit streams are chunk- and order-invariant (each query's path and
-    early-exit depend only on its own hits), so the Morton order the
-    planner forces on dual chunks changes no result.
-
-    Per-query radii (``radii``; a scalar ``eps`` arrives broadcast)
-    enter the same way as the mask: each query node carries its members'
-    largest radius (``QueryBVH.r_max``), which every group-level test
-    uses — a member that reaches a node proves its group does too — while
-    the per-member re-tests and the leaf-fringe classification compare
-    against each member's own radius.
-
-    Query-side scratch (sorted chunk coordinates and radii, the query
-    BVH, the finished double-buffer) is charged to the memory model under
-    the ``"qgroups"`` tag; the frontier itself stays under
-    ``"frontier"``.
-
-    Component masking extends the reach predicate with "``node``'s
-    subtree is not uniform in ``q``'s component": query nodes carry a
-    uniform-component summary (seeded at the query leaves by the same
-    reduceat the AABBs use and combined bottom-up over the query BVH's
-    levels), so a (query node, tree node) pair whose components provably
-    coincide is pruned in one comparison, and the per-member leaf test
-    applies the exact leaf-vs-query component check the single engine
-    applies.
+    ``contained`` is ``(counts, gate)``: the query counts to credit and a
+    per-parent ``(n_internal, 2)`` flag, "this child is internal and its
+    diagonal is at most twice the largest radius".  A box that fits in a
+    ball of radius ``r`` has a diagonal of at most ``2 r``, so only gated
+    children take the far-corner test (one ``box_tests`` each).  The test
+    rounds like the leaf test: per axis, ``fl(q - x)`` is monotone in
+    ``x``, so no leaf of the box lies farther from ``q`` than the far
+    corner ``max(|q - lo|, |q - hi|)``, and every leaf of a contained
+    node would have passed its own leaf test — the credit is the exact
+    hit count the walk would deliver.
     """
-    n_int = tree.n_internal
-    leaf_counter = "distance_evals" if leaf_test_is_distance else "box_tests"
-    node_lo, node_hi = tree.node_lo, tree.node_hi
-    node_rng_hi = tree.node_range_hi
-    ch_ids, ch_lo, ch_hi, ch_rng_hi = tree.packed_children()
-    ndt = ch_ids.dtype
-    root = tree.root
-    cn = chunk_ids.shape[0]
-    chunk_pts = qpool.take2d("chunk_pts", cn)
-    np.take(queries, chunk_ids, axis=0, out=chunk_pts)
-    chunk_r = qpool.take("chunk_r", cn, dtype=np.float64)
-    np.take(radii, chunk_ids, out=chunk_r)
-    chunk_r2 = qpool.take("chunk_r2", cn, dtype=np.float64)
-    np.multiply(chunk_r, chunk_r, out=chunk_r2)
-    chunk_mask = None
-    if mask_positions is not None:
-        chunk_mask = qpool.take("chunk_mask", cn)
-        np.take(mask_positions, chunk_ids, out=chunk_mask)
-    chunk_comp = None
-    if component_of is not None:
-        chunk_comp = qpool.take("chunk_comp", cn)
-        np.take(component_of, chunk_ids, out=chunk_comp)
-
-    if n_int == 0:
-        # Single-leaf tree: mirror the single engine's one
-        # seed-and-deliver step (seed test uncounted).
-        clamped = np.clip(chunk_pts, node_lo[root], node_hi[root])
-        diff = chunk_pts - clamped
-        ok = np.einsum("nd,nd->n", diff, diff) <= chunk_r2
-        if chunk_mask is not None:
-            ok &= node_rng_hi[root] > chunk_mask
-        if chunk_comp is not None:
-            ok &= node_components[root] != chunk_comp
-        if finished_fn is not None:
-            ok &= ~finished_fn(chunk_ids)
-        n_hits = int(np.count_nonzero(ok))
-        if n_hits:
-            result.steps += 1
-            result.frontier_peak = max(result.frontier_peak, n_hits)
-            dev.counters.add("nodes_visited", n_hits)
-            dev.counters.observe_peak("frontier_peak", n_hits)
-            result.leaf_hits += n_hits
-            callback(chunk_ids[ok], np.zeros(n_hits, dtype=ndt))
+    counts, gate = contained
+    cand = pool.take2("c_cand", par_n.shape[0], dtype=bool)
+    np.take(gate, par_n, axis=0, out=cand, mode="clip")
+    cand &= keep
+    c_idx = np.flatnonzero(cand)
+    k = c_idx.size
+    if k == 0:
         return
-
-    qg = build_query_bvh(
-        chunk_pts, chunk_mask, DEFAULT_GROUP_SIZE, chunk_r, qpool
-    )
-    n_qinner = qg.n_inner
-    node_r2 = qpool.take("node_r2", qg.n_nodes, dtype=np.float64)
-    np.multiply(qg.r_max, qg.r_max, out=node_r2)
-
-    # Uniform-component summary per query node (-1 = mixed):
-    # the component analogue of the node AABB.  Seeded at the
-    # leaves (which tile the chunk, so one reduceat covers
-    # them) and combined bottom-up over the BVH's levels.
-    ucomp = None
-    if chunk_comp is not None:
-        lstarts = qg.mem_lo[qg.leaf_order]
-        lmin = np.minimum.reduceat(chunk_comp, lstarts)
-        lmax = np.maximum.reduceat(chunk_comp, lstarts)
-        ucomp = qpool.take("ucomp", qg.n_nodes)
-        ucomp[qg.leaf_order] = np.where(lmin == lmax, lmin, -1)
-        for lvl_lo, lvl_hi in reversed(qg.levels):
-            c0 = ucomp[qg.child0[lvl_lo:lvl_hi]]
-            c1 = ucomp[qg.child1[lvl_lo:lvl_hi]]
-            ucomp[lvl_lo:lvl_hi] = np.where(c0 == c1, c0, -1)
-
-    fin_prev = fin_now = cumfin = None
-    if finished_fn is not None:
-        fin_now = qpool.take("fin_a", cn, dtype=bool)
-        fin_prev = qpool.take("fin_b", cn, dtype=bool)
-        fin_now[:] = finished_fn(chunk_ids)
-        cumfin = qpool.take("cumfin", cn + 1)
-
-    # Seed: the query root against the tree root, with the
-    # uncounted box-box analogue of the single engine's seed
-    # test.
-    top = qg.top
-    gap = np.maximum(
-        0.0,
-        np.maximum(node_lo[root] - qg.hi[top], qg.lo[top] - node_hi[root]),
-    )
-    okt = np.einsum("nd,nd->n", gap, gap) <= node_r2[top]
-    if chunk_mask is not None:
-        okt &= node_rng_hi[root] > qg.mask_min[top]
-    if ucomp is not None:
-        uct = ucomp[top]
-        okt &= ~((uct >= 0) & (uct == node_components[root]))
-    size = int(np.count_nonzero(okt))
-    fr_g = pool.take("fr_g", size, dtype=np.int32)
-    fr_n = pool.take("fr_n", size, dtype=ndt)
-    np.compress(okt, top, out=fr_g)
-    fr_n.fill(root)
-    pend_q: list[np.ndarray] = []
-    pend_p: list[np.ndarray] = []
-    n_pend = 0
-
-    while size or n_pend:
-        result.steps += 1
-        foot = size + n_pend
-        result.frontier_peak = max(result.frontier_peak, foot)
-        dev.counters.add("nodes_visited", size)
-        dev.counters.observe_peak("frontier_peak", foot)
-
-        # -- (1) deliver the previous step's leaf hits --------
-        if n_pend:
-            hit_q = pend_q[0] if len(pend_q) == 1 else np.concatenate(pend_q)
-            hit_pos = pend_p[0] if len(pend_p) == 1 else np.concatenate(pend_p)
-            pend_q.clear()
-            pend_p.clear()
-            n_pend = 0
-            # The single engine hands each query its step's
-            # hits in ascending leaf position (children expand
-            # left-then-right and compaction is stable).
-            # Restore that order so even float accumulations
-            # (weighted counts) match bit-for-bit.
-            order = np.lexsort((hit_pos, hit_q))
-            hit_q = hit_q[order]
-            hit_pos = hit_pos[order]
-            result.leaf_hits += hit_q.shape[0]
-            callback(hit_q, hit_pos)
-        if size == 0:
-            break
-
-        # -- (2) roll the finished generations ----------------
-        # fin_prev = the state that admitted this frontier;
-        # fin_now = the state after this step's deliveries
-        # (monotone, so only not-yet-finished ids re-checked).
-        if finished_fn is not None:
-            fin_prev, fin_now = fin_now, fin_prev
-            np.copyto(fin_now, fin_prev)
-            live_idx = np.flatnonzero(~fin_prev)
-            if live_idx.size:
-                fin_now[live_idx] = finished_fn(chunk_ids[live_idx])
-            cumfin[0] = 0
-            np.cumsum(fin_prev, out=cumfin[1:])
-            # Drop entries whose members have all finished
-            # (uncounted — the single engine's frontier loses
-            # finished queries the same way).
-            mlo = qg.mem_lo[fr_g]
-            mhi = qg.mem_hi[fr_g]
-            lcount = (mhi - mlo) - (cumfin[mhi] - cumfin[mlo])
-            alive = lcount > 0
-            if not alive.all():
-                fr_g = fr_g[alive]
-                fr_n = fr_n[alive]
-                size = fr_g.shape[0]
-                if size == 0:
-                    continue
-
-        # -- (3) gather both children of every entry ----------
-        ch = ch_ids[fr_n]
-        crng = ch_rng_hi[fr_n]
-        clo = ch_lo[fr_n]
-        chi = ch_hi[fr_n]
-        is_leaf = ch >= n_int
-        has_leaf = is_leaf[:, 0] | is_leaf[:, 1]
-
-        # -- (4) per-member expansion at leaf parents ---------
-        # Counters here measure the *logical* per-query work
-        # (exactly what the single engine performs); the
-        # entry-level min/max-distance classifications below
-        # are uncounted vectorisation shortcuts that resolve
-        # whole groups of member tests collectively with
-        # bit-identical outcomes — the same licence the device
-        # model's bincount-backed scatter_add takes.
-        sel = np.flatnonzero(has_leaf)
-        if sel.size:
-            e_g = fr_g[sel]
-            e_n = fr_n[sel]
-            starts = qg.mem_lo[e_g]
-            cnts = qg.mem_hi[e_g] - starts
-            mpos = concatenated_ranges(starts, cnts)
-            seg = segment_ids_from_counts(cnts)
-            live = None
-            if finished_fn is not None:
-                live = ~fin_prev[mpos]
-            if chunk_mask is not None:
-                vis = node_rng_hi[e_n][seg] > chunk_mask[mpos]
-                live = vis if live is None else live & vis
-            if chunk_comp is not None:
-                # A member whose component fills this node's
-                # subtree never reached it in the single
-                # engine — drop it from the parent re-test.
-                cok = node_components[e_n][seg] != chunk_comp[mpos]
-                live = cok if live is None else live & cok
-            # Admission guarantees mindist(group, node) <= the
-            # group's largest radius; a member whose own radius
-            # covers even the farthest node corner reaches
-            # without a per-member box test.
-            mem_r2 = chunk_r2[mpos]
-            far = np.maximum(
-                node_hi[e_n] - qg.lo[e_g], qg.hi[e_g] - node_lo[e_n]
-            )
-            allin = np.einsum("nd,nd->n", far, far)[seg] <= mem_r2
-            reach = allin if live is None else allin & live
-            need = ~allin
-            if live is not None:
-                need &= live
-            ridx = np.flatnonzero(need)
-            if ridx.size:
-                pn = e_n[seg[ridx]]
-                pts_r = chunk_pts[mpos[ridx]]
-                d = pts_r - np.clip(pts_r, node_lo[pn], node_hi[pn])
-                reach[ridx] = np.einsum("nd,nd->n", d, d) <= mem_r2[ridx]
-            dev.counters.add(
-                "box_tests",
-                mpos.shape[0] if live is None
-                else int(np.count_nonzero(live)),
-            )
-            for k in (0, 1):
-                lk = is_leaf[sel, k]
-                if not lk.any():
-                    continue
-                take = lk[seg] & reach
-                if chunk_comp is not None:
-                    # Leaf-vs-member component check — the
-                    # exact gate the single engine applies
-                    # before testing a leaf child (a leaf's
-                    # component is always uniform).
-                    lcomp = node_components[ch[sel, k]]
-                    take &= lcomp[seg] != chunk_comp[mpos]
-                idx = np.flatnonzero(take)
-                dev.counters.add(leaf_counter, idx.shape[0])
-                if idx.shape[0] == 0:
-                    continue
-                # Leaf classification from entry-level bounds:
-                # a member whose radius misses the group's
-                # nearest approach to the leaf misses; one whose
-                # radius covers the group-to-leaf farthest
-                # corner hits.  Only the ambiguous band
-                # computes per-member distances.
-                lo_k = clo[sel, k]
-                hi_k = chi[sel, k]
-                gapl = np.maximum(
-                    0.0,
-                    np.maximum(lo_k - qg.hi[e_g], qg.lo[e_g] - hi_k),
-                )
-                farl = np.maximum(
-                    hi_k - qg.lo[e_g], qg.hi[e_g] - lo_k
-                )
-                sidx = seg[idx]
-                r2_i = mem_r2[idx]
-                hit = np.einsum("nd,nd->n", farl, farl)[sidx] <= r2_i
-                near = np.einsum("nd,nd->n", gapl, gapl)[sidx] <= r2_i
-                sub = np.flatnonzero(near & ~hit)
-                if sub.size:
-                    li = idx[sub]
-                    leaf_n = ch[sel, k][seg[li]]
-                    lpts = chunk_pts[mpos[li]]
-                    dd = lpts - np.clip(
-                        lpts, node_lo[leaf_n], node_hi[leaf_n]
-                    )
-                    hit[sub] = np.einsum("nd,nd->n", dd, dd) <= r2_i[sub]
-                if chunk_mask is not None:
-                    hit &= crng[sel, k][sidx] > chunk_mask[mpos[idx]]
-                if finished_fn is not None:
-                    hit &= ~fin_now[mpos[idx]]
-                h = np.flatnonzero(hit)
-                if h.size:
-                    pend_q.append(chunk_ids[mpos[idx[h]]])
-                    pend_p.append(
-                        (ch[sel, k][seg[idx[h]]] - n_int).astype(
-                            ndt, copy=False
-                        )
-                    )
-                    n_pend += h.shape[0]
-
-        # -- (5) group-level descent into internal children ---
-        fe, fk = np.nonzero(~is_leaf)
-        if fe.size == 0:
-            size = 0
-            continue
-        cand_q = fr_g[fe]
-        cand_n = ch[fe, fk]
-        cand_lo = clo[fe, fk]
-        cand_hi = chi[fe, fk]
-        cand_rng = crng[fe, fk]
-        if n_qinner:
-            # Split the looser side: while a pair's query node
-            # is internal and longer-edged than the tree child
-            # it faces, replace it by its two halves, so the
-            # box-box test below always compares commensurate
-            # boxes.  Terminates because every split moves one
-            # level down the (finite-depth) query BVH.
-            # Counters-only heuristic — the per-member re-test
-            # at leaf parents keeps results exact regardless.
-            child_ext = (cand_hi - cand_lo).max(axis=1)
-            while True:
-                split = (cand_q < n_qinner) & (
-                    qg.ext[cand_q] > child_ext
-                )
-                if not split.any():
-                    break
-                stay = ~split
-                s_q = cand_q[split]
-                sub_q = np.empty(2 * s_q.shape[0], dtype=cand_q.dtype)
-                sub_q[0::2] = qg.child0[s_q]
-                sub_q[1::2] = qg.child1[s_q]
-                rep2 = np.repeat(np.flatnonzero(split), 2)
-                cand_q = np.concatenate([cand_q[stay], sub_q])
-                cand_n = np.concatenate([cand_n[stay], cand_n[rep2]])
-                cand_lo = np.concatenate([cand_lo[stay], cand_lo[rep2]])
-                cand_hi = np.concatenate([cand_hi[stay], cand_hi[rep2]])
-                cand_rng = np.concatenate([cand_rng[stay], cand_rng[rep2]])
-                child_ext = np.concatenate(
-                    [child_ext[stay], child_ext[rep2]]
-                )
-        # One box-box test per (query node, tree child): the
-        # exact Minkowski form of "group AABB inflated by its
-        # largest member radius intersects node box".
-        gap = np.maximum(
-            0.0,
-            np.maximum(cand_lo - qg.hi[cand_q], qg.lo[cand_q] - cand_hi),
-        )
-        d2g = np.einsum("nd,nd->n", gap, gap)
-        dev.counters.add("group_box_tests", cand_q.shape[0])
-        mlo = qg.mem_lo[cand_q]
-        mhi = qg.mem_hi[cand_q]
-        if finished_fn is not None:
-            lcount = (mhi - mlo) - (cumfin[mhi] - cumfin[mlo])
-        else:
-            lcount = mhi - mlo
-        dev.counters.add(
-            "box_tests_saved", int(np.maximum(lcount - 1, 0).sum())
-        )
-        keep = d2g <= node_r2[cand_q]
-        if chunk_mask is not None:
-            keep &= cand_rng > qg.mask_min[cand_q]
-        if ucomp is not None:
-            # Prune a (query node, tree node) pair whose
-            # components provably coincide: both uniform and
-            # equal means every member/leaf pair below is
-            # same-component.
-            ucq = ucomp[cand_q]
-            keep &= ~((ucq >= 0) & (ucq == node_components[cand_n]))
-        size = int(np.count_nonzero(keep))
-        fr_g = pool.take("fr_g", size, dtype=np.int32)
-        fr_n = pool.take("fr_n", size, dtype=ndt)
-        np.compress(keep, cand_q, out=fr_g)
-        np.compress(keep, cand_n, out=fr_n)
+    cq = pool.take("c_q", k, dtype=ex_q.dtype)
+    cn = pool.take("c_n", k, dtype=ex_n.dtype)
+    np.take(ex_q.reshape(-1), c_idx, out=cq, mode="clip")
+    np.take(ex_n.reshape(-1), c_idx, out=cn, mode="clip")
+    pts = pool.take2d("c_pts", k)
+    lo = pool.take2d("c_lo", k)
+    hi = pool.take2d("c_hi", k)
+    np.take(queries, cq, axis=0, out=pts, mode="clip")
+    np.take(tree.node_lo, cn, axis=0, out=lo, mode="clip")
+    np.take(tree.node_hi, cn, axis=0, out=hi, mode="clip")
+    # max(q - lo, hi - q) is max(|q - lo|, |q - hi|) exactly: fl negates
+    # exactly and is monotone, and lo <= hi.  The (n, 1, d) einsum is the
+    # leaf test's form, so both sum their squares in the same order.
+    np.subtract(pts, lo, out=lo)
+    np.subtract(hi, pts, out=hi)
+    np.maximum(lo, hi, out=lo)
+    far2 = pool.take("c_far2", k, dtype=np.float64)
+    np.einsum("nkd,nkd->nk", lo[:, None, :], lo[:, None, :], out=far2[:, None])
+    dev.counters.add("box_tests", k)
+    inside = pool.take("c_inside", k, dtype=bool)
+    if isinstance(eps2, np.ndarray):
+        np.less_equal(far2, np.take(eps2, cq), out=inside)
+    else:
+        np.less_equal(far2, eps2, out=inside)
+    inside_idx = np.flatnonzero(inside)
+    if inside_idx.size == 0:
+        return
+    inn = np.take(cn, inside_idx)
+    leaves = np.take(tree.node_range_hi, inn) - np.take(tree.node_range_lo, inn)
+    leaves += 1
+    # A handful of credits per step: np.add.at beats the bincount-backed
+    # scatter_add, whose cost is one pass over every query.  The takes use
+    # mode="clip" (every id is in range) because the default buffers ``out``.
+    np.add.at(counts, np.take(cq, inside_idx), leaves)
+    dev.counters.add("scatter_adds", inside_idx.size)
+    keep.reshape(-1)[np.take(c_idx, inside_idx)] = False
 
 
 def count_within(
@@ -1169,10 +767,8 @@ def count_within(
     chunk_size: int | None = DEFAULT_CHUNK_SIZE,
     leaf_weights: np.ndarray | None = None,
     query_order: str = "input",
-    traversal: str = "single",
     watchdog: Callable[[], None] | None = None,
     morton_schedule: np.ndarray | None = None,
-    tree_stats=None,
 ) -> np.ndarray:
     """Count leaves within ``eps`` of each query (point-leaf trees).
 
@@ -1200,8 +796,17 @@ def count_within(
     The early-exit check is evaluated per step against the *frontier's*
     query ids only — an O(frontier) gather, not an O(m) recompute — and a
     query's per-step hit batches depend only on its own tree path, so the
-    returned counts are identical for every ``chunk_size``,
-    ``query_order`` and ``traversal``.
+    returned counts are identical for every ``chunk_size`` and
+    ``query_order``.
+
+    Unmasked, unweighted counts credit a contained subtree whole: a
+    child whose box lies inside the query's ball adds its leaf count in
+    the step that reaches it instead of being walked to its leaves.  The
+    credit is exactly the hits the walk would deliver, so the contract
+    above is unchanged; the saving shows in ``nodes_visited`` and
+    ``distance_evals``, and each far-corner test is one ``box_tests``.
+    Weighted counts walk every leaf, so their float sums keep the
+    leaf-by-leaf order (and ``counts >= stop_at`` its exact ties).
 
     ``stop_at`` may be fractional when ``leaf_weights`` is given (weights
     are arbitrary positive floats, so any finite threshold is meaningful);
@@ -1217,7 +822,7 @@ def count_within(
     """
     dev = default_device(device)
     queries, eps, mask_positions = _validated(
-        tree, queries, eps, mask_positions, traversal, query_order
+        tree, queries, eps, mask_positions, query_order
     )
     if stop_at is not None and (not np.isfinite(stop_at) or stop_at <= 0):
         raise ValueError(f"stop_at must be positive and finite; got {stop_at}")
@@ -1233,10 +838,7 @@ def count_within(
         return counts
     if watchdog is not None:
         watchdog()
-    plan = chunk_plan(
-        tree, queries, eps, traversal, query_order, chunk_size, dev,
-        morton_schedule, tree_stats,
-    )
+    plan = chunk_plan(queries, query_order, chunk_size, morton_schedule)
     if leaf_weights is None:
 
         def on_hits(q_ids: np.ndarray, _pos: np.ndarray) -> None:
@@ -1259,5 +861,8 @@ def count_within(
         finished_fn=_polled(finished_fn, watchdog),
         device=dev,
         kernel_name="bvh_count",
+        contained=(
+            counts if leaf_weights is None and mask_positions is None else None
+        ),
     )
     return counts

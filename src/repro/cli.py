@@ -136,18 +136,16 @@ def _load_input(args) -> np.ndarray:
     return X
 
 
-#: Single-device algorithms that accept the traversal options
-#: (``query_order=`` / ``traversal=``); baselines take neither.
+#: Single-device algorithms that accept ``query_order=``; baselines
+#: do not.
 _TREE_ALGORITHMS = {"auto", "fdbscan", "fdbscan-densebox", "densebox"}
 
 
 def _traversal_kwargs(args) -> dict:
-    """Non-default ``query_order``/``traversal`` kwargs from CLI flags."""
+    """A non-default ``query_order`` kwarg from the CLI flag."""
     kwargs = {}
     if getattr(args, "query_order", "input") != "input":
         kwargs["query_order"] = args.query_order
-    if getattr(args, "traversal", "single") != "single":
-        kwargs["traversal"] = args.traversal
     return kwargs
 
 
@@ -186,7 +184,7 @@ def _cluster_run(args, device: Device, tracer: Tracer | None):
     else:
         if trav_kwargs and args.algorithm.lower() not in _TREE_ALGORITHMS:
             raise SystemExit(
-                f"--query-order/--traversal only apply to the tree algorithms "
+                f"--query-order only applies to the tree algorithms "
                 f"({', '.join(sorted(_TREE_ALGORITHMS))}, hdbscan) or --ranks "
                 f"runs; got --algorithm {args.algorithm}"
             )
@@ -285,34 +283,22 @@ def _cmd_bench(args) -> int:
     tree_kwargs = {}
     if args.query_order != "input":
         tree_kwargs["query_order"] = args.query_order
-    # "both" sweeps the single engine, then dual, then auto over the same
-    # cells — the records stay distinguishable by their ``traversal``
-    # field, so the history diff can gate on the dual engine's pruning and
-    # the smoke gate can price auto's regret against min(single, dual).
-    modes = (
-        ("single", "dual", "auto")
-        if args.traversal == "both"
-        else (args.traversal,)
+    records = run_sweep(
+        algorithms,
+        cells,
+        lambda cell: X,
+        dataset=args.dataset or args.input,
+        time_budget=args.time_budget,
+        time_budget_mode=args.time_budget_mode,
+        capacity_bytes=args.memory_cap,
+        tree_kwargs=tree_kwargs or None,
+        reuse_index=not args.no_reuse_index,
+        retry_policy=policy,
+        fault_plan=plan,
+        tracer=tracer,
+        cell_timeout=args.cell_timeout,
+        n_ranks=args.ranks or 4,
     )
-    records = []
-    for mode in modes:
-        records += run_sweep(
-            algorithms,
-            cells,
-            lambda cell: X,
-            dataset=args.dataset or args.input,
-            time_budget=args.time_budget,
-            time_budget_mode=args.time_budget_mode,
-            capacity_bytes=args.memory_cap,
-            tree_kwargs=tree_kwargs or None,
-            reuse_index=not args.no_reuse_index,
-            retry_policy=policy,
-            fault_plan=plan,
-            tracer=tracer,
-            traversal=mode,
-            cell_timeout=args.cell_timeout,
-            n_ranks=args.ranks or 4,
-        )
     print(format_series(records, x_key=x_key, title="seconds"))
     print()
     print(format_records(records))
@@ -506,27 +492,12 @@ def build_parser() -> argparse.ArgumentParser:
             help="trace file format for --trace-out (default: chrome)",
         )
 
-    def traversal_flags(p, both: bool = False):
+    def traversal_flags(p):
         p.add_argument(
             "--query-order", choices=("input", "morton"), default="input",
             help="traversal query scheduling for the tree algorithms: chunk "
             "queries in input order or along the Morton curve (identical "
             "labels and work counters either way — an ablation lever)",
-        )
-        choices = (
-            ("single", "dual", "auto", "both")
-            if both
-            else ("single", "dual", "auto")
-        )
-        p.add_argument(
-            "--traversal", choices=choices, default="single",
-            help="BVH traversal engine for the tree algorithms: 'single' "
-            "keeps one frontier row per query, 'dual' prunes query-BVH "
-            "groups against each node in one box test, 'auto' picks the "
-            "engine per chunk from predicted costs (identical "
-            "labels and distance counts in every mode)"
-            + ("; 'both' runs the sweep once per engine, auto included"
-               if both else ""),
         )
 
     def cost_model_flag(p):
@@ -613,7 +584,7 @@ def build_parser() -> argparse.ArgumentParser:
         "cold-equivalent seconds (wall + replayed index-build seconds)",
     )
     cost_model_flag(bench)
-    traversal_flags(bench, both=True)
+    traversal_flags(bench)
     bench.add_argument(
         "--no-reuse-index",
         action="store_true",

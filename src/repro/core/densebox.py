@@ -135,7 +135,6 @@ def fdbscan_densebox(
     index: DBSCANIndex | None = None,
     query_order: str = "input",
     pair_buffer: int | None = DEFAULT_PAIR_BUFFER,
-    traversal: str | None = None,
     watchdog=None,
 ) -> DBSCANResult:
     """Cluster ``X`` with FDBSCAN-DenseBox.
@@ -143,11 +142,9 @@ def fdbscan_densebox(
     Arguments match :func:`repro.core.fdbscan.fdbscan` (including the
     weighted-density ``sample_weight``: dense cells then threshold summed
     member weight, and the all-members-core guarantee carries over;
-    ``query_order``/``pair_buffer``/``traversal`` are the same
-    output-preserving scheduling levers — both the isolated-point
-    preprocessing and the mixed-primitive main traversal honour the
-    chosen engine, and ``watchdog`` is polled per wavefront step in both
-    traversals).  ``query_order`` affects only preprocessing; the main
+    ``query_order``/``pair_buffer`` are the same output-preserving
+    scheduling levers, and ``watchdog`` is polled per wavefront step in
+    both traversals).  ``query_order`` affects only preprocessing; the main
     phase runs in its refresh epochs.
     ``info`` additionally carries ``dense_fraction`` (share of points
     inside dense cells — the regime indicator the paper reports),
@@ -182,18 +179,6 @@ def fdbscan_densebox(
     )
     order = tree.order
     cell_pts = X[deco.members]
-    if traversal is None:
-        traversal = index.traversal or "single"
-    info["traversal"] = traversal
-    # The preprocessing traversal queries the isolated subset and
-    # schedules itself; the main phase runs in its refresh epochs.  The
-    # mixed tree's shape differs from the points tree's, so the auto
-    # chooser runs on its generic depth estimate (tree_stats=None).
-    if traversal == "auto":
-        auto_before = {
-            k: dev.counters.extra.get(k, 0)
-            for k in ("auto_single_chunks", "auto_dual_chunks", "auto_pred_cost_us")
-        }
     t1 = time.perf_counter()
     info["t_build"] = t1 - t0
     info["index"] = index
@@ -268,7 +253,6 @@ def fdbscan_densebox(
                 leaf_test_is_distance=False,
                 chunk_size=chunk_size,
                 query_order=query_order,
-                traversal=traversal,
                 watchdog=watchdog,
             )
             is_core[deco.isolated_idx] = counts >= minpts
@@ -339,25 +323,11 @@ def fdbscan_densebox(
         kernel_name="densebox_main",
         leaf_test_is_distance=False,
         chunk_size=chunk_size,
-        traversal=traversal,
         watchdog=watchdog,
     )
     resolver.finalize()
     t3 = time.perf_counter()
     info["t_main"] = t3 - t2
-    if traversal == "auto":
-        extra = dev.counters.extra
-        info["auto"] = {
-            "single_chunks": extra.get("auto_single_chunks", 0)
-            - auto_before["auto_single_chunks"],
-            "dual_chunks": extra.get("auto_dual_chunks", 0)
-            - auto_before["auto_dual_chunks"],
-            "pred_cost_seconds": (
-                extra.get("auto_pred_cost_us", 0)
-                - auto_before["auto_pred_cost_us"]
-            )
-            * 1e-6,
-        }
 
     labels, core_mask, n_clusters = finalize_clusters(uf.parents, is_core, dev.counters)
     info["t_finalize"] = time.perf_counter() - t3

@@ -67,7 +67,6 @@ def fdbscan(
     index: DBSCANIndex | None = None,
     query_order: str = "input",
     pair_buffer: int | None = DEFAULT_PAIR_BUFFER,
-    traversal: str | None = None,
     watchdog=None,
 ) -> DBSCANResult:
     """Cluster ``X`` with FDBSCAN.
@@ -119,13 +118,6 @@ def fdbscan(
         Pairs accumulated before each union-find launch in the main phase
         (``None`` = resolve every traversal step's batch immediately).
         Output is identical for any buffering.
-    traversal:
-        Traversal engine for both phases: ``"single"`` (per-query
-        frontier), ``"dual"`` (dual-tree query-BVH pruning) or ``"auto"``
-        (per-chunk engine choice from predicted costs); ``None`` defers to
-        the index's stored preference (default ``"single"``).  Labels and
-        ``distance_evals`` are bit-identical between engines, so the
-        choice is pure scheduling.
     watchdog:
         Optional zero-argument callable polled once per traversal
         wavefront step in both phases (a deadline's
@@ -153,22 +145,11 @@ def fdbscan(
     else:
         index.check_points(X)
     tree, reused = index.points_tree(dev)
-    if traversal is None:
-        traversal = index.traversal or "single"
-    info["traversal"] = traversal
-    # Scheduling inputs: the cached Morton schedule (the queries *are* the
-    # indexed points here) whenever preprocessing will use a Morton order,
-    # and the auto chooser's tree statistics for both phases.
+    # The cached Morton schedule (the queries *are* the indexed points
+    # here) whenever preprocessing runs in Morton order.
     morton_schedule = None
-    if traversal in ("dual", "auto") or query_order == "morton":
+    if query_order == "morton":
         morton_schedule = index.morton_schedule(dev)
-    tree_stats = None
-    if traversal == "auto":
-        tree_stats = index.tree_statistics(dev)
-        auto_before = {
-            k: dev.counters.extra.get(k, 0)
-            for k in ("auto_single_chunks", "auto_dual_chunks", "auto_pred_cost_us")
-        }
     t1 = time.perf_counter()
     info["t_build"] = t1 - t0
     info["index"] = index
@@ -187,10 +168,8 @@ def fdbscan(
             chunk_size=chunk_size,
             leaf_weights=weights[tree.order],
             query_order=query_order,
-            traversal=traversal,
             watchdog=watchdog,
             morton_schedule=morton_schedule,
-            tree_stats=tree_stats,
         )
         is_core = counts >= minpts
         resolution_core = is_core
@@ -214,10 +193,8 @@ def fdbscan(
             device=dev,
             chunk_size=chunk_size,
             query_order=query_order,
-            traversal=traversal,
             watchdog=watchdog,
             morton_schedule=morton_schedule,
-            tree_stats=tree_stats,
         )
         is_core = counts >= minpts
         resolution_core = is_core
@@ -247,26 +224,11 @@ def fdbscan(
         device=dev,
         kernel_name="fdbscan_main",
         chunk_size=chunk_size,
-        traversal=traversal,
         watchdog=watchdog,
-        tree_stats=tree_stats,
     )
     resolver.finalize()
     t3 = time.perf_counter()
     info["t_main"] = t3 - t2
-    if traversal == "auto":
-        extra = dev.counters.extra
-        info["auto"] = {
-            "single_chunks": extra.get("auto_single_chunks", 0)
-            - auto_before["auto_single_chunks"],
-            "dual_chunks": extra.get("auto_dual_chunks", 0)
-            - auto_before["auto_dual_chunks"],
-            "pred_cost_seconds": (
-                extra.get("auto_pred_cost_us", 0)
-                - auto_before["auto_pred_cost_us"]
-            )
-            * 1e-6,
-        }
 
     # --- finalisation -------------------------------------------------------
     labels, core_mask, n_clusters = finalize_clusters(uf.parents, is_core, dev.counters)

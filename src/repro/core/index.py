@@ -131,12 +131,6 @@ class DBSCANIndex:
         points validate them.
     max_dense_entries:
         Bound on the cached DenseBox decompositions (FIFO eviction).
-    traversal:
-        Stored traversal-engine preference (``"single"``/``"dual"``/
-        ``"auto"``) applied by runs that pass ``traversal=None``; an
-        explicit per-call ``traversal=`` always wins.  A pure scheduling
-        choice — the cached structures are engine-independent, so one
-        index serves every engine.
     """
 
     def __init__(
@@ -144,7 +138,6 @@ class DBSCANIndex:
         X: np.ndarray,
         max_dense_entries: int = DEFAULT_MAX_DENSE_ENTRIES,
         max_binnings: int = DEFAULT_MAX_BINNINGS,
-        traversal: str | None = None,
     ):
         X = validate_points(X)
         self._X = X
@@ -152,12 +145,6 @@ class DBSCANIndex:
         self.fingerprint = points_fingerprint(X)
         self.max_dense_entries = int(max_dense_entries)
         self.max_binnings = int(max_binnings)
-        if traversal is not None and traversal not in ("single", "dual", "auto"):
-            raise ValueError(
-                f"traversal must be 'single', 'dual', 'auto' or None; "
-                f"got {traversal!r}"
-            )
-        self.traversal = traversal
         self._points: _PointsEntry | None = None
         self._dense: "OrderedDict[tuple, _DenseEntry]" = OrderedDict()
         self._binnings: "OrderedDict[float, _BinningEntry]" = OrderedDict()
@@ -220,10 +207,9 @@ class DBSCANIndex:
     def morton_schedule(self, device: Device | None = None) -> np.ndarray | None:
         """The Morton chunking permutation over the indexed points.
 
-        The dual/auto engines (and ``query_order="morton"``) schedule the
-        *point set itself* as queries in Z-curve order; the permutation
-        depends only on the points — never on ``eps``, ``minpts`` or the
-        engine — so it is computed once per index and replayed thereafter,
+        ``query_order="morton"`` schedules the *point set itself* as
+        queries in Z-curve order; the permutation depends only on the
+        points — never on ``eps`` or ``minpts`` — so it is computed once per index and replayed thereafter,
         exactly like the binning cache.  Returns ``None`` for ``n < 2``
         (the schedule's own convention for "input order is fine").
         """
@@ -242,7 +228,7 @@ class DBSCANIndex:
         return schedule
 
     def tree_statistics(self, device: Device | None = None):
-        """Shape statistics of the points tree (feeds ``traversal="auto"``).
+        """Shape statistics of the points tree (for reports and tests).
 
         Computed once per index (the tree never changes) and cached; the
         first call builds the points tree if needed.

@@ -86,7 +86,6 @@ def _local_phase(
     minpts: int,
     dev: Device,
     query_order: str = "input",
-    traversal: str = "single",
 ):
     """One rank's work: core flags for owned points + local clustering.
 
@@ -118,7 +117,7 @@ def _local_phase(
     else:
         counts = count_within(
             tree, owned_pts, eps, stop_at=minpts, device=dev,
-            query_order=query_order, traversal=traversal,
+            query_order=query_order,
         )
         owned_core = counts >= minpts
         local_core = np.zeros(local_ids.shape[0], dtype=bool)
@@ -177,7 +176,6 @@ def distributed_dbscan(
     retry_policy: RetryPolicy | None = None,
     tracer=None,
     query_order: str = "input",
-    traversal: str = "single",
     backend: str = "serial",
 ) -> DBSCANResult:
     """Cluster ``X`` across ``n_ranks`` simulated ranks.
@@ -189,14 +187,12 @@ def distributed_dbscan(
     algorithm in the registry, including under any seeded ``fault_plan``
     that leaves at least one rank alive.
 
-    ``query_order`` / ``traversal`` are each rank's local traversal
-    options (see :func:`repro.bvh.traversal.for_each_leaf_hit`): Morton
-    query scheduling sorts every rank's owned+halo queries along the
-    Z-curve, the dual engine prunes its query-BVH groups collectively,
-    and ``"auto"`` lets each rank pick the engine per chunk from
-    predicted costs.  All are pure work-scheduling choices — the labelling is
-    identical — and all apply identically on recovery reruns, so
-    fault-time recompute stays equivalent too.
+    ``query_order`` is each rank's local traversal schedule (see
+    :func:`repro.bvh.traversal.for_each_leaf_hit`): Morton query
+    scheduling sorts every rank's owned+halo queries along the Z-curve.
+    It is a pure work-scheduling choice — the labelling is identical —
+    and applies identically on recovery reruns, so fault-time recompute
+    stays equivalent too.
 
     ``retry_policy`` governs the transient-failure retries of rank-local
     compute and of message delivery; with a ``fault_plan`` present its
@@ -494,7 +490,6 @@ def distributed_dbscan(
                             "eps": eps,
                             "kernel_name": f"dist_main_rank{p}",
                             "query_order": query_order,
-                            "traversal": traversal,
                         },
                     )
                     absorb_rank(p, out)
@@ -521,7 +516,6 @@ def distributed_dbscan(
                         device=dev,
                         kernel_name=f"dist_main_rank{p}",
                         query_order=query_order,
-                        traversal=traversal,
                     )
                     return uf.finalize()
 
@@ -553,7 +547,6 @@ def distributed_dbscan(
                             "eps": eps,
                             "minpts": minpts,
                             "query_order": query_order,
-                            "traversal": traversal,
                         },
                     )
                     absorb_rank(p, out)
@@ -568,7 +561,7 @@ def distributed_dbscan(
                 def local_fn(p=p):
                     return _local_phase(
                         X, local_ids_per_rank[p], owned_lists[p].shape[0], eps,
-                        minpts, dev, query_order=query_order, traversal=traversal,
+                        minpts, dev, query_order=query_order,
                     )
 
             tree, owned_core, local_core = run_attempt("local", p, local_fn)
@@ -653,7 +646,6 @@ def distributed_dbscan(
             "min_samples": minpts,
             "n_ranks": n_ranks,
             "query_order": query_order,
-            "traversal": traversal,
             "backend": backend,
             "rank_processes": pool is not None,
             "owned_per_rank": partition.counts().tolist(),

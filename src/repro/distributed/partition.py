@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.bvh.aabb import mindist_point_box_sq
+from repro.bvh.aabb import mindist_point_box_sq, point_bounds
 
 
 @dataclass
@@ -83,8 +83,7 @@ def rcb_partition(X: np.ndarray, n_ranks: int) -> Partition:
     box_hi = np.empty((n_ranks, d))
 
     # Work queue of (point indices, box, rank range [r0, r1)).
-    root_lo = X.min(axis=0)
-    root_hi = X.max(axis=0)
+    root_lo, root_hi = point_bounds(X)
     queue = [(np.arange(n, dtype=np.int64), root_lo, root_hi, 0, n_ranks)]
     while queue:
         idx, lo, hi, r0, r1 = queue.pop()

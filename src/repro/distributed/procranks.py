@@ -81,7 +81,6 @@ def _exec_op(dev: Device, state: dict, op: str, payload: dict) -> dict:
             int(payload["minpts"]),
             dev,
             query_order=payload["query_order"],
-            traversal=payload["traversal"],
         )
         state[p] = {
             "tree": tree,
@@ -150,7 +149,6 @@ def _exec_op(dev: Device, state: dict, op: str, payload: dict) -> dict:
             device=dev,
             kernel_name=payload["kernel_name"],
             query_order=payload["query_order"],
-            traversal=payload["traversal"],
         )
         return {"labels": uf.finalize()}
 

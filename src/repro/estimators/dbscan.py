@@ -10,8 +10,8 @@ from repro.core.api import dbscan as _dbscan_fn
 from repro.device.device import Device
 from repro.estimators.base import BaseEstimator, Interval, StrOptions
 
-#: Algorithms that stream through the BVH and accept ``traversal=`` /
-#: ``query_order=``; everything else is a baseline with neither knob.
+#: Algorithms that stream through the BVH and accept ``query_order=``;
+#: everything else is a baseline without that knob.
 TREE_ALGORITHMS = {"auto", "fdbscan", "fdbscan-densebox", "densebox"}
 
 
@@ -35,9 +35,6 @@ class DBSCAN(BaseEstimator):
     algorithm:
         Engine registry name (see :func:`repro.core.api.dbscan`);
         ``"auto"`` applies the Section-6 switching heuristic.
-    traversal:
-        ``"single"``/``"dual"`` wavefront engine for tree algorithms;
-        ``None`` defers to the engine default.
     query_order:
         ``"input"`` or ``"morton"`` traversal scheduling.
     device:
@@ -70,7 +67,6 @@ class DBSCAN(BaseEstimator):
                 | {"gdbscan", "cuda-dclust", "dsdbscan", "grid", "sequential", "brute"}
             )
         ],
-        "traversal": [StrOptions({"single", "dual"}), None],
         "query_order": [StrOptions({"input", "morton"})],
         "device": [Device, None],
     }
@@ -81,7 +77,6 @@ class DBSCAN(BaseEstimator):
         min_samples: int = 5,
         metric: str = "euclidean",
         algorithm: str = "auto",
-        traversal: str | None = None,
         query_order: str = "input",
         device: Device | None = None,
     ):
@@ -89,7 +84,6 @@ class DBSCAN(BaseEstimator):
         self.min_samples = min_samples
         self.metric = metric
         self.algorithm = algorithm
-        self.traversal = traversal
         self.query_order = query_order
         self.device = device
 
@@ -99,12 +93,11 @@ class DBSCAN(BaseEstimator):
         self._validate_params()
         kwargs: dict = {}
         if self.algorithm in TREE_ALGORITHMS:
-            kwargs["traversal"] = self.traversal
             kwargs["query_order"] = self.query_order
-        elif self.traversal is not None or self.query_order != "input":
+        elif self.query_order != "input":
             raise ValueError(
-                f"traversal/query_order are tree-engine knobs; algorithm "
-                f"{self.algorithm!r} accepts neither"
+                f"query_order is a tree-engine knob; algorithm "
+                f"{self.algorithm!r} does not accept it"
             )
         if sample_weight is not None:
             kwargs["sample_weight"] = sample_weight

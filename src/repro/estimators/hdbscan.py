@@ -32,10 +32,6 @@ class HDBSCAN(BaseEstimator):
     mst_algorithm:
         ``"boruvka"`` (BVH-accelerated, default) or ``"prim"`` (O(n²)
         reference); identical dendrogram heights up to tie-permutation.
-    traversal:
-        ``"single"``/``"dual"`` wavefront engine for the core-distance
-        traversals (Borůvka always runs single); ``None`` = engine
-        default.
     query_order:
         ``"input"`` or ``"morton"`` traversal scheduling.
     device:
@@ -64,7 +60,6 @@ class HDBSCAN(BaseEstimator):
         "allow_single_cluster": [bool],
         "metric": [StrOptions({"euclidean"})],
         "mst_algorithm": [StrOptions({"boruvka", "prim"})],
-        "traversal": [StrOptions({"single", "dual"}), None],
         "query_order": [StrOptions({"input", "morton"})],
         "device": [Device, None],
     }
@@ -76,7 +71,6 @@ class HDBSCAN(BaseEstimator):
         allow_single_cluster: bool = False,
         metric: str = "euclidean",
         mst_algorithm: str = "boruvka",
-        traversal: str | None = None,
         query_order: str = "input",
         device: Device | None = None,
     ):
@@ -85,7 +79,6 @@ class HDBSCAN(BaseEstimator):
         self.allow_single_cluster = allow_single_cluster
         self.metric = metric
         self.mst_algorithm = mst_algorithm
-        self.traversal = traversal
         self.query_order = query_order
         self.device = device
 
@@ -100,7 +93,6 @@ class HDBSCAN(BaseEstimator):
             allow_single_cluster=self.allow_single_cluster,
             device=self.device,
             mst_algorithm=self.mst_algorithm,
-            traversal=self.traversal,
             query_order=self.query_order,
         )
         X = np.asarray(X, dtype=np.float64)

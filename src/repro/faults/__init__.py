@@ -24,7 +24,7 @@ mid-run.  This package supplies both halves of that story:
 
 ``deadline``
     :class:`Deadline` — cooperative watchdogs threaded through the
-    traversal engines (``watchdog=``) or armed as a ``Device.fault_hook``;
+    traversals (``watchdog=``) or armed as a ``Device.fault_hook``;
     wall-clock or deterministic step budgets, raising
     :class:`DeadlineExceededError` (deliberately *not* transient).
 

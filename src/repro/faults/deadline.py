@@ -5,7 +5,7 @@ traversals are long-lived loops with no natural preemption point, so the
 deadline has to be *threaded through* them, the same way ``finished_fn``
 early-exit is.  :class:`Deadline` is that thread: a single object that
 
-- the traversal engines poll once per wavefront step (pass
+- the traversals poll once per wavefront step (pass
   ``deadline.check`` as the ``watchdog=`` argument of
   :func:`~repro.bvh.traversal.for_each_leaf_hit` or any API above it);
 - a :class:`~repro.device.device.Device` polls once per kernel launch

@@ -18,6 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.bvh.aabb import point_bounds
 from repro.device.primitives import sort_by_key
 
 _FLAT_ID_LIMIT = np.int64(2) ** 62
@@ -107,8 +108,7 @@ def build_grid(points: np.ndarray, eps: float) -> RegularGrid:
     if eps <= 0 or not np.isfinite(eps):
         raise ValueError(f"eps must be positive and finite; got {eps}")
     dim = points.shape[1]
-    lo = points.min(axis=0)
-    hi = points.max(axis=0)
+    lo, hi = point_bounds(points)
     cell_size = float(eps) / math.sqrt(dim)
     extent = hi - lo
     cells = np.ceil(extent / cell_size)

@@ -232,10 +232,8 @@ def mutual_reachability_mst_boruvka(
         :class:`repro.core.index.DBSCANIndex`); built on the fly when
         omitted.
     query_order / chunk_size:
-        Scheduling knobs forwarded to the wavefront engine; results are
-        identical for every setting.  The searches always run the single
-        engine: it drops a query at the first subtree uniform in its own
-        component, which a dual query group cannot.
+        Scheduling knobs forwarded to the wavefront traversal; results
+        are identical for every setting.
     """
     dev = default_device(device)
     X = np.ascontiguousarray(X, dtype=np.float64)

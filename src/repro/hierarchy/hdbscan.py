@@ -153,7 +153,6 @@ def hdbscan(
     allow_single_cluster: bool = False,
     device: Device | None = None,
     mst_algorithm: str = "boruvka",
-    traversal: str | None = None,
     query_order: str = "input",
     index: DBSCANIndex | None = None,
 ) -> HDBSCANResult:
@@ -174,11 +173,6 @@ def hdbscan(
         ``"boruvka"`` (BVH-accelerated, the default) or ``"prim"`` (O(n²)
         reference).  Both yield identical dendrogram heights up to
         tie-permutation.
-    traversal:
-        ``"single"``/``"dual"``/``"auto"`` wavefront engine for the
-        core-distance traversals; ``None`` defers to the index's stored
-        preference (default ``"single"``).  Borůvka's component-masked
-        searches always run the single engine.
     query_order:
         ``"input"`` or ``"morton"`` traversal scheduling.
     index:
@@ -202,15 +196,12 @@ def hdbscan(
     else:
         index.check_points(X)
     tree, reused = index.points_tree(dev)
-    if traversal is None:
-        traversal = index.traversal or "single"
     core = core_distances(
         tree,
         X,
         min_samples,
         device=dev,
         query_order=query_order,
-        traversal=traversal,
     )
     t1 = time.perf_counter()
     mst = _mreach_mst(X, core, tree, mst_algorithm, dev, query_order)
@@ -226,7 +217,6 @@ def hdbscan(
         "min_cluster_size": min_cluster_size,
         "min_samples": min_samples,
         "mst_algorithm": mst_algorithm,
-        "traversal": traversal,
         "index": index,
         "index_reused": reused,
         "t_core": t1 - t0,
@@ -249,7 +239,6 @@ def dbscan_star_cut(
     min_samples: int,
     device: Device | None = None,
     mst_algorithm: str = "boruvka",
-    traversal: str | None = None,
     query_order: str = "input",
     index: DBSCANIndex | None = None,
 ) -> np.ndarray:
@@ -270,15 +259,12 @@ def dbscan_star_cut(
     else:
         index.check_points(X)
     tree, _ = index.points_tree(dev)
-    if traversal is None:
-        traversal = index.traversal or "single"
     core = core_distances(
         tree,
         X,
         min_samples,
         device=dev,
         query_order=query_order,
-        traversal=traversal,
     )
     mst = _mreach_mst(X, core, tree, mst_algorithm, dev, query_order)
 

@@ -15,8 +15,8 @@ package is organised around its failure modes:
     Per-index circuit breaker over kernel faults, recovering via
     half-open probes.
 ``degrade``
-    The declared degradation ladder — ``full → single → cached →
-    count_only → shed`` — selected by backlog pressure.
+    The declared degradation ladder — ``full → cached → count_only →
+    shed`` — selected by backlog pressure.
 ``journal``
     Append-only mutation journal; a restarted service replays it to the
     exact pre-crash index fingerprints.

@@ -5,11 +5,7 @@ each rung trading answer quality (or freshness) for work, and every
 response *names* the rung it was served from:
 
 ``full``
-    The requested traversal engine (``dual`` when asked): exact answer.
-``single``
-    Force the single-query engine — exact and bit-identical labels (the
-    engines' equivalence guarantee), just without dual's group-pruning
-    speculation; responses stay ``status="ok"`` with ``mode="single"``.
+    Run the request: exact answer, ``mode=None``.
 ``cached``
     Serve the last exact result for identical ``(generation, op,
     params)`` from the result cache — stale-bounded by the index
@@ -30,19 +26,19 @@ same requests every run.
 from __future__ import annotations
 
 #: The ladder, best to worst.
-LADDER = ("full", "single", "cached", "count_only", "shed")
+LADDER = ("full", "cached", "count_only", "shed")
 
 
 class DegradationLadder:
     """Map backlog pressure to a ladder rung.
 
-    ``thresholds`` are the pressure cut-points for rungs 1..4: below
+    ``thresholds`` are the pressure cut-points for rungs 1..3: below
     ``thresholds[0]`` requests run ``full``; from ``thresholds[-1]`` up
     they are shed.  (The admission controller typically sheds by backlog
     bound first — the ladder's ``shed`` rung is the belt to that brace.)
     """
 
-    def __init__(self, thresholds: tuple = (0.35, 0.6, 0.8, 0.95)):
+    def __init__(self, thresholds: tuple = (0.6, 0.8, 0.95)):
         if len(thresholds) != len(LADDER) - 1:
             raise ValueError(f"need {len(LADDER) - 1} thresholds; got {len(thresholds)}")
         if list(thresholds) != sorted(thresholds):

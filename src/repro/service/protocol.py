@@ -40,8 +40,9 @@ Fields
     Per-request budget: wall seconds and/or a deterministic traversal
     step budget (whichever expires first).
 ``traversal``
-    ``"single"``/``"dual"``/``"auto"`` engine preference; the
-    degradation ladder may override it downward.
+    Accepted for compatibility with older clients and validated
+    (``"single"``, ``"dual"`` or ``"auto"``), then ignored: there is one
+    traversal engine, so answers never depend on it.
 """
 
 from __future__ import annotations
@@ -113,7 +114,6 @@ class Request:
     ids: list[int] = field(default_factory=list)
     deadline_s: float | None = None
     deadline_checks: int | None = None
-    traversal: str | None = None
 
 
 def _require_number(obj: dict, key: str, positive: bool = True) -> float:
@@ -205,13 +205,10 @@ def parse_request(
             raise MalformedRequestError(f"op {op!r} needs a non-empty 'index' name")
         req.index = name
 
-    if "traversal" in obj:
-        traversal = obj["traversal"]
-        if traversal not in ("single", "dual", "auto"):
-            raise MalformedRequestError(
-                f"'traversal' must be 'single', 'dual' or 'auto'; got {traversal!r}"
-            )
-        req.traversal = traversal
+    if obj.get("traversal", "single") not in ("single", "dual", "auto"):
+        raise MalformedRequestError(
+            f"'traversal' must be 'single', 'dual' or 'auto'; got {obj['traversal']!r}"
+        )
 
     if "deadline_s" in obj:
         req.deadline_s = _require_number(obj, "deadline_s")

@@ -9,7 +9,7 @@
 3. **admission** — the virtual-cost estimate is offered to the
    controller; refusal answers ``shed`` with the exact drain time.
 4. **ladder** — backlog pressure picks the degradation rung
-   (full/single/cached/count_only/shed) the executor honours.
+   (full/cached/count_only/shed) the executor honours.
 5. **execute** — under the per-request :class:`~repro.faults.Deadline`
    (threaded into the traversals as ``watchdog=``) and the retry policy;
    seeded kernel faults are injected through
@@ -77,7 +77,7 @@ class ServiceConfig:
     default_deadline_checks: int | None = None
     max_backlog: float = 2.0
     max_queue: int = 128
-    ladder_thresholds: tuple = (0.35, 0.6, 0.8, 0.95)
+    ladder_thresholds: tuple = (0.6, 0.8, 0.95)
     breaker_threshold: int = 3
     breaker_cooldown: float = 5.0
     rebuild_every: int = 64
@@ -237,8 +237,7 @@ class ClusteringService:
             ds = entry["dataset"]
             X = load_dataset(ds["name"], ds["n"], seed=ds["seed"])
         self.indexes[name] = ServiceIndex(
-            name, X, rebuild_every=self.config.rebuild_every,
-            traversal=entry.get("traversal"),
+            name, X, rebuild_every=self.config.rebuild_every
         )
 
     # -- helpers ---------------------------------------------------------------
@@ -466,7 +465,7 @@ class ClusteringService:
                 on_retry=lambda a, exc: self._m_retries.inc(index=req.index),
             )
         except _LadderShed:
-            # knn has no degraded form below `single`: shed, not fake.
+            # knn has no degraded form below `full`: shed, not fake.
             self._m_shed.inc(reason="ladder")
             return make_response(
                 req_id, "shed", retry_after=self.admission.backlog(), mode="ladder"
@@ -514,10 +513,9 @@ class ClusteringService:
             else:
                 X = load_dataset(req.dataset["name"], req.dataset["n"], seed=req.dataset["seed"])
             self.indexes[req.index] = ServiceIndex(
-                req.index, X,
-                rebuild_every=self.config.rebuild_every, traversal=req.traversal,
+                req.index, X, rebuild_every=self.config.rebuild_every
             )
-            extra: dict = {"traversal": req.traversal}
+            extra: dict = {}
             if req.points is not None:
                 extra["points"] = np.asarray(req.points, dtype=np.float64).tolist()
             else:
@@ -545,37 +543,31 @@ class ClusteringService:
             # Counts are the ladder's floor: always exact, any rung.
             result = index.count(
                 req.eps, req.min_samples, queries=req.points,
-                device=self.device, traversal="single", watchdog=watchdog,
+                device=self.device, watchdog=watchdog,
             )
             return result, None
 
         if op == "knn":
             if rung in ("cached", "count_only"):
-                # knn has no weaker exact form below `single`; shed it
+                # knn has no weaker exact form below `full`; shed it
                 # rather than fake it.
                 raise _LadderShed()
-            traversal = "single" if rung == "single" else (req.traversal or "single")
             result = index.knn(
-                req.k, queries=req.points, device=self.device,
-                traversal=traversal, watchdog=watchdog,
+                req.k, queries=req.points, device=self.device, watchdog=watchdog,
             )
-            return result, None if rung == "full" else "single"
+            return result, None
 
         # -- cluster, down the ladder -----------------------------------------
         cache_key = (req.index, index.generation, req.eps, req.min_samples)
-        if rung in ("full", "single"):
-            traversal = (
-                "single" if rung == "single" else (req.traversal or index.traversal or "single")
-            )
+        if rung == "full":
             result = index.cluster(
-                req.eps, req.min_samples, device=self.device,
-                traversal=traversal, watchdog=watchdog,
+                req.eps, req.min_samples, device=self.device, watchdog=watchdog,
             )
             self._cache[cache_key] = result
             self._cache.move_to_end(cache_key)
             while len(self._cache) > self.config.result_cache_size:
                 self._cache.popitem(last=False)
-            return result, None if rung == "full" else "single"
+            return result, None
         if rung == "cached":
             hit = self._cache.get(cache_key)
             if hit is not None:
@@ -583,13 +575,13 @@ class ClusteringService:
                 return dict(hit), "cached"
             result = index.cluster(
                 req.eps, req.min_samples, device=self.device,
-                traversal="single", watchdog=watchdog, count_only=True,
+                watchdog=watchdog, count_only=True,
             )
             return result, "cache_miss_count_only"
         # count_only rung
         result = index.cluster(
             req.eps, req.min_samples, device=self.device,
-            traversal="single", watchdog=watchdog, count_only=True,
+            watchdog=watchdog, count_only=True,
         )
         return result, "count_only"
 
@@ -715,4 +707,4 @@ class ClusteringService:
 
 
 class _LadderShed(Exception):
-    """Internal: an executor rung refused the op (knn below single)."""
+    """Internal: an executor rung refused the op (knn below full)."""

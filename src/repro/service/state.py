@@ -58,7 +58,6 @@ class ServiceIndex:
         X: np.ndarray,
         ids: np.ndarray | None = None,
         rebuild_every: int = DEFAULT_REBUILD_EVERY,
-        traversal: str | None = None,
     ):
         if rebuild_every < 1:
             raise ValueError(f"rebuild_every must be >= 1; got {rebuild_every}")
@@ -66,7 +65,6 @@ class ServiceIndex:
         self.name = name
         self.dim = X.shape[1]
         self.rebuild_every = int(rebuild_every)
-        self.traversal = traversal
         self.slot_points = np.ascontiguousarray(X, dtype=np.float64).copy()
         if ids is None:
             self.slot_ids = np.arange(X.shape[0], dtype=np.int64)
@@ -77,7 +75,7 @@ class ServiceIndex:
         self.next_id = int(self.slot_ids.max()) + 1 if self.slot_ids.size else 0
         self.alive = np.ones(X.shape[0], dtype=bool)
         self._free: list[int] = []  # tombstoned slots, reusable by inserts
-        self.index: DBSCANIndex | None = DBSCANIndex(self.slot_points.copy(), traversal=traversal)
+        self.index: DBSCANIndex | None = DBSCANIndex(self.slot_points.copy())
         self.tree = None
         self._boxes_dirty = False
         self.mutations_since_rebuild = 0
@@ -208,7 +206,7 @@ class ServiceIndex:
         self.alive = np.ones(self.slot_points.shape[0], dtype=bool)
         self._free = []
         self.index = (
-            DBSCANIndex(self.slot_points.copy(), traversal=self.traversal)
+            DBSCANIndex(self.slot_points.copy())
             if self.slot_points.shape[0]
             else None
         )
@@ -256,7 +254,6 @@ class ServiceIndex:
         eps: float,
         device: Device,
         stop_at=None,
-        traversal: str = "single",
         watchdog=None,
     ) -> np.ndarray:
         """Neighbour counts over *live* points only (tombstones weigh 0)."""
@@ -264,11 +261,11 @@ class ServiceIndex:
             weights = self.alive.astype(np.float64)[self.tree.order]
             return count_within(
                 self.tree, queries, eps, stop_at=stop_at, device=device,
-                leaf_weights=weights, traversal=traversal, watchdog=watchdog,
+                leaf_weights=weights, watchdog=watchdog,
             )
         return count_within(
             self.tree, queries, eps, stop_at=stop_at, device=device,
-            traversal=traversal, watchdog=watchdog,
+            watchdog=watchdog,
         )
 
     def count(
@@ -277,7 +274,6 @@ class ServiceIndex:
         min_samples: int,
         queries: np.ndarray | None = None,
         device: Device | None = None,
-        traversal: str = "single",
         watchdog=None,
     ) -> dict:
         """Exact neighbour counts within ``eps`` for ``queries`` (default:
@@ -292,7 +288,7 @@ class ServiceIndex:
         if queries is None:
             queries = self.slot_points[self.live_slots()]
         counts = self._masked_counts(
-            queries, eps, device, stop_at=None, traversal=traversal, watchdog=watchdog
+            queries, eps, device, stop_at=None, watchdog=watchdog
         )
         counts = np.rint(np.asarray(counts, dtype=np.float64)).astype(np.int64)
         return {
@@ -306,7 +302,6 @@ class ServiceIndex:
         eps: float,
         min_samples: int,
         device: Device | None = None,
-        traversal: str = "single",
         watchdog=None,
         count_only: bool = False,
     ) -> dict:
@@ -333,7 +328,7 @@ class ServiceIndex:
             return out
         queries = self.slot_points[live]
         counts = self._masked_counts(
-            queries, eps, device, stop_at=minpts, traversal=traversal, watchdog=watchdog
+            queries, eps, device, stop_at=minpts, watchdog=watchdog
         )
         is_core = np.asarray(counts >= minpts)
         if count_only:
@@ -364,7 +359,6 @@ class ServiceIndex:
             mask_positions=mask_positions,
             device=device,
             kernel_name="service_cluster",
-            traversal=traversal,
             watchdog=watchdog,
         )
         resolver.finalize()
@@ -385,7 +379,6 @@ class ServiceIndex:
         k: int,
         queries: np.ndarray | None = None,
         device: Device | None = None,
-        traversal: str = "single",
         watchdog=None,
     ) -> dict:
         """Distance to each query's ``k``-th nearest live point.
@@ -406,7 +399,6 @@ class ServiceIndex:
             int(k),
             device=device,
             points=self.slot_points,
-            traversal=traversal,
             watchdog=watchdog,
         )
         return {"radii": [round(float(r), 12) for r in radii], "n_points": int(queries.shape[0])}

@@ -151,6 +151,9 @@ def run_traffic(
         req: dict = {"op": op, "id": f"t{i}", "index": name}
         if op == "cluster":
             req.update(eps=0.08, min_samples=5)
+            # Older clients still send an engine preference; the service
+            # validates and ignores it, and the draws keep seeded streams
+            # byte-identical.
             if rng.random() < 0.3:
                 req["traversal"] = "dual" if rng.random() < 0.5 else "auto"
         elif op == "count":

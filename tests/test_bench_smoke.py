@@ -12,9 +12,8 @@ import json
 import numpy as np
 import pytest
 
-from repro.bench.harness import RunRecord
 from repro.bench.history import load_records, save_records
-from repro.bench.smoke import _strip_option, dual_ratio_alarms, run_smoke
+from repro.bench.smoke import _strip_option, run_smoke
 from repro.cli import main
 from repro.datasets import gaussian_blobs
 from repro.datasets.io import save_points
@@ -65,48 +64,6 @@ class TestStripOption:
 
     def test_absent(self):
         assert _strip_option(["a", "b"], "--save") == ["a", "b"]
-
-
-def _mode_pair(single_counters, dual_counters, status="ok"):
-    common = dict(algorithm="fdbscan", dataset="d", n=100, eps=0.1, min_samples=5)
-    return [
-        RunRecord(**common, traversal="single", status=status,
-                  counters=single_counters),
-        RunRecord(**common, traversal="dual", status=status,
-                  counters=dual_counters),
-    ]
-
-
-class TestDualRatioGate:
-    def test_pruning_win_passes(self):
-        records = _mode_pair(
-            {"box_tests": 1000, "nodes_visited": 1000},
-            {"box_tests": 300, "group_box_tests": 100, "nodes_visited": 200},
-        )
-        assert dual_ratio_alarms(records, 0.7) == []
-
-    def test_degraded_pruning_alarms(self):
-        records = _mode_pair(
-            {"box_tests": 1000, "nodes_visited": 1000},
-            {"box_tests": 900, "group_box_tests": 500, "nodes_visited": 900},
-        )
-        alarms = dual_ratio_alarms(records, 0.7)
-        assert len(alarms) == 1
-        assert "dual/single pruning work" in alarms[0]
-
-    def test_non_tree_and_failed_cells_ignored(self):
-        # no box tests under the single engine (a baseline) -> no signal
-        records = _mode_pair(
-            {"nodes_visited": 1000},
-            {"group_box_tests": 99999, "nodes_visited": 99999},
-        )
-        assert dual_ratio_alarms(records, 0.7) == []
-        records = _mode_pair(
-            {"box_tests": 1000, "nodes_visited": 1000},
-            {"group_box_tests": 99999, "nodes_visited": 99999},
-            status="oom",
-        )
-        assert dual_ratio_alarms(records, 0.7) == []
 
 
 class TestRunSmoke:

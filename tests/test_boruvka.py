@@ -327,14 +327,14 @@ class TestPipelineIntegration:
         np.testing.assert_allclose(fast.probabilities, ref.probabilities)
 
     def test_hdbscan_traversal_invariance(self):
-        # traversal= steers only the core-distance kNN; every engine
-        # yields the same core distances, hence the same hierarchy
+        # query_order= schedules the core-distance kNN and Borůvka
+        # traversals; every order yields the same core distances, hence
+        # the same hierarchy
         X = load_dataset("ngsim", n=300, seed=2)
-        base = hdbscan(X, min_cluster_size=5, traversal="single")
-        for traversal in ("dual", "auto"):
-            got = hdbscan(X, min_cluster_size=5, traversal=traversal)
-            np.testing.assert_array_equal(got.labels, base.labels)
-            np.testing.assert_array_equal(got.probabilities, base.probabilities)
+        base = hdbscan(X, min_cluster_size=5)
+        got = hdbscan(X, min_cluster_size=5, query_order="morton")
+        np.testing.assert_array_equal(got.labels, base.labels)
+        np.testing.assert_array_equal(got.probabilities, base.probabilities)
 
     def test_dbscan_star_cut_engines_agree(self, rng):
         X = _clustered(rng, 160)

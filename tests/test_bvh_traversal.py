@@ -1,5 +1,6 @@
 """Correctness tests for batched BVH traversal: completeness vs brute
-force, early termination, the leaf-index mask, and chunking invariance."""
+force, early termination, contained-subtree counts, the leaf-index mask,
+per-query radii, and chunking invariance."""
 
 import numpy as np
 import pytest
@@ -8,7 +9,13 @@ from hypothesis import strategies as st
 
 from repro.bvh.aabb import boxes_from_points
 from repro.bvh.builder import build_bvh
-from repro.bvh.traversal import count_within, for_each_leaf_hit
+from repro.bvh.traversal import (
+    count_within,
+    for_each_leaf_hit,
+    refresh_node_components,
+)
+from repro.core.fdbscan import fdbscan
+from repro.core.index import DBSCANIndex
 from repro.device.device import Device
 
 from tests.conftest import brute_neighbor_counts, brute_pairs
@@ -65,7 +72,13 @@ class TestCountWithin:
         assert (full == 300).all()
         capped = count_within(tree, pts, 1.0, stop_at=10)
         assert (capped >= 10).all()
-        assert capped.sum() < full.sum()  # actually terminated early
+        # The whole tree lies inside every ball, so the unweighted count
+        # credits the root's two children whole; the leaf-by-leaf walk
+        # (unit weights) shows the truncation.
+        ones = np.ones(300)
+        walked = count_within(tree, pts, 1.0, stop_at=10, leaf_weights=ones)
+        assert (walked >= 10).all()
+        assert walked.sum() < full.sum()  # actually terminated early
 
     def test_early_exit_agrees_on_core_decision(self):
         rng = np.random.default_rng(10)
@@ -82,9 +95,16 @@ class TestCountWithin:
         rng = np.random.default_rng(11)
         pts = rng.normal(0, 0.01, size=(400, 2))
         tree = _tree_over(pts)
+        # Unweighted counts credit the root's contained children: one
+        # visit (the root) per query.
+        dev = Device()
+        count_within(tree, pts, 1.0, stop_at=5, device=dev)
+        assert dev.counters.nodes_visited == 400
+        # The leaf-by-leaf walk (unit weights) is where early exit cuts.
+        ones = np.ones(400)
         dev_full, dev_early = Device(), Device()
-        count_within(tree, pts, 1.0, device=dev_full)
-        count_within(tree, pts, 1.0, stop_at=5, device=dev_early)
+        count_within(tree, pts, 1.0, device=dev_full, leaf_weights=ones)
+        count_within(tree, pts, 1.0, stop_at=5, device=dev_early, leaf_weights=ones)
         assert dev_early.counters.nodes_visited < dev_full.counters.nodes_visited
 
     def test_stop_at_zero_rejected(self):
@@ -168,6 +188,233 @@ class TestWeightedEarlyExit:
         # integer counts cross 4.5 at 5: the decision matches exact counts
         np.testing.assert_array_equal(early >= 4.5, exact >= 4.5)
         assert (early[early >= 4.5] >= 5).all()
+
+
+def _plain_tally(tree, queries, eps, **kw):
+    """Counts from the plain hit stream, and the walk's device: the
+    reference the contained-subtree credit must reproduce."""
+    counts = np.zeros(queries.shape[0], dtype=np.int64)
+    dev = Device()
+
+    def cb(q, _pos):
+        np.add.at(counts, q, 1)
+
+    for_each_leaf_hit(tree, queries, eps, cb, device=dev, **kw)
+    return counts, dev
+
+
+def _lattice(side, d, spacing):
+    g = spacing * np.arange(side)
+    return np.stack(np.meshgrid(*[g] * d), axis=-1).reshape(-1, d)
+
+
+def _contained_cases():
+    """Inputs where contained subtrees and exact-eps ties are common:
+    ``(points, queries, eps)``."""
+    rng = np.random.default_rng(41)
+    lattice = _lattice(16, 2, 0.125)  # power-of-two spacing: exact ties
+    dup = np.repeat(rng.uniform(0, 1, (40, 2)), 5, axis=0)  # duplicates
+    t = rng.uniform(0, 1, 300)
+    line3d = np.stack([t, 0.5 * t, np.full_like(t, 0.25)], axis=1)  # 1-D in 3-D
+    radii = rng.uniform(0.0, 0.4, lattice.shape[0])
+    radii[::5] = 0.25  # exactly two lattice steps
+    return {
+        "lattice": (lattice, lattice, 0.125),
+        "lattice-3step": (lattice, lattice, 0.375),
+        "duplicates": (dup, dup, 0.05),
+        "per-query": (lattice, lattice, radii),
+        "line-in-3d": (line3d, line3d, 0.1),
+        "external": (lattice, rng.uniform(-0.5, 2.5, (200, 2)), 0.5),
+    }
+
+
+class TestContainedCounts:
+    """Unweighted counts credit a subtree inside the query's ball with its
+    leaf count; every count must equal the plain hit tally."""
+
+    @pytest.mark.parametrize("case", sorted(_contained_cases()))
+    def test_full_counts_equal_plain_tally(self, case):
+        pts, queries, eps = _contained_cases()[case]
+        tree = _tree_over(pts)
+        want, plain = _plain_tally(tree, queries, eps)
+        dev = Device()
+        got = count_within(tree, queries, eps, device=dev)
+        np.testing.assert_array_equal(got, want)
+        # some subtree was credited whole instead of walked
+        assert dev.counters.distance_evals < plain.counters.distance_evals
+
+    @pytest.mark.parametrize("case", sorted(_contained_cases()))
+    @pytest.mark.parametrize("stop_at", [3, 10, 40])
+    def test_counts_below_stop_at_are_exact(self, case, stop_at):
+        pts, queries, eps = _contained_cases()[case]
+        tree = _tree_over(pts)
+        want, _ = _plain_tally(tree, queries, eps)
+        got = count_within(tree, queries, eps, stop_at=stop_at)
+        below = want < stop_at
+        np.testing.assert_array_equal(got[below], want[below])
+        assert (got[~below] >= stop_at).all()
+
+    def test_masked_counts_equal_plain_tally(self):
+        pts, _, eps = _contained_cases()["lattice-3step"]
+        tree = _tree_over(pts)
+        mask = tree.position.astype(np.int64)
+        want, _ = _plain_tally(tree, pts, eps, mask_positions=mask)
+        got = count_within(tree, pts, eps, mask_positions=mask)
+        np.testing.assert_array_equal(got, want)
+
+    def test_fewer_nodes_visited_on_dense_data(self):
+        from repro.datasets.registry import load_dataset
+
+        X = load_dataset("ngsim", n=2000, seed=0)
+        tree = _tree_over(X)
+        want, plain = _plain_tally(tree, X, 0.01)
+        dev = Device()
+        np.testing.assert_array_equal(count_within(tree, X, 0.01, device=dev), want)
+        assert dev.counters.nodes_visited < plain.counters.nodes_visited
+        assert dev.counters.distance_evals < plain.counters.distance_evals
+
+    def test_weighted_tie_at_minpts_still_core(self):
+        # Weights summing to exactly minpts inside a contained subtree:
+        # the weighted walk keeps its leaf-by-leaf sum, so the tie is
+        # still core.
+        pts = _lattice(4, 2, 0.125)  # 16 points, whole tree inside eps=1
+        tree = _tree_over(pts)
+        w = np.full(16, 0.3125)  # 16 x 5/16 = 5 exactly
+        counts = count_within(tree, pts, 1.0, stop_at=5, leaf_weights=w)
+        assert (counts >= 5).all()
+        res = fdbscan(pts, 1.0, 5, sample_weight=w)
+        assert res.is_core.all()
+        under = fdbscan(pts, 1.0, 5, sample_weight=np.full(16, 0.3))
+        assert not under.is_core.any()
+
+    def test_counts_invariant_to_scheduling(self):
+        pts, _, radii = _contained_cases()["per-query"]
+        tree = _tree_over(pts)
+        base = count_within(tree, pts, radii, stop_at=12)
+        for chunk_size in (1, 7, 64, None):
+            for query_order in ("input", "morton"):
+                got = count_within(tree, pts, radii, stop_at=12,
+                                   chunk_size=chunk_size, query_order=query_order)
+                np.testing.assert_array_equal(got, base)
+
+    def test_watchdog_polled_every_step(self):
+        pts, _, eps = _contained_cases()["lattice"]
+        tree = _tree_over(pts)
+        calls = []
+        count_within(tree, pts, eps, watchdog=lambda: calls.append(1))
+        dev = Device()
+        count_within(tree, pts, eps, device=dev)
+        # once on entry, then once per wavefront step
+        assert len(calls) == 1 + dev.profile()["bvh_count"]["steps"]
+
+        class Expired(Exception):
+            pass
+
+        def expire():
+            if len(calls) > 3:
+                raise Expired
+            calls.append(1)
+
+        calls.clear()
+        with pytest.raises(Expired):
+            count_within(tree, pts, eps, watchdog=expire)
+
+
+class TestPerQueryRadii:
+    @staticmethod
+    def _case(rng):
+        """Clustered points with random per-query radii (a tenth zero) plus
+        an exact lattice whose radii land exactly on lattice distances."""
+        X = np.concatenate([rng.normal(c, 0.08, (60, 2)) for c in (0.5, 2.0)]
+                           + [rng.uniform(0, 4, (80, 2))])
+        radii = rng.uniform(0.0, 0.2, X.shape[0])
+        radii[rng.random(X.shape[0]) < 0.1] = 0.0
+        lattice = 5.0 + _lattice(10, 2, 0.125)
+        # 0.625 is the hypotenuse of the (0.375, 0.5) lattice step: exact too
+        lat_r = rng.choice([0.0, 0.125, 0.25, 0.375, 0.625], lattice.shape[0])
+        return np.concatenate([X, lattice]), np.concatenate([radii, lat_r])
+
+    @staticmethod
+    def _hits(tree, X, eps, config):
+        m = X.shape[0]
+        kw = {}
+        seen = np.zeros(m, dtype=np.int64)
+        if config == "mask":
+            kw["mask_positions"] = tree.position.astype(np.int64)
+        elif config == "finished":
+            kw["finished_fn"] = lambda ids: seen[ids] >= 6
+        elif config == "component":
+            comp = np.digitize(X[:, 0], [1.0, 2.0, 3.0]).astype(np.int64)
+            node_comp = np.empty(tree.node_lo.shape[0], dtype=np.int64)
+            refresh_node_components(tree, comp, node_comp)
+            kw.update(component_of=comp, node_components=node_comp)
+        hits = []
+
+        def cb(q, pos):
+            np.add.at(seen, q, 1)
+            hits.append((q.astype(np.int64), pos.astype(np.int64)))
+
+        dev = Device()
+        for_each_leaf_hit(tree, X, eps, cb, device=dev, chunk_size=97, **kw)
+        q = np.concatenate([h[0] for h in hits]) if hits else np.zeros(0, np.int64)
+        p = np.concatenate([h[1] for h in hits]) if hits else np.zeros(0, np.int64)
+        return q, p, dev.counters.snapshot()
+
+    def test_hits_are_exactly_the_per_query_balls(self, rng):
+        X, radii = self._case(rng)
+        tree = _tree_over(X)
+        q, p, _ = self._hits(tree, X, radii, "plain")
+        d2 = ((X[:, None, :] - X[None, :, :]) ** 2).sum(-1)
+        want_q, want_i = np.nonzero(d2 <= (radii * radii)[:, None])
+        got = np.lexsort((tree.order[p], q))
+        np.testing.assert_array_equal(q[got], want_q)
+        np.testing.assert_array_equal(tree.order[p][got], want_i)
+
+    @pytest.mark.parametrize("config", ["plain", "mask", "finished", "component"])
+    def test_scalar_equals_constant_array(self, rng, config):
+        X, _ = self._case(rng)
+        tree = _tree_over(X)
+        scalar = self._hits(tree, X, 0.12, config)
+        array = self._hits(tree, X, np.full(X.shape[0], 0.12), config)
+        np.testing.assert_array_equal(array[0], scalar[0])
+        np.testing.assert_array_equal(array[1], scalar[1])
+        assert array[2] == scalar[2]
+        for stop_at in (None, 5):
+            np.testing.assert_array_equal(
+                count_within(tree, X, np.full(X.shape[0], 0.12), stop_at=stop_at),
+                count_within(tree, X, 0.12, stop_at=stop_at),
+            )
+
+
+class TestMortonScheduleCache:
+    @staticmethod
+    def _points():
+        rng = np.random.default_rng(11)
+        return np.concatenate(
+            [rng.normal(0.0, 0.12, (350, 2)), rng.normal(1.5, 0.15, (230, 2)),
+             rng.uniform(-1.0, 3.0, (120, 2))]
+        )
+
+    def test_schedule_cached_per_index(self):
+        X = self._points()
+        index = DBSCANIndex(X)
+        assert index.morton_builds == 0 and index.morton_hits == 0
+        dev = Device()
+        fdbscan(X, 0.25, 5, device=dev, query_order="morton", index=index)
+        assert index.morton_builds == 1
+        fdbscan(X, 0.2, 5, device=dev, query_order="morton", index=index)
+        fdbscan(X, 0.25, 5, device=dev, query_order="input", index=index)
+        assert index.morton_builds == 1  # eps-independent: never rebuilt
+        assert index.morton_hits == 1
+
+    def test_cached_schedule_changes_nothing(self):
+        X = self._points()
+        index = DBSCANIndex(X)
+        cold = fdbscan(X, 0.25, 5, device=Device(), query_order="morton")
+        warm = fdbscan(X, 0.25, 5, device=Device(), query_order="morton", index=index)
+        warm2 = fdbscan(X, 0.25, 5, device=Device(), query_order="morton", index=index)
+        assert np.array_equal(cold.labels, warm.labels)
+        assert np.array_equal(warm.labels, warm2.labels)
 
 
 class TestLeafHits:

@@ -1,5 +1,7 @@
 """Tests for the command-line interface (in-process, via main(argv))."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -478,40 +480,41 @@ class TestServeCommand:
 
 
 class TestBenchHistory:
+    @staticmethod
+    def _bench(points_file, *extra):
+        main(["bench", points_file, "--eps", "0.2", "--minpts-sweep", "5",
+              "--algorithms", "fdbscan", *extra])
+
+    @staticmethod
+    def _scale_seconds(path, factor):
+        """Rescale a saved baseline's wall seconds: the comparison then
+        gates on a known margin, not on how loaded the host is."""
+        with open(path) as fh:
+            payload = json.load(fh)
+        for row in payload["records"]:
+            row["seconds"] *= factor
+        with open(path, "w") as fh:
+            json.dump(payload, fh)
+
     def test_save_and_compare(self, points_file, tmp_path, capsys):
         path = str(tmp_path / "run.json")
-        main(
-            [
-                "bench",
-                points_file,
-                "--eps",
-                "0.2",
-                "--minpts-sweep",
-                "5",
-                "--algorithms",
-                "fdbscan",
-                "--save",
-                path,
-            ]
-        )
+        self._bench(points_file, "--save", path)
         assert "records written" in capsys.readouterr().out
-        main(
-            [
-                "bench",
-                points_file,
-                "--eps",
-                "0.2",
-                "--minpts-sweep",
-                "5",
-                "--algorithms",
-                "fdbscan",
-                "--compare",
-                path,
-            ]
-        )
+        self._scale_seconds(path, 1e3)
+        self._bench(points_file, "--compare", path)
         out = capsys.readouterr().out
         assert "comparison vs" in out
         assert "no regressions" in out
+
+    def test_compare_reports_planted_regression(self, points_file, tmp_path, capsys):
+        path = str(tmp_path / "run.json")
+        self._bench(points_file, "--save", path)
+        capsys.readouterr()
+        self._scale_seconds(path, 1e-3)
+        self._bench(points_file, "--compare", path)
+        out = capsys.readouterr().out
+        assert "regression: " in out
+        assert "no regressions" not in out
 
     def test_save_default_filename(self, points_file, capsys, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)

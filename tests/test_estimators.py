@@ -13,7 +13,6 @@ import numpy as np
 import pytest
 
 from repro.core.api import dbscan as dbscan_fn
-from repro.device.device import Device
 from repro.estimators import DBSCAN, HDBSCAN
 from repro.hierarchy import hdbscan as hdbscan_fn
 from repro.metrics import partitions_equal
@@ -107,17 +106,9 @@ class TestDBSCANValidation:
         ):
             DBSCAN(algorithm="kd").fit(blobs)
 
-    def test_traversal_options(self, blobs):
-        _raises_exact(
-            DBSCAN(traversal="triple"),
-            blobs,
-            "The 'traversal' parameter of DBSCAN must be a str among "
-            "{'dual' or 'single'} or None. Got 'triple' instead.",
-        )
-
     def test_tree_knob_rejected_for_baseline(self, blobs):
-        with pytest.raises(ValueError, match="tree-engine knobs"):
-            DBSCAN(eps=0.5, algorithm="gdbscan", traversal="dual").fit(blobs)
+        with pytest.raises(ValueError, match="tree-engine knob"):
+            DBSCAN(eps=0.5, algorithm="gdbscan", query_order="morton").fit(blobs)
 
     def test_validation_happens_at_fit_not_init(self):
         DBSCAN(eps=-1)  # must not raise
@@ -165,17 +156,22 @@ class TestDBSCANFit:
         assert est.result_.info["algorithm"] == reported
         assert est.n_clusters_ == 3
 
-    @pytest.mark.parametrize("traversal", ["single", "dual"])
-    def test_traversal_passthrough(self, blobs, traversal):
-        dev = Device()
+    def test_query_order_passthrough(self, blobs, monkeypatch):
+        import repro.estimators.dbscan as module
+
+        seen = {}
+        real = module._dbscan_fn
+
+        def spy(*args, **kwargs):
+            seen.update(kwargs)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(module, "_dbscan_fn", spy)
         est = DBSCAN(
-            eps=0.5, min_samples=5, algorithm="fdbscan",
-            traversal=traversal, query_order="morton", device=dev,
+            eps=0.5, min_samples=5, algorithm="fdbscan", query_order="morton",
         ).fit(blobs)
         assert est.n_clusters_ == 3
-        # only the dual (query-aggregated) engine performs group box tests
-        group_tests = dev.counters.snapshot().get("group_box_tests", 0)
-        assert (group_tests > 0) == (traversal == "dual")
+        assert seen["query_order"] == "morton"
 
     def test_sample_weight(self):
         # one point of weight 5 is its own dense neighbourhood
@@ -247,11 +243,9 @@ class TestHDBSCANFit:
 
     def test_knob_passthrough_reaches_info(self, blobs):
         est = HDBSCAN(
-            min_cluster_size=10, mst_algorithm="prim", traversal="dual",
-            query_order="morton",
+            min_cluster_size=10, mst_algorithm="prim", query_order="morton",
         ).fit(blobs)
         assert est.result_.info["mst_algorithm"] == "prim"
-        assert est.result_.info["traversal"] == "dual"
 
     def test_n_features_in(self, rng):
         X = rng.normal(size=(50, 3))

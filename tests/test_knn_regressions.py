@@ -241,9 +241,8 @@ class TestRungSearch:
         pts = rng.uniform(0, 3, (64, 2))
         tree = _point_tree(pts)
         want = cKDTree(pts).query(pts, k=64)[0][:, -1]
-        for traversal in ("single", "dual"):
-            got = knn_radii(tree, pts, 64, traversal=traversal)
-            np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
+        got = knn_radii(tree, pts, 64)
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
 
     @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
     def test_non_finite_initial_radius_rejected_at_entry(self, rng, bad):

@@ -143,9 +143,9 @@ class TestBreaker:
 
 class TestLadder:
     def test_rungs_by_pressure(self):
-        ladder = DegradationLadder((0.35, 0.6, 0.8, 0.95))
+        ladder = DegradationLadder((0.6, 0.8, 0.95))
         assert ladder.rung(0.0) == "full"
-        assert ladder.rung(0.5) == "single"
+        assert ladder.rung(0.5) == "full"
         assert ladder.rung(0.7) == "cached"
         assert ladder.rung(0.9) == "count_only"
         assert ladder.rung(0.99) == "shed"
@@ -153,7 +153,7 @@ class TestLadder:
 
     def test_thresholds_validated(self):
         with pytest.raises(ValueError):
-            DegradationLadder((0.9, 0.5, 0.3, 0.1))
+            DegradationLadder((0.9, 0.5, 0.3))
         with pytest.raises(ValueError):
             DegradationLadder((0.5,))
 
@@ -300,28 +300,31 @@ class TestServiceLoop:
                 break
         assert shed is not None and shed["retry_after"] > 0
 
-    def test_single_rung_labels_bit_identical_to_full(self):
+    def test_traversal_field_leaves_labels_unchanged(self):
+        # Older clients still send an engine preference: it is validated
+        # and ignored, so the answer is the plain request's.
         X = _points(4)
-        full = ClusteringService()
-        full.handle({"op": "create_index", "index": "a", "points": X.tolist(),
-                     "traversal": "dual"})
-        r_full = full.handle(
-            {"op": "cluster", "index": "a", "eps": 0.08, "min_samples": 5,
-             "traversal": "dual"}
+        plain = ClusteringService()
+        plain.handle({"op": "create_index", "index": "a", "points": X.tolist()})
+        r_plain = plain.handle(
+            {"op": "cluster", "index": "a", "eps": 0.08, "min_samples": 5}
         )
-        # force the single rung via ladder thresholds at zero pressure cuts
-        config = ServiceConfig(ladder_thresholds=(0.0, 2.0, 3.0, 4.0))
-        degraded = ClusteringService(config=config)
-        degraded.handle({"op": "create_index", "index": "a", "points": X.tolist()})
-        r_single = degraded.handle(
-            {"op": "cluster", "index": "a", "eps": 0.08, "min_samples": 5,
-             "traversal": "dual"}
-        )
-        assert r_single["status"] == "ok" and r_single["mode"] == "single"
-        assert r_full["result"]["labels"] == r_single["result"]["labels"]
+        for traversal in ("single", "dual", "auto"):
+            svc = ClusteringService()
+            svc.handle({"op": "create_index", "index": "a", "points": X.tolist(),
+                        "traversal": traversal})
+            r = svc.handle(
+                {"op": "cluster", "index": "a", "eps": 0.08, "min_samples": 5,
+                 "traversal": traversal}
+            )
+            assert r["status"] == "ok" and r.get("mode") is None
+            assert r["result"] == r_plain["result"]
+        bad = plain.handle({"op": "cluster", "index": "a", "eps": 0.08,
+                            "min_samples": 5, "traversal": "triple"})
+        assert bad["status"] == "rejected"
 
     def test_count_only_rung_is_explicitly_degraded(self):
-        config = ServiceConfig(ladder_thresholds=(0.0, 0.0, 0.0, 4.0))
+        config = ServiceConfig(ladder_thresholds=(0.0, 0.0, 4.0))
         svc = ClusteringService(config=config)
         svc.handle({"op": "create_index", "index": "a", "points": _points().tolist()})
         r = svc.handle({"op": "cluster", "index": "a", "eps": 0.08, "min_samples": 5})

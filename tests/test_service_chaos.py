@@ -27,7 +27,7 @@ from repro.core.fdbscan import fdbscan
 from repro.core.labels import DBSCANResult
 from repro.faults import FaultPlan, FaultSpec
 from repro.metrics.equivalence import assert_dbscan_equivalent
-from repro.service import ClusteringService, ServiceConfig
+from repro.service import ClusteringService
 from repro.service.traffic import run_traffic
 
 pytestmark = pytest.mark.chaos
@@ -41,7 +41,7 @@ _EXPECTED_ERROR_CODES = {
     "deadline_exceeded", "kernel_fault", "invalid",
 }
 _EXPECTED_MODES = {
-    None, "single", "cached", "cache_miss_count_only", "count_only",
+    None, "cached", "cache_miss_count_only", "count_only",
     "ladder", "backpressure", "breaker_open",
 }
 
@@ -121,28 +121,26 @@ class TestServiceChaos:
                 assert r["error"]["code"] in _EXPECTED_ERROR_CODES
         assert saw_ok  # retries + breaker recovery must let some through
 
-    def test_single_rung_is_bit_identical_to_full(self):
-        # The ladder's 'single' promise: status ok, labels bit-equal.
+    def test_traversal_field_is_ignored(self):
+        # An old client's engine preference is accepted and ignored:
+        # status ok, full rung, labels bit-equal to the plain request's.
         seed = BASE_SEED * 1000 + 900
         X = np.random.default_rng([seed, 0x51E]).random((180, 2))
-        full = ClusteringService()
-        full.handle({"op": "create_index", "index": "a", "points": X.tolist()})
-        r_full = full.handle(
+        plain = ClusteringService()
+        plain.handle({"op": "create_index", "index": "a", "points": X.tolist()})
+        r_plain = plain.handle(
+            {"op": "cluster", "index": "a", "eps": 0.07, "min_samples": 4}
+        )
+        svc = ClusteringService()
+        svc.handle({"op": "create_index", "index": "a", "points": X.tolist()})
+        r_dual = svc.handle(
             {"op": "cluster", "index": "a", "eps": 0.07, "min_samples": 4,
              "traversal": "dual"}
         )
-        forced_single = ClusteringService(
-            config=ServiceConfig(ladder_thresholds=(0.0, 2.0, 3.0, 4.0))
-        )
-        forced_single.handle({"op": "create_index", "index": "a", "points": X.tolist()})
-        r_single = forced_single.handle(
-            {"op": "cluster", "index": "a", "eps": 0.07, "min_samples": 4,
-             "traversal": "dual"}
-        )
-        assert r_full["status"] == "ok" and r_full.get("mode") is None
-        assert r_single["status"] == "ok" and r_single["mode"] == "single"
-        assert r_full["result"]["labels"] == r_single["result"]["labels"]
-        assert r_full["result"]["is_core"] == r_single["result"]["is_core"]
+        assert r_plain["status"] == "ok" and r_plain.get("mode") is None
+        assert r_dual["status"] == "ok" and r_dual.get("mode") is None
+        assert r_plain["result"]["labels"] == r_dual["result"]["labels"]
+        assert r_plain["result"]["is_core"] == r_dual["result"]["is_core"]
 
     def test_deadline_storm_kills_requests_not_the_service(self):
         seed = BASE_SEED * 1000 + 901

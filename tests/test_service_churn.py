@@ -5,8 +5,8 @@ inserts overwrite them, and the BVH is *refit* (leaf boxes rewritten,
 internal boxes recomputed bottom-up) rather than rebuilt.  Two things
 must hold under interleaved insert/delete/query sequences:
 
-- traversals never read **stale packed child boxes** — the dual/single
-  engines' packed-children cache is invalidated whenever the refit moves
+- traversals never read **stale packed child boxes** — the
+  packed-children cache is invalidated whenever the refit moves
   geometry, so every query answers against the current points;
 - fingerprints invalidate **exactly** when geometry changes: any
   insert/delete changes the fingerprint, queries never do, and an
@@ -48,7 +48,7 @@ class TestPackedBoxesNeverStale:
         tree = build_bvh(lo, hi)
         # Populate the packed cache through a traversal.
         dev = Device()
-        count_within(tree, pts, 0.1, device=dev, traversal="dual")
+        count_within(tree, pts, 0.1, device=dev)
         assert tree._packed is not None
         # Move the geometry and refit: the cache must be dropped.
         moved = pts + 0.25
@@ -59,15 +59,14 @@ class TestPackedBoxesNeverStale:
         refit_bvh(tree)
         assert tree._packed is None
 
-    @pytest.mark.parametrize("traversal", ["single", "dual"])
-    def test_counts_track_moving_points_through_refits(self, rng, traversal):
+    @pytest.mark.parametrize("eps", [0.12, 0.4])
+    def test_counts_track_moving_points_through_refits(self, rng, eps):
         pts = rng.uniform(0, 1, size=(200, 2)).copy()
         lo, hi = boxes_from_points(pts)
         tree = build_bvh(lo, hi)
         dev = Device()
-        eps = 0.12
         for round_ in range(4):
-            got = count_within(tree, pts, eps, device=dev, traversal=traversal)
+            got = count_within(tree, pts, eps, device=dev)
             np.testing.assert_array_equal(got, _brute_counts(pts, pts, eps))
             # perturb a block of points, rewrite their leaf boxes, refit
             idx = rng.choice(200, size=40, replace=False)
