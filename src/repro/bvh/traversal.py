@@ -43,12 +43,13 @@ shape the constant factors without changing any result:
   lever ArborX pulls by sorting queries along the space-filling curve.
   The hit stream per query is unchanged (only the chunk membership
   moves), so every derived result is identical;
-- **contained-subtree counts** (:func:`count_within`, unmasked and
-  unweighted): a child whose box lies wholly inside the query's ball
-  adds its leaf count to the query and never enters the frontier, instead
-  of being walked down to its leaves.  Only nodes whose diagonal is at
-  most twice the largest radius can be contained, so only those pay the
-  far-corner test.  Counts stay exact (see :func:`_credit_contained`).
+- **contained-subtree counts** (:func:`count_within` and DenseBox's
+  preprocessing, unmasked and unweighted): a child whose box lies wholly
+  inside the query's ball adds its leaves' total size to the query and
+  never enters the frontier, instead of being walked down to its leaves.
+  Only nodes whose diagonal is at most twice the largest radius can be
+  contained, so only those pay the far-corner test.  Counts stay exact
+  (see :func:`_credit_contained`).
 """
 
 from __future__ import annotations
@@ -309,14 +310,16 @@ def run_chunks(
     device: Device,
     kernel_name: str,
     leaf_test_is_distance: bool = True,
-    contained: np.ndarray | None = None,
+    contained: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> TraversalResult:
     """Run a chunk plan as one kernel launch: each chunk in plan order,
     sharing one frontier pool.  Chunks run sequentially, so cross-chunk
     state — a stateful ``finished_fn``, the component mask — behaves the
     same for any plan.  Inputs must already be validated (see
-    :func:`for_each_leaf_hit` for their meaning).  ``contained`` is the
-    count array of a contained-subtree count (see
+    :func:`for_each_leaf_hit` for their meaning).  ``contained`` is
+    ``(counts, prefix)`` for a contained-subtree count: the query counts
+    to credit and the int64 cumulative leaf size over sorted leaf
+    positions, ``(n_primitives + 1,)`` with ``prefix[0] == 0`` (see
     :func:`_credit_contained`)."""
     dev = device
     m = queries.shape[0]
@@ -342,7 +345,7 @@ def run_chunks(
     return result
 
 
-def _polled(
+def polled(
     finished_fn: Callable[[np.ndarray], np.ndarray] | None,
     watchdog: Callable[[], None] | None,
 ) -> Callable[[np.ndarray], np.ndarray] | None:
@@ -355,13 +358,13 @@ def _polled(
     if watchdog is None:
         return finished_fn
 
-    def polled(ids: np.ndarray) -> np.ndarray:
+    def polled_fn(ids: np.ndarray) -> np.ndarray:
         watchdog()
         if finished_fn is None:
             return np.zeros(ids.shape[0], dtype=bool)
         return finished_fn(ids)
 
-    return polled
+    return polled_fn
 
 
 def for_each_leaf_hit(
@@ -493,7 +496,7 @@ def for_each_leaf_hit(
     return run_chunks(
         tree, queries, eps, plan, callback,
         mask_positions=mask_positions,
-        finished_fn=_polled(finished_fn, watchdog),
+        finished_fn=polled(finished_fn, watchdog),
         component_of=component_of,
         node_components=node_components,
         device=dev,
@@ -516,7 +519,7 @@ def _single_chunk(
     dev: Device,
     result: TraversalResult,
     pool: _FrontierPool,
-    contained: tuple[np.ndarray, np.ndarray] | None,
+    contained: tuple[np.ndarray, np.ndarray, np.ndarray] | None,
 ) -> None:
     """One chunk: a frontier row per query, expanded level by level until
     no pair survives.  ``eps2`` is the squared radius, scalar or per
@@ -659,15 +662,17 @@ def _single_chunk(
 def _contained_gate(
     tree: BVH,
     eps: float | np.ndarray,
-    counts: np.ndarray,
+    contained: tuple[np.ndarray, np.ndarray],
     pool: _FrontierPool,
-) -> tuple[np.ndarray, np.ndarray] | None:
-    """``(counts, gate)`` for :func:`_credit_contained`, or ``None`` when
-    no node can be contained.  ``gate`` is ``(n_internal, 2)`` in the
-    packed child layout: "this child is internal and its squared diagonal
-    is at most ``4 r_max**2``".  It is rebuilt per call from the current
-    boxes (O(n_internal), so a refit needs no invalidation) in pool
-    slots, so the frontier charge covers it."""
+) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
+    """``(counts, prefix, gate)`` for :func:`_credit_contained`, or
+    ``None`` when no node can be contained.  ``contained`` is
+    :func:`run_chunks`'s ``(counts, prefix)``.  ``gate`` is
+    ``(n_internal, 2)`` in the packed child layout: "this child is
+    internal and its squared diagonal is at most ``4 r_max**2``".  It is
+    rebuilt per call from the current boxes (O(n_internal), so a refit
+    needs no invalidation) in pool slots, so the frontier charge covers
+    it."""
     n_int = tree.n_internal
     if n_int == 0:
         return None
@@ -682,7 +687,7 @@ def _contained_gate(
     gate = pool.take2("c_gate", n_int, dtype=bool)
     np.less_equal(ch_diag2, 4.0 * float(np.max(eps)) ** 2, out=gate)
     gate &= ch_ids < n_int
-    return (counts, gate) if gate.any() else None
+    return (*contained, gate) if gate.any() else None
 
 
 def _credit_contained(
@@ -693,25 +698,32 @@ def _credit_contained(
     tree: BVH,
     queries: np.ndarray,
     eps2: float | np.ndarray,
-    contained: tuple[np.ndarray, np.ndarray],
+    contained: tuple[np.ndarray, np.ndarray, np.ndarray],
     dev: Device,
     pool: _FrontierPool,
 ) -> None:
     """Credit every surviving child whose box lies inside its query's
-    ball with its leaf count, and drop it from ``keep``.
+    ball with its leaves' total size, and drop it from ``keep``.
 
-    ``contained`` is ``(counts, gate)``: the query counts to credit and a
+    ``contained`` is ``(counts, prefix, gate)``: the query counts to
+    credit, the cumulative leaf size over sorted leaf positions, and a
     per-parent ``(n_internal, 2)`` flag, "this child is internal and its
-    diagonal is at most twice the largest radius".  A box that fits in a
-    ball of radius ``r`` has a diagonal of at most ``2 r``, so only gated
-    children take the far-corner test (one ``box_tests`` each).  The test
-    rounds like the leaf test: per axis, ``fl(q - x)`` is monotone in
-    ``x``, so no leaf of the box lies farther from ``q`` than the far
-    corner ``max(|q - lo|, |q - hi|)``, and every leaf of a contained
-    node would have passed its own leaf test — the credit is the exact
-    hit count the walk would deliver.
+    diagonal is at most twice the largest radius".  A contained node
+    credits ``prefix[range_hi + 1] - prefix[range_lo]``: its leaf count
+    over a points tree (``prefix`` is ``0, 1, 2, ...``), its total member
+    count over DenseBox's mixed tree (a cell box has its member count).
+    A box that fits in a ball of radius ``r`` has a diagonal of at most
+    ``2 r``, so only gated children take the far-corner test (one
+    ``box_tests`` and, if it passes, one ``scatter_adds`` each).  The
+    test rounds like the leaf tests: per axis, ``fl(q - x)`` is monotone
+    in ``x``, so no point of the box lies farther from ``q`` than the far
+    corner ``max(|q - lo|, |q - hi|)``, and the squares are summed in
+    einsum form, as the traversal's leaf test and DenseBox's member test
+    sum theirs (the two einsum forms round alike).  Every point of a
+    contained node would have passed its own test — the credit is the
+    exact count the walk would deliver.
     """
-    counts, gate = contained
+    counts, prefix, gate = contained
     cand = pool.take2("c_cand", par_n.shape[0], dtype=bool)
     np.take(gate, par_n, axis=0, out=cand, mode="clip")
     cand &= keep
@@ -747,8 +759,8 @@ def _credit_contained(
     if inside_idx.size == 0:
         return
     inn = np.take(cn, inside_idx)
-    leaves = np.take(tree.node_range_hi, inn) - np.take(tree.node_range_lo, inn)
-    leaves += 1
+    leaves = np.take(prefix, np.take(tree.node_range_hi, inn) + 1)
+    leaves -= np.take(prefix, np.take(tree.node_range_lo, inn))
     # A handful of credits per step: np.add.at beats the bincount-backed
     # scatter_add, whose cost is one pass over every query.  The takes use
     # mode="clip" (every id is in range) because the default buffers ``out``.
@@ -800,7 +812,8 @@ def count_within(
     ``query_order``.
 
     Unmasked, unweighted counts credit a contained subtree whole: a
-    child whose box lies inside the query's ball adds its leaf count in
+    child whose box lies inside the query's ball adds its leaf count
+    (``range_hi - range_lo + 1``, a difference of the all-ones prefix) in
     the step that reaches it instead of being walked to its leaves.  The
     credit is exactly the hits the walk would deliver, so the contract
     above is unchanged; the saving shows in ``nodes_visited`` and
@@ -858,11 +871,13 @@ def count_within(
     run_chunks(
         tree, queries, eps, plan, on_hits,
         mask_positions=mask_positions,
-        finished_fn=_polled(finished_fn, watchdog),
+        finished_fn=polled(finished_fn, watchdog),
         device=dev,
         kernel_name="bvh_count",
         contained=(
-            counts if leaf_weights is None and mask_positions is None else None
+            (counts, np.arange(tree.n_primitives + 1, dtype=np.int64))
+            if leaf_weights is None and mask_positions is None
+            else None
         ),
     )
     return counts

@@ -36,18 +36,17 @@ from repro.device.device import Device
 from repro.grid.grid import GridOverflowError, build_grid, compact_cells
 
 #: Dense-cell point fraction at or above which the auto heuristic picks
-#: FDBSCAN-DenseBox.  FDBSCAN credits subtrees inside a query's ball
-#: whole when it counts, so at large minpts it out-counts DenseBox, whose
-#: isolated points still count leaf by leaf.  Timed on 92 cells (ngsim,
-#: portotaxi, hacc, road3d at n=16384, hacc at n=60000; minpts 2-2000,
-#: dense fraction 0-1), min of 3 interleaved runs on a 2-CPU host: all
-#: 22 2-D cells at minpts >= 200 favour FDBSCAN, up to fraction 0.96
-#: (ngsim eps 0.005 minpts 500: 1.7x), while low-minpts cells favour
-#: DenseBox from fraction 0.3 (hacc) or 0.63 (portotaxi) up.  No cut is within 1.2x everywhere; a
-#: cut in (0.824, 0.8995] gives the smallest worst miss (2.35x, portotaxi
-#: eps 0.001 minpts 10 at 0.79) and the smallest geometric-mean miss
-#: (1.055x; 0.36 gives 6.8x and 1.17x, 0.05 gives 34x and 1.46x).
-AUTO_DENSE_FRACTION_THRESHOLD = 0.85
+#: FDBSCAN-DenseBox.  Both algorithms credit subtrees inside a query's
+#: ball whole when they count core points, so DenseBox now costs about
+#: what FDBSCAN does when few points are dense and wins once cells absorb
+#: a share of them.  Timed on 92 cells (ngsim, portotaxi, hacc, road3d at
+#: n=16384, hacc at n=60000; minpts 2-1000, dense fraction 0-1), min of 3
+#: interleaved runs on a 2-CPU host: DenseBox is faster on 71 cells, from
+#: fraction 0.04 up to 1 (up to 7.5x on ngsim).  Every cut in
+#: [0.01, 0.1] gives the smallest misses: worst 1.41x (portotaxi eps 0.01
+#: minpts 1000 at fraction 0.48, where FDBSCAN wins), geometric mean
+#: 1.019x; 0.85 gives 1.94x and 1.093x.
+AUTO_DENSE_FRACTION_THRESHOLD = 0.05
 
 
 def dense_fraction_estimate(X: np.ndarray, eps: float, min_samples: int) -> float:

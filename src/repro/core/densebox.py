@@ -14,7 +14,11 @@ Phases:
    (:func:`repro.grid.dense_cells.decompose`);
 2. **preprocessing** — only isolated points need a core test; their
    batched traversal counts isolated-point hits directly and counts the
-   members of hit dense boxes within ``eps``, terminating at ``minpts``;
+   members of hit dense boxes within ``eps``, terminating at ``minpts``.
+   Unweighted, a subtree wholly inside the query's ball is credited its
+   total member count (a point leaf 1, a cell box its size) without
+   descending, as :func:`repro.bvh.traversal.count_within` credits its
+   leaf count;
 3. **main phase** — (a) all points of each dense cell are unioned
    (they are one cluster by construction); (b) a batched traversal for
    *all* points resolves discovered objects: a point hit follows the
@@ -36,8 +40,12 @@ Phases:
 The counters charge the modelled kernel's linear member scan: to the end
 in preprocessing, to the first member within ``eps`` in the main phase.
 The host finds the same members with less work (:func:`_scan_cells`):
-a block scan that stops after the first hit, and member counts without
-distance math for cells wholly inside the query's ball.
+a block scan that stops after the first hit, member counts without
+distance math for cells wholly inside the query's ball, and, with early
+exit and no weights, a preprocessing scan that stops once the query has
+``minpts`` (a count below ``minpts`` is still exact).  A subtree credit
+is charged as the kernel would do it: one far-corner ``box_tests`` and
+one ``scatter_adds``, and nothing below the credited node.
 
 The pair-once mask generalises to the mixed tree: every query is masked by
 the sorted position of *its own primitive* (its point, or its cell's box),
@@ -51,7 +59,7 @@ import time
 
 import numpy as np
 
-from repro.bvh.traversal import DEFAULT_CHUNK_SIZE, for_each_leaf_hit
+from repro.bvh.traversal import DEFAULT_CHUNK_SIZE, chunk_plan, polled, run_chunks
 from repro.core.framework import DEFAULT_PAIR_BUFFER, PairResolver, pruned_main_phase
 from repro.core.index import DBSCANIndex
 from repro.core.labels import DBSCANResult, finalize_clusters
@@ -73,6 +81,7 @@ def _scan_cells(
     ranks: np.ndarray,
     eps2: float,
     first_only: bool,
+    quota: tuple[np.ndarray, np.ndarray] | None = None,
 ):
     """Find the members of hit dense cells that lie within eps of their query.
 
@@ -85,8 +94,17 @@ def _scan_cells(
     are monotone).  Returns ``(starts, cnts, hit, slot)``: each hit cell's
     CSR view into ``deco.members``, and the hit and scan slot of every member
     found, in scan order (with ``first_only``, only each hit's first).
+
+    ``quota = (owner, need)`` stops the scan of a query once it has enough
+    members: hit ``k`` belongs to query ``owner[k]``, which still needs
+    ``need[owner[k]]`` (updated in place).  Contained cells count first,
+    then each block's finds; after a block, the hits of a query whose need
+    reached zero stop.  A query that never gets there scans every member,
+    so its count stays exact.
     """
     starts, cnts = deco.dense_members(ranks)
+    if quota is not None:
+        owner, need = quota
     end = cnts.copy()  # scan end per hit; a first-only hit ends at its find
     hits, slots = [], []
     active = np.arange(ranks.shape[0])
@@ -98,8 +116,16 @@ def _scan_cells(
         hits.append(np.repeat(active[inside], n_in))
         slots.append(concatenated_ranges(np.zeros_like(n_in), n_in))
         active = active[~inside]
+        if quota is not None:
+            np.subtract.at(need, owner[inside], n_in)
     offset, block = 0, 1
-    while active.size:
+    while True:
+        live = end[active] > offset
+        if quota is not None:
+            live &= need[owner[active]] > 0
+        active = active[live]
+        if not active.size:
+            break
         take = np.minimum(cnts[active] - offset, block)
         h = active[segment_ids_from_counts(take)]
         slot = concatenated_ranges(np.full(active.shape[0], offset), take)
@@ -113,9 +139,10 @@ def _scan_cells(
             end[h] = 0
         hits.append(h)
         slots.append(slot)
+        if quota is not None:
+            need -= np.bincount(owner[h], minlength=need.shape[0])
         offset += block
         block *= 2
-        active = active[end[active] > offset]
     hit, slot = np.concatenate(hits), np.concatenate(slots)
     # Each list entry is in (hit, slot) order and later rounds hold later
     # slots, so a stable sort by hit restores scan order.
@@ -224,8 +251,14 @@ def fdbscan_densebox(
                 if box.any():
                     qb = q_ids[box]
                     ranks = deco.prim_point[prim[box]]
+                    quota = None
+                    if early_exit and weights is None:
+                        # Members past minpts cannot change is_core.
+                        uq, owner = np.unique(qb, return_inverse=True)
+                        quota = (owner, minpts - counts[uq])
                     starts, cnts, hit, slot = _scan_cells(
-                        cell_pts, deco, queries[qb], ranks, eps2, first_only=False
+                        cell_pts, deco, queries[qb], ranks, eps2,
+                        first_only=False, quota=quota,
                     )
                     values = None
                     if weights is not None:  # added one by one, in scan order
@@ -242,18 +275,28 @@ def fdbscan_densebox(
                 def finished_fn(ids: np.ndarray) -> np.ndarray:
                     return counts[ids] >= minpts
 
-            for_each_leaf_hit(
+            contained = None
+            if weights is None:
+                # A subtree inside a query's ball credits its members
+                # whole: one per point leaf, a cell's count per box leaf.
+                sizes = np.ones(tree.n_primitives, dtype=np.int64)
+                sizes[deco.n_isolated :] = deco.cell_counts[deco.dense_cells]
+                prefix = np.zeros(tree.n_primitives + 1, dtype=np.int64)
+                np.cumsum(sizes[order], out=prefix[1:])
+                contained = (counts, prefix)
+            if watchdog is not None:
+                watchdog()
+            run_chunks(
                 tree,
                 queries,
                 eps,
+                chunk_plan(queries, query_order, chunk_size),
                 pre_hits,
-                finished_fn=finished_fn,
+                finished_fn=polled(finished_fn, watchdog),
                 device=dev,
                 kernel_name="densebox_preprocess",
                 leaf_test_is_distance=False,
-                chunk_size=chunk_size,
-                query_order=query_order,
-                watchdog=watchdog,
+                contained=contained,
             )
             is_core[deco.isolated_idx] = counts >= minpts
             if not early_exit:

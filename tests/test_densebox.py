@@ -164,9 +164,10 @@ class TestDiagnostics:
             fdbscan_densebox(blobs_2d, 0.3, 0)
 
 
-def _full_scan(cell_pts, deco, q_pts, ranks, eps2, first_only):
+def _full_scan(cell_pts, deco, q_pts, ranks, eps2, first_only, quota=None):
     """Brute-force reference for ``densebox._scan_cells``: distance-test
-    every member of every hit cell."""
+    every member of every hit cell (``quota`` is ignored: the scan always
+    runs to the end)."""
     starts, cnts = deco.dense_members(ranks)
     hit = np.repeat(np.arange(ranks.shape[0]), cnts)
     slot = np.arange(hit.shape[0]) - np.repeat(np.cumsum(cnts) - cnts, cnts)
@@ -299,3 +300,113 @@ def test_portotaxi_fit_memory_stays_bounded():
     finally:
         tracemalloc.stop()
     assert peak <= 40 * 2**20
+
+
+def _decimal3d():
+    """Clumped 3-D points on a 0.01 lattice, eps 0.03: neither is exact in
+    binary, so many distances sit within one rounding of eps."""
+    rng = np.random.default_rng(0)
+    return np.round(rng.normal(0.5, 0.04, (1500, 3)), 2), 0.03, 10
+
+
+def _preprocess_counters(dev):
+    return dev.profile()["densebox_preprocess"]["counters"]
+
+
+class TestContainedCredit:
+    """Preprocessing credits a subtree inside the query's ball with its
+    total member count (a point leaf 1, a cell box its size)."""
+
+    @pytest.mark.parametrize("case", sorted(SCAN_CASES) + ["decimal3d"])
+    def test_isolated_counts_match_brute_force(self, case):
+        X, eps, minpts = _decimal3d() if case == "decimal3d" else SCAN_CASES[case]()
+        fits = {}
+        for weighted in (False, True):  # weights of one walk leaf by leaf
+            dev = Device()
+            res = fdbscan_densebox(
+                X, eps, minpts, device=dev, early_exit=False,
+                sample_weight=np.ones(X.shape[0]) if weighted else None,
+            )
+            fits[weighted] = (res, _preprocess_counters(dev)["nodes_visited"])
+        iso = decompose(X, eps, minpts).isolated_idx
+        diff = X[iso][:, None, :] - X[None, :, :]
+        brute = np.count_nonzero(np.einsum("ijk,ijk->ij", diff, diff) <= eps * eps, axis=1)
+        counts = fits[False][0].info["isolated_core_counts"]
+        assert counts.dtype == np.int64
+        np.testing.assert_array_equal(counts, brute)
+        np.testing.assert_array_equal(fits[True][0].info["isolated_core_counts"], brute)
+        if case != "crafted":  # too few primitives for an internal node to fit
+            assert fits[False][1] < fits[True][1]
+
+    def test_portotaxi_credit_pins_preprocess_work(self):
+        X = load_dataset("portotaxi", 4096)
+        visited = {}
+        for weighted in (False, True):
+            dev = Device()
+            res = fdbscan_densebox(
+                X, 0.01, 50, device=dev,
+                sample_weight=np.ones(X.shape[0]) if weighted else None,
+            )
+            visited[weighted] = _preprocess_counters(dev)["nodes_visited"]
+            np.testing.assert_array_equal(
+                res.is_core, sequential_dbscan(X, 0.01, 50).is_core
+            )
+        # The leaf-by-leaf walk visits 39,134 nodes here.
+        assert visited == {False: 21854, True: 39134}
+
+    def test_sum_of_squares_forms_round_alike(self):
+        # The credit sums far-corner squares with the traversal's
+        # "nkd,nkd->nk" einsum and the member test with "ij,ij->i"; the
+        # credit is exact only while the two round identically.
+        rng = np.random.default_rng(3)
+        for d in (1, 2, 3):
+            x = rng.standard_normal((100_000, d)) * rng.uniform(0, 1e3, (100_000, 1))
+            out = np.empty((x.shape[0], 1))
+            np.einsum("nkd,nkd->nk", x[:, None, :], x[:, None, :], out=out)
+            np.testing.assert_array_equal(out[:, 0], np.einsum("ij,ij->i", x, x))
+
+
+def _two_cells_and_query(reach):
+    """An isolated query at minpts 3: itself, the last member of a 20-point
+    cell on its left and, when ``reach``, the last member of one on its
+    right (the other 19 lie just out of reach)."""
+    left = np.column_stack([np.linspace(0, 0.04, 20), np.zeros(20)])
+    right_x = np.append(np.linspace(0.2005, 0.21, 19), 0.199 if reach else 0.2001)
+    right = np.column_stack([right_x, np.zeros(20)])
+    return np.concatenate([left, right, [[0.1198, 0.0]]]), 0.08, 3
+
+
+class TestQuota:
+    """With early exit, a query's member scan stops at minpts."""
+
+    @pytest.mark.parametrize("reach", [True, False])
+    def test_minpts_reached_on_the_last_member(self, reach):
+        X, eps, minpts = _two_cells_and_query(reach)
+        res = fdbscan_densebox(X, eps, minpts)
+        assert res.info["n_dense_cells"] == 2
+        assert bool(res.is_core[-1]) is reach
+        full = fdbscan_densebox(X, eps, minpts, early_exit=False)
+        np.testing.assert_array_equal(full.info["isolated_core_counts"], [2 + reach])
+        assert_dbscan_equivalent(res, sequential_dbscan(X, eps, minpts), X, eps)
+
+    def test_scan_stops_at_minpts_across_cells(self):
+        X, eps, _ = SCAN_CASES["lattice2d"]()
+        eps2 = eps * eps
+        deco = decompose(X, eps, 4)
+        cell_pts = X[deco.members]
+        ranks = np.arange(deco.n_dense)
+        # Query 0 needs 3 members, query 1 more than every cell holds.
+        q_pts = np.repeat(X[[60, 61]], ranks.shape[0], axis=0)
+        ranks = np.tile(ranks, 2)
+        owner = np.repeat([0, 1], deco.n_dense)
+        need = np.array([3, X.shape[0]])
+        _, _, hit, _ = densebox._scan_cells(
+            cell_pts, deco, q_pts, ranks, eps2, False, quota=(owner, need)
+        )
+        _, _, ref_hit, _ = _full_scan(cell_pts, deco, q_pts, ranks, eps2, False)
+        found = np.bincount(owner[hit], minlength=2)
+        ref_found = np.bincount(owner[ref_hit], minlength=2)
+        assert len(np.unique(ranks[ref_hit[owner[ref_hit] == 0]])) > 1
+        assert 3 <= found[0] < ref_found[0]  # stopped once it had 3
+        assert found[1] == ref_found[1]  # never got there: scanned in full
+        np.testing.assert_array_equal(need, [3 - found[0], X.shape[0] - found[1]])

@@ -13,9 +13,7 @@ mid-stream crash-restart; the loop must yield
   live points, a degraded one *names* its rung, a shed one carries
   ``Retry-After``, and errors carry typed codes;
 - **bit-equal fingerprints** after the crash: the restarted service's
-  journal replay reproduces the exact pre-crash index state;
-- **ladder equivalence** where promised: the ``single`` rung's labels
-  are bit-identical to ``full``'s (the engines' equivalence guarantee).
+  journal replay reproduces the exact pre-crash index state.
 """
 
 import os
