@@ -166,16 +166,12 @@ def run_smoke(
         ]
     else:
         cells = [{"eps": args.eps, "min_samples": args.minpts}]
-    tree_kwargs = (
-        {"query_order": args.query_order} if args.query_order != "input" else None
-    )
     records = run_sweep(
         args.algorithms.split(","),
         cells,
         lambda cell: X,
         dataset=args.dataset or args.input,
         capacity_bytes=args.memory_cap,
-        tree_kwargs=tree_kwargs,
         reuse_index=not args.no_reuse_index,
         n_ranks=args.ranks or 4,
     )

@@ -20,13 +20,12 @@ ArborX's nearest-neighbour query, every query searches at its own radius
    neighbourhoods, however far the density estimate was off.
 
 Any rung holding ``>= k`` points yields the exact ``k``-th distance, so
-results never depend on the ladder, the start or any scheduling knob.
+results never depend on the ladder, the start or ``chunk_size``.
 
-Distances are always measured to the *primitive coordinates*: for trees
-whose leaves are zero-extent point boxes those coincide with the leaf
-AABBs, but for general boxes the caller must pass ``points`` (one
-coordinate per primitive, in the caller's primitive numbering) so the
-gather ranks true point distances rather than leaf-box geometry.
+The tree must have zero-extent (point) leaves: each leaf box *is* its
+primitive's coordinate, so every rung count is :func:`count_within` and
+the gather's leaf tests are the point distances it ranks.  A tree whose
+leaf boxes have extent raises ``ValueError``.
 """
 
 from __future__ import annotations
@@ -36,7 +35,6 @@ import numpy as np
 from repro.bvh.traversal import DEFAULT_CHUNK_SIZE, count_within, for_each_leaf_hit
 from repro.bvh.tree import BVH
 from repro.device.device import Device, default_device
-from repro.device.primitives import scatter_add
 
 #: Rungs below the start radius the search may descend.  ``>= k``
 #: coincident points satisfy every rung, so this floor is what ends
@@ -64,104 +62,24 @@ def _initial_radius(tree: BVH, k: int) -> float:
     return max((volume * k / max(n, 1)) ** (1.0 / positive.size), 1e-12)
 
 
-def _points_by_position(tree: BVH, points: np.ndarray | None) -> np.ndarray:
-    """Primitive coordinates indexed by *sorted leaf position*.
-
-    Without ``points`` the tree must have zero-extent (point) leaves —
-    the only case where leaf geometry determines the primitive
-    coordinate.  With ``points`` (per-primitive coordinates in the
-    caller's numbering) any leaf boxes are accepted.
-    """
-    n_int = tree.n_internal
-    if points is None:
-        leaf_lo = tree.node_lo[n_int:]
-        leaf_hi = tree.node_hi[n_int:]
-        if leaf_lo.shape[0] and not np.array_equal(leaf_lo, leaf_hi):
-            raise ValueError(
-                "knn_radii on a tree with non-degenerate leaf boxes requires "
-                "points= (per-primitive coordinates); leaf AABBs do not "
-                "determine primitive positions"
-            )
-        return leaf_lo
-    points = np.ascontiguousarray(points, dtype=np.float64)
-    expected = (tree.n_primitives, tree.dim)
-    if points.shape != expected:
-        raise ValueError(f"points must have shape {expected}; got {points.shape}")
-    return points[tree.order]
-
-
-def _count_points_within(
-    tree: BVH,
-    queries: np.ndarray,
-    pts_by_pos: np.ndarray,
-    r: np.ndarray,
-    stop_at: int,
-    device: Device,
-    chunk_size: int | None,
-    query_order: str,
-    watchdog=None,
-) -> np.ndarray:
-    """Exact point-in-ball counts on trees with non-degenerate leaves.
-
-    ``count_within`` counts *leaf-box* hits, which over-counts true point
-    neighbours when leaves have extent; this variant re-tests every leaf
-    hit against the primitive coordinate (at the query's own radius
-    ``r[q]``) so the rung search never declares a query satisfied on box
-    geometry alone.
-    """
-    m = queries.shape[0]
-    counts = np.zeros(m, dtype=np.int64)
-    r2 = r * r
-
-    def on_hits(q_ids: np.ndarray, leaf_pos: np.ndarray) -> None:
-        diff = queries[q_ids] - pts_by_pos[leaf_pos]
-        d2 = np.einsum("ij,ij->i", diff, diff)
-        device.counters.add("distance_evals", q_ids.shape[0])
-        within = d2 <= r2[q_ids]
-        scatter_add(counts, q_ids[within], counters=device.counters)
-
-    def finished(ids: np.ndarray) -> np.ndarray:
-        return counts[ids] >= stop_at
-
-    for_each_leaf_hit(
-        tree,
-        queries,
-        r,
-        on_hits,
-        finished_fn=finished,
-        device=device,
-        kernel_name="knn_count_exact",
-        leaf_test_is_distance=False,
-        chunk_size=chunk_size,
-        query_order=query_order,
-        watchdog=watchdog,
-    )
-    return counts
-
-
 def knn_radii(
     tree: BVH,
     queries: np.ndarray,
     k: int,
     device: Device | None = None,
     chunk_size: int | None = DEFAULT_CHUNK_SIZE,
-    points: np.ndarray | None = None,
     initial_radius: np.ndarray | float | None = None,
-    query_order: str = "input",
     watchdog=None,
 ) -> np.ndarray:
     """Distance from each query to its ``k``-th nearest primitive.
 
     A query that is itself a primitive counts itself (distance 0) — so for
     core distances, ``k = minpts`` matches the repository's "a point is
-    its own neighbour" convention.  Requires ``k <= n_primitives``.
+    its own neighbour" convention.  Requires ``k <= n_primitives`` and a
+    tree with point leaves (``ValueError`` otherwise).
 
     Parameters
     ----------
-    points:
-        ``(n_primitives, d)`` primitive coordinates in the caller's
-        numbering.  Required when the tree's leaf boxes have extent;
-        optional (and bit-neutral) for point-leaf trees.
     initial_radius:
         Anchor of each query's radius ladder — a scalar or per-query
         ``(m,)`` array of finite, positive values (``ValueError``
@@ -193,11 +111,14 @@ def knn_radii(
         if not (np.isfinite(r0).all() and (r0 > 0).all()):
             raise ValueError("initial_radius entries must be finite and positive")
         r0 = np.broadcast_to(r0, (m,))
+    pts_by_pos = tree.node_lo[tree.n_internal :]
+    if not np.array_equal(pts_by_pos, tree.node_hi[tree.n_internal :]):
+        raise ValueError(
+            "knn_radii needs a tree with point leaves; leaf boxes with "
+            "extent do not determine primitive positions"
+        )
     if m == 0:
         return np.zeros(0, dtype=np.float64)
-    pts_by_pos = _points_by_position(tree, points)
-    n_int = tree.n_internal
-    degenerate_leaves = np.array_equal(tree.node_lo[n_int:], tree.node_hi[n_int:])
 
     # --- phase 1: per-query rung search -----------------------------------
     lo = np.full(m, -LADDER_FLOOR - 1)  # highest rung known to hold < k
@@ -209,17 +130,10 @@ def knn_radii(
         while pending.size:
             rounds += 1
             r = np.ldexp(r0[pending], rung[pending])
-            if degenerate_leaves:
-                counts = count_within(
-                    tree, queries[pending], r, stop_at=k, device=dev,
-                    chunk_size=chunk_size, query_order=query_order,
-                    watchdog=watchdog,
-                )
-            else:
-                counts = _count_points_within(
-                    tree, queries[pending], pts_by_pos, r, k, dev,
-                    chunk_size, query_order, watchdog,
-                )
+            counts = count_within(
+                tree, queries[pending], r, stop_at=k, device=dev,
+                chunk_size=chunk_size, watchdog=watchdog,
+            )
             done = counts >= k
             hi[pending[done]] = rung[pending[done]]
             lo[pending[~done]] = rung[pending[~done]]
@@ -249,13 +163,10 @@ def knn_radii(
             collected_d: list[np.ndarray] = []
 
             def on_hits(q_ids: np.ndarray, leaf_pos: np.ndarray) -> None:
-                # True point distances (leaf boxes may have extent); q_ids
-                # is a pool-backed view, so copy it to hold it across steps.
+                # q_ids is a pool-backed view: copy it to hold it across steps.
                 diff = q_pts[q_ids] - pts_by_pos[leaf_pos]
                 collected_q.append(q_ids.copy())
                 collected_d.append(np.einsum("ij,ij->i", diff, diff))
-                if not degenerate_leaves:
-                    dev.counters.add("distance_evals", q_ids.shape[0])
 
             for_each_leaf_hit(
                 tree,
@@ -264,9 +175,7 @@ def knn_radii(
                 on_hits,
                 device=dev,
                 kernel_name="knn_gather_chunk",
-                leaf_test_is_distance=degenerate_leaves,
                 chunk_size=None,
-                query_order=query_order,
                 watchdog=watchdog,
             )
             qs = np.concatenate(collected_q)
@@ -282,18 +191,9 @@ def core_distances(
     X: np.ndarray,
     min_samples: int,
     device: Device | None = None,
-    query_order: str = "input",
     watchdog=None,
 ) -> np.ndarray:
     """HDBSCAN core distances: distance to the ``min_samples``-th nearest
     point, the point itself included (Campello et al.'s ``d_core`` with the
     self-counting convention used throughout this repository)."""
-    return knn_radii(
-        tree,
-        X,
-        min_samples,
-        device=device,
-        points=X,
-        query_order=query_order,
-        watchdog=watchdog,
-    )
+    return knn_radii(tree, X, min_samples, device=device, watchdog=watchdog)

@@ -25,10 +25,10 @@ Three properties of the paper's algorithms map directly onto arguments:
   positions ``> p`` are reported and each pair is processed exactly once.
 
 Every traversal is one launch over a **chunk plan** (:func:`chunk_plan`):
-the query set, scheduled in input or Morton order and cut into
-``chunk_size`` slices.  The runner (:func:`run_chunks`) opens one kernel
-span and runs the chunks in order on one frontier pool.  Three levers
-shape the constant factors without changing any result:
+the query ids in input order, cut into ``chunk_size`` slices.  The runner
+(:func:`run_chunks`) opens one kernel span and runs the chunks in order
+on one frontier pool.  Two levers shape the constant factors without
+changing any result:
 
 - the **frontier pool**: all per-step arrays (the double-buffered
   frontier, compacted hit/parent views, gathered boxes, predicates) live
@@ -37,14 +37,8 @@ shape the constant factors without changing any result:
   The pool's high-water mark is charged to the memory model as a single
   transient ``"frontier"`` allocation — the faithful analogue of a GPU's
   preallocated traversal workspace;
-- **Morton query ordering** (``query_order="morton"``): queries are
-  chunked in Z-curve order instead of input order, so each wavefront
-  holds spatially coherent queries whose frontiers overlap — the locality
-  lever ArborX pulls by sorting queries along the space-filling curve.
-  The hit stream per query is unchanged (only the chunk membership
-  moves), so every derived result is identical;
 - **contained-subtree counts** (:func:`count_within` and DenseBox's
-  preprocessing, unmasked and unweighted): a child whose box lies wholly
+  preprocessing, unweighted): a child whose box lies wholly
   inside the query's ball adds its leaves' total size to the query and
   never enters the frontier, instead of being walked down to its leaves.
   Only nodes whose diagonal is at most twice the largest radius can be
@@ -60,7 +54,6 @@ from typing import Callable
 import numpy as np
 
 from repro.bvh.tree import BVH
-from repro.bvh.morton import morton_codes
 from repro.device.device import Device, default_device
 from repro.device.primitives import scatter_add
 
@@ -73,9 +66,6 @@ ChunkPlan = list[np.ndarray]
 #: later epoch is :data:`EPOCH_GROWTH` times larger than the one before.
 FIRST_EPOCH = 64
 EPOCH_GROWTH = 4
-
-#: Accepted values for ``query_order``.
-QUERY_ORDERS = ("input", "morton")
 
 
 @dataclass
@@ -185,40 +175,15 @@ def search_radii(eps, m: int) -> float | np.ndarray:
     return radii
 
 
-def query_schedule(queries: np.ndarray, query_order: str) -> np.ndarray | None:
-    """The chunking permutation for ``query_order`` (``None`` = input order).
-
-    ``"morton"`` sorts queries along the Z-curve (stable, so ties keep
-    input order) and is a pure *scheduling* choice: the traversal stores
-    absolute query ids in the frontier, so callbacks, masks and early-exit
-    checks see the same ids either way and every per-query result is
-    bit-identical.
-    """
-    if query_order not in QUERY_ORDERS:
-        raise ValueError(
-            f"query_order must be one of {QUERY_ORDERS}; got {query_order!r}"
-        )
-    if query_order != "morton" or np.asarray(queries).shape[0] < 2:
-        return None
-    return np.argsort(morton_codes(queries), kind="stable").astype(np.int64)
-
-
-def _validated(tree, queries, eps, mask_positions, query_order):
+def _validated(tree, queries, eps):
     """The checks and coercions every entry point applies to its inputs:
-    ``(queries, eps, mask_positions)`` ready for :func:`chunk_plan`."""
-    if query_order not in QUERY_ORDERS:
-        raise ValueError(
-            f"query_order must be one of {QUERY_ORDERS}; got {query_order!r}"
-        )
+    contiguous float64 ``queries`` and validated radii ``eps``."""
     queries = np.ascontiguousarray(queries, dtype=np.float64)
     if queries.ndim != 2 or queries.shape[1] != tree.dim:
         raise ValueError(
             f"queries must be (m, {tree.dim}); got shape {queries.shape}"
         )
-    eps = search_radii(eps, queries.shape[0])
-    if mask_positions is not None:
-        mask_positions = np.asarray(mask_positions, dtype=np.int64)
-    return queries, eps, mask_positions
+    return queries, search_radii(eps, queries.shape[0])
 
 
 def spread_epochs(positions: np.ndarray) -> list[np.ndarray]:
@@ -265,35 +230,18 @@ def refresh_node_components(
         node_comp[level] = np.where(lc == rc, lc, -1)
 
 
-def chunk_plan(
-    queries: np.ndarray,
-    query_order: str,
-    chunk_size: int | None,
-    morton_schedule: np.ndarray | None = None,
-) -> ChunkPlan:
-    """Cut validated queries into the chunks one launch runs, in launch
-    order.
-
-    Queries are scheduled in ``query_order`` — using the caller's cached
-    ``morton_schedule`` for the Morton order when given — then sliced
-    every ``chunk_size`` (``None`` or ``<= 0`` = one chunk).  Ids are
-    absolute query ids in the narrowest index dtype that fits (real
-    traversal kernels carry 32-bit ids; halving the index traffic of a
-    bandwidth-bound wavefront is a direct win).  The chunks depend on the
-    inputs alone.
+def chunk_plan(m: int, chunk_size: int | None) -> ChunkPlan:
+    """The chunks one launch over ``m`` queries runs, in launch order:
+    the query ids in input order, sliced every ``chunk_size`` (``None`` or
+    ``<= 0`` = one chunk).  Ids are in the narrowest index dtype that
+    fits (real traversal kernels carry 32-bit ids; halving the index
+    traffic of a bandwidth-bound wavefront is a direct win).
     """
-    m = queries.shape[0]
     if chunk_size is None or chunk_size <= 0:
         chunk_size = m
-    if query_order == "morton" and morton_schedule is not None:
-        schedule = morton_schedule
-    else:
-        schedule = query_schedule(queries, query_order)
     qdt = np.int32 if m <= np.iinfo(np.int32).max else np.int64
-    if schedule is None:
-        schedule = np.arange(m, dtype=qdt)
-    schedule = schedule.astype(qdt, copy=False)
-    return [schedule[start : start + chunk_size] for start in range(0, m, chunk_size)]
+    ids = np.arange(m, dtype=qdt)
+    return [ids[start : start + chunk_size] for start in range(0, m, chunk_size)]
 
 
 def run_chunks(
@@ -378,11 +326,9 @@ def for_each_leaf_hit(
     kernel_name: str = "bvh_traverse",
     leaf_test_is_distance: bool = True,
     chunk_size: int | None = DEFAULT_CHUNK_SIZE,
-    query_order: str = "input",
     component_of: np.ndarray | None = None,
     node_components: np.ndarray | None = None,
     watchdog: Callable[[], None] | None = None,
-    morton_schedule: np.ndarray | None = None,
 ) -> TraversalResult:
     """Stream every ``(query, leaf)`` pair within ``eps`` to ``callback``.
 
@@ -431,10 +377,6 @@ def for_each_leaf_hit(
         Queries per plan chunk (``None`` = all at once).  Models the
         device's resident-thread limit and bounds the transient frontier
         memory; results are identical for any chunking.
-    query_order:
-        ``"input"`` (default) chunks queries in input order; ``"morton"``
-        chunks them in Z-curve order for spatial coherence.  Results are
-        identical either way — only the wavefront composition changes.
     component_of / node_components:
         Optional *component mask* (passed together): ``component_of[q]``
         is query ``q``'s component id (``>= 0``) and
@@ -456,21 +398,15 @@ def for_each_leaf_hit(
         deadline enforcement threads :meth:`repro.faults.Deadline.check`
         through here.  A watchdog that returns normally never changes
         results.
-    morton_schedule:
-        Optional precomputed Morton permutation for ``queries`` (the
-        exact array :func:`query_schedule` would return) — lets callers
-        that cache the schedule (``DBSCANIndex.morton_schedule``) skip
-        recomputing the codes here.  Used with ``query_order="morton"``;
-        ignored otherwise.
 
     Returns
     -------
     :class:`TraversalResult`
     """
     dev = default_device(device)
-    queries, eps, mask_positions = _validated(
-        tree, queries, eps, mask_positions, query_order
-    )
+    queries, eps = _validated(tree, queries, eps)
+    if mask_positions is not None:
+        mask_positions = np.asarray(mask_positions, dtype=np.int64)
     m = queries.shape[0]
     if m == 0:
         return TraversalResult()
@@ -492,7 +428,7 @@ def for_each_leaf_hit(
             )
     if watchdog is not None:
         watchdog()
-    plan = chunk_plan(queries, query_order, chunk_size, morton_schedule)
+    plan = chunk_plan(m, chunk_size)
     return run_chunks(
         tree, queries, eps, plan, callback,
         mask_positions=mask_positions,
@@ -586,15 +522,17 @@ def _single_chunk(
         ex_q = pool.take2("ex_q", n_par, dtype=qdt)
         ex_n = pool.take2("ex_n", n_par, dtype=ndt)
         ex_q[:] = par_q[:, None]
-        np.take(ch_ids, par_n, axis=0, out=ex_n)
+        # Every id gathered here is in range; mode="clip" skips the
+        # buffered copy of ``out`` that the default mode="raise" makes.
+        np.take(ch_ids, par_n, axis=0, out=ex_n, mode="clip")
 
         # -- test the children against the search sphere --------
         g_pts = pool.take2d("g_pts", n_par)
         g_lo = pool.take_boxes("g_lo", n_par)
         g_hi = pool.take_boxes("g_hi", n_par)
-        np.take(queries, par_q, axis=0, out=g_pts)
-        np.take(ch_lo, par_n, axis=0, out=g_lo)
-        np.take(ch_hi, par_n, axis=0, out=g_hi)
+        np.take(queries, par_q, axis=0, out=g_pts, mode="clip")
+        np.take(ch_lo, par_n, axis=0, out=g_lo, mode="clip")
+        np.take(ch_hi, par_n, axis=0, out=g_hi, mode="clip")
         d2 = pool.take2("d2", n_par, dtype=np.float64)
         pts = g_pts[:, None, :]
         np.clip(pts, g_lo, g_hi, out=g_lo)
@@ -611,8 +549,8 @@ def _single_chunk(
             # for them.
             ncomp = pool.take2("ncomp", n_par)
             qcomp = pool.take("qcomp", n_par)
-            np.take(node_components, ex_n, out=ncomp)
-            np.take(component_of, par_q, out=qcomp)
+            np.take(node_components, ex_n, out=ncomp, mode="clip")
+            np.take(component_of, par_q, out=qcomp, mode="clip")
             tested = pool.take2("ctest", n_par, dtype=bool)
             np.not_equal(ncomp, qcomp[:, None], out=tested)
             n_tested = int(np.count_nonzero(tested))
@@ -627,7 +565,7 @@ def _single_chunk(
             dev.counters.add("box_tests", n_tested)
         if per_query:
             q_r2 = pool.take("q_r2", n_par, dtype=np.float64)
-            np.take(eps2, par_q, out=q_r2)
+            np.take(eps2, par_q, out=q_r2, mode="clip")
             np.less_equal(d2, q_r2[:, None], out=keep)
         else:
             np.less_equal(d2, eps2, out=keep)
@@ -636,8 +574,8 @@ def _single_chunk(
         if mask_positions is not None:
             rng_hi = pool.take2("rng_hi", n_par, dtype=ndt)
             q_mask = pool.take("q_mask", n_par)
-            np.take(ch_rng_hi, par_n, axis=0, out=rng_hi)
-            np.take(mask_positions, par_q, out=q_mask)
+            np.take(ch_rng_hi, par_n, axis=0, out=rng_hi, mode="clip")
+            np.take(mask_positions, par_q, out=q_mask, mode="clip")
             visible = pool.take2("visible", n_par, dtype=bool)
             np.greater(rng_hi, q_mask[:, None], out=visible)
             keep &= visible
@@ -774,20 +712,17 @@ def count_within(
     queries: np.ndarray,
     eps: float | np.ndarray,
     stop_at: float | None = None,
-    mask_positions: np.ndarray | None = None,
     device: Device | None = None,
     chunk_size: int | None = DEFAULT_CHUNK_SIZE,
     leaf_weights: np.ndarray | None = None,
-    query_order: str = "input",
     watchdog: Callable[[], None] | None = None,
-    morton_schedule: np.ndarray | None = None,
 ) -> np.ndarray:
     """Count leaves within ``eps`` of each query (point-leaf trees).
 
     ``eps`` is a scalar or an ``(m,)`` per-query radius array, validated
-    and honoured exactly as in :func:`for_each_leaf_hit`, and so are the
-    scheduling arguments: the counts run as one ``"bvh_count"`` launch
-    over one :func:`chunk_plan`.
+    and honoured exactly as in :func:`for_each_leaf_hit`, and so is
+    ``chunk_size``: the counts run as one ``"bvh_count"`` launch over one
+    :func:`chunk_plan`.
 
     With ``stop_at`` set, a query's traversal terminates early once its
     count reaches ``stop_at`` — the paper's core-point determination
@@ -808,10 +743,9 @@ def count_within(
     The early-exit check is evaluated per step against the *frontier's*
     query ids only — an O(frontier) gather, not an O(m) recompute — and a
     query's per-step hit batches depend only on its own tree path, so the
-    returned counts are identical for every ``chunk_size`` and
-    ``query_order``.
+    returned counts are identical for every ``chunk_size``.
 
-    Unmasked, unweighted counts credit a contained subtree whole: a
+    Unweighted counts credit a contained subtree whole: a
     child whose box lies inside the query's ball adds its leaf count
     (``range_hi - range_lo + 1``, a difference of the all-ones prefix) in
     the step that reaches it instead of being walked to its leaves.  The
@@ -834,9 +768,7 @@ def count_within(
     (distance 0).
     """
     dev = default_device(device)
-    queries, eps, mask_positions = _validated(
-        tree, queries, eps, mask_positions, query_order
-    )
+    queries, eps = _validated(tree, queries, eps)
     if stop_at is not None and (not np.isfinite(stop_at) or stop_at <= 0):
         raise ValueError(f"stop_at must be positive and finite; got {stop_at}")
     if leaf_weights is not None:
@@ -851,7 +783,7 @@ def count_within(
         return counts
     if watchdog is not None:
         watchdog()
-    plan = chunk_plan(queries, query_order, chunk_size, morton_schedule)
+    plan = chunk_plan(m, chunk_size)
     if leaf_weights is None:
 
         def on_hits(q_ids: np.ndarray, _pos: np.ndarray) -> None:
@@ -870,13 +802,12 @@ def count_within(
 
     run_chunks(
         tree, queries, eps, plan, on_hits,
-        mask_positions=mask_positions,
         finished_fn=polled(finished_fn, watchdog),
         device=dev,
         kernel_name="bvh_count",
         contained=(
             (counts, np.arange(tree.n_primitives + 1, dtype=np.int64))
-            if leaf_weights is None and mask_positions is None
+            if leaf_weights is None
             else None
         ),
     )

@@ -136,24 +136,10 @@ def _load_input(args) -> np.ndarray:
     return X
 
 
-#: Single-device algorithms that accept ``query_order=``; baselines
-#: do not.
-_TREE_ALGORITHMS = {"auto", "fdbscan", "fdbscan-densebox", "densebox"}
-
-
-def _traversal_kwargs(args) -> dict:
-    """A non-default ``query_order`` kwarg from the CLI flag."""
-    kwargs = {}
-    if getattr(args, "query_order", "input") != "input":
-        kwargs["query_order"] = args.query_order
-    return kwargs
-
-
 def _cluster_run(args, device: Device, tracer: Tracer | None):
     """Run the cluster/metrics subcommands' single clustering."""
     X = _load_input(args)
     plan, policy = _fault_machinery(args)
-    trav_kwargs = _traversal_kwargs(args)
     if args.eps is None and (args.ranks or args.algorithm.lower() != "hdbscan"):
         raise SystemExit(
             "--eps is required (only --algorithm hdbscan runs without it)"
@@ -163,7 +149,7 @@ def _cluster_run(args, device: Device, tracer: Tracer | None):
 
         result = distributed_dbscan(
             X, args.eps, args.minpts, n_ranks=args.ranks, device=device,
-            fault_plan=plan, retry_policy=policy, tracer=tracer, **trav_kwargs,
+            fault_plan=plan, retry_policy=policy, tracer=tracer,
         )
     elif plan is not None:
         raise SystemExit("--faults requires --ranks (faults are injected into "
@@ -179,21 +165,11 @@ def _cluster_run(args, device: Device, tracer: Tracer | None):
             min_samples=args.minpts,
             device=device,
             mst_algorithm=getattr(args, "mst", "boruvka"),
-            **trav_kwargs,
         )
     else:
-        if trav_kwargs and args.algorithm.lower() not in _TREE_ALGORITHMS:
-            raise SystemExit(
-                f"--query-order only applies to the tree algorithms "
-                f"({', '.join(sorted(_TREE_ALGORITHMS))}, hdbscan) or --ranks "
-                f"runs; got --algorithm {args.algorithm}"
-            )
         if tracer is not None:
             device.tracer = tracer
-        result = dbscan(
-            X, args.eps, args.minpts, algorithm=args.algorithm, device=device,
-            **trav_kwargs,
-        )
+        result = dbscan(X, args.eps, args.minpts, algorithm=args.algorithm, device=device)
     return result
 
 
@@ -280,9 +256,6 @@ def _cmd_bench(args) -> int:
         x_key = "min_samples"
     plan, policy = _fault_machinery(args)
     tracer = _tracer_for(args)
-    tree_kwargs = {}
-    if args.query_order != "input":
-        tree_kwargs["query_order"] = args.query_order
     records = run_sweep(
         algorithms,
         cells,
@@ -291,7 +264,6 @@ def _cmd_bench(args) -> int:
         time_budget=args.time_budget,
         time_budget_mode=args.time_budget_mode,
         capacity_bytes=args.memory_cap,
-        tree_kwargs=tree_kwargs or None,
         reuse_index=not args.no_reuse_index,
         retry_policy=policy,
         fault_plan=plan,
@@ -492,14 +464,6 @@ def build_parser() -> argparse.ArgumentParser:
             help="trace file format for --trace-out (default: chrome)",
         )
 
-    def traversal_flags(p):
-        p.add_argument(
-            "--query-order", choices=("input", "morton"), default="input",
-            help="traversal query scheduling for the tree algorithms: chunk "
-            "queries in input order or along the Morton curve (identical "
-            "labels and work counters either way — an ablation lever)",
-        )
-
     def cost_model_flag(p):
         p.add_argument(
             "--cost-model", action="store_true",
@@ -536,7 +500,6 @@ def build_parser() -> argparse.ArgumentParser:
     cluster.add_argument(
         "--profile", action="store_true", help="print the per-kernel time breakdown"
     )
-    traversal_flags(cluster)
     cost_model_flag(cluster)
     cluster.set_defaults(func=_cmd_cluster)
 
@@ -560,7 +523,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--allow-failures", action="store_true",
         help="exit 0 even when the run fails (the partial metrics still print)",
     )
-    traversal_flags(metrics)
     metrics.set_defaults(func=_cmd_metrics)
 
     bench = sub.add_parser("bench", help="run a parameter sweep")
@@ -584,7 +546,6 @@ def build_parser() -> argparse.ArgumentParser:
         "cold-equivalent seconds (wall + replayed index-build seconds)",
     )
     cost_model_flag(bench)
-    traversal_flags(bench)
     bench.add_argument(
         "--no-reuse-index",
         action="store_true",

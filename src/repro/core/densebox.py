@@ -160,7 +160,6 @@ def fdbscan_densebox(
     chunk_size: int | None = None,
     sample_weight=None,
     index: DBSCANIndex | None = None,
-    query_order: str = "input",
     pair_buffer: int | None = DEFAULT_PAIR_BUFFER,
     watchdog=None,
 ) -> DBSCANResult:
@@ -169,10 +168,9 @@ def fdbscan_densebox(
     Arguments match :func:`repro.core.fdbscan.fdbscan` (including the
     weighted-density ``sample_weight``: dense cells then threshold summed
     member weight, and the all-members-core guarantee carries over;
-    ``query_order``/``pair_buffer`` are the same output-preserving
+    ``chunk_size``/``pair_buffer`` are the same output-preserving
     scheduling levers, and ``watchdog`` is polled per wavefront step in
-    both traversals).  ``query_order`` affects only preprocessing; the main
-    phase runs in its refresh epochs.
+    both traversals).  The main phase runs in its refresh epochs.
     ``info`` additionally carries ``dense_fraction`` (share of points
     inside dense cells — the regime indicator the paper reports),
     ``n_dense_cells`` and ``total_cells`` (the virtual grid size).
@@ -290,7 +288,7 @@ def fdbscan_densebox(
                 tree,
                 queries,
                 eps,
-                chunk_plan(queries, query_order, chunk_size),
+                chunk_plan(queries.shape[0], chunk_size),
                 pre_hits,
                 finished_fn=polled(finished_fn, watchdog),
                 device=dev,

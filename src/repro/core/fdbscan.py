@@ -32,9 +32,8 @@ removes most of the phase's distance tests and unions.
   noise points stay singleton sets until :meth:`PairResolver.finalize`
   attaches them, so labels and ``is_core`` are identical to the
   unpruned phase.
-- **Scheduling.**  The epochs replace ``query_order`` in the main phase,
-  which now affects only preprocessing.  ``chunk_size`` still slices
-  each epoch and changes no result or work counter.
+- **Scheduling.**  ``chunk_size`` slices preprocessing and each epoch
+  and changes no result or work counter.
 
 ``use_mask`` and ``early_exit`` are exposed as switches so the ablation
 benchmarks can quantify each one.
@@ -65,7 +64,6 @@ def fdbscan(
     chunk_size: int | None = None,
     sample_weight=None,
     index: DBSCANIndex | None = None,
-    query_order: str = "input",
     pair_buffer: int | None = DEFAULT_PAIR_BUFFER,
     watchdog=None,
 ) -> DBSCANResult:
@@ -108,12 +106,6 @@ def fdbscan(
         so counters and memory peaks stay comparable to a cold run; the
         index used (built here if none was given) is returned in
         ``info["index"]`` for reuse.
-    query_order:
-        Preprocessing schedule: ``"input"`` chunks queries in input
-        order, ``"morton"`` in Z-curve order for spatially coherent
-        wavefronts (smaller frontiers, better locality).  The main phase
-        always runs in its refresh epochs.  Labels and work-counter
-        totals are identical either way.
     pair_buffer:
         Pairs accumulated before each union-find launch in the main phase
         (``None`` = resolve every traversal step's batch immediately).
@@ -145,11 +137,6 @@ def fdbscan(
     else:
         index.check_points(X)
     tree, reused = index.points_tree(dev)
-    # The cached Morton schedule (the queries *are* the indexed points
-    # here) whenever preprocessing runs in Morton order.
-    morton_schedule = None
-    if query_order == "morton":
-        morton_schedule = index.morton_schedule(dev)
     t1 = time.perf_counter()
     info["t_build"] = t1 - t0
     info["index"] = index
@@ -167,9 +154,7 @@ def fdbscan(
             device=dev,
             chunk_size=chunk_size,
             leaf_weights=weights[tree.order],
-            query_order=query_order,
             watchdog=watchdog,
-            morton_schedule=morton_schedule,
         )
         is_core = counts >= minpts
         resolution_core = is_core
@@ -192,9 +177,7 @@ def fdbscan(
             stop_at=minpts if early_exit else None,
             device=dev,
             chunk_size=chunk_size,
-            query_order=query_order,
             watchdog=watchdog,
-            morton_schedule=morton_schedule,
         )
         is_core = counts >= minpts
         resolution_core = is_core

@@ -32,7 +32,7 @@ each — exactly the behaviour the paper's fused kernels avoid on real
 hardware), and it replaces the *first-wins* CAS border attachment with a
 commutative scatter-min over candidate core neighbours, making the final
 labels independent of pair arrival order — and hence identical across
-chunk sizes, query orders and buffering choices.
+chunk sizes and buffering choices.
 
 :func:`pruned_main_phase` is the main-phase loop FDBSCAN, DenseBox and
 the minpts sweep share: it feeds a :class:`PairResolver` while skipping
@@ -302,10 +302,8 @@ def pruned_main_phase(
                 mask_positions=positions[ids] if use_mask else None,
                 device=device,
                 kernel_name=kernel_name,
-                query_order="morton",
                 component_of=comp[ids],
                 node_components=node_comp,
-                morton_schedule=np.arange(ids.shape[0]),
                 **traversal_kwargs,
             )
     finally:

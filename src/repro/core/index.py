@@ -152,14 +152,8 @@ class DBSCANIndex:
         self.binning_builds = 0
         #: binnings served from the eps-keyed cache (replayed, not re-run).
         self.binning_hits = 0
-        #: cached Morton query schedule over the indexed points
-        #: (eps-independent, so one entry serves every run) + tree stats.
-        self._morton: tuple | None = None
+        #: cached shape statistics of the points tree.
         self._tree_stats = None
-        #: live Morton schedules actually computed for this index.
-        self.morton_builds = 0
-        #: schedules served from the cache (replayed, not re-sorted).
-        self.morton_hits = 0
 
     # -- compatibility ---------------------------------------------------------
 
@@ -204,28 +198,11 @@ class DBSCANIndex:
         self._points = _PointsEntry(tree=tree, cost=cost)
         return tree, False
 
-    def morton_schedule(self, device: Device | None = None) -> np.ndarray | None:
-        """The Morton chunking permutation over the indexed points.
-
-        ``query_order="morton"`` schedules the *point set itself* as
-        queries in Z-curve order; the permutation depends only on the
-        points — never on ``eps`` or ``minpts`` — so it is computed once per index and replayed thereafter,
-        exactly like the binning cache.  Returns ``None`` for ``n < 2``
-        (the schedule's own convention for "input order is fine").
-        """
-        dev = default_device(device)
-        from repro.bvh.traversal import query_schedule
-
-        if self._morton is not None:
-            schedule, cost = self._morton
-            dev.replay(cost)
-            self.morton_hits += 1
-            return schedule
-        with dev.recording() as cost:
-            schedule = query_schedule(self._X, "morton")
-        self._morton = (schedule, cost)
-        self.morton_builds += 1
-        return schedule
+    def morton_schedule(self, device: Device | None = None) -> np.ndarray:
+        """The indexed points in Morton (Z-curve) order: the points tree's
+        leaf order, a stable sort of their Morton codes (see
+        :meth:`points_tree` for how ``device`` is charged)."""
+        return self.points_tree(device)[0].order
 
     def tree_statistics(self, device: Device | None = None):
         """Shape statistics of the points tree (for reports and tests).

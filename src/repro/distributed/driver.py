@@ -85,7 +85,6 @@ def _local_phase(
     eps: float,
     minpts: int,
     dev: Device,
-    query_order: str = "input",
 ):
     """One rank's work: core flags for owned points + local clustering.
 
@@ -115,10 +114,7 @@ def _local_phase(
         local_core = np.ones(local_ids.shape[0], dtype=bool)
         owned_core = np.ones(n_owned, dtype=bool)
     else:
-        counts = count_within(
-            tree, owned_pts, eps, stop_at=minpts, device=dev,
-            query_order=query_order,
-        )
+        counts = count_within(tree, owned_pts, eps, stop_at=minpts, device=dev)
         owned_core = counts >= minpts
         local_core = np.zeros(local_ids.shape[0], dtype=bool)
         local_core[:n_owned] = owned_core
@@ -175,7 +171,6 @@ def distributed_dbscan(
     fault_plan: FaultPlan | None = None,
     retry_policy: RetryPolicy | None = None,
     tracer=None,
-    query_order: str = "input",
     backend: str = "serial",
 ) -> DBSCANResult:
     """Cluster ``X`` across ``n_ranks`` simulated ranks.
@@ -186,13 +181,6 @@ def distributed_dbscan(
     surviving rank set.  Output is DBSCAN-equivalent to any single-device
     algorithm in the registry, including under any seeded ``fault_plan``
     that leaves at least one rank alive.
-
-    ``query_order`` is each rank's local traversal schedule (see
-    :func:`repro.bvh.traversal.for_each_leaf_hit`): Morton query
-    scheduling sorts every rank's owned+halo queries along the Z-curve.
-    It is a pure work-scheduling choice — the labelling is identical —
-    and applies identically on recovery reruns, so fault-time recompute
-    stays equivalent too.
 
     ``retry_policy`` governs the transient-failure retries of rank-local
     compute and of message delivery; with a ``fault_plan`` present its
@@ -489,7 +477,6 @@ def distributed_dbscan(
                             "partition": p,
                             "eps": eps,
                             "kernel_name": f"dist_main_rank{p}",
-                            "query_order": query_order,
                         },
                     )
                     absorb_rank(p, out)
@@ -515,7 +502,6 @@ def distributed_dbscan(
                         on_hits,
                         device=dev,
                         kernel_name=f"dist_main_rank{p}",
-                        query_order=query_order,
                     )
                     return uf.finalize()
 
@@ -546,7 +532,6 @@ def distributed_dbscan(
                             "n_owned": int(owned_lists[p].shape[0]),
                             "eps": eps,
                             "minpts": minpts,
-                            "query_order": query_order,
                         },
                     )
                     absorb_rank(p, out)
@@ -561,7 +546,7 @@ def distributed_dbscan(
                 def local_fn(p=p):
                     return _local_phase(
                         X, local_ids_per_rank[p], owned_lists[p].shape[0], eps,
-                        minpts, dev, query_order=query_order,
+                        minpts, dev,
                     )
 
             tree, owned_core, local_core = run_attempt("local", p, local_fn)
@@ -645,7 +630,6 @@ def distributed_dbscan(
             "eps": eps,
             "min_samples": minpts,
             "n_ranks": n_ranks,
-            "query_order": query_order,
             "backend": backend,
             "rank_processes": pool is not None,
             "owned_per_rank": partition.counts().tolist(),

@@ -80,7 +80,6 @@ def _exec_op(dev: Device, state: dict, op: str, payload: dict) -> dict:
             float(payload["eps"]),
             int(payload["minpts"]),
             dev,
-            query_order=payload["query_order"],
         )
         state[p] = {
             "tree": tree,
@@ -148,7 +147,6 @@ def _exec_op(dev: Device, state: dict, op: str, payload: dict) -> dict:
             on_hits,
             device=dev,
             kernel_name=payload["kernel_name"],
-            query_order=payload["query_order"],
         )
         return {"labels": uf.finalize()}
 

@@ -6,8 +6,7 @@ constructor discipline (store-only ``__init__``, validation deferred to
 ``fit`` with sklearn's error wording), same ``get_params``/``set_params``
 protocol, same fitted attributes — backed by the repository's BVH
 engines.  Engine-specific knobs (``algorithm=``, ``mst_algorithm=``,
-``query_order=``, ``device=``) pass straight through to
-the underlying drivers.  See ``docs/estimators.md``.
+``device=``) pass straight through to the underlying drivers.  See ``docs/estimators.md``.
 """
 
 from repro.estimators.base import BaseEstimator, Interval, StrOptions

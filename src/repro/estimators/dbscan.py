@@ -10,10 +10,6 @@ from repro.core.api import dbscan as _dbscan_fn
 from repro.device.device import Device
 from repro.estimators.base import BaseEstimator, Interval, StrOptions
 
-#: Algorithms that stream through the BVH and accept ``query_order=``;
-#: everything else is a baseline without that knob.
-TREE_ALGORITHMS = {"auto", "fdbscan", "fdbscan-densebox", "densebox"}
-
 
 class DBSCAN(BaseEstimator):
     """Density-Based Spatial Clustering of Applications with Noise.
@@ -35,8 +31,6 @@ class DBSCAN(BaseEstimator):
     algorithm:
         Engine registry name (see :func:`repro.core.api.dbscan`);
         ``"auto"`` applies the Section-6 switching heuristic.
-    query_order:
-        ``"input"`` or ``"morton"`` traversal scheduling.
     device:
         Optional :class:`~repro.device.Device` for counters/tracing.
 
@@ -63,11 +57,12 @@ class DBSCAN(BaseEstimator):
         "metric": [StrOptions({"euclidean"})],
         "algorithm": [
             StrOptions(
-                TREE_ALGORITHMS
-                | {"gdbscan", "cuda-dclust", "dsdbscan", "grid", "sequential", "brute"}
+                {
+                    "auto", "fdbscan", "fdbscan-densebox", "densebox",
+                    "gdbscan", "cuda-dclust", "dsdbscan", "grid", "sequential", "brute",
+                }
             )
         ],
-        "query_order": [StrOptions({"input", "morton"})],
         "device": [Device, None],
     }
 
@@ -77,14 +72,12 @@ class DBSCAN(BaseEstimator):
         min_samples: int = 5,
         metric: str = "euclidean",
         algorithm: str = "auto",
-        query_order: str = "input",
         device: Device | None = None,
     ):
         self.eps = eps
         self.min_samples = min_samples
         self.metric = metric
         self.algorithm = algorithm
-        self.query_order = query_order
         self.device = device
 
     def fit(self, X: np.ndarray, y=None, sample_weight=None) -> "DBSCAN":
@@ -92,13 +85,6 @@ class DBSCAN(BaseEstimator):
         attributes.  ``y`` is ignored (sklearn API compatibility)."""
         self._validate_params()
         kwargs: dict = {}
-        if self.algorithm in TREE_ALGORITHMS:
-            kwargs["query_order"] = self.query_order
-        elif self.query_order != "input":
-            raise ValueError(
-                f"query_order is a tree-engine knob; algorithm "
-                f"{self.algorithm!r} does not accept it"
-            )
         if sample_weight is not None:
             kwargs["sample_weight"] = sample_weight
         result = _dbscan_fn(

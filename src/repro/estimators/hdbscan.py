@@ -32,8 +32,6 @@ class HDBSCAN(BaseEstimator):
     mst_algorithm:
         ``"boruvka"`` (BVH-accelerated, default) or ``"prim"`` (O(n²)
         reference); identical dendrogram heights up to tie-permutation.
-    query_order:
-        ``"input"`` or ``"morton"`` traversal scheduling.
     device:
         Optional :class:`~repro.device.Device` for counters/tracing.
 
@@ -60,7 +58,6 @@ class HDBSCAN(BaseEstimator):
         "allow_single_cluster": [bool],
         "metric": [StrOptions({"euclidean"})],
         "mst_algorithm": [StrOptions({"boruvka", "prim"})],
-        "query_order": [StrOptions({"input", "morton"})],
         "device": [Device, None],
     }
 
@@ -71,7 +68,6 @@ class HDBSCAN(BaseEstimator):
         allow_single_cluster: bool = False,
         metric: str = "euclidean",
         mst_algorithm: str = "boruvka",
-        query_order: str = "input",
         device: Device | None = None,
     ):
         self.min_cluster_size = min_cluster_size
@@ -79,7 +75,6 @@ class HDBSCAN(BaseEstimator):
         self.allow_single_cluster = allow_single_cluster
         self.metric = metric
         self.mst_algorithm = mst_algorithm
-        self.query_order = query_order
         self.device = device
 
     def fit(self, X: np.ndarray, y=None) -> "HDBSCAN":
@@ -93,7 +88,6 @@ class HDBSCAN(BaseEstimator):
             allow_single_cluster=self.allow_single_cluster,
             device=self.device,
             mst_algorithm=self.mst_algorithm,
-            query_order=self.query_order,
         )
         X = np.asarray(X, dtype=np.float64)
         self.result_ = result

@@ -77,7 +77,6 @@ def _component_nearest(
     radius: np.ndarray,
     dev: Device,
     chunk_size: int | None,
-    query_order: str,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Per-point nearest *other-component* neighbour under mutual
     reachability, minimised by the strict order ``(w, min(a,b), max(a,b))``.
@@ -186,7 +185,6 @@ def _component_nearest(
             device=dev,
             kernel_name="boruvka_nn",
             chunk_size=chunk_size,
-            query_order=query_order,
             component_of=rcomp,
             node_components=node_comp,
         )
@@ -213,7 +211,6 @@ def mutual_reachability_mst_boruvka(
     core_dist: np.ndarray,
     tree: BVH | None = None,
     device: Device | None = None,
-    query_order: str = "input",
     chunk_size: int | None = DEFAULT_CHUNK_SIZE,
 ) -> np.ndarray:
     """Borůvka MST of the mutual reachability graph over a BVH.
@@ -231,9 +228,9 @@ def mutual_reachability_mst_boruvka(
         Optional prebuilt point-leaf BVH over ``X`` (e.g. from
         :class:`repro.core.index.DBSCANIndex`); built on the fly when
         omitted.
-    query_order / chunk_size:
-        Scheduling knobs forwarded to the wavefront traversal; results
-        are identical for every setting.
+    chunk_size:
+        Queries per traversal wavefront; results are identical for every
+        setting.
     """
     dev = default_device(device)
     X = np.ascontiguousarray(X, dtype=np.float64)
@@ -296,7 +293,6 @@ def mutual_reachability_mst_boruvka(
                 radius,
                 dev,
                 chunk_size,
-                query_order,
             )
             # A zero restart (a zero-weight duplicate edge, or a covered
             # zero ball) would never grow by doubling: floor it at r0 as

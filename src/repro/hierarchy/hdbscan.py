@@ -42,7 +42,6 @@ def _mreach_mst(
     tree,
     mst_algorithm: str,
     dev: Device,
-    query_order: str,
 ) -> np.ndarray:
     """Dispatch to the requested mutual-reachability MST engine.
 
@@ -50,13 +49,7 @@ def _mreach_mst(
     (equal sorted weights, identical dendrogram heights); ``"boruvka"``
     streams through the BVH, ``"prim"`` is the O(n²) reference."""
     if mst_algorithm == "boruvka":
-        return mutual_reachability_mst_boruvka(
-            X,
-            core,
-            tree=tree,
-            device=dev,
-            query_order=query_order,
-        )
+        return mutual_reachability_mst_boruvka(X, core, tree=tree, device=dev)
     if mst_algorithm == "prim":
         return mutual_reachability_mst(X, core, device=dev)
     raise ValueError(
@@ -153,7 +146,6 @@ def hdbscan(
     allow_single_cluster: bool = False,
     device: Device | None = None,
     mst_algorithm: str = "boruvka",
-    query_order: str = "input",
     index: DBSCANIndex | None = None,
 ) -> HDBSCANResult:
     """Hierarchical density clustering over the paper's substrates.
@@ -173,8 +165,6 @@ def hdbscan(
         ``"boruvka"`` (BVH-accelerated, the default) or ``"prim"`` (O(n²)
         reference).  Both yield identical dendrogram heights up to
         tie-permutation.
-    query_order:
-        ``"input"`` or ``"morton"`` traversal scheduling.
     index:
         Prebuilt :class:`~repro.core.index.DBSCANIndex` over ``X``; its
         points tree is reused so a sweep shares one build.
@@ -196,15 +186,9 @@ def hdbscan(
     else:
         index.check_points(X)
     tree, reused = index.points_tree(dev)
-    core = core_distances(
-        tree,
-        X,
-        min_samples,
-        device=dev,
-        query_order=query_order,
-    )
+    core = core_distances(tree, X, min_samples, device=dev)
     t1 = time.perf_counter()
-    mst = _mreach_mst(X, core, tree, mst_algorithm, dev, query_order)
+    mst = _mreach_mst(X, core, tree, mst_algorithm, dev)
     Z = single_linkage_dendrogram(mst, n)
     t2 = time.perf_counter()
     condensed = condense_dendrogram(Z, n, min_cluster_size)
@@ -239,7 +223,6 @@ def dbscan_star_cut(
     min_samples: int,
     device: Device | None = None,
     mst_algorithm: str = "boruvka",
-    query_order: str = "input",
     index: DBSCANIndex | None = None,
 ) -> np.ndarray:
     """DBSCAN* labels obtained by cutting the density hierarchy at ``eps``.
@@ -259,14 +242,8 @@ def dbscan_star_cut(
     else:
         index.check_points(X)
     tree, _ = index.points_tree(dev)
-    core = core_distances(
-        tree,
-        X,
-        min_samples,
-        device=dev,
-        query_order=query_order,
-    )
-    mst = _mreach_mst(X, core, tree, mst_algorithm, dev, query_order)
+    core = core_distances(tree, X, min_samples, device=dev)
+    mst = _mreach_mst(X, core, tree, mst_algorithm, dev)
 
     eligible = core <= eps  # DBSCAN* core points
     uf = EclUnionFind(n, device=dev)

@@ -393,12 +393,5 @@ class ServiceIndex:
             raise ValueError(f"k={k} exceeds the {self.n_live} live points")
         if queries is None:
             queries = self.slot_points
-        radii = knn_radii(
-            self.tree,
-            queries,
-            int(k),
-            device=device,
-            points=self.slot_points,
-            watchdog=watchdog,
-        )
+        radii = knn_radii(self.tree, queries, int(k), device=device, watchdog=watchdog)
         return {"radii": [round(float(r), 12) for r in radii], "n_points": int(queries.shape[0])}

@@ -8,12 +8,13 @@ replayed at all.
 """
 
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from repro.bench.history import load_records, save_records
-from repro.bench.smoke import _strip_option, run_smoke
+from repro.bench.smoke import _strip_option, _sweep_args, run_smoke
 from repro.cli import main
 from repro.datasets import gaussian_blobs
 from repro.datasets.io import save_points
@@ -40,8 +41,7 @@ def baseline(points_file, tmp_path, capsys):
             "5,10",
             "--algorithms",
             "fdbscan",
-            "--query-order",
-            "morton",
+            "--no-reuse-index",
             "--save",
             str(path),
         ]
@@ -102,3 +102,12 @@ class TestRunSmoke:
         save_records(str(path), [], meta={"argv": ["cluster", "x.npy"]})
         with pytest.raises(ValueError, match="bench"):
             run_smoke(str(path))
+
+
+def test_committed_baseline_argv_parses():
+    # The CI smoke replays the committed baseline's argv; a CLI flag it
+    # still names but the parser no longer accepts fails here too.
+    baseline = Path(__file__).resolve().parents[1] / "BENCH_sweep.json"
+    _, meta = load_records(str(baseline))
+    args = _sweep_args(_strip_option(list(meta["argv"]), "--save"))
+    assert args.algorithms

@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 
 from repro.bvh.aabb import boxes_from_points
 from repro.bvh.builder import build_bvh
-from repro.bvh.knn import core_distances
+from repro.bvh.knn import core_distances, knn_radii
 from repro.device.device import Device
 from repro.hierarchy import (
     MST_ALGORITHMS,
@@ -164,15 +164,12 @@ class TestEquivalence:
         ref, got = _both_msts(X, 4)
         np.testing.assert_array_equal(np.sort(got[:, 2]), np.sort(ref[:, 2]))
 
-    @pytest.mark.parametrize("query_order", ["input", "morton"])
-    def test_scheduling_invariance(self, rng, query_order):
+    def test_scheduling_invariance(self, rng):
         X = _clustered(rng, 140)
         tree = _tree_over(X)
         core = core_distances(tree, X, 5)
         base = mutual_reachability_mst_boruvka(X, core, tree=tree)
-        got = mutual_reachability_mst_boruvka(
-            X, core, tree=tree, query_order=query_order, chunk_size=64,
-        )
+        got = mutual_reachability_mst_boruvka(X, core, tree=tree, chunk_size=64)
         np.testing.assert_array_equal(_normalised_edges(got), _normalised_edges(base))
 
     @settings(deadline=None, max_examples=12)
@@ -327,14 +324,16 @@ class TestPipelineIntegration:
         np.testing.assert_allclose(fast.probabilities, ref.probabilities)
 
     def test_hdbscan_traversal_invariance(self):
-        # query_order= schedules the core-distance kNN and Borůvka
-        # traversals; every order yields the same core distances, hence
+        # chunk_size slices the core-distance kNN and Borůvka traversals;
+        # every chunking yields the same core distances and MST, hence
         # the same hierarchy
         X = load_dataset("ngsim", n=300, seed=2)
-        base = hdbscan(X, min_cluster_size=5)
-        got = hdbscan(X, min_cluster_size=5, query_order="morton")
-        np.testing.assert_array_equal(got.labels, base.labels)
-        np.testing.assert_array_equal(got.probabilities, base.probabilities)
+        tree = _tree_over(X)
+        core = core_distances(tree, X, 5)
+        np.testing.assert_array_equal(knn_radii(tree, X, 5, chunk_size=7), core)
+        base = mutual_reachability_mst_boruvka(X, core, tree=tree)
+        got = mutual_reachability_mst_boruvka(X, core, tree=tree, chunk_size=7)
+        np.testing.assert_array_equal(_normalised_edges(got), _normalised_edges(base))
 
     def test_dbscan_star_cut_engines_agree(self, rng):
         X = _clustered(rng, 160)

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from repro.bvh.aabb import boxes_from_points
 from repro.bvh.builder import build_bvh
+from repro.bvh.morton import morton_codes
 from repro.bvh.traversal import (
     count_within,
     for_each_leaf_hit,
@@ -255,12 +256,14 @@ class TestContainedCounts:
         assert (got[~below] >= stop_at).all()
 
     def test_masked_counts_equal_plain_tally(self):
+        # Masked counts walk every leaf (no credit): each query tallies
+        # exactly the neighbours at later sorted positions.
         pts, _, eps = _contained_cases()["lattice-3step"]
         tree = _tree_over(pts)
-        mask = tree.position.astype(np.int64)
-        want, _ = _plain_tally(tree, pts, eps, mask_positions=mask)
-        got = count_within(tree, pts, eps, mask_positions=mask)
-        np.testing.assert_array_equal(got, want)
+        got, _ = _plain_tally(tree, pts, eps, mask_positions=tree.position)
+        d2 = ((pts[:, None, :] - pts[None, :, :]) ** 2).sum(-1)
+        later = tree.position[None, :] > tree.position[:, None]
+        np.testing.assert_array_equal(got, ((d2 <= eps * eps) & later).sum(1))
 
     def test_fewer_nodes_visited_on_dense_data(self):
         from repro.datasets.registry import load_dataset
@@ -292,10 +295,8 @@ class TestContainedCounts:
         tree = _tree_over(pts)
         base = count_within(tree, pts, radii, stop_at=12)
         for chunk_size in (1, 7, 64, None):
-            for query_order in ("input", "morton"):
-                got = count_within(tree, pts, radii, stop_at=12,
-                                   chunk_size=chunk_size, query_order=query_order)
-                np.testing.assert_array_equal(got, base)
+            got = count_within(tree, pts, radii, stop_at=12, chunk_size=chunk_size)
+            np.testing.assert_array_equal(got, base)
 
     def test_watchdog_polled_every_step(self):
         pts, _, eps = _contained_cases()["lattice"]
@@ -395,24 +396,26 @@ class TestMortonScheduleCache:
              rng.uniform(-1.0, 3.0, (120, 2))]
         )
 
-    def test_schedule_cached_per_index(self):
-        X = self._points()
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_schedule_is_points_tree_order(self, d):
+        # The schedule is the points tree's leaf order: a stable sort of
+        # the points' Morton codes, so duplicates keep their input order.
+        rng = np.random.default_rng(d)
+        X = rng.uniform(0.0, 1.0, (300, d))
+        X = np.concatenate([X, X[::3], X[:7]])
         index = DBSCANIndex(X)
-        assert index.morton_builds == 0 and index.morton_hits == 0
-        dev = Device()
-        fdbscan(X, 0.25, 5, device=dev, query_order="morton", index=index)
-        assert index.morton_builds == 1
-        fdbscan(X, 0.2, 5, device=dev, query_order="morton", index=index)
-        fdbscan(X, 0.25, 5, device=dev, query_order="input", index=index)
-        assert index.morton_builds == 1  # eps-independent: never rebuilt
-        assert index.morton_hits == 1
+        schedule = index.morton_schedule()
+        np.testing.assert_array_equal(schedule, index.points_tree()[0].order)
+        np.testing.assert_array_equal(
+            schedule, np.argsort(morton_codes(X), kind="stable")
+        )
 
     def test_cached_schedule_changes_nothing(self):
         X = self._points()
         index = DBSCANIndex(X)
-        cold = fdbscan(X, 0.25, 5, device=Device(), query_order="morton")
-        warm = fdbscan(X, 0.25, 5, device=Device(), query_order="morton", index=index)
-        warm2 = fdbscan(X, 0.25, 5, device=Device(), query_order="morton", index=index)
+        cold = fdbscan(X, 0.25, 5, device=Device())
+        warm = fdbscan(X, 0.25, 5, device=Device(), index=index)
+        warm2 = fdbscan(X, 0.25, 5, device=Device(), index=index)
         assert np.array_equal(cold.labels, warm.labels)
         assert np.array_equal(warm.labels, warm2.labels)
 

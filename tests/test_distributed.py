@@ -131,25 +131,6 @@ class TestDriver:
         single = sequential_dbscan(blobs_2d, 0.3, minpts)
         assert_dbscan_equivalent(dist, single, blobs_2d, 0.3)
 
-    # The ids name the single-tree engine every rank runs on, as they did
-    # when the driver could also run a dual-tree engine.
-    @pytest.mark.parametrize(
-        "query_order", ["input", "morton"], ids=["single-input", "single-morton"]
-    )
-    def test_traversal_options_leave_labels_unchanged(self, blobs_2d, query_order):
-        # query_order is a pure work-scheduling lever: every rank's labels
-        # — and hence the merged global labelling — must be bit-identical
-        # to the default run, not merely DBSCAN-equivalent.
-        base = distributed_dbscan(blobs_2d, 0.3, 5, n_ranks=4)
-        res = distributed_dbscan(
-            blobs_2d, 0.3, 5, n_ranks=4, query_order=query_order,
-        )
-        np.testing.assert_array_equal(res.labels, base.labels)
-        np.testing.assert_array_equal(res.is_core, base.is_core)
-        assert res.info["query_order"] == query_order
-        single = sequential_dbscan(blobs_2d, 0.3, 5)
-        assert_dbscan_equivalent(res, single, blobs_2d, 0.3)
-
     def test_3d(self, blobs_3d):
         dist = distributed_dbscan(blobs_3d, 0.5, 5, n_ranks=5)
         single = sequential_dbscan(blobs_3d, 0.5, 5)

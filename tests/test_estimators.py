@@ -106,10 +106,6 @@ class TestDBSCANValidation:
         ):
             DBSCAN(algorithm="kd").fit(blobs)
 
-    def test_tree_knob_rejected_for_baseline(self, blobs):
-        with pytest.raises(ValueError, match="tree-engine knob"):
-            DBSCAN(eps=0.5, algorithm="gdbscan", query_order="morton").fit(blobs)
-
     def test_validation_happens_at_fit_not_init(self):
         DBSCAN(eps=-1)  # must not raise
 
@@ -155,23 +151,6 @@ class TestDBSCANFit:
         est = DBSCAN(eps=0.5, min_samples=5, algorithm=algorithm).fit(blobs)
         assert est.result_.info["algorithm"] == reported
         assert est.n_clusters_ == 3
-
-    def test_query_order_passthrough(self, blobs, monkeypatch):
-        import repro.estimators.dbscan as module
-
-        seen = {}
-        real = module._dbscan_fn
-
-        def spy(*args, **kwargs):
-            seen.update(kwargs)
-            return real(*args, **kwargs)
-
-        monkeypatch.setattr(module, "_dbscan_fn", spy)
-        est = DBSCAN(
-            eps=0.5, min_samples=5, algorithm="fdbscan", query_order="morton",
-        ).fit(blobs)
-        assert est.n_clusters_ == 3
-        assert seen["query_order"] == "morton"
 
     def test_sample_weight(self):
         # one point of weight 5 is its own dense neighbourhood
@@ -242,9 +221,7 @@ class TestHDBSCANFit:
         np.testing.assert_allclose(fast.probabilities_, ref.probabilities_)
 
     def test_knob_passthrough_reaches_info(self, blobs):
-        est = HDBSCAN(
-            min_cluster_size=10, mst_algorithm="prim", query_order="morton",
-        ).fit(blobs)
+        est = HDBSCAN(min_cluster_size=10, mst_algorithm="prim").fit(blobs)
         assert est.result_.info["mst_algorithm"] == "prim"
 
     def test_n_features_in(self, rng):

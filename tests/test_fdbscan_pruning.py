@@ -99,15 +99,17 @@ INPUTS = {
 }
 
 
-# Every case runs on the single-tree traversal; the ids name the engine as
-# they did when a dual-tree engine ran the same cases, so each case keeps
-# one name across the history.
-QUERY_ORDER_IDS = ["single-input", "single-morton"]
+# Every case runs on the single-tree traversal in input order; the ids name
+# the engine and query order as they did when a dual-tree engine and a
+# Morton query order ran the same cases, so each case keeps one name
+# across the history.
+CHUNK_SIZES = pytest.mark.parametrize(
+    "chunk_size", [1, 7, None], ids=lambda c: f"single-input-{c}"
+)
 
 
-@pytest.mark.parametrize("chunk_size", [1, 7, None])
-@pytest.mark.parametrize("query_order", ["input", "morton"], ids=QUERY_ORDER_IDS)
-def test_contract_on_ties_across_knobs(query_order, chunk_size):
+@CHUNK_SIZES
+def test_contract_on_ties_across_knobs(chunk_size):
     reference = {}
     for use_mask, weighted, minpts in itertools.product(
         (True, False), (False, True), (1, 2, 5)
@@ -115,8 +117,7 @@ def test_contract_on_ties_across_knobs(query_order, chunk_size):
         weights = WEIGHTS if weighted else None
         res = fdbscan(
             X_TIES, SPACING, minpts,
-            query_order=query_order, chunk_size=chunk_size,
-            use_mask=use_mask, sample_weight=weights,
+            chunk_size=chunk_size, use_mask=use_mask, sample_weight=weights,
         )
         _check_contract(X_TIES, SPACING, minpts, weights, res.labels, res.is_core)
         # Labels, not just the partition, are identical across the knobs.
@@ -133,10 +134,9 @@ def _reference(data: str, weighted: bool, minpts: int):
     return fdbscan(X, SPACING, minpts, sample_weight=w if weighted else None)
 
 
-@pytest.mark.parametrize("chunk_size", [1, 7, None])
-@pytest.mark.parametrize("query_order", ["input", "morton"], ids=QUERY_ORDER_IDS)
+@CHUNK_SIZES
 @pytest.mark.parametrize("data", sorted(INPUTS))
-def test_densebox_contract_across_knobs(data, query_order, chunk_size):
+def test_densebox_contract_across_knobs(data, chunk_size):
     X, w = INPUTS[data]
     for use_mask, weighted, minpts in itertools.product(
         (True, False), (False, True), (1, 2, 5)
@@ -144,8 +144,7 @@ def test_densebox_contract_across_knobs(data, query_order, chunk_size):
         weights = w if weighted else None
         res = fdbscan_densebox(
             X, SPACING, minpts,
-            query_order=query_order, chunk_size=chunk_size,
-            use_mask=use_mask, sample_weight=weights,
+            chunk_size=chunk_size, use_mask=use_mask, sample_weight=weights,
         )
         _check_contract(X, SPACING, minpts, weights, res.labels, res.is_core)
         # DenseBox's labels equal FDBSCAN's, which are knob-independent.

@@ -4,7 +4,7 @@
    candidates by distance to the *leaf box geometry* instead of the
    primitive coordinate.  For point-leaf trees the two coincide, which is
    why the original suite never caught it; any tree whose leaf boxes have
-   extent (centres displaced from the primitives) got wrong k-th radii.
+   extent got wrong k-th radii.  Such trees are now rejected.
 2. **One radius per phase-1 batch** — the expanding-count loop read a
    single radius for all pending queries, silently mis-counting whenever
    warm starts or uneven doubling left the batch with mixed radii.
@@ -42,60 +42,16 @@ def _point_tree(pts):
 
 
 class TestBoxLeafGather:
-    """Bug 1: distances must be measured to the primitive coordinates."""
+    """Bug 1: leaf boxes with extent do not give primitive coordinates."""
 
-    def _box_tree(self, pts, rng):
-        # leaf boxes anchored at the primitive but extended away from it,
-        # so every box centre is displaced from the point it contains —
-        # exactly the geometry that exposes centre-distance ranking
-        offsets = rng.uniform(0.3, 0.9, pts.shape)
-        return build_bvh(pts, pts + offsets)
-
-    def test_kth_radii_match_kdtree(self, rng):
-        pts = rng.uniform(0, 10, (200, 2))
-        tree = self._box_tree(pts, rng)
-        for k in (1, 4, 9):
-            got = knn_radii(tree, pts, k, points=pts)
-            want = cKDTree(pts).query(pts, k=k)[0]
-            want = want if k == 1 else want[:, -1]
-            np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
-
-    def test_external_queries_on_box_leaves(self, rng):
-        pts = rng.uniform(0, 5, (150, 3))
-        queries = rng.uniform(0, 5, (40, 3))
-        tree = self._box_tree(pts, rng)
-        got = knn_radii(tree, queries, 5, points=pts)
-        want = cKDTree(pts).query(queries, k=5)[0][:, -1]
-        np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
-
-    def test_points_required_for_box_leaves(self, rng):
+    def test_box_leaves_rejected(self, rng):
+        # leaf boxes anchored at the primitive but extended away from it
         pts = rng.uniform(0, 5, (50, 2))
-        tree = self._box_tree(pts, rng)
-        with pytest.raises(ValueError, match="non-degenerate leaf boxes"):
+        tree = build_bvh(pts, pts + rng.uniform(0.3, 0.9, pts.shape))
+        with pytest.raises(ValueError, match="point leaves"):
             knn_radii(tree, pts, 3)
-
-    def test_points_shape_checked(self, rng):
-        pts = rng.uniform(0, 5, (50, 2))
-        tree = _point_tree(pts)
-        with pytest.raises(ValueError, match="shape"):
-            knn_radii(tree, pts, 3, points=pts[:10])
-
-    def test_points_bit_neutral_on_point_leaves(self, rng):
-        pts = rng.uniform(0, 5, (120, 2))
-        tree = _point_tree(pts)
-        np.testing.assert_array_equal(
-            knn_radii(tree, pts, 6), knn_radii(tree, pts, 6, points=pts)
-        )
-
-    def test_exact_counting_never_undershoots(self, rng):
-        # phase 1 on box leaves must count *points* in the ball, not leaf
-        # hits — box hits overestimate, stopping the expansion early with
-        # a radius whose true point count is below k
-        pts = rng.uniform(0, 4, (80, 2))
-        tree = self._box_tree(pts, rng)
-        got = core_distances(tree, pts, 10)  # points= is implied
-        want = cKDTree(pts).query(pts, k=10)[0][:, -1]
-        np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
+        with pytest.raises(ValueError, match="point leaves"):
+            core_distances(tree, pts, 3)
 
 
 class TestMixedRadiusBatches:

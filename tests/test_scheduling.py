@@ -1,8 +1,7 @@
-"""Property tests for the output-preserving scheduling levers (PR 4).
+"""Property tests for the output-preserving scheduling levers.
 
-The traversal frontier pool, Morton query ordering, buffered pair
-resolution and the eps-keyed grid-binning cache are all *performance*
-levers: every one of them must leave the clustering labels and the
+The traversal frontier pool, query chunking, buffered pair resolution
+and the eps-keyed grid-binning cache are all *performance* levers: every one of them must leave the clustering labels and the
 deterministic work counters bit-identical.  These tests pin that
 contract, plus the frontier pool's memory-accounting guarantee (its
 transient peak is monotone in ``chunk_size``).
@@ -15,7 +14,7 @@ from hypothesis import strategies as st
 
 from repro.bvh.aabb import boxes_from_points
 from repro.bvh.builder import build_bvh
-from repro.bvh.traversal import count_within, query_schedule
+from repro.bvh.traversal import count_within
 from repro.core.densebox import fdbscan_densebox
 from repro.core.fdbscan import fdbscan
 from repro.core.index import DBSCANIndex
@@ -48,49 +47,6 @@ def _mixed_points(seed: int, n: int):
 def _invariant_counters(dev: Device) -> dict:
     snap = dev.counters.snapshot()
     return {k: snap.get(k, 0) for k in INVARIANT_COUNTERS}
-
-
-class TestQueryOrderParity:
-    @pytest.mark.parametrize("name", sorted(ALGORITHMS))
-    @given(seed=st.integers(0, 10_000), eps=st.floats(0.02, 0.3))
-    @settings(max_examples=15, deadline=None)
-    def test_labels_and_counters_identical(self, name, seed, eps):
-        algo = ALGORITHMS[name]
-        X = _mixed_points(seed, 130)
-        dev_in, dev_mo = Device(), Device()
-        a = algo(X, eps, 5, device=dev_in, chunk_size=32, query_order="input")
-        b = algo(X, eps, 5, device=dev_mo, chunk_size=32, query_order="morton")
-        np.testing.assert_array_equal(a.labels, b.labels)
-        np.testing.assert_array_equal(a.is_core, b.is_core)
-        assert _invariant_counters(dev_in) == _invariant_counters(dev_mo)
-
-    def test_count_within_identical(self):
-        X = _mixed_points(3, 200)
-        lo, hi = boxes_from_points(X)
-        tree = build_bvh(lo, hi)
-        for stop_at in (None, 5):
-            base = count_within(tree, X, 0.1, stop_at=stop_at, chunk_size=64)
-            morton = count_within(
-                tree, X, 0.1, stop_at=stop_at, chunk_size=64, query_order="morton"
-            )
-            np.testing.assert_array_equal(base, morton)
-
-    def test_schedule_is_a_permutation(self):
-        X = _mixed_points(1, 50)
-        sched = query_schedule(X, "morton")
-        assert sorted(sched.tolist()) == list(range(50))
-
-    def test_schedule_input_is_none(self):
-        assert query_schedule(_mixed_points(1, 50), "input") is None
-        # fewer than 2 queries: nothing to reorder
-        assert query_schedule(np.zeros((1, 2)), "morton") is None
-
-    def test_bad_order_rejected(self):
-        X = _mixed_points(1, 10)
-        with pytest.raises(ValueError, match="query_order"):
-            query_schedule(X, "zorder")
-        with pytest.raises(ValueError, match="query_order"):
-            fdbscan(X, 0.1, 3, query_order="zorder")
 
 
 class TestChunkAndBufferParity:
