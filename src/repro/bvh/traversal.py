@@ -95,6 +95,17 @@ class TraversalResult:
 #: neighbourhood mass rather than the whole dataset's.
 DEFAULT_CHUNK_SIZE = 8192
 
+#: Relative pad that makes a radius taken from a computed distance reach
+#: that distance's point.  The traversal keeps a point at squared distance
+#: ``D`` when ``D <= fl(r*r)``, while a distance is ``fl(sqrt(D))``; for
+#: ``r`` equal to it ``fl(r*r)`` can fall an ulp short of ``D`` and miss
+#: the very point the radius names.  With ``r = sqrt(D)(1+d1)`` and every
+#: rounding ``|d| <= 2**-53``, the padded square is ``D (1+d1)**2
+#: (1+2**-48)**2 (1+d2)**2 (1+d3) >= D (1 - 5 * 2**-53)(1 + 2**-47) > D``,
+#: and rounding is monotone, so every point within ``r`` is hit.  One
+#: ``nextafter`` ulp is not provably enough near the top of a binade.
+RADIUS_PAD = 1.0 + 2.0**-48
+
 
 class _FrontierPool:
     """Grow-only scratch pool backing the wavefront frontier.

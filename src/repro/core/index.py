@@ -32,6 +32,9 @@ the build's wall time — that is the speedup — while its counters, kernel
 trace (spans flagged ``replayed=True``) and memory peak remain comparable
 to a cold run's.  Under a memory cap, replaying raises the same
 :class:`~repro.device.memory.DeviceMemoryError` a cold build would.
+Only runs replay: :meth:`~DBSCANIndex.morton_schedule` and
+:meth:`~DBSCANIndex.tree_statistics` read the cached points tree and
+charge nothing, unless they have to build it.
 """
 
 from __future__ import annotations
@@ -198,23 +201,30 @@ class DBSCANIndex:
         self._points = _PointsEntry(tree=tree, cost=cost)
         return tree, False
 
+    def _cached_points_tree(self, device: Device | None) -> BVH:
+        """The points tree without replaying its cost: a cached tree is
+        read as is, and a missing one is built live on ``device``.  For
+        accessors that derive data from the tree rather than run a fit."""
+        if self._points is not None:
+            return self._points.tree
+        return self.points_tree(device)[0]
+
     def morton_schedule(self, device: Device | None = None) -> np.ndarray:
         """The indexed points in Morton (Z-curve) order: the points tree's
-        leaf order, a stable sort of their Morton codes (see
-        :meth:`points_tree` for how ``device`` is charged)."""
-        return self.points_tree(device)[0].order
+        leaf order, a stable sort of their Morton codes.  Charges
+        ``device`` only if this call has to build the tree."""
+        return self._cached_points_tree(device).order
 
     def tree_statistics(self, device: Device | None = None):
         """Shape statistics of the points tree (for reports and tests).
 
-        Computed once per index (the tree never changes) and cached; the
-        first call builds the points tree if needed.
+        Computed once per index (the tree never changes) and cached.
+        Charges ``device`` only if this call has to build the tree.
         """
         if self._tree_stats is None:
             from repro.bvh.statistics import tree_statistics
 
-            tree, _reused = self.points_tree(device)
-            self._tree_stats = tree_statistics(tree)
+            self._tree_stats = tree_statistics(self._cached_points_tree(device))
         return self._tree_stats
 
     def grid_binning(

@@ -8,7 +8,8 @@ on the repository's substrates:
 
 ``repro.bvh.knn``
     core distances (distance to the ``min_samples``-th neighbour) via the
-    batched expanding-radius BVH search;
+    batched per-query radius-ladder BVH search, started from leaf-order
+    window bounds;
 
 ``mst``
     the minimum spanning tree of the *mutual reachability* graph

@@ -14,13 +14,17 @@ the component mask of :func:`repro.bvh.traversal.for_each_leaf_hit`:
   levels (one ``np.where`` per level), so any subtree uniform in the
   query's component is pruned in one comparison instead of being
   descended;
-- the nearest *outside* neighbour is found by an expanding per-point
-  radius, warm-started per point (radii only ever need to grow across
-  rounds, because merging components can only push the nearest outside
-  point further away) and floored at the core distance (a
-  mutual-reachability weight is never below it); each sweep is one
-  traversal launch in which every point carries its own radius, capped
-  at its component's best candidate weight so far;
+- every component's search starts from an exact upper bound: each round
+  first scores the pairs of sorted leaf positions ``(p, p+1)`` and
+  ``(p, p+2)`` that straddle two components.  In the tree's Morton leaf
+  order these are spatial neighbours, and each is a real edge, so its
+  weight bounds both components' minima from above.  A component that
+  does not span the whole set holds a member next to another component
+  at offset 1, so every bound is finite;
+- each sweep is then one traversal launch in which every pending point
+  searches at its component's bound: an edge that improves on or ties
+  the bound has ``dist <= w <= bound``, so the capped search still
+  reaches every candidate that can matter;
 - candidate edges reduce under the strict total order ``(w, min(a,b),
   max(a,b))``, which makes the per-component choice unique even among
   tied weights — the classic Borůvka cycle-safety argument — so once the
@@ -40,9 +44,9 @@ import numpy as np
 
 from repro.bvh.aabb import boxes_from_points
 from repro.bvh.builder import build_bvh
-from repro.bvh.knn import _initial_radius
 from repro.bvh.traversal import (
     DEFAULT_CHUNK_SIZE,
+    RADIUS_PAD,
     for_each_leaf_hit,
     refresh_node_components,
 )
@@ -50,20 +54,8 @@ from repro.bvh.tree import BVH
 from repro.device.device import Device, default_device
 from repro.unionfind.ecl import EclUnionFind
 
-#: Hard cap on expanding-radius doublings within one nearest-outside
-#: search; 100 doublings overshoot any float64 scene diameter.
-_MAX_DOUBLINGS = 100
-
-#: Relative pad on every launched radius.  The traversal keeps a point at
-#: squared distance ``D`` when ``D <= fl(r*r)``, while a weight is
-#: ``fl(sqrt(D))``; for ``r`` equal to that weight ``fl(r*r)`` can fall an
-#: ulp short of ``D`` and miss the very edge the radius names.  With
-#: ``r = sqrt(D)(1+d1)`` and every rounding ``|d| <= 2**-53``, the padded
-#: square is ``D (1+d1)**2 (1+2**-48)**2 (1+d2)**2 (1+d3)
-#: >= D (1 - 5 * 2**-53)(1 + 2**-47) > D``, and rounding is monotone, so
-#: every edge of weight ``<= r`` is hit.  One ``nextafter`` ulp is not
-#: provably enough near the top of a binade.
-_RADIUS_PAD = 1.0 + 2.0**-48
+#: Sorted-position offsets whose cross-component pairs seed each round.
+_SEED_OFFSETS = (1, 2)
 
 
 def _component_nearest(
@@ -74,101 +66,100 @@ def _component_nearest(
     core: np.ndarray,
     pts_pos: np.ndarray,
     core_pos: np.ndarray,
-    radius: np.ndarray,
     dev: Device,
     chunk_size: int | None,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Per-point nearest *other-component* neighbour under mutual
-    reachability, minimised by the strict order ``(w, min(a,b), max(a,b))``.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Per-point best *other-component* edge under mutual reachability,
+    minimised by the strict order ``(w, min(a,b), max(a,b))``, exact for
+    the minimum edge of every component.
 
-    ``radius`` is the per-point warm-start search radius for this round;
-    it is doubled in place for unfinished points within the round.  It
-    must be a *lower-bound-scale* start (candidate weight or covered
-    radius from the previous round), never an overshoot: every launched
-    radius is paid for in cross-component distance tests, so jumping a
-    point straight to a scene-scale radius bypasses the component bound
-    below and re-tests every cross pair each round.
+    **Seeds.**  Every pair of sorted leaf positions ``(p, p+j)``,
+    ``j`` in :data:`_SEED_OFFSETS`, whose components differ is scored
+    ``max(d, core_a, core_b)`` and folded into both endpoints' best edges
+    and both components' bounds, exactly as a traversal hit would be.
+    Seeds are real edges, so each bound is an upper bound on its
+    component's minimum; offset 1 makes every bound finite unless one
+    component spans the set.
 
-    Two bounds terminate a point's search:
+    **Capped sweeps.**  Each sweep is one traversal launch over every
+    pending point, each at its component's current bound ``W`` (padded by
+    :data:`~repro.bvh.traversal.RADIUS_PAD`).  An edge that improves on
+    or ties the bound satisfies ``dist <= w <= W``, so the capped search
+    reaches every such edge, which preserves the exact ``(w, u, v)``
+    minimum (and with it the bit-equality to Prim's dendrogram).  Hits
+    lower the component bounds per wavefront step, and a point whose
+    bound drops below its launched radius is killed in flight; it stays
+    pending and relaunches at the (now smaller) bound next sweep.  A
+    point that completes its search is done for the round.  Bounds only
+    take edge weights and a relaunch needs a strictly smaller one, so
+    the sweeps terminate.
 
-    - **own radius**: anything unseen lies strictly beyond the searched
-      radius, so a found best within it is the point's true minimum;
-    - **component bound**: once the point's component holds a candidate
-      of weight ``W``, the search radius is *capped* at ``W`` — an edge
-      that improves on (or ties) the component candidate satisfies
-      ``dist <= w <= W``, so nothing beyond ``W`` can matter.  The cap
-      keeps every tied edge reachable, which preserves the exact
-      ``(w, u, v)`` lexicographic minimum (and with it the bit-equality
-      to Prim's dendrogram).  This is the pruning lever that lets
-      interior points of a large component stop almost immediately while
-      only boundary points do real traversal work.
-
-    Each sweep is one traversal launch over every pending point, each at
-    its own radius ``min(radius, bound)``.  Candidates feed the component
-    bounds per wavefront step, and a point whose bound drops below its
-    launched radius is killed in flight: it gets no coverage credit, so
-    the next sweep relaunches it at the (now smaller) bound.
-
-    Returns ``(best_w, best_b, best_u, best_v, cov)`` — ``cov`` is the
-    radius each point actually covered, a certificate that no
-    cross-component point lies within it (components only grow, so the
-    certificate stays valid across rounds and seeds the next round's
-    warm start for points that found no candidate).
+    Returns ``(best_w, best_b)``: each point's best edge runs to
+    ``best_b`` (``-1`` for a point that holds no candidate).
     """
     n = X.shape[0]
     order_arr = tree.order
     best_w = np.full(n, np.inf)
     best_b = np.full(n, -1, dtype=np.int64)
-    best_u = np.zeros(n, dtype=np.int64)
-    best_v = np.zeros(n, dtype=np.int64)
     # Best candidate weight per component (indexed by component root id).
     comp_best = np.full(n, np.inf)
-    # Radius each point has *covered* (seen every neighbour within); -1
-    # until the first gather so even a zero-radius search (exact
-    # duplicates across components) happens before the bound applies.
-    cov = np.full(n, -1.0)
+
+    def offer(gq: np.ndarray, b: np.ndarray, w: np.ndarray) -> None:
+        """Fold candidate edges ``gq -> b`` of weight ``w`` into the
+        per-point minima under ``(w, u, v)`` and the component bounds
+        (idempotent, so a hit re-gathered after a relaunch is harmless)."""
+        u = np.minimum(gq, b)
+        v = np.maximum(gq, b)
+        # reduce to one candidate per query in this batch first
+        sel = np.lexsort((v, u, w, gq))
+        gqs = gq[sel]
+        first = np.empty(gqs.shape[0], dtype=bool)
+        first[0] = True
+        np.not_equal(gqs[1:], gqs[:-1], out=first[1:])
+        f = sel[first]
+        tq, tw, tu, tv, tb = gq[f], w[f], u[f], v[f], b[f]
+        bb = best_b[tq]
+        bw, bu, bv = best_w[tq], np.minimum(tq, bb), np.maximum(tq, bb)
+        better = (tw < bw) | (
+            (tw == bw) & ((tu < bu) | ((tu == bu) & (tv < bv)))
+        )
+        t = tq[better]
+        best_w[t] = tw[better]
+        best_b[t] = tb[better]
+        np.minimum.at(comp_best, comp[tq], tw)
+
+    # --- seeds: cross-component leaf-order neighbours ----------------------
+    comp_pos = comp[order_arr]
+    for j in _SEED_OFFSETS:
+        p = np.flatnonzero(comp_pos[:-j] != comp_pos[j:])
+        if p.size == 0:
+            continue
+        diff = pts_pos[p] - pts_pos[p + j]
+        w = np.sqrt(np.einsum("ij,ij->i", diff, diff))
+        np.maximum(w, core_pos[p], out=w)
+        np.maximum(w, core_pos[p + j], out=w)
+        dev.counters.add("distance_evals", p.size)
+        a, b = order_arr[p], order_arr[p + j]
+        offer(np.concatenate((a, b)), np.concatenate((b, a)), np.concatenate((w, w)))
+
+    # --- capped sweeps at the component bounds -----------------------------
     pending = np.ones(n, dtype=bool)
-    doublings = 0
     while True:
-        bound = comp_best[comp]
-        pending &= cov < bound
         rows = np.flatnonzero(pending)
         if rows.size == 0:
             break
-        eps = np.minimum(radius[rows], bound[rows])
-        q_pts = X[rows]
         rcomp = comp[rows]
+        eps = comp_best[rcomp]
+        q_pts = X[rows]
         killed = np.zeros(rows.size, dtype=bool)
 
         def on_hits(q_ids: np.ndarray, leaf_pos: np.ndarray) -> None:
             gq = rows[q_ids.astype(np.int64)]
-            b = order_arr[leaf_pos]
             diff = q_pts[q_ids] - pts_pos[leaf_pos]
             w = np.sqrt(np.einsum("ij,ij->i", diff, diff))
             np.maximum(w, core[gq], out=w)
             np.maximum(w, core_pos[leaf_pos], out=w)
-            u = np.minimum(gq, b)
-            v = np.maximum(gq, b)
-            # reduce to one candidate per query in this batch, then
-            # merge into the running per-point minimum (idempotent, so
-            # hits re-gathered after a radius doubling are harmless)
-            sel = np.lexsort((v, u, w, gq))
-            gqs = gq[sel]
-            first = np.empty(gqs.shape[0], dtype=bool)
-            first[0] = True
-            np.not_equal(gqs[1:], gqs[:-1], out=first[1:])
-            f = sel[first]
-            tq, tw, tu, tv, tb = gq[f], w[f], u[f], v[f], b[f]
-            bw, bu, bv = best_w[tq], best_u[tq], best_v[tq]
-            better = (tw < bw) | (
-                (tw == bw) & ((tu < bu) | ((tu == bu) & (tv < bv)))
-            )
-            t = tq[better]
-            best_w[t] = tw[better]
-            best_b[t] = tb[better]
-            best_u[t] = tu[better]
-            best_v[t] = tv[better]
-            np.minimum.at(comp_best, comp[tq], tw)
+            offer(gq, order_arr[leaf_pos], w)
 
         # Monotone in ``comp_best``, as ``finished_fn`` requires.
         def on_finished(ids: np.ndarray) -> np.ndarray:
@@ -179,7 +170,7 @@ def _component_nearest(
         for_each_leaf_hit(
             tree,
             q_pts,
-            eps * _RADIUS_PAD,
+            eps * RADIUS_PAD,
             on_hits,
             finished_fn=on_finished,
             device=dev,
@@ -188,22 +179,8 @@ def _component_nearest(
             component_of=rcomp,
             node_components=node_comp,
         )
-        done = ~killed
-        hit = rows[done]
-        cov[hit] = np.maximum(cov[hit], eps[done])
-        # Double only points that searched to completion, are still
-        # unfinished, and whose own radius (not the component bound)
-        # limited the search; a capped point re-checks the shrunken bound
-        # next sweep and stops without another gather.  Checking the bound
-        # *before* growing keeps the warm-start radius at each point's
-        # needed scale instead of inflating it once per Borůvka round.
-        still = cov[hit] < comp_best[comp[hit]]
-        grew = still & (radius[hit] <= eps[done])
-        radius[hit[grew]] *= 2.0
-        doublings += 1
-        if doublings > _MAX_DOUBLINGS:  # pragma: no cover - defensive
-            raise RuntimeError("component-NN radius expansion failed to converge")
-    return best_w, best_b, best_u, best_v, cov
+        pending[rows[~killed]] = False
+    return best_w, best_b
 
 
 def mutual_reachability_mst_boruvka(
@@ -224,6 +201,9 @@ def mutual_reachability_mst_boruvka(
 
     Parameters
     ----------
+    core_dist:
+        ``(n,)`` finite, non-negative core distances (``ValueError``
+        otherwise).
     tree:
         Optional prebuilt point-leaf BVH over ``X`` (e.g. from
         :class:`repro.core.index.DBSCANIndex`); built on the fly when
@@ -238,6 +218,8 @@ def mutual_reachability_mst_boruvka(
     n = X.shape[0]
     if core_dist.shape != (n,):
         raise ValueError(f"core_dist must be ({n},); got {core_dist.shape}")
+    if not (np.isfinite(core_dist).all() and (core_dist >= 0).all()):
+        raise ValueError("core_dist entries must be finite and non-negative")
     if n <= 1:
         return np.zeros((0, 3), dtype=np.float64)
     if tree is None:
@@ -256,24 +238,6 @@ def mutual_reachability_mst_boruvka(
     edges = np.empty((n - 1, 3), dtype=np.float64)
     n_edges = 0
     ids = np.arange(n, dtype=np.int64)
-    # Warm-start radii: a mutual-reachability weight is never below the
-    # point's own core distance, and the ``min_samples``-th neighbour sits
-    # exactly at it, so ``core`` is both a lower bound on the answer and a
-    # radius already known to contain neighbours.  Zero cores (duplicate
-    # points) fall back to the scene-density estimate.
-    #
-    # Across rounds the warm start is recomputed per point rather than
-    # carried as a monotonically doubled radius: a point that found a
-    # candidate restarts at that candidate's weight (a lower bound on its
-    # next answer — merging only pushes the nearest outside point away),
-    # and a point that found nothing restarts at the radius it *covered*
-    # (re-searching a certified-empty ball costs box tests but zero
-    # distance tests, because cross-component sets only shrink).  Carrying
-    # grown radii instead lets a far-flung component's interior jump
-    # straight to scene scale in the round after a merge, re-testing every
-    # cross pair before the round's much smaller bound is discovered.
-    r0 = _initial_radius(tree, 2)
-    radius = np.where(core_dist > 0, core_dist, r0)
 
     with dev.kernel("boruvka_mst", threads=n) as launch:
         rounds = 0
@@ -282,26 +246,13 @@ def mutual_reachability_mst_boruvka(
             dev.counters.add("boruvka_rounds", 1)
             comp = uf.find(ids)
             refresh_node_components(tree, comp, node_comp)
-            best_w, best_b, best_u, best_v, cov = _component_nearest(
-                tree,
-                X,
-                comp,
-                node_comp,
-                core_dist,
-                pts_pos,
-                core_pos,
-                radius,
-                dev,
-                chunk_size,
+            best_w, best_b = _component_nearest(
+                tree, X, comp, node_comp, core_dist, pts_pos, core_pos, dev, chunk_size
             )
-            # A zero restart (a zero-weight duplicate edge, or a covered
-            # zero ball) would never grow by doubling: floor it at r0 as
-            # the initial warm start does.
-            restart = np.where(best_b >= 0, best_w, cov)
-            radius = np.where(restart > 0, restart, r0)
+            best_u, best_v = np.minimum(ids, best_b), np.maximum(ids, best_b)
             # Points stopped by the component bound may hold no candidate
             # of their own; every component still holds at least one (its
-            # bound is finite only once a member found an edge).
+            # seeded bound is a member's edge).
             idx = np.flatnonzero(best_b >= 0)
             if idx.size == 0:  # pragma: no cover - defensive
                 raise RuntimeError("no component found an outside neighbour")

@@ -229,6 +229,58 @@ class TestStrictOrder:
         )
 
 
+def _lattice(side, d, spacing=0.25):
+    g = np.arange(side) * spacing
+    return np.stack(np.meshgrid(*([g] * d)), axis=-1).reshape(-1, d)
+
+
+class TestSeededBounds:
+    """Each round's leaf-order seeds start every component at a finite,
+    exact upper bound, and the searches launched at those bounds keep the
+    strict-order MST on inputs where every weight ties."""
+
+    CASES = {
+        # power-of-two spacing: every lattice distance is exact, so edge
+        # weights tie everywhere, with and without core distances
+        "lattice2d-core": (_lattice(9, 2), 4),
+        "lattice2d-zero-core": (_lattice(9, 2), 0),
+        "lattice3d-core": (_lattice(5, 3), 5),
+        # every point three times: zero cores, zero-weight edges, and
+        # cross-component seeds at distance 0
+        "duplicates": (np.repeat(_lattice(6, 2, 0.5), 3, axis=0), 3),
+        "duplicates-mixed": (
+            np.vstack([_lattice(7, 2), _lattice(7, 2)[::4], np.zeros((6, 2))]),
+            4,
+        ),
+    }
+
+    @pytest.mark.parametrize("chunk_size", [None, 97])
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_matches_dense_oracle(self, case, chunk_size):
+        X, minpts = self.CASES[case]
+        tree = _tree_over(X)
+        core = core_distances(tree, X, minpts) if minpts else np.zeros(len(X))
+        got = mutual_reachability_mst_boruvka(
+            X, core, tree=tree, chunk_size=chunk_size
+        )
+        np.testing.assert_array_equal(
+            _normalised_edges(got), _dense_strict_mst(X, core)
+        )
+
+    def test_seeds_counted_in_the_mst_launch(self, rng):
+        X = _clustered(rng, 200)
+        dev = Device()
+        tree = _tree_over(X, device=dev)
+        core = core_distances(tree, X, 5)
+        mutual_reachability_mst_boruvka(X, core, tree=tree, device=dev)
+        prof = dev.profile()
+        own = prof["boruvka_mst"]["counters"]["distance_evals"]
+        nested = prof["boruvka_nn"]["counters"]["distance_evals"]
+        # the launch's own tests are the seeds: at most two per point per round
+        rounds = dev.counters.snapshot()["boruvka_rounds"]
+        assert 0 < own - nested <= 2 * len(X) * rounds
+
+
 class TestValidationAndEdges:
     def test_empty_and_single_point(self):
         out = mutual_reachability_mst_boruvka(
@@ -246,6 +298,16 @@ class TestValidationAndEdges:
         X = rng.normal(size=(10, 2))
         with pytest.raises(ValueError, match="core_dist"):
             mutual_reachability_mst_boruvka(X, np.zeros(9))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -1.0])
+    def test_core_dist_values_checked(self, rng, bad):
+        # a NaN core used to close a "cycle", an infinite one tripped the
+        # traversal's per-query eps check, and a negative one was accepted
+        X = rng.normal(size=(10, 2))
+        core = np.zeros(10)
+        core[3] = bad
+        with pytest.raises(ValueError, match="core_dist"):
+            mutual_reachability_mst_boruvka(X, core)
 
     def test_tree_primitive_count_checked(self, rng):
         X = rng.normal(size=(10, 2))

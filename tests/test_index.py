@@ -72,6 +72,26 @@ class TestPointsTreeReuse:
         spans = [s for s in warm_dev.trace_snapshot() if s["name"] == "bvh_build"]
         assert spans and all(s["replayed"] for s in spans)
 
+    def test_accessors_read_cached_tree_without_replay(self, blobs_2d):
+        # the set-up a user pays once: one live build, no replayed charge
+        index = DBSCANIndex(blobs_2d)
+        dev = Device()
+        tree, _ = index.points_tree(dev)
+        np.testing.assert_array_equal(index.morton_schedule(dev), tree.order)
+        index.tree_statistics(dev)
+        build = dev.profile()["bvh_build"]
+        assert build["launches"] == 1
+        assert build["replayed"] == 0
+
+    def test_accessors_build_an_absent_tree_live(self, blobs_2d):
+        index = DBSCANIndex(blobs_2d)
+        dev = Device()
+        index.tree_statistics(dev)
+        index.morton_schedule(dev)
+        assert index.has_points_tree
+        build = dev.profile()["bvh_build"]
+        assert (build["launches"], build["replayed"]) == (1, 0)
+
     def test_replay_hits_memory_cap_like_cold_build(self, blobs_2d):
         from repro.device.memory import DeviceMemoryError
 

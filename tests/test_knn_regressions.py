@@ -231,3 +231,103 @@ class TestRungSearch:
         )
         gather = dev.profile()["knn_gather"]["counters"]["distance_evals"]
         assert gather <= 5 * n * k
+
+
+def _kdtree_kth(pts, k):
+    return cKDTree(pts).query(pts, k=k)[0].reshape(len(pts), -1)[:, -1]
+
+
+class TestWindowBound:
+    """``core_distances`` starts each ladder at the k-th distance within
+    the point's leaf-order window: the result is byte-equal to the
+    density-start search and to cKDTree on inputs built to stress it."""
+
+    CASES = {
+        # every point k = 4 times: the window holds the copies, so each
+        # answer is an exact 0 without a ladder round
+        "duplicates": (np.repeat(np.arange(40.0).reshape(20, 2), 4, axis=0), 4),
+        "duplicates-mixed": (
+            np.concatenate(
+                [np.arange(60.0).reshape(30, 2) * 0.125,
+                 np.repeat([[1.5, 2.0], [7.0, 3.0]], 5, axis=0)]
+            ),
+            5,
+        ),
+        "n-is-2k+1": (np.arange(14.0).reshape(7, 2) ** 1.5, 3),
+        "n-below-2k+1": (np.arange(10.0).reshape(5, 2) ** 1.5, 3),
+        "k-is-n": (np.arange(12.0).reshape(6, 2) ** 1.5, 6),
+        "collinear-2d": (
+            np.column_stack([np.arange(90) * 0.375, np.full(90, 2.0)]), 4,
+        ),
+        "planar-3d": (
+            np.column_stack([np.arange(120) % 12 * 0.5, np.arange(120) // 12 * 0.25,
+                             np.full(120, -1.0)]),
+            6,
+        ),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_byte_equal_to_density_start_and_kdtree(self, case):
+        pts, k = self.CASES[case]
+        tree = _point_tree(pts)
+        got = core_distances(tree, pts, k)
+        np.testing.assert_array_equal(got, knn_radii(tree, pts, k))
+        np.testing.assert_array_equal(got, _kdtree_kth(pts, k))
+
+    def test_random_inputs_equal_density_start(self, rng):
+        for d in (1, 2, 3):
+            pts = rng.uniform(0, 4, (300, d))
+            tree = _point_tree(pts)
+            for k in (1, 2, 7, 50):
+                np.testing.assert_array_equal(
+                    core_distances(tree, pts, k), knn_radii(tree, pts, k)
+                )
+
+    def test_duplicates_skip_the_ladder(self):
+        pts, k = self.CASES["duplicates"]
+        dev = Device()
+        got = core_distances(_point_tree(pts), pts, k, device=dev)
+        np.testing.assert_array_equal(got, 0.0)
+        prof = dev.profile()
+        assert prof["knn_expand"]["steps"] == 0
+        assert "bvh_count" not in prof
+
+    def test_bound_is_window_kth_and_holds_k_at_rung_zero(self, rng):
+        from repro.bvh.knn import _window_bound
+        from repro.bvh.traversal import RADIUS_PAD, count_within
+
+        pts = load_dataset("ngsim", 600, seed=1)
+        tree = _point_tree(pts)
+        k = 5
+        dev = Device()
+        bound = _window_bound(tree, pts, k, dev)
+        n = len(pts)
+        for p in (0, 1, k, n // 2, n - 2, n - 1):
+            win = tree.order[max(p - k, 0) : p + k + 1]
+            i = tree.order[p]
+            d = np.sqrt(((pts[win] - pts[i]) ** 2).sum(axis=1))
+            assert bound[i] == np.sort(d)[k - 1]
+        assert dev.counters.snapshot()["distance_evals"] == n * (2 * k + 1) - k * (k + 1)
+        assert (bound >= _kdtree_kth(pts, k)).all()
+        counts = count_within(tree, pts, bound * RADIUS_PAD)
+        assert (counts >= k).all()
+
+    def test_ngsim_ladder_only_descends(self):
+        # the window start puts rung 0 at or above every answer: fewer
+        # rounds and fewer count visits than the density start
+        X = load_dataset("ngsim", 2000, seed=0)
+        tree = _point_tree(X)
+        window, density = Device(), Device()
+        got = core_distances(tree, X, 5, device=window)
+        np.testing.assert_array_equal(got, knn_radii(tree, X, 5, device=density))
+        steps = [d.profile()["knn_expand"]["steps"] for d in (window, density)]
+        nodes = [d.profile()["bvh_count"]["counters"]["nodes_visited"]
+                 for d in (window, density)]
+        assert steps[0] < steps[1]
+        assert nodes[0] < nodes[1]
+
+    def test_queries_must_be_the_tree_points(self, rng):
+        pts = rng.uniform(0, 1, (30, 2))
+        tree = _point_tree(pts)
+        with pytest.raises(ValueError, match="own points"):
+            core_distances(tree, pts[:20], 3)
