@@ -171,7 +171,8 @@ class _FrontierPool:
 
 def search_radii(eps, m: int) -> float | np.ndarray:
     """Validate a search radius: a scalar (returned as ``float``) or one
-    radius per query (returned as an ``(m,)`` float64 array).  Either
+    radius per query (returned as an ``(m,)`` float64 array, the caller's
+    own array when it is one, so it can be lowered in flight).  Either
     form must be finite and non-negative."""
     if np.ndim(eps) == 0:
         eps = float(eps)
@@ -284,8 +285,9 @@ def run_chunks(
     m = queries.shape[0]
     # A scalar keeps its scalar compare: running it through the per-row
     # gather made the flat fdbscan cells 4-6% slower (ngsim n=8192 and
-    # hacc n=16384, interleaved min of 6, 2-CPU x86 host).
-    eps2 = eps * eps
+    # hacc n=16384, interleaved min of 6, 2-CPU x86 host).  A per-query
+    # array is read live: each test squares the slice it gathers.
+    eps2 = eps if isinstance(eps, np.ndarray) else eps * eps
     result = TraversalResult()
     pool = _FrontierPool(dev, tree.dim)
     try:
@@ -359,7 +361,11 @@ def for_each_leaf_hit(
         *hit* when the minimum distance from the query to the leaf's box
         is ``<= `` the query's radius.  For degenerate (point) leaves this
         is the exact point-distance predicate.  A constant array gives
-        results bit-identical to the scalar.
+        results bit-identical to the scalar.  A float64 array is used in
+        place and read live: every test squares the entries it gathers, so
+        a ``callback`` may *lower* ``eps[q]`` (never raise it), and
+        the rest of query ``q``'s walk, from that step's expansion on, is
+        pruned at the new radius.
     callback:
         ``callback(query_ids, leaf_positions)`` invoked once per wavefront
         step with the step's hits.  ``leaf_positions`` are *sorted* leaf
@@ -469,8 +475,8 @@ def _single_chunk(
     contained: tuple[np.ndarray, np.ndarray, np.ndarray] | None,
 ) -> None:
     """One chunk: a frontier row per query, expanded level by level until
-    no pair survives.  ``eps2`` is the squared radius, scalar or per
-    query."""
+    no pair survives.  ``eps2`` is the squared scalar radius, or the live
+    ``(m,)`` radius array, whose gathered entries each test squares."""
     n_int = tree.n_internal
     ch_ids, ch_lo, ch_hi, ch_rng_hi = tree.packed_children()
     # Node ids are as narrow as the tree allows and query ids as narrow
@@ -485,7 +491,7 @@ def _single_chunk(
     clamped = np.clip(queries[chunk_ids], root_lo, root_hi)
     diff = queries[chunk_ids] - clamped
     ok = np.einsum("nd,nd->n", diff, diff) <= (
-        eps2[chunk_ids] if per_query else eps2
+        np.square(eps2[chunk_ids]) if per_query else eps2
     )
     if mask_positions is not None:
         ok &= tree.node_range_hi[tree.root] > mask_positions[chunk_ids]
@@ -577,6 +583,7 @@ def _single_chunk(
         if per_query:
             q_r2 = pool.take("q_r2", n_par, dtype=np.float64)
             np.take(eps2, par_q, out=q_r2, mode="clip")
+            np.multiply(q_r2, q_r2, out=q_r2)
             np.less_equal(d2, q_r2[:, None], out=keep)
         else:
             np.less_equal(d2, eps2, out=keep)
@@ -634,7 +641,9 @@ def _contained_gate(
     # Leaf children clip to a stand-in id; the last line gates them off.
     np.take(diag2, ch_ids, out=ch_diag2, mode="clip")
     gate = pool.take2("c_gate", n_int, dtype=bool)
-    np.less_equal(ch_diag2, 4.0 * float(np.max(eps)) ** 2, out=gate)
+    # In numpy, so a radius whose square overflows gates against inf.
+    with np.errstate(over="ignore"):
+        np.less_equal(ch_diag2, 4.0 * np.square(np.max(eps)), out=gate)
     gate &= ch_ids < n_int
     return (*contained, gate) if gate.any() else None
 
@@ -701,7 +710,7 @@ def _credit_contained(
     dev.counters.add("box_tests", k)
     inside = pool.take("c_inside", k, dtype=bool)
     if isinstance(eps2, np.ndarray):
-        np.less_equal(far2, np.take(eps2, cq), out=inside)
+        np.less_equal(far2, np.square(np.take(eps2, cq)), out=inside)
     else:
         np.less_equal(far2, eps2, out=inside)
     inside_idx = np.flatnonzero(inside)

@@ -47,7 +47,7 @@ class BVH:
     position:
         ``(n,)`` inverse of ``order``: sorted position of each primitive.
     codes:
-        ``(n,)`` sorted Morton codes (kept for inspection/tests).
+        ``(n,)`` sorted Morton codes (the kNN window anchors search them).
     levels:
         Internal-node ids grouped by depth (root first); produced by the
         builder's BFS and reused by the bottom-up refit.

@@ -7,9 +7,8 @@ HDBSCAN pipeline (Campello, Moulavi & Sander 2013; McInnes & Healy 2017)
 on the repository's substrates:
 
 ``repro.bvh.knn``
-    core distances (distance to the ``min_samples``-th neighbour) via the
-    batched per-query radius-ladder BVH search, started from leaf-order
-    window bounds;
+    core distances (distance to the ``min_samples``-th neighbour): one
+    batched BVH gather per query at its leaf-order window bound;
 
 ``mst``
     the minimum spanning tree of the *mutual reachability* graph

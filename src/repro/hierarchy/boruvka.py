@@ -21,10 +21,12 @@ the component mask of :func:`repro.bvh.traversal.for_each_leaf_hit`:
   weight bounds both components' minima from above.  A component that
   does not span the whole set holds a member next to another component
   at offset 1, so every bound is finite;
-- each sweep is then one traversal launch in which every pending point
-  searches at its component's bound: an edge that improves on or ties
-  the bound has ``dist <= w <= bound``, so the capped search still
-  reaches every candidate that can matter;
+- each round is then one traversal launch in which every point that
+  can still win searches at its component's bound, and each step's hits
+  lower the bounds, and with them the live radii, of every launched
+  query: an edge that improves on or ties the bound has
+  ``dist <= w <= bound``, so the capped search still reaches every
+  candidate that can matter;
 - candidate edges reduce under the strict total order ``(w, min(a,b),
   max(a,b))``, which makes the per-component choice unique even among
   tied weights — the classic Borůvka cycle-safety argument — so once the
@@ -81,18 +83,17 @@ def _component_nearest(
     component's minimum; offset 1 makes every bound finite unless one
     component spans the set.
 
-    **Capped sweeps.**  Each sweep is one traversal launch over every
-    pending point, each at its component's current bound ``W`` (padded by
-    :data:`~repro.bvh.traversal.RADIUS_PAD`).  An edge that improves on
-    or ties the bound satisfies ``dist <= w <= W``, so the capped search
-    reaches every such edge, which preserves the exact ``(w, u, v)``
-    minimum (and with it the bit-equality to Prim's dendrogram).  Hits
-    lower the component bounds per wavefront step, and a point whose
-    bound drops below its launched radius is killed in flight; it stays
-    pending and relaunches at the (now smaller) bound next sweep.  A
-    point that completes its search is done for the round.  Bounds only
-    take edge weights and a relaunch needs a strictly smaller one, so
-    the sweeps terminate.
+    **One capped launch.**  A point whose core distance exceeds its
+    component's bound ``W`` is not launched: each of its edges weighs at
+    least its core distance, so none can win.  Every other point runs in
+    one traversal launch at ``W`` (padded by
+    :data:`~repro.bvh.traversal.RADIUS_PAD`).  After each step's hits
+    fold into the bounds, every launched point's live radius is lowered
+    to its component's new bound, so the rest of its walk is pruned
+    there.  An edge that improves on or ties the bound satisfies
+    ``dist <= w <= W`` at every step, so the capped search reaches every
+    such edge, which preserves the exact ``(w, u, v)`` minimum (and with
+    it the bit-equality to Prim's dendrogram).
 
     Returns ``(best_w, best_b)``: each point's best edge runs to
     ``best_b`` (``-1`` for a point that holds no candidate).
@@ -106,8 +107,7 @@ def _component_nearest(
 
     def offer(gq: np.ndarray, b: np.ndarray, w: np.ndarray) -> None:
         """Fold candidate edges ``gq -> b`` of weight ``w`` into the
-        per-point minima under ``(w, u, v)`` and the component bounds
-        (idempotent, so a hit re-gathered after a relaunch is harmless)."""
+        per-point minima under ``(w, u, v)`` and the component bounds."""
         u = np.minimum(gq, b)
         v = np.maximum(gq, b)
         # reduce to one candidate per query in this batch first
@@ -142,44 +142,34 @@ def _component_nearest(
         a, b = order_arr[p], order_arr[p + j]
         offer(np.concatenate((a, b)), np.concatenate((b, a)), np.concatenate((w, w)))
 
-    # --- capped sweeps at the component bounds -----------------------------
-    pending = np.ones(n, dtype=bool)
-    while True:
-        rows = np.flatnonzero(pending)
-        if rows.size == 0:
-            break
-        rcomp = comp[rows]
-        eps = comp_best[rcomp]
-        q_pts = X[rows]
-        killed = np.zeros(rows.size, dtype=bool)
+    # --- one launch at the component bounds, lowered as hits arrive --------
+    # A point whose core distance exceeds its component's bound holds no
+    # edge that can win: every edge of it is heavier than that bound.
+    rows = np.flatnonzero(core <= comp_best[comp])
+    rcomp = comp[rows]
+    q_pts = X[rows]
+    radius = comp_best[rcomp] * RADIUS_PAD
 
-        def on_hits(q_ids: np.ndarray, leaf_pos: np.ndarray) -> None:
-            gq = rows[q_ids.astype(np.int64)]
-            diff = q_pts[q_ids] - pts_pos[leaf_pos]
-            w = np.sqrt(np.einsum("ij,ij->i", diff, diff))
-            np.maximum(w, core[gq], out=w)
-            np.maximum(w, core_pos[leaf_pos], out=w)
-            offer(gq, order_arr[leaf_pos], w)
+    def on_hits(q_ids: np.ndarray, leaf_pos: np.ndarray) -> None:
+        gq = rows[q_ids.astype(np.int64)]
+        diff = q_pts[q_ids] - pts_pos[leaf_pos]
+        w = np.sqrt(np.einsum("ij,ij->i", diff, diff))
+        np.maximum(w, core[gq], out=w)
+        np.maximum(w, core_pos[leaf_pos], out=w)
+        offer(gq, order_arr[leaf_pos], w)
+        np.minimum(radius, comp_best[rcomp] * RADIUS_PAD, out=radius)
 
-        # Monotone in ``comp_best``, as ``finished_fn`` requires.
-        def on_finished(ids: np.ndarray) -> np.ndarray:
-            kill = comp_best[rcomp[ids]] < eps[ids]
-            killed[ids[kill]] = True
-            return kill
-
-        for_each_leaf_hit(
-            tree,
-            q_pts,
-            eps * RADIUS_PAD,
-            on_hits,
-            finished_fn=on_finished,
-            device=dev,
-            kernel_name="boruvka_nn",
-            chunk_size=chunk_size,
-            component_of=rcomp,
-            node_components=node_comp,
-        )
-        pending[rows[~killed]] = False
+    for_each_leaf_hit(
+        tree,
+        q_pts,
+        radius,
+        on_hits,
+        device=dev,
+        kernel_name="boruvka_nn",
+        chunk_size=chunk_size,
+        component_of=rcomp,
+        node_components=node_comp,
+    )
     return best_w, best_b
 
 

@@ -383,8 +383,8 @@ class ServiceIndex:
     ) -> dict:
         """Distance to each query's ``k``-th nearest live point.
 
-        knn has no tombstone-masked form (the expanding-radius engine
-        counts leaves, not weights), so a dirty index compacts first —
+        knn has no tombstone-masked form (its gather ranks every leaf it
+        reaches, dead or alive), so a dirty index compacts first —
         ``ensure_ready(for_knn=True)`` guarantees zero tombstones.
         """
         device = default_device(device)

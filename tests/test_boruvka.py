@@ -346,6 +346,17 @@ class TestPruning:
         assert 1 <= rounds <= int(np.log2(256)) + 2
         assert dev.profile()["boruvka_mst"]["steps"] == rounds
 
+    @pytest.mark.parametrize("min_samples", [5, 50])
+    def test_one_launch_per_round(self, min_samples):
+        # each round is one boruvka_nn launch at the component bounds
+        X = load_dataset("ngsim", n=1500, seed=0)
+        dev = Device()
+        tree = _tree_over(X, device=dev)
+        core = core_distances(tree, X, min_samples, device=dev)
+        mutual_reachability_mst_boruvka(X, core, tree=tree, device=dev)
+        rounds = dev.counters.snapshot()["boruvka_rounds"]
+        assert dev.profile()["boruvka_nn"]["launches"] == rounds
+
     def test_masked_traversal_skips_same_component(self, rng):
         # a single well-separated pair of blobs: after round one, every
         # in-blob subtree is uniform and the second round's traversal

@@ -1,6 +1,6 @@
 """Correctness tests for batched BVH traversal: completeness vs brute
 force, early termination, contained-subtree counts, the leaf-index mask,
-per-query radii, and chunking invariance."""
+per-query radii (lowered in flight too), and chunking invariance."""
 
 import numpy as np
 import pytest
@@ -11,10 +11,12 @@ from repro.bvh.aabb import boxes_from_points
 from repro.bvh.builder import build_bvh
 from repro.bvh.morton import morton_codes
 from repro.bvh.traversal import (
+    RADIUS_PAD,
     count_within,
     for_each_leaf_hit,
     refresh_node_components,
 )
+from repro.core.densebox import fdbscan_densebox
 from repro.core.fdbscan import fdbscan
 from repro.core.index import DBSCANIndex
 from repro.device.device import Device
@@ -321,6 +323,21 @@ class TestContainedCounts:
             count_within(tree, pts, eps, watchdog=expire)
 
 
+    @pytest.mark.parametrize("eps", [1e155, 1e300])
+    def test_radius_whose_square_overflows(self, eps):
+        # 4 r**2 overflows in the contained gate: every node is gated and
+        # every count credits the whole tree
+        pts = np.random.default_rng(5).uniform(0, 1, (200, 2))
+        tree = _tree_over(pts)
+        np.testing.assert_array_equal(count_within(tree, pts, eps), 200)
+        np.testing.assert_array_equal(count_within(tree, pts, eps, stop_at=5) >= 5, True)
+        res = fdbscan(pts, eps, 5)
+        box = fdbscan_densebox(pts, eps, 5)
+        np.testing.assert_array_equal(res.labels, box.labels)
+        np.testing.assert_array_equal(res.is_core, box.is_core)
+        assert res.n_clusters == 1 and res.is_core.all()
+
+
 class TestPerQueryRadii:
     @staticmethod
     def _case(rng):
@@ -385,6 +402,40 @@ class TestPerQueryRadii:
                 count_within(tree, X, np.full(X.shape[0], 0.12), stop_at=stop_at),
                 count_within(tree, X, 0.12, stop_at=stop_at),
             )
+
+
+    def test_callback_may_lower_a_radius_in_flight(self, rng):
+        # a 1-NN branch-and-bound: each hit lowers its query's radius to
+        # the nearest distance seen so far
+        X, _ = self._case(rng)
+        tree = _tree_over(X)
+        queries = rng.uniform(-0.5, 5.0, (150, 2))
+        radius = np.full(queries.shape[0], 6.0)
+        hits = []
+
+        def cb(q, pos):
+            q = q.astype(np.int64)
+            diff = queries[q] - X[tree.order[pos]]
+            d2 = np.einsum("ij,ij->i", diff, diff)
+            # every hit lies within the radius its leaf was tested at
+            assert (d2 <= radius[q] * radius[q]).all()
+            hits.append((q, tree.order[pos]))
+            np.minimum.at(radius, q, np.sqrt(d2) * RADIUS_PAD)
+
+        dev = Device()
+        for_each_leaf_hit(tree, queries, radius, cb, device=dev, chunk_size=41)
+        d2 = ((queries[:, None, :] - X[None, :, :]) ** 2).sum(-1)
+        np.testing.assert_array_equal(radius, np.sqrt(d2.min(1)) * RADIUS_PAD)
+        # every point within a query's final radius was delivered
+        q = np.concatenate([h[0] for h in hits])
+        i = np.concatenate([h[1] for h in hits])
+        delivered = np.zeros(d2.shape, dtype=bool)
+        delivered[q, i] = True
+        assert delivered[d2 <= (radius * radius)[:, None]].all()
+        # and pruning at the lowered radii skipped most of the fixed walk
+        fixed = Device()
+        for_each_leaf_hit(tree, queries, 6.0, lambda q, p: None, device=fixed)
+        assert dev.counters.nodes_visited < fixed.counters.nodes_visited / 2
 
 
 class TestMortonScheduleCache:
