@@ -39,11 +39,11 @@ def main(n: int = 40_000, n_ranks: int = 4) -> None:
     for r, (owned, ghosts) in enumerate(
         zip(info["owned_per_rank"], info["ghosts_per_rank"])
     ):
-        print(f"{r:>5} {owned:>8,} {ghosts:>8,} {100 * ghosts / owned:>7.1f}%")
+        print(f"{r:>5} {owned:>8,} {ghosts:>8,} {100 * ghosts / max(owned, 1):>7.1f}%")
 
     print("\ncommunication:")
-    for phase, nbytes in info["comm_by_phase"].items():
-        print(f"  {phase:<26} {nbytes / 1e6:>8.2f} MB")
+    for phase, entry in info["comm_by_phase"].items():
+        print(f"  {phase:<26} {entry['bytes'] / 1e6:>8.2f} MB")
     print(f"  {'total':<26} {info['comm_bytes'] / 1e6:>8.2f} MB "
           f"({info['comm_messages']} messages)")
 

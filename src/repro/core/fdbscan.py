@@ -144,28 +144,13 @@ def fdbscan(
 
     # --- preprocessing phase: core-point determination --------------------
     is_core: np.ndarray | None
-    if sample_weight is not None:
-        weights = validate_weights(sample_weight, n)
-        counts = count_within(
-            tree,
-            X,
-            eps,
-            stop_at=minpts if early_exit else None,
-            device=dev,
-            chunk_size=chunk_size,
-            leaf_weights=weights[tree.order],
-            watchdog=watchdog,
-        )
-        is_core = counts >= minpts
-        resolution_core = is_core
-        if not early_exit:
-            info["core_counts"] = counts
-    elif minpts == 2:
+    weights = None if sample_weight is None else validate_weights(sample_weight, n)
+    if weights is None and minpts == 2:
         # Skipped (Algorithm 3, line 2): any pair within eps in the main
         # phase certifies both endpoints core.
         is_core = None
         resolution_core = np.ones(n, dtype=bool)
-    elif minpts == 1:
+    elif weights is None and minpts == 1:
         # Every point is core (it is its own neighbour); no search needed.
         is_core = np.ones(n, dtype=bool)
         resolution_core = is_core
@@ -177,6 +162,7 @@ def fdbscan(
             stop_at=minpts if early_exit else None,
             device=dev,
             chunk_size=chunk_size,
+            leaf_weights=None if weights is None else weights[tree.order],
             watchdog=watchdog,
         )
         is_core = counts >= minpts

@@ -12,9 +12,6 @@ reproduction reports alongside wall-clock time:
   logical thread count, wavefront steps, wall seconds, counter deltas)
   into a bounded ring, giving a per-phase timing breakdown equivalent to
   ``nvprof`` (:meth:`Device.profile`, :meth:`Device.trace_snapshot`).
-  Every kernel runs in this process; the only launches recorded from
-  elsewhere are the distributed driver's OS-process rank lanes
-  (:meth:`Device.record_external_launch`).
 
 The trace additionally supports **build-cost replay**: a block of work
 (e.g. one BVH construction) recorded with :meth:`Device.recording` can be
@@ -194,63 +191,6 @@ class Device:
                 tracer.end(tspan)
                 tracer.counter("frontier_peak", self.counters.frontier_peak)
                 tracer.counter("device_live_bytes", self.memory.live_bytes)
-
-    def record_external_launch(
-        self,
-        name: str,
-        threads: int,
-        seconds: float,
-        steps: int = 0,
-        t_start_abs: float | None = None,
-    ) -> KernelLaunch:
-        """Append a launch executed in *another process* (a rank lane of
-        :mod:`repro.distributed.procranks`).
-
-        ``t_start_abs`` is the launch's absolute ``perf_counter`` start in
-        the remote process — CLOCK_MONOTONIC is system-wide per boot, so
-        the parent translates it into its own epoch (the per-rank epoch
-        handshake: ranks report their device epoch once at startup and
-        launch starts relative to it).  Without it the launch is laid
-        backwards from "now".
-
-        The lane's ``self_seconds`` is recorded as 0: its wall time runs
-        *in parallel with* the parent, which spends it waiting on the
-        remote process, so charging it again would break the "sum of
-        self_seconds counts each wall second at most once" trace
-        invariant.  Counter
-        deltas are likewise **not** attached — the caller merges them
-        into its own counters, which keeps per-kernel counter totals
-        single-counted (see ``docs/observability.md``).
-        """
-        if t_start_abs is not None:
-            t_start = t_start_abs - self._epoch
-        else:
-            t_start = (time.perf_counter() - self._epoch) - seconds
-        launch = KernelLaunch(
-            name=name,
-            threads=int(threads),
-            seconds=float(seconds),
-            steps=int(steps),
-            t_start=t_start,
-            self_seconds=0.0,
-        )
-        self.launches.append(launch)
-        self.launches_total += 1
-        tracer = self.tracer
-        if tracer is not None:
-            now_rel = time.perf_counter() - self._epoch
-            tracer.add_span(
-                name,
-                category="kernel.rank",
-                t_start=max(tracer.now() - (now_rel - t_start), 0.0),
-                seconds=launch.seconds,
-                attributes={
-                    "device": self.name,
-                    "threads": launch.threads,
-                    "steps": launch.steps,
-                },
-            )
-        return launch
 
     # -- recording / replay ----------------------------------------------------
 

@@ -66,8 +66,7 @@ from repro.bvh.traversal import count_within, for_each_leaf_hit
 from repro.core.framework import resolve_pairs
 from repro.core.labels import DBSCANResult, relabel_consecutive
 from repro.core.validation import validate_params, validate_points
-from repro.device.device import Device, KernelFaultError, default_device
-from repro.device.memory import DeviceMemoryError
+from repro.device.device import Device, default_device
 from repro.device.primitives import run_length_encode
 from repro.distributed.comm import SimulatedComm
 from repro.distributed.partition import rcb_partition, select_ghosts
@@ -76,50 +75,6 @@ from repro.faults.plan import FaultPlan
 from repro.faults.retry import RetryPolicy, call_with_retries
 from repro.obs.span import NULL_TRACER
 from repro.unionfind.ecl import EclUnionFind, find_roots
-
-
-def _local_phase(
-    X: np.ndarray,
-    local_ids: np.ndarray,
-    n_owned: int,
-    eps: float,
-    minpts: int,
-    dev: Device,
-):
-    """One rank's work: core flags for owned points + local clustering.
-
-    ``local_ids`` lists global ids, owned first (``n_owned`` of them) then
-    ghosts.  Returns ``(tree, owned_core, local_core)`` where ``owned_core``
-    is ``None`` for ``minpts == 2`` (derived from component sizes globally).
-
-    A rank owning zero points (``n_ranks`` approaching or exceeding ``n``,
-    or heavily duplicated coordinates rounding a split to nothing) has no
-    queries and contributes nothing to any cluster: it returns
-    ``tree=None`` and empty/zero flags instead of attempting a degenerate
-    BVH build.
-    """
-    if n_owned == 0 or local_ids.shape[0] == 0:
-        return None, None if minpts == 2 else np.zeros(n_owned, dtype=bool), np.zeros(
-            local_ids.shape[0], dtype=bool
-        )
-    pts = X[local_ids]
-    lo, hi = boxes_from_points(pts)
-    tree = build_bvh(lo, hi, device=dev)
-    owned_pts = pts[:n_owned]
-
-    if minpts == 2:
-        local_core = np.ones(local_ids.shape[0], dtype=bool)
-        owned_core = None  # derived from component sizes globally
-    elif minpts == 1:
-        local_core = np.ones(local_ids.shape[0], dtype=bool)
-        owned_core = np.ones(n_owned, dtype=bool)
-    else:
-        counts = count_within(tree, owned_pts, eps, stop_at=minpts, device=dev)
-        owned_core = counts >= minpts
-        local_core = np.zeros(local_ids.shape[0], dtype=bool)
-        local_core[:n_owned] = owned_core
-        # ghost flags are filled in by the caller after the exchange
-    return tree, owned_core, local_core
 
 
 def _merge_payloads(
@@ -171,7 +126,6 @@ def distributed_dbscan(
     fault_plan: FaultPlan | None = None,
     retry_policy: RetryPolicy | None = None,
     tracer=None,
-    backend: str = "serial",
 ) -> DBSCANResult:
     """Cluster ``X`` across ``n_ranks`` simulated ranks.
 
@@ -194,22 +148,7 @@ def distributed_dbscan(
     ``merge`` and ``finalize``); device kernels and comm transmissions
     nest inside the phase that launched them, and every injected fault
     lands on the span that was open when it fired.
-
-    ``backend`` is ``"serial"`` (default: every rank runs in this
-    process on the shared device) or ``"process"`` (``ValueError``
-    otherwise).  With ``"process"`` each rank becomes a **real OS process**
-    (:class:`~repro.distributed.procranks.RankPool`): rank-local trees
-    and core flags live in the rank process, a plan-driven rank crash is
-    an actual ``SIGKILL``, and recovery re-ships the partition's points
-    and checkpointed core flags to a *surviving* rank process.  Labels,
-    counters and the fault schedule are bit-identical to the simulated
-    path; rank kernel launches appear as ``name@r<rank>`` lanes on the
-    parent device.
     """
-    if backend not in ("serial", "process"):
-        raise ValueError(
-            f"backend must be 'serial' or 'process'; got {backend!r}"
-        )
     X = validate_points(X)
     eps, minpts = validate_params(eps, min_samples)
     dev = default_device(device)
@@ -233,11 +172,6 @@ def distributed_dbscan(
         clock=clock,
         tracer=tracer,
     )
-    pool = None
-    if backend == "process":
-        from repro.distributed.procranks import RankPool
-
-        pool = RankPool(n_ranks)
 
     root = tr.start(
         "distributed_dbscan",
@@ -269,59 +203,11 @@ def distributed_dbscan(
         ghosts_shipped = False
         core_checkpointed = False
 
-        def absorb_rank(p: int, out: dict) -> None:
-            """Merge one rank operation's counter delta and kernel lanes.
-
-            Rank deltas keep their ``kernel_launches``/``thread_steps`` —
-            in the simulated path the rank kernels launch directly on the
-            shared parent device, so including them is what preserves
-            bit-parity.
-            """
-            rank = executor[p]
-            for key, value in (out.get("counters") or {}).items():
-                if key == "frontier_peak":
-                    dev.counters.observe_peak(key, value)
-                else:
-                    dev.counters.add(key, value)
-            epoch = pool.epochs.get(rank)
-            for rec in out.get("launches") or []:
-                dev.record_external_launch(
-                    f"{rec['name']}@r{rank}",
-                    threads=rec["threads"],
-                    seconds=rec["seconds"],
-                    steps=rec["steps"],
-                    t_start_abs=None if epoch is None else epoch + rec["t_start"],
-                )
-
         def run_attempt(phase_name: str, p: int, fn):
             """Run one partition-phase under the retry policy with device-fault
             injection armed per attempt."""
 
             def attempt(k: int):
-                if pool is not None:
-                    # Rank processes: the parent evaluates the plan's pure
-                    # fault decision and raises *before* dispatching — the
-                    # simulated hook fires at the attempt's first kernel
-                    # launch, before any work is recorded, so the two are
-                    # equivalent (identical retries, logs and counters).
-                    if plan is not None:
-                        kind = plan.device_fault_kind(phase_name, p, attempt=k)
-                        if kind is not None:
-                            plan.record(
-                                kind, phase_name, p, k, detail="rank-process"
-                            )
-                            if kind == "device_oom":
-                                raise DeviceMemoryError(
-                                    0,
-                                    dev.memory.live_bytes,
-                                    dev.memory.capacity_bytes or 0,
-                                    tag="fault-injection",
-                                )
-                            raise KernelFaultError(
-                                f"injected transient fault in rank process "
-                                f"(phase={phase_name}, rank={p}, attempt={k})"
-                            )
-                    return fn()
                 cm = (
                     plan.device_faults(dev, phase_name, p, attempt=k)
                     if plan is not None
@@ -356,8 +242,6 @@ def distributed_dbscan(
                 for r in plan.crashed_ranks(boundary, alive):
                     alive.discard(r)
                     comm.mark_dead(r)
-                    if pool is not None:
-                        pool.kill(r)  # a real SIGKILL: resident state dies
                 for p in range(n_ranks):
                     if executor[p] in alive:
                         continue
@@ -402,51 +286,46 @@ def distributed_dbscan(
                     bspan.attributes["recoveries"] = len(recoveries) - before
                     bspan.attributes["alive_ranks"] = len(alive)
 
+        def local_state(p: int, core: np.ndarray | None = None):
+            """Build partition ``p``'s BVH over its owned + ghost points and
+            return ``(tree, local_core)``.
+
+            With ``minpts > 2`` the owned core flags come from an early-exit
+            neighbour count (exact: the halo makes each owned point's whole
+            eps-neighbourhood local) or, when recovering, straight from the
+            replicated ``core`` checkpoint without a recount; ghost flags are
+            filled in after the exchange.  With ``minpts <= 2`` every point
+            is locally core (``minpts == 2`` re-derives cores from component
+            sizes at finalize).  A partition owning zero points (``n_ranks``
+            near or above ``n``, or duplicates rounding a split to nothing)
+            has no queries: it builds no tree.
+            """
+            ids = local_ids_per_rank[p]
+            n_owned = owned_lists[p].shape[0]
+            if n_owned == 0:
+                return None, np.zeros(ids.shape[0], dtype=bool)
+            pts = X[ids]
+            lo, hi = boxes_from_points(pts)
+            tree = build_bvh(lo, hi, device=dev)
+            if minpts <= 2:
+                return tree, np.ones(ids.shape[0], dtype=bool)
+            if core is None:
+                core = np.zeros(ids.shape[0], dtype=bool)
+                counts = count_within(
+                    tree, pts[:n_owned], eps, stop_at=minpts, device=dev
+                )
+                core[:n_owned] = counts >= minpts
+            return tree, core
+
         def ensure_local_state(p: int) -> None:
-            """Recompute a partition's phase-1 state lost to a crash: rebuild
-            the BVH, taking core flags straight from the replicated checkpoint
-            (no neighbour recount)."""
-            if p in trees:
-                return
-
-            if pool is not None:
-
-                def rebuild():
-                    ids = local_ids_per_rank[p]
-                    n_owned = int(owned_lists[p].shape[0])
-                    out = pool.run(
-                        executor[p],
-                        "rebuild",
-                        {
-                            "partition": p,
-                            "pts": X[ids],
-                            "n_owned": n_owned,
-                            "minpts": minpts,
-                            # the replicated core-flag checkpoint travels
-                            # with the re-shipped points
-                            "core": global_core[ids] if minpts > 2 else None,
-                        },
-                    )
-                    absorb_rank(p, out)
-                    return ("rank" if out["has_tree"] else None, out["local_core"])
-
-            else:
-
-                def rebuild():
-                    ids = local_ids_per_rank[p]
-                    n_owned = owned_lists[p].shape[0]
-                    if n_owned == 0 or ids.shape[0] == 0:
-                        return None, np.zeros(ids.shape[0], dtype=bool)
-                    pts = X[ids]
-                    lo, hi = boxes_from_points(pts)
-                    tree = build_bvh(lo, hi, device=dev)
-                    if minpts > 2:
-                        local_core = global_core[ids].copy()  # the core_flags checkpoint
-                    else:
-                        local_core = np.ones(ids.shape[0], dtype=bool)
-                    return tree, local_core
-
-            trees[p] = run_attempt("recover_local", p, rebuild)
+            """Recompute a partition's phase-1 state lost to a crash, taking
+            core flags from the replicated checkpoint."""
+            if p not in trees:
+                trees[p] = run_attempt(
+                    "recover_local",
+                    p,
+                    lambda: local_state(p, core=global_core[local_ids_per_rank[p]]),
+                )
 
         def main_phase(p: int) -> None:
             """Fused main phase for one partition, then its merge payloads
@@ -458,52 +337,27 @@ def distributed_dbscan(
             if minpts > 2 and tree is not None and ids.shape[0] > n_owned:
                 # Idempotent under recovery: these are the checkpointed values.
                 local_core[n_owned:] = global_core[ids[n_owned:]]
-                if pool is not None:
-                    pool.run(
-                        executor[p],
-                        "fill_ghost_core",
-                        {"partition": p, "ghost_core": local_core[n_owned:].copy()},
-                    )
 
-            if pool is not None:
+            def attempt():
+                if tree is None:
+                    return np.arange(ids.shape[0], dtype=np.int64)
+                uf = EclUnionFind(ids.shape[0], device=dev)
+                order = tree.order
 
-                def attempt():
-                    if tree is None or n_owned == 0:
-                        return np.arange(ids.shape[0], dtype=np.int64)
-                    out = pool.run(
-                        executor[p],
-                        "main",
-                        {
-                            "partition": p,
-                            "eps": eps,
-                            "kernel_name": f"dist_main_rank{p}",
-                        },
-                    )
-                    absorb_rank(p, out)
-                    return out["labels"]
+                def on_hits(q_ids: np.ndarray, leaf_pos: np.ndarray) -> None:
+                    nbr = order[leaf_pos]
+                    keep = nbr != q_ids  # queries are the first n_owned local rows
+                    resolve_pairs(uf, local_core, q_ids[keep], nbr[keep], dev)
 
-            else:
-
-                def attempt():
-                    if tree is None or n_owned == 0:
-                        return np.arange(ids.shape[0], dtype=np.int64)
-                    uf = EclUnionFind(ids.shape[0], device=dev)
-                    order = tree.order
-
-                    def on_hits(q_ids: np.ndarray, leaf_pos: np.ndarray) -> None:
-                        nbr = order[leaf_pos]
-                        keep = nbr != q_ids  # queries are the first n_owned local rows
-                        resolve_pairs(uf, local_core, q_ids[keep], nbr[keep], dev)
-
-                    for_each_leaf_hit(
-                        tree,
-                        X[ids[:n_owned]],
-                        eps,
-                        on_hits,
-                        device=dev,
-                        kernel_name=f"dist_main_rank{p}",
-                    )
-                    return uf.finalize()
+                for_each_leaf_hit(
+                    tree,
+                    X[ids[:n_owned]],
+                    eps,
+                    on_hits,
+                    device=dev,
+                    kernel_name=f"dist_main_rank{p}",
+                )
+                return uf.finalize()
 
             labels_local = run_attempt("main", p, attempt)
             merge_core[p], merge_attach[p] = _merge_payloads(
@@ -520,39 +374,9 @@ def distributed_dbscan(
 
         # --- phase 1: local core determination ------------------------------------
         for p in range(n_ranks):
-            if pool is not None:
-
-                def local_fn(p=p):
-                    out = pool.run(
-                        executor[p],
-                        "local",
-                        {
-                            "partition": p,
-                            "pts": X[local_ids_per_rank[p]],
-                            "n_owned": int(owned_lists[p].shape[0]),
-                            "eps": eps,
-                            "minpts": minpts,
-                        },
-                    )
-                    absorb_rank(p, out)
-                    return (
-                        ("rank" if out["has_tree"] else None),
-                        out["owned_core"],
-                        out["local_core"],
-                    )
-
-            else:
-
-                def local_fn(p=p):
-                    return _local_phase(
-                        X, local_ids_per_rank[p], owned_lists[p].shape[0], eps,
-                        minpts, dev,
-                    )
-
-            tree, owned_core, local_core = run_attempt("local", p, local_fn)
-            trees[p] = (tree, local_core)
-            if owned_core is not None:
-                global_core[owned_lists[p]] = owned_core
+            trees[p] = run_attempt("local", p, lambda p=p: local_state(p))
+            if minpts != 2:
+                global_core[owned_lists[p]] = trees[p][1][: owned_lists[p].shape[0]]
 
         # The core-flag exchange doubles as a replicated checkpoint: after it,
         # every owned core flag survives any individual rank's death.
@@ -603,19 +427,17 @@ def distributed_dbscan(
 
         # --- assemble the global result ------------------------------------------
         with tr.span("finalize", category="phase"):
+            roots = find_roots(guf.parents, np.arange(n, dtype=np.int64), dev.counters)
             if minpts == 2:
-                roots = find_roots(guf.parents, np.arange(n, dtype=np.int64), dev.counters)
                 sizes = np.bincount(roots, minlength=n)
                 global_core = sizes[roots] >= 2
                 clustered = global_core
                 raw = np.where(clustered, roots, -1)
             elif minpts == 1:
                 global_core[:] = True
-                roots = find_roots(guf.parents, np.arange(n, dtype=np.int64), dev.counters)
                 clustered = np.ones(n, dtype=bool)
                 raw = roots
             else:
-                roots = find_roots(guf.parents, np.arange(n, dtype=np.int64), dev.counters)
                 attached = attach_targets >= 0
                 raw = np.where(global_core, roots, -1)
                 raw[attached & ~global_core] = roots[
@@ -630,8 +452,6 @@ def distributed_dbscan(
             "eps": eps,
             "min_samples": minpts,
             "n_ranks": n_ranks,
-            "backend": backend,
-            "rank_processes": pool is not None,
             "owned_per_rank": partition.counts().tolist(),
             "ghosts_per_rank": [int(g.shape[0]) for g in halo.ghosts],
             "alive_ranks": sorted(alive),
@@ -655,6 +475,4 @@ def distributed_dbscan(
         )
     finally:
         dev.tracer = prev_dev_tracer
-        if pool is not None:
-            pool.close()
         tr.end(root)

@@ -45,18 +45,35 @@ def _comb2(x: np.ndarray) -> np.ndarray:
     return x * (x - 1) // 2
 
 
+def _pair_counts(labels_a: np.ndarray, labels_b: np.ndarray) -> tuple[int, int, int, int]:
+    """``(n, together_both, together_a, together_b)`` point-pair counts.
+
+    Summed over the non-zero contingency cells and the marginals only: with
+    noise as singletons the dense table is ``(ka, kb)``, quadratic in the
+    noise count, while at most ``n`` cells are non-zero.
+    """
+    a = _as_dense_labels(labels_a)
+    b = _as_dense_labels(labels_b)
+    if a.shape != b.shape:
+        raise ValueError(f"labelings differ in length: {a.shape} vs {b.shape}")
+    kb = int(b.max()) + 1 if b.size else 0
+    _, cells = np.unique(a * kb + b, return_counts=True)
+    return (
+        int(a.size),
+        int(_comb2(cells).sum()),
+        int(_comb2(np.bincount(a)).sum()),
+        int(_comb2(np.bincount(b)).sum()),
+    )
+
+
 def pair_confusion(labels_a: np.ndarray, labels_b: np.ndarray) -> dict:
     """Pair-counting confusion: how point pairs are grouped by each side.
 
     Returns ``{"both": .., "only_a": .., "only_b": .., "neither": ..}`` —
     pairs co-clustered by both / only one / neither labeling.
     """
-    table = contingency_table(labels_a, labels_b)
-    n = int(table.sum())
-    together_both = int(_comb2(table).sum())
-    together_a = int(_comb2(table.sum(axis=1)).sum())
-    together_b = int(_comb2(table.sum(axis=0)).sum())
-    total = int(_comb2(np.array([n]))[0])
+    n, together_both, together_a, together_b = _pair_counts(labels_a, labels_b)
+    total = n * (n - 1) // 2
     return {
         "both": together_both,
         "only_a": together_a - together_both,
@@ -77,14 +94,13 @@ def rand_index(labels_a: np.ndarray, labels_b: np.ndarray) -> float:
 def adjusted_rand_index(labels_a: np.ndarray, labels_b: np.ndarray) -> float:
     """Adjusted Rand index (Hubert & Arabie): 1 for identical partitions,
     ~0 for independent ones, negative for worse-than-chance."""
-    table = contingency_table(labels_a, labels_b)
-    n = int(table.sum())
+    n, together_both, together_a, together_b = _pair_counts(labels_a, labels_b)
     if n < 2:
         return 1.0
-    sum_comb = float(_comb2(table).sum())
-    sum_a = float(_comb2(table.sum(axis=1)).sum())
-    sum_b = float(_comb2(table.sum(axis=0)).sum())
-    total = float(_comb2(np.array([n]))[0])
+    sum_comb = float(together_both)
+    sum_a = float(together_a)
+    sum_b = float(together_b)
+    total = float(n * (n - 1) // 2)
     expected = sum_a * sum_b / total
     max_index = 0.5 * (sum_a + sum_b)
     if max_index == expected:

@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 from repro.baselines.sequential_dbscan import sequential_dbscan
+from repro.device.device import Device
 from repro.distributed import distributed_dbscan
 from repro.faults import FaultPlan, FaultSpec
 from repro.metrics.equivalence import assert_dbscan_equivalent
@@ -73,17 +74,20 @@ class TestChaosEquivalence:
 
 class TestChaosDeterminism:
     def test_seed_replay_is_exact(self):
-        """Replaying a seed reproduces the identical fault log, retry
-        counts, comm stats and labelling — the acceptance criterion."""
+        """Replaying a seed on a fresh device reproduces the identical
+        fault log, retry counts, comm stats, device counters and
+        labelling — the acceptance criterion."""
         seed = BASE_SEED + 41
         X = _dataset(seed)
 
         def run():
             plan = FaultPlan.random(seed, intensity=0.3)
-            res = distributed_dbscan(X, 0.25, 5, n_ranks=5, fault_plan=plan)
-            return res
+            dev = Device()
+            res = distributed_dbscan(X, 0.25, 5, n_ranks=5, device=dev, fault_plan=plan)
+            return res, dev.counters.snapshot()
 
-        a, b = run(), run()
+        (a, a_counters), (b, b_counters) = run(), run()
+        assert a_counters == b_counters
         np.testing.assert_array_equal(a.labels, b.labels)
         np.testing.assert_array_equal(a.is_core, b.is_core)
         assert a.info["fault_log"] == b.info["fault_log"]

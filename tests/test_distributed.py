@@ -1,9 +1,10 @@
 """Tests for the distributed extension: RCB partitioning, ghost halos,
-the simulated communicator, the three-phase driver and its real OS-process
-ranks (``backend="process"``)."""
+the simulated communicator and the three-phase driver."""
 
 import os
-import time
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,8 +20,9 @@ from repro.distributed import (
     rcb_partition,
     select_ghosts,
 )
-from repro.faults import RetryPolicy
+from repro.faults import FaultPlan, FaultSpec, RetryPolicy
 from repro.metrics.equivalence import assert_dbscan_equivalent
+from repro.obs.span import Tracer
 
 
 class TestRcbPartition:
@@ -267,110 +269,50 @@ class TestDeviceFaultRecovery:
         assert_dbscan_equivalent(dist, single, blobs_2d, 0.3)
 
 
-def _dataset(n: int = 600, d: int = 2, seed: int = 9) -> np.ndarray:
-    rng = np.random.default_rng(seed)
-    return np.concatenate(
-        [
-            rng.normal(0.0, 0.15, size=(n // 2, d)),
-            rng.normal(1.5, 0.2, size=(n - n // 2 - n // 6, d)),
-            rng.uniform(-1.0, 3.0, size=(n // 6, d)),
-        ]
-    )
+class TestRecoveryRebuild:
+    """A partition whose rank dies at ``pre_main`` is rebuilt on a survivor
+    with its core flags read from the replicated checkpoint, so its
+    ``recover_local[p]`` span holds the BVH build but no neighbour count."""
 
-
-class TestDistributedProcessRanks:
-    def test_clean_run_matches_simulated_ranks(self):
-        from repro.distributed import distributed_dbscan
-
-        X = _dataset(n=400)
-        sim_dev, proc_dev = Device(), Device()
-        sim = distributed_dbscan(X, 0.25, 5, n_ranks=3, device=sim_dev)
-        proc = distributed_dbscan(
-            X, 0.25, 5, n_ranks=3, device=proc_dev, backend="process"
+    def test_pre_main_rebuild_skips_the_count(self, blobs_2d):
+        clean = distributed_dbscan(blobs_2d, 0.3, 5, n_ranks=4)
+        tracer = Tracer()
+        plan = FaultPlan(0, FaultSpec(p_rank_crash=0.3))
+        res = distributed_dbscan(
+            blobs_2d, 0.3, 5, n_ranks=4, fault_plan=plan, tracer=tracer
         )
-        np.testing.assert_array_equal(sim.labels, proc.labels)
-        assert sim_dev.counters.snapshot() == proc_dev.counters.snapshot()
-        assert proc.info["rank_processes"] is True
-        assert sim.info["rank_processes"] is False
-        assert proc.info["backend"] == "process"
-        rank_lanes = [r.name for r in proc_dev.launches if "@r" in r.name]
-        assert rank_lanes, "rank kernels were not replayed onto the parent"
+        assert {f["phase"] for f in res.info["fault_log"]} == {"pre_main"}
+        np.testing.assert_array_equal(res.labels, clean.labels)
+        np.testing.assert_array_equal(res.is_core, clean.is_core)
+
+        children: dict[str, list] = {}
+        for span in tracer.spans:
+            children.setdefault(span.parent_id, []).append(span)
+
+        def kernels_under(span):
+            out = []
+            for child in children.get(span.span_id, []):
+                if child.category == "kernel":
+                    out.append(child.name)
+                out += kernels_under(child)
+            return out
+
+        rebuilds = [s for s in tracer.spans if s.name.startswith("recover_local[")]
+        assert len(rebuilds) == len(res.info["recoveries"]) > 0
+        for span in rebuilds:
+            kernels = kernels_under(span)
+            assert kernels, span.name  # the BVH was rebuilt here
+            assert "bvh_count" not in kernels, span.name
 
 
-@pytest.mark.chaos
-class TestDistributedProcessRankChaos:
-    BASE_SEED = int(os.environ.get("CHAOS_SEED", "0"))
-
-    @pytest.mark.parametrize("round_", range(2))
-    def test_faulted_run_matches_simulated_and_reference(self, round_):
-        from repro.baselines.sequential_dbscan import sequential_dbscan
-        from repro.distributed import distributed_dbscan
-        from repro.faults import FaultPlan, FaultSpec
-        from repro.metrics.equivalence import assert_dbscan_equivalent
-
-        seed = self.BASE_SEED * 100 + round_
-        X = _dataset(n=300, seed=seed + 1)
-        plan = lambda: FaultPlan(seed, FaultSpec.uniform(0.3, crash=0.4))  # noqa: E731
-        sim_dev, proc_dev = Device(), Device()
-        sim = distributed_dbscan(
-            X, 0.25, 5, n_ranks=4, device=sim_dev, fault_plan=plan()
+class TestExample:
+    def test_distributed_clustering_example_runs(self):
+        root = Path(__file__).resolve().parents[1]
+        env = dict(os.environ, PYTHONPATH=str(root / "src"))
+        proc = subprocess.run(
+            [sys.executable, str(root / "examples" / "distributed_clustering.py"),
+             "2000", "2"],
+            env=env, capture_output=True, text=True, timeout=300,
         )
-        proc = distributed_dbscan(
-            X, 0.25, 5, n_ranks=4, device=proc_dev, fault_plan=plan(),
-            backend="process",
-        )
-        # real SIGKILLed rank processes recover to the simulated run's
-        # exact output: same labels, same fault log, same counters
-        np.testing.assert_array_equal(sim.labels, proc.labels)
-        assert [f["kind"] for f in sim.info["fault_log"]] == [
-            f["kind"] for f in proc.info["fault_log"]
-        ]
-        assert sim.info["faults"] == proc.info["faults"]
-        assert sim.info["dead_ranks"] == proc.info["dead_ranks"]
-        assert sim_dev.counters.snapshot() == proc_dev.counters.snapshot()
-        assert_dbscan_equivalent(proc, sequential_dbscan(X, 0.25, 5), X, 0.25)
-
-
-class TestRankBackendSpec:
-    def test_unknown_spec_rejected(self):
-        with pytest.raises(ValueError, match="backend"):
-            distributed_dbscan(_dataset(n=100), 0.25, 5, n_ranks=2, backend="gpu")
-
-
-class TestRankLanes:
-    """Rank kernels replayed onto the parent device as ``name@r<rank>``
-    lanes through the ``perf_counter`` epoch handshake."""
-
-    def test_rank_lanes_are_monotone_on_parent_timeline(self):
-        dev = Device()
-        distributed_dbscan(_dataset(n=600), 0.25, 5, n_ranks=3, device=dev,
-                           backend="process")
-        lanes: dict[str, list[float]] = {}
-        for rec in dev.launches:
-            if "@r" in rec.name:
-                lanes.setdefault(rec.name, []).append(rec.t_start)
-        assert lanes, "process run recorded no rank lanes"
-        for name, starts in lanes.items():
-            assert all(t >= 0.0 for t in starts), name
-            assert starts == sorted(starts), f"lane {name} not monotone"
-
-    def test_profile_keeps_wall_attribution(self):
-        X = _dataset(n=600)
-        sim_dev, dev = Device(), Device()
-        distributed_dbscan(X, 0.25, 5, n_ranks=3, device=sim_dev)
-        t0 = time.perf_counter()
-        distributed_dbscan(X, 0.25, 5, n_ranks=3, device=dev, backend="process")
-        wall = time.perf_counter() - t0
-        prof = dev.profile()
-        lanes = [k for k in prof if "@r" in k]
-        assert lanes
-        # each lane is a kernel the simulated ranks launch on the parent
-        assert {k.split("@r")[0] for k in lanes} <= set(sim_dev.profile())
-        # lanes carry wall time but no self time and no counters: the
-        # parent merges the rank's counter deltas itself, so nothing is
-        # counted twice
-        for k in lanes:
-            assert prof[k]["seconds"] > 0.0
-            assert prof[k]["self_seconds"] == 0.0
-            assert not any((prof[k].get("counters") or {}).values())
-        assert sum(e["self_seconds"] for e in prof.values()) <= wall
+        assert proc.returncode == 0, proc.stderr
+        assert "merge_core_groups" in proc.stdout

@@ -1,5 +1,7 @@
 """Tests for the clustering-agreement scores (Rand / ARI / pair P-R)."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -119,6 +121,22 @@ class TestPairCounting:
         a = np.array([-1, -1, -1])
         p, r = pair_precision_recall(a, a)
         assert p == r == 1.0
+
+
+class TestNoiseMemory:
+    def test_all_noise_scores_stay_linear(self):
+        # Noise points are singleton clusters, so a dense contingency table
+        # over 5,000 noise points would be 5,000 x 5,000 int64 (200 MB).
+        labels = np.full(5000, -1, dtype=np.int64)
+        tracemalloc.start()
+        try:
+            ari = adjusted_rand_index(labels, labels)
+            ri = rand_index(labels, labels)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert ari == 1.0 and ri == 1.0
+        assert peak < 10 * 2**20
 
 
 class TestOnRealClusterings:
