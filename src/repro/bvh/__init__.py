@@ -47,7 +47,6 @@ from repro.bvh.aabb import (
 )
 from repro.bvh.builder import build_bvh
 from repro.bvh.morton import morton_codes, normalize_to_grid
-from repro.bvh.refit import refit_bvh
 from repro.bvh.traversal import (
     TraversalResult,
     count_within,
@@ -66,6 +65,5 @@ __all__ = [
     "mindist_point_box_sq",
     "morton_codes",
     "normalize_to_grid",
-    "refit_bvh",
     "scene_bounds",
 ]

@@ -8,9 +8,8 @@ root (each node appears exactly once, so the BFS is ``O(n)`` total work in
 ``O(depth)`` vectorised steps), then fits each level from the deepest up —
 when a level is processed, every child box is already final.
 
-The level list is kept on the tree (:attr:`repro.bvh.tree.BVH.levels`) so
-the refit can be re-run after primitive boxes change without re-deriving
-the topology.
+The builder runs the refit once, before the :class:`~repro.bvh.tree.BVH`
+exists; no tree is refit after its build.
 """
 
 from __future__ import annotations
@@ -48,23 +47,12 @@ def refit(
     left: np.ndarray,
     right: np.ndarray,
     levels: list[np.ndarray],
-    tree=None,
 ) -> None:
     """Fit every internal node's box to the union of its children, in place.
 
     Leaf boxes (``node_lo/hi[n-1:]``) must already hold the primitive
     boxes.  Levels are processed deepest-first so each union reads final
     child boxes.
-
-    ``tree`` (a :class:`~repro.bvh.tree.BVH`) must be passed whenever the
-    arrays belong to an already-built tree: the traversal reads node boxes
-    through the cached parent-major packed layout
-    (:meth:`~repro.bvh.tree.BVH.packed_children`), so a refit that mutates
-    ``node_lo``/``node_hi`` without dropping that cache leaves traversals
-    reading *stale* child boxes — silently wrong neighbours.  Prefer
-    :func:`refit_bvh` for that case; the bare-array form exists for the
-    builder, which refits before the :class:`BVH` object (and hence any
-    packed cache) exists.
     """
     for level in reversed(levels):
         l_child = left[level]
@@ -73,17 +61,4 @@ def refit(
         # copy, so an `out=` write would be lost.
         node_lo[level] = np.minimum(node_lo[l_child], node_lo[r_child])
         node_hi[level] = np.maximum(node_hi[l_child], node_hi[r_child])
-    if tree is not None:
-        tree.invalidate_packed()
 
-
-def refit_bvh(tree) -> None:
-    """Refit a built :class:`~repro.bvh.tree.BVH` after its leaf boxes
-    moved, dropping the cached packed traversal layout.
-
-    Write the new primitive boxes into ``tree.node_lo/hi[n-1:]`` (in
-    sorted-leaf order) and call this; internal boxes are refit bottom-up
-    and the next traversal rebuilds the packed child layout from the
-    fresh boxes.
-    """
-    refit(tree.node_lo, tree.node_hi, tree.left, tree.right, tree.levels, tree=tree)

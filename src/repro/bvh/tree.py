@@ -50,7 +50,7 @@ class BVH:
         ``(n,)`` sorted Morton codes (the kNN window anchors search them).
     levels:
         Internal-node ids grouped by depth (root first); produced by the
-        builder's BFS and reused by the bottom-up refit.
+        builder's BFS and walked deepest-first by bottom-up passes.
     """
 
     n_primitives: int
@@ -104,9 +104,8 @@ class BVH:
         index traffic like a real implementation would.
 
         The layout is derived from ``left``/``right``/``node_lo``/
-        ``node_hi`` on first use and cached; anything that mutates the
-        fitted boxes afterwards (an out-of-builder refit) must call
-        :meth:`invalidate_packed`.
+        ``node_hi`` on first use and cached; a built tree is never
+        mutated, so the cache never goes stale.
         """
         if self._packed is None:
             child = np.stack([self.left, self.right], axis=1)
@@ -119,10 +118,6 @@ class BVH:
                 np.ascontiguousarray(self.node_range_hi[child].astype(child.dtype)),
             )
         return self._packed
-
-    def invalidate_packed(self) -> None:
-        """Drop the cached parent-major layout (after a box refit)."""
-        self._packed = None
 
     def nbytes(self) -> int:
         """Device footprint of the tree's arrays (incl. the packed

@@ -30,7 +30,11 @@ it, under :meth:`~repro.device.device.Device.recording`; every later run
 (:meth:`~repro.device.device.Device.replay`).  A warm run therefore skips
 the build's wall time — that is the speedup — while its counters, kernel
 trace (spans flagged ``replayed=True``) and memory peak remain comparable
-to a cold run's.  Under a memory cap, replaying raises the same
+to a cold run's.  The points tree charges each device once: a device that
+built it, or already had it replayed, holds the tree's bytes, so a later
+run on that device charges nothing (a long-lived device — a service's —
+would otherwise pay for one tree on every fit; see ``docs/gpu-model.md``).
+Under a memory cap, replaying raises the same
 :class:`~repro.device.memory.DeviceMemoryError` a cold build would.
 Only runs replay: :meth:`~DBSCANIndex.morton_schedule` and
 :meth:`~DBSCANIndex.tree_statistics` read the cached points tree and
@@ -40,13 +44,14 @@ charge nothing, unless they have to build it.
 from __future__ import annotations
 
 import hashlib
+import weakref
 from collections import OrderedDict
 from dataclasses import dataclass
 
 import numpy as np
 
 from repro.bvh.aabb import boxes_from_points
-from repro.bvh.builder import build_bvh
+from repro.bvh.builder import build_bvh, release_bvh
 from repro.bvh.tree import BVH
 from repro.core.validation import validate_points
 from repro.device.device import Device, ReplayableCost, default_device
@@ -149,6 +154,9 @@ class DBSCANIndex:
         self.max_dense_entries = int(max_dense_entries)
         self.max_binnings = int(max_binnings)
         self._points: _PointsEntry | None = None
+        #: devices the points tree is charged to (by identity: ``Device``
+        #: is an eq-dataclass, so it is unhashable).
+        self._charged: list[weakref.ref] = []
         self._dense: "OrderedDict[tuple, _DenseEntry]" = OrderedDict()
         self._binnings: "OrderedDict[float, _BinningEntry]" = OrderedDict()
         #: live grid binnings actually executed for this index.
@@ -188,18 +196,33 @@ class DBSCANIndex:
         """The BVH over the raw points (FDBSCAN's index).
 
         Returns ``(tree, reused)``.  The first call builds the tree live
-        on ``device`` and records its cost; later calls replay that cost
-        onto the given device and return the cached tree.
+        on ``device`` and records its cost; a later call on a device the
+        tree is not yet charged to replays that cost onto it, and a call
+        on a charged device charges nothing.
         """
         dev = default_device(device)
         if self._points is not None:
-            dev.replay(self._points.cost)
+            if not any(ref() is dev for ref in self._charged):
+                dev.replay(self._points.cost)
+                self._charged.append(weakref.ref(dev))
             return self._points.tree, True
         with dev.recording() as cost:
             lo, hi = boxes_from_points(self._X)
             tree = build_bvh(lo, hi, device=dev)
         self._points = _PointsEntry(tree=tree, cost=cost)
+        self._charged.append(weakref.ref(dev))
         return tree, False
+
+    def release_points_tree(self) -> None:
+        """Free the points tree's bytes on every live device it is charged
+        to and drop it; a later :meth:`points_tree` builds it again."""
+        if self._points is not None:
+            for ref in self._charged:
+                dev = ref()
+                if dev is not None:
+                    release_bvh(self._points.tree, dev)
+        self._points = None
+        self._charged = []
 
     def _cached_points_tree(self, device: Device | None) -> BVH:
         """The points tree without replaying its cost: a cached tree is

@@ -21,8 +21,9 @@ package is organised around its failure modes:
     Append-only mutation journal; a restarted service replays it to the
     exact pre-crash index fingerprints.
 ``state``
-    :class:`ServiceIndex` — mutable, crash-safe index state over
-    ``refit_bvh`` + periodic rebuild, with tombstone-masked traversals.
+    :class:`ServiceIndex` — mutable, crash-safe index state: the live
+    points in id order and one index over them, rebuilt at the first
+    query after a mutation; ``cluster`` runs ``fdbscan`` on it.
 ``service``
     :class:`ClusteringService` — the loop tying it all together, feeding
     ``repro.obs`` spans and Prometheus-style metrics per request.

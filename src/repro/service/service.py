@@ -80,7 +80,6 @@ class ServiceConfig:
     ladder_thresholds: tuple = (0.6, 0.8, 0.95)
     breaker_threshold: int = 3
     breaker_cooldown: float = 5.0
-    rebuild_every: int = 64
     result_cache_size: int = 32
     #: Virtual seconds per point that admission charges each op; the floor
     #: keeps tiny requests from being free.
@@ -202,8 +201,7 @@ class ClusteringService:
                 if op == "create_index":
                     self._apply_create(name, entry)
                 elif op == "drop_index":
-                    self.indexes.pop(name, None)
-                    self.breakers.pop(name, None)
+                    self._drop(name)
                 elif op == "insert":
                     self.indexes[name].insert(
                         np.asarray(entry["points"], dtype=np.float64), ids=entry["ids"]
@@ -236,11 +234,15 @@ class ClusteringService:
         else:
             ds = entry["dataset"]
             X = load_dataset(ds["name"], ds["n"], seed=ds["seed"])
-        self.indexes[name] = ServiceIndex(
-            name, X, rebuild_every=self.config.rebuild_every
-        )
+        self.indexes[name] = ServiceIndex(name, X)
 
     # -- helpers ---------------------------------------------------------------
+
+    def _drop(self, name: str) -> None:
+        index = self.indexes.pop(name, None)
+        if index is not None:
+            index.release()
+        self.breakers.pop(name, None)
 
     def _breaker(self, name: str) -> CircuitBreaker:
         if name not in self.breakers:
@@ -398,8 +400,7 @@ class ClusteringService:
             ), None
 
         if op == "drop_index":
-            self.indexes.pop(req.index)
-            self.breakers.pop(req.index, None)
+            self._drop(req.index)
             self._journal_mutation(req, {})
             self._m_points.set(0, index=req.index)
             return make_response(req_id, "ok", result={"dropped": req.index}), None
@@ -512,9 +513,7 @@ class ClusteringService:
                 X = req.points
             else:
                 X = load_dataset(req.dataset["name"], req.dataset["n"], seed=req.dataset["seed"])
-            self.indexes[req.index] = ServiceIndex(
-                req.index, X, rebuild_every=self.config.rebuild_every
-            )
+            self.indexes[req.index] = ServiceIndex(req.index, X)
             extra: dict = {}
             if req.points is not None:
                 extra["points"] = np.asarray(req.points, dtype=np.float64).tolist()

@@ -168,7 +168,7 @@ def run_traffic(
                 req = {"op": "stats", "id": f"t{i}"}
                 op = "stats"
             else:
-                live = stats.slot_ids[stats.alive]
+                live = stats.ids
                 take = rng.choice(live, size=min(2, live.size), replace=False)
                 req["ids"] = [int(x) for x in take]
 

@@ -62,6 +62,19 @@ class TestPointsTreeReuse:
         assert cold_dev.counters.snapshot() == warm_dev.counters.snapshot()
         assert cold_dev.memory.peak_bytes == warm_dev.memory.peak_bytes
 
+    def test_points_tree_charged_once_per_device(self, blobs_2d):
+        # a long-lived device pays for one tree once, however many fits
+        # it runs on it; each other device pays exactly one replay
+        index = DBSCANIndex(blobs_2d)
+        dev, other = Device(), Device()
+        for device in (dev, dev, other, other):
+            fdbscan(blobs_2d, 0.2, 5, device=device, index=index)
+        tree, _ = index.points_tree(dev)
+        for device, replayed in ((dev, 0), (other, 1)):
+            build = device.profile()["bvh_build"]
+            assert (build["launches"], build["replayed"]) == (1, replayed)
+            assert device.memory.live_by_tag["bvh"] == tree.nbytes()
+
     def test_replayed_spans_flagged(self, blobs_2d):
         cold = fdbscan(blobs_2d, 0.2, 5, device=Device())
         warm_dev = Device()

@@ -29,7 +29,6 @@ from repro.bvh.traversal import RADIUS_PAD, count_within
 from repro.datasets import load_dataset
 from repro.device.device import Device
 from repro.service import ClusteringService
-from repro.service.state import ServiceIndex
 
 
 @pytest.fixture
@@ -242,24 +241,6 @@ class TestForeignQueries:
         for k in (1, 3, 5):
             got = knn_radii(tree, queries, k)
             np.testing.assert_array_equal(got, _kdtree_kth(pts, k, queries))
-
-    def test_service_tree_after_a_refit(self, rng):
-        # reused slots move points far outside the box the tree's codes
-        # were quantised in; the refit keeps those codes, so the anchors
-        # only loosen the bound
-        X = rng.uniform(0, 1, size=(200, 2))
-        si = ServiceIndex("k", X, rebuild_every=10_000)
-        dev = Device()
-        res = si.cluster(0.1, 3, device=dev)
-        si.delete(res["ids"][:30])
-        si.insert(rng.uniform(2, 3, size=(30, 2)))
-        queries = rng.uniform(-0.5, 3.5, size=(60, 2))
-        out = si.knn(4, queries, device=dev)
-        assert si.refits == 1 and si.rebuilds == 0
-        live = si.slot_points[si.alive]
-        np.testing.assert_allclose(
-            out["radii"], _kdtree_kth(live, 4, queries), rtol=0, atol=1e-12
-        )
 
 
 class TestHostileQueries:

@@ -5,8 +5,7 @@ import pytest
 
 from repro.bvh.aabb import boxes_from_points
 from repro.bvh.builder import build_bvh
-from repro.bvh.refit import internal_levels, refit, refit_bvh
-from repro.bvh.traversal import count_within
+from repro.bvh.refit import internal_levels, refit
 
 
 class TestInternalLevels:
@@ -55,45 +54,6 @@ class TestRefit:
         refit(tree.node_lo, tree.node_hi, tree.left, tree.right, tree.levels)
         np.testing.assert_array_equal(tree.node_lo, before_lo)
         np.testing.assert_array_equal(tree.node_hi, before_hi)
-
-    def test_refit_invalidates_packed_layout(self, rng):
-        # Traversal caches a parent-major packed copy of the node boxes;
-        # a refit that leaves it in place serves *stale* boxes.  Passing
-        # tree= must drop the cache.
-        pts = rng.uniform(0, 1, size=(64, 2))
-        lo, hi = boxes_from_points(pts)
-        tree = build_bvh(lo, hi)
-        tree.packed_children()  # populate the cache, as any traversal does
-        assert tree._packed is not None
-        n = tree.n_primitives
-        moved = pts + rng.normal(0, 0.05, size=pts.shape)
-        tree.node_lo[n - 1 :] = moved[tree.order]
-        tree.node_hi[n - 1 :] = moved[tree.order]
-        refit(tree.node_lo, tree.node_hi, tree.left, tree.right, tree.levels,
-              tree=tree)
-        assert tree._packed is None
-
-    @pytest.mark.parametrize("eps", [0.1, 0.4])
-    def test_refit_bvh_traversal_matches_fresh_build(self, rng, eps):
-        # Regression: a traversal, then a refit after moving the points,
-        # must answer queries like a tree built fresh over the moved
-        # points.  At the larger eps whole subtrees are credited, so the
-        # refitted boxes decide those credits too.
-        pts = rng.uniform(0, 1, size=(200, 2))
-        lo, hi = boxes_from_points(pts)
-        tree = build_bvh(lo, hi)
-        queries = rng.uniform(0, 1, size=(64, 2))
-        count_within(tree, queries, eps)  # warm the caches
-        n = tree.n_primitives
-        moved = pts + rng.normal(0, 0.1, size=pts.shape)
-        tree.node_lo[n - 1 :] = moved[tree.order]
-        tree.node_hi[n - 1 :] = moved[tree.order]
-        refit_bvh(tree)
-        got = count_within(tree, queries, eps)
-        flo, fhi = boxes_from_points(moved[tree.order])
-        fresh = build_bvh(flo, fhi)
-        want = count_within(fresh, queries, eps)
-        np.testing.assert_array_equal(got, want)
 
     def test_refit_tightness(self, rng):
         # every internal box is exactly the union of its children (no slack)

@@ -273,6 +273,75 @@ class TestServiceLoop:
         assert {n: s.fingerprint() for n, s in restarted.indexes.items()} == fps
         assert restarted.replayed_entries == 4
 
+    def test_journal_fingerprints_are_pinned(self, tmp_path):
+        # Journals already on disk must keep replaying bit-equal, so the
+        # fingerprint of a fixed history is pinned, step by step.
+        fps = [
+            "3eba5238269fb185f308fccd7f0327e2a3a24e7e",
+            "c67cae101ffc61e6c4b5c448081dde89393e6451",
+            "fb25762757d14dd676cfd4ef02aa9645c69a9f85",
+            "1e3d61b6ed513a2b7568f5dfc1345c22d792cf33",
+            "05472d705b195699c1cd09fa3a4fff4e14e9bc1e",
+            "0b78cc7fddbc76771b9a74a092b937709701cacb",
+            "994899131ea44b11e7bc91f1aec654962712db14",
+        ]
+        lattice = [[i / 8, j / 4] for i in range(6) for j in range(4)]
+        history = [
+            ("create_index", "a", {"points": lattice}),
+            ("insert", "a", {"points": [[0.5, 0.5], [0.75, 0.125]], "ids": [24, 25]}),
+            ("delete", "a", {"ids": [3, 7]}),
+            ("create_index", "b", {"points": [[0.0, 0.0, 1.0], [0.5, 0.25, 0.0]]}),
+            ("insert", "a", {"points": [[0.25, 0.375]], "ids": [26]}),
+            ("delete", "a", {"ids": [0, 24]}),
+            ("insert", "b", {"points": [[1.0, 1.0, 1.0]], "ids": [2]}),
+        ]
+        svc = ClusteringService()
+        for (op, name, payload), fp in zip(history, fps):
+            body = {"op": op, "index": name, **payload}
+            assigned = body.pop("ids") if op == "insert" else None
+            r = svc.handle(body)
+            assert r["status"] == "ok"
+            if assigned is not None:
+                assert r["result"]["ids"] == assigned
+            assert svc.indexes[name].fingerprint() == fp
+        # the same history as a journal file, each entry carrying its
+        # pinned fingerprint, replays without divergence
+        path = tmp_path / "svc.jsonl"
+        path.write_text("".join(
+            json.dumps({"seq": seq, "op": op, "index": name, **payload, "fingerprint": fp}) + "\n"
+            for seq, ((op, name, payload), fp) in enumerate(zip(history, fps), start=1)
+        ))
+        restarted = ClusteringService(journal_path=str(path))
+        assert restarted.replayed_entries == len(history)
+        assert restarted.indexes["a"].fingerprint() == fps[5]
+        assert restarted.indexes["b"].fingerprint() == fps[6]
+
+    def test_device_ledger_holds_only_live_trees(self):
+        # A mutation discards the index's tree and a dropped index frees
+        # its tree, so the service device's "bvh" bytes are exactly those
+        # of the trees still in use, however long the churn.
+        svc = ClusteringService()
+        for name, seed in (("a", 0), ("b", 1)):
+            svc.handle({"op": "create_index", "index": name, "points": _points(seed, 120).tolist()})
+        query = {"eps": 0.08, "min_samples": 5}
+        requests = []
+        for round_ in range(4):
+            for name in ("a", "b"):
+                requests += [
+                    {"op": "cluster", "index": name, **query},
+                    {"op": "insert", "index": name, "points": _points(10 + round_, 3).tolist()},
+                    {"op": "count", "index": name, **query},
+                    {"op": "delete", "index": name, "ids": [2 * round_, 2 * round_ + 1]},
+                    {"op": "knn", "index": name, "k": 3},
+                ]
+        requests += [{"op": "cluster", "index": "a", **query}, {"op": "drop_index", "index": "b"}]
+        for body in requests:
+            svc.clock.sleep(10.0)  # drain the admission backlog
+            assert svc.handle(body)["status"] == "ok"
+        live = sum(si.tree.nbytes() for si in svc.indexes.values() if si.tree is not None)
+        assert live > 0
+        assert svc.device.memory.live_by_tag["bvh"] == live
+
     def test_replay_detects_divergence(self, tmp_path):
         path = str(tmp_path / "svc.jsonl")
         svc = ClusteringService(journal_path=path)
