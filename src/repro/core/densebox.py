@@ -34,8 +34,10 @@ Phases:
    subtree of them, already in its component.  On dense data nearly
    every box hit joins a cell already in the query's cluster, so this
    removes most of the phase's box scans and unions.  Non-core points
-   stay singletons until the resolver's finalisation, so a border query
-   never shares a component with a box and its hits are never skipped.
+   share one sentinel component, so a non-core query skips the other
+   non-core points; boxes are core, so it never skips a box or a core
+   point.  Isolated points with no neighbour but themselves (an exact
+   unweighted count of 1) run no main-phase query.
 
 The counters charge the modelled kernel's linear member scan: to the end
 in preprocessing, to the first member within ``eps`` in the main phase.
@@ -214,6 +216,7 @@ def fdbscan_densebox(
 
     # --- preprocessing: core status ------------------------------------------
     is_core: np.ndarray | None
+    active = None
     if weights is None and minpts == 2:
         is_core = None
         resolution_core = np.ones(n, dtype=bool)
@@ -297,6 +300,9 @@ def fdbscan_densebox(
                 contained=contained,
             )
             is_core[deco.isolated_idx] = counts >= minpts
+            if weights is None:
+                active = np.ones(n, dtype=bool)
+                active[deco.isolated_idx] = counts > 1
             if not early_exit:
                 info["isolated_core_counts"] = counts
         resolution_core = is_core
@@ -362,6 +368,7 @@ def fdbscan_densebox(
         use_mask=use_mask,
         device=dev,
         kernel_name="densebox_main",
+        active=active,
         leaf_test_is_distance=False,
         chunk_size=chunk_size,
         watchdog=watchdog,

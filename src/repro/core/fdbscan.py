@@ -14,13 +14,16 @@ framework with one thread (query) per point:
   at most once, saving memory accesses, distance computations and
   Union-Find operations.
 
-The main phase also skips pairs that are already joined
-(:func:`repro.core.framework.pruned_main_phase`, shared with DenseBox).
-It runs under the traversal's component mask: a query never sees a leaf
-of its own union-find component, and a subtree whose points all lie in
-the query's component is pruned without descending.  On dense data
-nearly every pair joins two points already in one cluster, so this
-removes most of the phase's distance tests and unions.
+The main phase also skips pairs that are already joined, and pairs of
+two non-core points (:func:`repro.core.framework.pruned_main_phase`,
+shared with DenseBox).  It runs under the traversal's component mask: a
+query never sees a leaf of its own union-find component, and a subtree
+whose points all lie in the query's component is pruned without
+descending; every non-core point shares one sentinel component.  On
+dense data nearly every pair joins two points already in one cluster,
+so this removes most of the phase's distance tests and unions; on
+sparse data most points are noise, and noise queries see core leaves
+only.
 
 - **Epochs.**  The queries run in refresh epochs, one ``fdbscan_main``
   launch each: 64 queries, then 4× more each time, in *spread order*
@@ -28,10 +31,12 @@ removes most of the phase's distance tests and unions.
   walked in bit-reversed order), so the first small epochs sample the
   whole data set and their unions grow components everywhere before the
   large epochs run.  Components are re-read before each epoch.
-- **Exactness.**  A stale snapshot can only under-prune, and border and
-  noise points stay singleton sets until :meth:`PairResolver.finalize`
-  attaches them, so labels and ``is_core`` are identical to the
-  unpruned phase.
+- **Exactness.**  A stale snapshot can only under-prune.  Border and
+  noise points are never unioned, so no pair with one core end is
+  skipped, and a pair of two non-core points changes nothing.  Points
+  whose unweighted count is 1 (exact: early exit stops only at ``minpts >= 3``) are in no
+  pair and run no main-phase query.  Labels and ``is_core`` are
+  identical to the unpruned phase.
 - **Scheduling.**  ``chunk_size`` slices preprocessing and each epoch
   and changes no result or work counter.
 
@@ -144,6 +149,7 @@ def fdbscan(
 
     # --- preprocessing phase: core-point determination --------------------
     is_core: np.ndarray | None
+    active = None
     weights = None if sample_weight is None else validate_weights(sample_weight, n)
     if weights is None and minpts == 2:
         # Skipped (Algorithm 3, line 2): any pair within eps in the main
@@ -167,6 +173,8 @@ def fdbscan(
         )
         is_core = counts >= minpts
         resolution_core = is_core
+        if weights is None:
+            active = counts > 1
         if not early_exit:
             info["core_counts"] = counts
     t2 = time.perf_counter()
@@ -192,6 +200,7 @@ def fdbscan(
         use_mask=use_mask,
         device=dev,
         kernel_name="fdbscan_main",
+        active=active,
         chunk_size=chunk_size,
         watchdog=watchdog,
     )

@@ -36,7 +36,10 @@ chunk sizes and buffering choices.
 
 :func:`pruned_main_phase` is the main-phase loop FDBSCAN, DenseBox and
 the minpts sweep share: it feeds a :class:`PairResolver` while skipping
-pairs whose ends the union-find has already joined.
+pairs whose ends the union-find has already joined, and, as Wang, Gu &
+Shun's parallel DBSCAN does, every pair of two non-core points (the
+"neither core" case above), which can change nothing.  Both cuts are
+exact, so the labels equal the unpruned phase's.
 """
 
 from __future__ import annotations
@@ -243,15 +246,21 @@ def pruned_main_phase(
     use_mask: bool,
     device: Device,
     kernel_name: str,
+    active: np.ndarray | None = None,
     **traversal_kwargs,
 ) -> None:
-    """Run a main phase that skips pairs already joined.
+    """Run a main phase that skips pairs already joined, and pairs of two
+    non-core points.
 
-    Every point of ``X`` queries ``tree`` once under the component mask:
-    a query never sees a leaf of its own union-find component, and a
-    subtree whose primitives all lie in the query's component is pruned
-    without descending.  ``on_hits(query_ids, leaf_positions)`` gets the
-    surviving hits, with query ids into ``X``, and feeds ``resolver``.
+    Every point of ``X`` with ``active`` set (all, by default) queries
+    ``tree`` once under the component mask: a query never sees a leaf of
+    its own component, and a subtree whose primitives all lie in the
+    query's component is pruned without descending.  The components are
+    the union-find's, except that every non-core point (by
+    ``resolver.is_core``) shares one sentinel component ``n``: a non-core
+    query skips every non-core leaf, and every subtree holding no core
+    primitive.  ``on_hits(query_ids, leaf_positions)`` gets the surviving
+    hits, with query ids into ``X``, and feeds ``resolver``.
 
     - **Primitives.**  ``positions[q]`` is the sorted leaf position of
       query ``q``'s own primitive; it orders the epochs and, with
@@ -265,13 +274,25 @@ def pruned_main_phase(
       summaries are rebuilt from ``comp[prim_rep]``
       (:func:`repro.bvh.traversal.refresh_node_components`).  The
       epoch's own order is its schedule; ``chunk_size`` still slices it.
+    - **Inactive queries.**  A caller clears ``active`` only for points
+      proven to have no neighbour but themselves: an unweighted count of
+      1, exact because an early-exit count stops only at
+      ``minpts >= 3``.  Such a point is in no pair, so its query would
+      deliver nothing.
     - **Exactness.**  A pair is skipped only when both ends were in one
-      component at the last refresh.  Components only merge, so a stale
+      component (the sentinel included) at the last refresh.
+      Components only merge, so a stale
       snapshot can only under-prune: every skipped core-core pair is a
-      union that would have changed nothing.  Non-core points stay
-      singleton sets until :meth:`PairResolver.finalize` attaches them,
-      so no pair with a non-core end is ever skipped.  The resolved
-      components and labels equal the unpruned phase's.
+      union that would have changed nothing.  Non-core points are never
+      unioned, so a pair with exactly one core end never has both ends
+      in one component and is never skipped: every border point still
+      sees its minimum core neighbour.  The pairs of two non-core points,
+      all skipped, change nothing in Algorithm 3.  The resolved
+      components and labels equal the unpruned phase's.  On the
+      ``fdbscan-hacc3d`` sample (n=16384, eps 0.042, seed 0), where 60%
+      of the points have no neighbour, the cuts took the main phase
+      from 335,575 to 193,452 visited nodes at minpts 5 and from
+      396,880 to 104,923 at minpts 50.
 
     The mask arrays are charged to ``device``'s ledger as a transient
     ``"components"`` tag.
@@ -287,8 +308,11 @@ def pruned_main_phase(
     device.memory.allocate(nbytes, "components", transient=True)
     try:
         for ids in spread_epochs(positions):
+            if active is not None:
+                ids = ids[active[ids]]
             resolver.flush()
             comp[:] = uf.find(all_ids)
+            comp[~resolver.is_core] = n
             refresh_node_components(tree, comp[prim_rep], node_comp)
 
             def epoch_hits(q: np.ndarray, leaf_pos: np.ndarray, ids=ids) -> None:

@@ -13,8 +13,10 @@ tree algorithms:
    ``|N_eps(x)|`` for every point — core status for *every* ``minpts``
    value follows by thresholding;
 3. run one main phase per requested ``minpts`` against the shared index,
-   each skipping pairs already joined, exactly as FDBSCAN's does
-   (:func:`repro.core.framework.pruned_main_phase`).
+   each skipping pairs already joined and pairs of two non-core points,
+   exactly as FDBSCAN's does
+   (:func:`repro.core.framework.pruned_main_phase`); points whose full
+   count is 1 have no pair and run no main-phase query.
 
 For FDBSCAN the index and the counts are shared across the whole sweep;
 only the main phases repeat.  (FDBSCAN-DenseBox's index *depends* on
@@ -89,6 +91,7 @@ def dbscan_minpts_sweep(
 
     order = tree.order
     all_ids = np.arange(n, dtype=np.int64)
+    active = None if counts is None else counts > 1
     results: dict[int, DBSCANResult] = {}
     for mp in canon:
         if mp in results:
@@ -123,6 +126,7 @@ def dbscan_minpts_sweep(
                 use_mask=True,
                 device=dev,
                 kernel_name="fdbscan_main",
+                active=active,
                 chunk_size=chunk_size,
             )
         resolver.finalize()

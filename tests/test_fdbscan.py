@@ -5,6 +5,9 @@ import pytest
 from scipy.spatial import cKDTree
 
 from repro.baselines.sequential_dbscan import sequential_dbscan
+from repro.bvh.aabb import boxes_from_points
+from repro.bvh.builder import build_bvh
+from repro.bvh.traversal import for_each_leaf_hit
 from repro.core.fdbscan import fdbscan
 from repro.device.device import Device
 from repro.metrics.equivalence import assert_dbscan_equivalent
@@ -111,17 +114,33 @@ class TestDiagnostics:
         np.testing.assert_array_equal(counts >= 5, res.is_core)
 
     def test_mask_halves_pairs_processed(self, blobs_2d):
-        # min_samples > n: no core points, so no unions and nothing for
-        # the component mask to prune — every pair is processed, once
-        # with the leaf-index mask and twice without it.
-        n = blobs_2d.shape[0]
-        dev_m, dev_u = Device(), Device()
-        fdbscan(blobs_2d, 0.3, n + 1, device=dev_m, use_mask=True)
-        fdbscan(blobs_2d, 0.3, n + 1, device=dev_u, use_mask=False)
+        # With no component mask nothing is pruned: the leaf-index mask
+        # streams every unordered pair once, the unmasked traversal once
+        # from each end (plus each query's own leaf).
+        tree = build_bvh(*boxes_from_points(blobs_2d))
         n_pairs = len(cKDTree(blobs_2d).query_pairs(0.3))
-        assert dev_m.counters.union_ops == 0
-        assert dev_m.counters.pairs_processed == n_pairs
-        assert dev_m.counters.pairs_processed * 2 == dev_u.counters.pairs_processed
+        streamed = {}
+        for mask in (tree.position, None):
+            seen = []
+
+            def on_hits(q, leaf_pos, seen=seen):
+                seen.append(np.count_nonzero(tree.order[leaf_pos] != q))
+
+            for_each_leaf_hit(tree, blobs_2d, 0.3, on_hits, mask_positions=mask)
+            streamed[mask is None] = sum(seen)
+        assert streamed[False] == n_pairs
+        assert streamed[False] * 2 == streamed[True]
+
+    @pytest.mark.parametrize("use_mask", [True, False])
+    def test_all_noise_fit_resolves_no_pair(self, blobs_2d, use_mask):
+        # min_samples > n: every point is noise, so the main phase hands
+        # the resolver no pair and its traversals visit no node.
+        n = blobs_2d.shape[0]
+        dev = Device()
+        res = fdbscan(blobs_2d, 0.3, n + 1, device=dev, use_mask=use_mask)
+        assert (res.labels == -1).all()
+        assert dev.counters.pairs_processed == 0
+        assert dev.profile()["fdbscan_main"]["counters"]["nodes_visited"] == 0
 
     def test_pruned_masked_pairs_within_unpruned_half(self, blobs_2d):
         # With core points the component mask skips pairs already joined,

@@ -22,6 +22,7 @@ from repro.bvh.builder import build_bvh
 from repro.bvh.traversal import spread_epochs
 from repro.core.densebox import fdbscan_densebox
 from repro.core.fdbscan import fdbscan
+from repro.core.framework import DEFAULT_PAIR_BUFFER, PairResolver
 from repro.core.index import DBSCANIndex
 from repro.core.multi_minpts import dbscan_minpts_sweep
 from repro.device.device import Device
@@ -90,9 +91,35 @@ def _dense_lattice_points() -> np.ndarray:
     return np.concatenate([a, bridge, b, dups, noise])
 
 
+def _sparse_lattice_points() -> np.ndarray:
+    """An 8x8 lattice of sites 2 apart, each holding one motif: mostly
+    isolated noise, noise pairs exactly eps apart, duplicated noise and
+    chains at eps; a few 3x3 blobs (spacing eps/4) with arms of points
+    eps apart, one of them two border points eps apart bridging two
+    blobs."""
+    s = SPACING
+    g = np.arange(3) * s / 4
+    blob = np.array(list(itertools.product(g, g)))
+    arm = np.concatenate([blob, blob[-1] + [[s, 0.0], [2 * s, 0.0]]])
+    bridge = np.concatenate([arm, blob + [g[-1] + 3 * s, 0.0]])
+    motifs = [
+        np.zeros((1, 2)),
+        np.array([[0.0, 0.0], [s, 0.0]]),
+        np.zeros((2, 2)),
+        np.array([[0.0, 0.0], [s, 0.0], [2 * s, 0.0]]),
+    ]
+    sites = itertools.product(range(8), range(8))
+    return np.concatenate([
+        (bridge if k % 32 == 0 else arm if k % 32 == 16 else motifs[k % 4])
+        + [8 * s * i, 8 * s * j]
+        for k, (i, j) in enumerate(sites)
+    ])
+
+
 X_TIES = _tie_heavy_points()
 WEIGHTS = np.where(np.arange(X_TIES.shape[0]) % 3 == 0, 2.0, 1.0)
 X_DENSE = _dense_lattice_points()
+X_SPARSE = _sparse_lattice_points()
 INPUTS = {
     "ties": (X_TIES, WEIGHTS),
     "lattice": (X_DENSE, np.where(np.arange(X_DENSE.shape[0]) % 3 == 0, 2.0, 1.0)),
@@ -163,6 +190,71 @@ def test_minpts_sweep_contract(data, chunk_size):
         ref = _reference(data, False, minpts)
         np.testing.assert_array_equal(res.labels, ref.labels)
         np.testing.assert_array_equal(res.is_core, ref.is_core)
+
+
+@pytest.fixture
+def delivered(monkeypatch):
+    """Every pair batch handed to a :class:`PairResolver`, with its core
+    flags."""
+    batches = []
+    add = PairResolver.add
+
+    def spy(self, x, y):
+        batches.append((np.array(x), np.array(y), self.is_core))
+        add(self, x, y)
+
+    monkeypatch.setattr(PairResolver, "add", spy)
+    return batches
+
+
+@pytest.mark.parametrize("chunk_size", [1, 7, None])
+def test_noise_heavy_contract_across_knobs(chunk_size, delivered):
+    weights = np.where(np.arange(X_SPARSE.shape[0]) % 3 == 0, 2.0, 1.0)
+    reference = {}
+    for algorithm, minpts, pair_buffer, use_mask, weighted in itertools.product(
+        (fdbscan, fdbscan_densebox), (3, 5, 8), (None, DEFAULT_PAIR_BUFFER),
+        (True, False), (False, True),
+    ):
+        w = weights if weighted else None
+        res = algorithm(
+            X_SPARSE, SPACING, minpts, chunk_size=chunk_size,
+            pair_buffer=pair_buffer, use_mask=use_mask, sample_weight=w,
+        )
+        _check_contract(X_SPARSE, SPACING, minpts, w, res.labels, res.is_core)
+        ref = reference.setdefault((weighted, minpts), res)
+        np.testing.assert_array_equal(res.labels, ref.labels)
+        np.testing.assert_array_equal(res.is_core, ref.is_core)
+    sweep = dbscan_minpts_sweep(X_SPARSE, SPACING, [3, 5, 8], chunk_size=chunk_size)
+    for minpts, res in sweep.items():
+        _check_contract(X_SPARSE, SPACING, minpts, None, res.labels, res.is_core)
+        np.testing.assert_array_equal(res.labels, reference[False, minpts].labels)
+    # Pairs of two non-core points never reach the resolver.
+    assert delivered
+    for x, y, core in delivered:
+        assert (core[x] | core[y]).all()
+
+
+def test_sparse_lattice_is_noise_heavy():
+    # At minpts 5 most points are noise, two border points and many
+    # noise pairs sit exactly eps apart, noise points are duplicated, and
+    # the points with no neighbour but themselves (count 1) run no
+    # main-phase query.
+    n = X_SPARSE.shape[0]
+    dev = Device()
+    res = fdbscan(X_SPARSE, SPACING, 5, device=dev)
+    pairs = cKDTree(X_SPARSE).query_pairs(SPACING, output_type="ndarray")
+    i, j = pairs[:, 0], pairs[:, 1]
+    dist = np.linalg.norm(X_SPARSE[i] - X_SPARSE[j], axis=1)
+    at_eps = dist == SPACING
+    noise = res.labels == -1
+    border = ~res.is_core & ~noise
+    assert np.count_nonzero(noise) > n / 2
+    assert (at_eps & border[i] & border[j]).any()
+    assert (at_eps & noise[i] & noise[j]).any()
+    assert ((dist == 0) & noise[i] & noise[j]).any()
+    isolated = np.bincount(pairs.ravel(), minlength=n) == 0
+    assert isolated.any()
+    assert dev.profile()["fdbscan_main"]["threads"] == n - np.count_nonzero(isolated)
 
 
 def test_lattice_exercises_dense_boxes():
