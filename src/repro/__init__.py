@@ -37,7 +37,6 @@ Package map
 """
 
 from repro.core import (
-    DBSCAN,
     DBSCANIndex,
     DBSCANResult,
     choose_algorithm,
@@ -50,6 +49,7 @@ from repro.core import (
     periodic_dbscan,
 )
 from repro.device import Device
+from repro.estimators import DBSCAN
 from repro.hierarchy import hdbscan
 
 __version__ = "1.0.0"

@@ -34,7 +34,7 @@ from typing import Iterator
 
 import numpy as np
 
-from repro.core.framework import DEFAULT_PAIR_BUFFER, PairResolver
+from repro.core.framework import PairResolver
 from repro.core.labels import DBSCANResult, finalize_clusters
 from repro.core.validation import validate_params, validate_points
 from repro.device.device import Device, default_device
@@ -222,7 +222,7 @@ def grid_dbscan(
 
     # --- main phase ---------------------------------------------------------
     uf = EclUnionFind(n, device=dev)
-    resolver = PairResolver(uf, resolution_core, device=dev, buffer_pairs=DEFAULT_PAIR_BUFFER)
+    resolver = PairResolver(uf, resolution_core, device=dev)
     with dev.kernel("grid_main", threads=n) as launch:
         steps = 0
         same = src == dst
@@ -294,6 +294,7 @@ def grid_dbscan(
         launch.steps = steps
 
     labels, core_mask, n_clusters = finalize_clusters(uf.parents, is_core, dev.counters)
+    uf.release()
     info = {
         "algorithm": "grid-dbscan",
         "n": n,

@@ -4,8 +4,8 @@
   framework (Section 3.2, Algorithm 3);
 - :mod:`repro.core.fdbscan` — FDBSCAN (Section 4.1);
 - :mod:`repro.core.densebox` — FDBSCAN-DenseBox (Section 4.2);
-- :mod:`repro.core.api` — the public :func:`dbscan` / :class:`DBSCAN`
-  entry points and the auto-switch heuristic (Section 6 future work);
+- :mod:`repro.core.api` — the public :func:`dbscan` entry point and
+  the auto-switch heuristic (Section 6 future work);
 - :mod:`repro.core.dbscan_star` — the DBSCAN* variant (Section 6);
 - :mod:`repro.core.multi_minpts` — amortised multi-minpts sweeps (Section 3.2);
 - :mod:`repro.core.periodic` — periodic-boundary DBSCAN (cosmology boxes);
@@ -13,7 +13,7 @@
 - :mod:`repro.core.labels` — label conventions and finalisation.
 """
 
-from repro.core.api import DBSCAN, choose_algorithm, dbscan, dense_fraction_estimate
+from repro.core.api import choose_algorithm, dbscan, dense_fraction_estimate
 from repro.core.dbscan_star import dbscan_star
 from repro.core.densebox import fdbscan_densebox
 from repro.core.fdbscan import fdbscan
@@ -23,7 +23,6 @@ from repro.core.periodic import periodic_dbscan
 from repro.core.labels import DBSCANResult
 
 __all__ = [
-    "DBSCAN",
     "DBSCANIndex",
     "DBSCANResult",
     "choose_algorithm",

@@ -1,7 +1,7 @@
 """Public clustering API.
 
-:func:`dbscan` is the one-call entry point; :class:`DBSCAN` the
-sklearn-style estimator wrapper.  Algorithm names accepted everywhere
+:func:`dbscan` is the one-call entry point (the sklearn-style estimator
+over it is :class:`repro.estimators.DBSCAN`).  Algorithm names accepted everywhere
 (benchmarks address the baselines through the same registry):
 
 ===================  ====================================================
@@ -162,61 +162,3 @@ def dbscan(
             "index= is only valid for the tree-based algorithms"
         )
     return impl(X, eps, min_samples, device=device, **kwargs)
-
-
-class DBSCAN:
-    """Estimator-style wrapper around :func:`dbscan` (sklearn calling
-    convention, so existing pipelines can swap implementations).
-
-    Parameters mirror :func:`dbscan`; fitted attributes follow sklearn:
-    ``labels_``, ``core_sample_indices_``, ``components_`` (the core
-    points), ``n_clusters_`` plus this library's ``result_``.
-
-    Examples
-    --------
-    >>> import numpy as np
-    >>> from repro import DBSCAN
-    >>> X = np.array([[0., 0.], [0., .1], [.1, 0.], [5., 5.]])
-    >>> model = DBSCAN(eps=0.3, min_samples=3).fit(X)
-    >>> model.labels_
-    array([ 0,  0,  0, -1])
-    """
-
-    def __init__(
-        self,
-        eps: float = 0.5,
-        min_samples: int = 5,
-        algorithm: str = "auto",
-        device: Device | None = None,
-        **kwargs,
-    ):
-        self.eps = eps
-        self.min_samples = min_samples
-        self.algorithm = algorithm
-        self.device = device
-        self.kwargs = kwargs
-
-    def fit(self, X: np.ndarray, sample_weight=None) -> "DBSCAN":
-        """Cluster ``X`` (optionally weighted) and store the fitted
-        attributes."""
-        kwargs = dict(self.kwargs)
-        if sample_weight is not None:
-            kwargs["sample_weight"] = sample_weight
-        result = dbscan(
-            X,
-            self.eps,
-            self.min_samples,
-            algorithm=self.algorithm,
-            device=self.device,
-            **kwargs,
-        )
-        self.result_ = result
-        self.labels_ = result.labels
-        self.core_sample_indices_ = np.flatnonzero(result.is_core)
-        self.components_ = np.asarray(X, dtype=np.float64)[result.is_core]
-        self.n_clusters_ = result.n_clusters
-        return self
-
-    def fit_predict(self, X: np.ndarray, sample_weight=None) -> np.ndarray:
-        """Cluster ``X`` and return the labels."""
-        return self.fit(X, sample_weight=sample_weight).labels_

@@ -62,7 +62,7 @@ import time
 import numpy as np
 
 from repro.bvh.traversal import DEFAULT_CHUNK_SIZE, chunk_plan, polled, run_chunks
-from repro.core.framework import DEFAULT_PAIR_BUFFER, PairResolver, pruned_main_phase
+from repro.core.framework import PairResolver, pruned_main_phase
 from repro.core.index import DBSCANIndex
 from repro.core.labels import DBSCANResult, finalize_clusters
 from repro.core.validation import validate_params, validate_points, validate_weights
@@ -162,7 +162,6 @@ def fdbscan_densebox(
     chunk_size: int | None = None,
     sample_weight=None,
     index: DBSCANIndex | None = None,
-    pair_buffer: int | None = DEFAULT_PAIR_BUFFER,
     watchdog=None,
 ) -> DBSCANResult:
     """Cluster ``X`` with FDBSCAN-DenseBox.
@@ -170,10 +169,9 @@ def fdbscan_densebox(
     Arguments match :func:`repro.core.fdbscan.fdbscan` (including the
     weighted-density ``sample_weight``: dense cells then threshold summed
     member weight, and the all-members-core guarantee carries over;
-    ``chunk_size``/``pair_buffer`` are the same output-preserving
-    scheduling levers, and ``watchdog`` is polled per wavefront step in
-    both traversals).  The main phase runs in its refresh epochs.
-    ``info`` additionally carries ``dense_fraction`` (share of points
+    ``chunk_size`` is the same output-preserving scheduling lever, and
+    ``watchdog`` is polled per wavefront step in both traversals).  The
+    main phase runs in its refresh epochs.  ``info`` additionally carries ``dense_fraction`` (share of points
     inside dense cells — the regime indicator the paper reports),
     ``n_dense_cells`` and ``total_cells`` (the virtual grid size).
 
@@ -311,72 +309,75 @@ def fdbscan_densebox(
 
     # --- main phase ------------------------------------------------------------
     uf = EclUnionFind(n, device=dev)
-    resolver = PairResolver(uf, resolution_core, device=dev, buffer_pairs=pair_buffer)
+    try:
+        resolver = PairResolver(uf, resolution_core, device=dev)
 
-    # (a) union all points within each dense cell.  A box primitive's
-    # representative is its cell's first member; an isolated point is its own.
-    starts, cnts = deco.dense_members(np.arange(deco.n_dense))
-    firsts = deco.members[starts]
-    rest = deco.members[concatenated_ranges(starts + 1, cnts - 1)]
-    uf.union(np.repeat(firsts, cnts - 1), rest)
-    prim_rep = np.concatenate([deco.isolated_idx, firsts])
+        # (a) union all points within each dense cell.  A box primitive's
+        # representative is its cell's first member; an isolated point is its own.
+        starts, cnts = deco.dense_members(np.arange(deco.n_dense))
+        firsts = deco.members[starts]
+        rest = deco.members[concatenated_ranges(starts + 1, cnts - 1)]
+        uf.union(np.repeat(firsts, cnts - 1), rest)
+        prim_rep = np.concatenate([deco.isolated_idx, firsts])
 
-    # (b) every point against the mixed tree, skipping primitives already
-    # in its component: its own point or box among them.
-    prim_of_point = np.empty(n, dtype=np.int64)
-    prim_of_point[deco.isolated_idx] = np.arange(deco.n_isolated, dtype=np.int64)
-    dense_pts = np.flatnonzero(deco.is_dense_point)
-    prim_of_point[dense_pts] = deco.n_isolated + deco.dense_rank_of_cell[
-        deco.cell_of_point[dense_pts]
-    ]
+        # (b) every point against the mixed tree, skipping primitives already
+        # in its component: its own point or box among them.
+        prim_of_point = np.empty(n, dtype=np.int64)
+        prim_of_point[deco.isolated_idx] = np.arange(deco.n_isolated, dtype=np.int64)
+        dense_pts = np.flatnonzero(deco.is_dense_point)
+        prim_of_point[dense_pts] = deco.n_isolated + deco.dense_rank_of_cell[
+            deco.cell_of_point[dense_pts]
+        ]
 
-    def main_hits(q_ids: np.ndarray, leaf_pos: np.ndarray) -> None:
-        prim = order[leaf_pos]
-        box = deco.prim_is_box[prim]
-        pt_hits = ~box
-        if pt_hits.any():
-            resolver.add(q_ids[pt_hits], deco.prim_point[prim[pt_hits]])
-            dev.counters.add("distance_evals", int(pt_hits.sum()))
-        if box.any():
-            qb = q_ids[box]
-            ranks = deco.prim_point[prim[box]]
-            starts, cnts, hit, slot = _scan_cells(
-                cell_pts, deco, X[qb], ranks, eps2, first_only=True
-            )
-            # The kernel scans each cell linearly and stops at the first
-            # member within eps: charge first-hit slot + 1 tests, or the
-            # whole cell on a miss.
-            evals = cnts.copy()
-            evals[hit] = slot + 1
-            dev.counters.add("distance_evals", int(evals.sum()))
-            if not hit.size:
-                return
-            # The member is a dense-cell point, hence core: a core query is
-            # unioned into the cell's cluster, a non-core query becomes a
-            # border candidate of it — both are exactly the resolver's
-            # per-edge rule for a (query, core member) pair.
-            resolver.add(qb[hit], deco.members[starts[hit] + slot])
+        def main_hits(q_ids: np.ndarray, leaf_pos: np.ndarray) -> None:
+            prim = order[leaf_pos]
+            box = deco.prim_is_box[prim]
+            pt_hits = ~box
+            if pt_hits.any():
+                resolver.add(q_ids[pt_hits], deco.prim_point[prim[pt_hits]])
+                dev.counters.add("distance_evals", int(pt_hits.sum()))
+            if box.any():
+                qb = q_ids[box]
+                ranks = deco.prim_point[prim[box]]
+                starts, cnts, hit, slot = _scan_cells(
+                    cell_pts, deco, X[qb], ranks, eps2, first_only=True
+                )
+                # The kernel scans each cell linearly and stops at the first
+                # member within eps: charge first-hit slot + 1 tests, or the
+                # whole cell on a miss.
+                evals = cnts.copy()
+                evals[hit] = slot + 1
+                dev.counters.add("distance_evals", int(evals.sum()))
+                if not hit.size:
+                    return
+                # The member is a dense-cell point, hence core: a core query is
+                # unioned into the cell's cluster, a non-core query becomes a
+                # border candidate of it — both are exactly the resolver's
+                # per-edge rule for a (query, core member) pair.
+                resolver.add(qb[hit], deco.members[starts[hit] + slot])
 
-    pruned_main_phase(
-        tree,
-        X,
-        eps,
-        resolver,
-        main_hits,
-        positions=tree.position[prim_of_point],
-        prim_rep=prim_rep,
-        use_mask=use_mask,
-        device=dev,
-        kernel_name="densebox_main",
-        active=active,
-        leaf_test_is_distance=False,
-        chunk_size=chunk_size,
-        watchdog=watchdog,
-    )
-    resolver.finalize()
-    t3 = time.perf_counter()
-    info["t_main"] = t3 - t2
+        pruned_main_phase(
+            tree,
+            X,
+            eps,
+            resolver,
+            main_hits,
+            positions=tree.position[prim_of_point],
+            prim_rep=prim_rep,
+            use_mask=use_mask,
+            device=dev,
+            kernel_name="densebox_main",
+            active=active,
+            leaf_test_is_distance=False,
+            chunk_size=chunk_size,
+            watchdog=watchdog,
+        )
+        resolver.finalize()
+        t3 = time.perf_counter()
+        info["t_main"] = t3 - t2
 
-    labels, core_mask, n_clusters = finalize_clusters(uf.parents, is_core, dev.counters)
+        labels, core_mask, n_clusters = finalize_clusters(uf.parents, is_core, dev.counters)
+    finally:
+        uf.release()
     info["t_finalize"] = time.perf_counter() - t3
     return DBSCANResult(labels=labels, is_core=core_mask, n_clusters=n_clusters, info=info)

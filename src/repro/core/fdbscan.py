@@ -15,8 +15,9 @@ framework with one thread (query) per point:
   Union-Find operations.
 
 The main phase also skips pairs that are already joined, and pairs of
-two non-core points (:func:`repro.core.framework.pruned_main_phase`,
-shared with DenseBox).  It runs under the traversal's component mask: a
+two non-core points (:func:`repro.core.framework.point_main_phase`,
+shared with the minpts sweep and the distributed ranks, over the loop
+DenseBox shares).  It runs under the traversal's component mask: a
 query never sees a leaf of its own union-find component, and a subtree
 whose points all lie in the query's component is pruned without
 descending; every non-core point shares one sentinel component.  On
@@ -51,12 +52,11 @@ import time
 import numpy as np
 
 from repro.bvh.traversal import DEFAULT_CHUNK_SIZE, count_within
-from repro.core.framework import DEFAULT_PAIR_BUFFER, PairResolver, pruned_main_phase
+from repro.core.framework import point_main_phase
 from repro.core.index import DBSCANIndex
-from repro.core.labels import DBSCANResult, finalize_clusters
+from repro.core.labels import DBSCANResult
 from repro.core.validation import validate_params, validate_points, validate_weights
 from repro.device.device import Device, default_device
-from repro.unionfind.ecl import EclUnionFind
 
 
 def fdbscan(
@@ -69,7 +69,6 @@ def fdbscan(
     chunk_size: int | None = None,
     sample_weight=None,
     index: DBSCANIndex | None = None,
-    pair_buffer: int | None = DEFAULT_PAIR_BUFFER,
     watchdog=None,
 ) -> DBSCANResult:
     """Cluster ``X`` with FDBSCAN.
@@ -111,10 +110,6 @@ def fdbscan(
         so counters and memory peaks stay comparable to a cold run; the
         index used (built here if none was given) is returned in
         ``info["index"]`` for reuse.
-    pair_buffer:
-        Pairs accumulated before each union-find launch in the main phase
-        (``None`` = resolve every traversal step's batch immediately).
-        Output is identical for any buffering.
     watchdog:
         Optional zero-argument callable polled once per traversal
         wavefront step in both phases (a deadline's
@@ -155,11 +150,9 @@ def fdbscan(
         # Skipped (Algorithm 3, line 2): any pair within eps in the main
         # phase certifies both endpoints core.
         is_core = None
-        resolution_core = np.ones(n, dtype=bool)
     elif weights is None and minpts == 1:
         # Every point is core (it is its own neighbour); no search needed.
         is_core = np.ones(n, dtype=bool)
-        resolution_core = is_core
     else:
         counts = count_within(
             tree,
@@ -172,7 +165,6 @@ def fdbscan(
             watchdog=watchdog,
         )
         is_core = counts >= minpts
-        resolution_core = is_core
         if weights is None:
             active = counts > 1
         if not early_exit:
@@ -180,35 +172,17 @@ def fdbscan(
     t2 = time.perf_counter()
     info["t_preprocess"] = t2 - t1
 
-    # --- main phase: fused traversal + union-find --------------------------
-    uf = EclUnionFind(n, device=dev)
-    order = tree.order
-    resolver = PairResolver(uf, resolution_core, device=dev, buffer_pairs=pair_buffer)
-
-    def on_hits(q_ids: np.ndarray, leaf_pos: np.ndarray) -> None:
-        # A query's own leaf is in its own component, so it never hits.
-        resolver.add(q_ids, order[leaf_pos])
-
-    pruned_main_phase(
+    # --- main phase: fused traversal + union-find, then finalisation --------
+    return point_main_phase(
         tree,
         X,
         eps,
-        resolver,
-        on_hits,
-        positions=tree.position,
-        prim_rep=np.arange(n, dtype=np.int64),
+        is_core,
+        dev,
+        "fdbscan_main",
+        info,
         use_mask=use_mask,
-        device=dev,
-        kernel_name="fdbscan_main",
         active=active,
         chunk_size=chunk_size,
         watchdog=watchdog,
     )
-    resolver.finalize()
-    t3 = time.perf_counter()
-    info["t_main"] = t3 - t2
-
-    # --- finalisation -------------------------------------------------------
-    labels, core_mask, n_clusters = finalize_clusters(uf.parents, is_core, dev.counters)
-    info["t_finalize"] = time.perf_counter() - t3
-    return DBSCANResult(labels=labels, is_core=core_mask, n_clusters=n_clusters, info=info)

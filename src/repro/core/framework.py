@@ -19,30 +19,31 @@ The framework splits DBSCAN into two batched phases:
      point within ``eps`` of two clusters would merge them;
    - neither core             →  nothing.
 
-:func:`resolve_pairs` is that per-edge resolution, shared verbatim by
-FDBSCAN and FDBSCAN-DenseBox (the two algorithms differ only in how pairs
-are *discovered*).  Pairs arrive in per-traversal-step batches and are
-consumed immediately — the fused, on-the-fly processing that keeps memory
-linear in ``n``.
+:class:`PairResolver` is that per-edge resolution, shared by FDBSCAN,
+FDBSCAN-DenseBox, the minpts sweep, the distributed ranks and the grid
+baseline (they differ only in how pairs are *discovered*).  It buffers
+the per-step micro-batches to :data:`DEFAULT_PAIR_BUFFER` pairs before
+launching the union-find kernels (small per-step batches pay a fixed
+launch overhead each — exactly the behaviour the paper's fused kernels
+avoid on real hardware), and it replaces the *first-wins* CAS border
+attachment with a commutative scatter-min over candidate core
+neighbours, making the final labels independent of pair arrival order —
+and hence identical across chunk sizes and batch boundaries.
 
-:class:`PairResolver` is the batched evolution of that resolution: it
-buffers the per-step micro-batches to a target size before launching the
-union-find kernels (small per-step batches pay a fixed launch overhead
-each — exactly the behaviour the paper's fused kernels avoid on real
-hardware), and it replaces the *first-wins* CAS border attachment with a
-commutative scatter-min over candidate core neighbours, making the final
-labels independent of pair arrival order — and hence identical across
-chunk sizes and buffering choices.
-
-:func:`pruned_main_phase` is the main-phase loop FDBSCAN, DenseBox and
-the minpts sweep share: it feeds a :class:`PairResolver` while skipping
-pairs whose ends the union-find has already joined, and, as Wang, Gu &
-Shun's parallel DBSCAN does, every pair of two non-core points (the
-"neither core" case above), which can change nothing.  Both cuts are
-exact, so the labels equal the unpruned phase's.
+:func:`pruned_main_phase` is the main-phase loop over a tree: it feeds a
+:class:`PairResolver` while skipping pairs whose ends the union-find has
+already joined, and, as Wang, Gu & Shun's parallel DBSCAN does, every
+pair of two non-core points (the "neither core" case above), which can
+change nothing.  Both cuts are exact, so the labels equal the unpruned
+phase's.  :func:`point_main_phase` is that loop over a tree of points,
+from the union-find to the labels: FDBSCAN, the minpts sweep and every
+distributed rank call it; DenseBox, whose hits are boxes, calls
+:func:`pruned_main_phase` directly.
 """
 
 from __future__ import annotations
+
+import time
 
 import numpy as np
 
@@ -53,6 +54,7 @@ from repro.bvh.traversal import (
     spread_epochs,
 )
 from repro.bvh.tree import BVH
+from repro.core.labels import DBSCANResult, finalize_clusters
 from repro.device.atomics import atomic_cas_batch
 from repro.device.device import Device, default_device
 from repro.unionfind.ecl import EclUnionFind
@@ -90,53 +92,22 @@ def attach_border(
     )
 
 
-def resolve_pairs(
-    uf: EclUnionFind,
-    is_core: np.ndarray,
-    x: np.ndarray,
-    y: np.ndarray,
-    device: Device | None = None,
-) -> None:
-    """Apply Algorithm 3's per-edge resolution to a batch of pairs.
-
-    ``x``/``y`` are equal-length arrays of point indices with
-    ``dist(x, y) <= eps`` already established by the caller.  Each
-    unordered pair needs to be presented only once (either orientation):
-    both orientations of the core/non-core rule are applied here.
-    """
-    dev = default_device(device)
-    dev.counters.add("pairs_processed", x.shape[0])
-    cx = is_core[x]
-    cy = is_core[y]
-    both = cx & cy
-    if both.any():
-        uf.union(x[both], y[both])
-    x_only = cx & ~cy
-    if x_only.any():
-        attach_border(uf, x[x_only], y[x_only], dev)
-    y_only = cy & ~cx
-    if y_only.any():
-        attach_border(uf, y[y_only], x[y_only], dev)
-
-
 class PairResolver:
     """Buffered, schedule-independent resolution of discovered pairs.
 
     A drop-in consumer for the pair stream the traversals emit:
-    :meth:`add` takes each ``(x, y)`` batch (every unordered pair presented
-    once, either orientation, ``dist <= eps`` already established) and
+    :meth:`add` takes each ``(x, y)`` batch (every unordered pair at least
+    once, in either orientation, ``dist <= eps`` already established) and
     :meth:`finalize` must be called once after the stream ends, before the
     labels are read.
 
-    Two deliberate differences from streaming :func:`resolve_pairs`:
-
-    - **buffering**: batches accumulate until ``buffer_pairs`` pairs are
-      held, then one union-find launch consumes them all — per-step
-      micro-batches stop paying the fixed launch overhead.
-      ``buffer_pairs=None`` flushes on every ``add`` (the unbuffered
-      ablation).  Core-core unions commute and the ECL union-find hooks
-      the larger root under the smaller, so the final components — and
-      therefore the labels — do not depend on batch boundaries.
+    - **buffering**: batches accumulate until :data:`DEFAULT_PAIR_BUFFER`
+      pairs are held (or a caller calls :meth:`flush`), then one
+      union-find launch consumes them all — per-step micro-batches stop
+      paying the fixed launch overhead.  Core-core unions commute and the
+      ECL union-find hooks the larger root under the smaller, so the
+      final components — and therefore the labels — do not depend on
+      batch boundaries.
     - **deterministic border attachment**: instead of first-wins CAS (a
       race whose winner depends on traversal schedule), every non-core
       endpoint records the *minimum* core-neighbour index seen across the
@@ -147,9 +118,9 @@ class PairResolver:
       arrival order — the bridging-prevention guarantee (one cluster per
       border point) is preserved.
 
-    ``pairs_processed`` totals match the streaming path; ``cas_attempts``
-    now counts one attempt per attached border point (the deterministic
-    schedule has no losing requests).
+    ``pairs_processed`` counts every pair handed to :meth:`add`;
+    ``cas_attempts`` counts one attempt per attached border point (the
+    deterministic schedule has no losing requests).
     """
 
     def __init__(
@@ -157,12 +128,10 @@ class PairResolver:
         uf: EclUnionFind,
         is_core: np.ndarray,
         device: Device | None = None,
-        buffer_pairs: int | None = DEFAULT_PAIR_BUFFER,
     ):
         self.uf = uf
         self.is_core = is_core
         self.dev = default_device(device)
-        self.buffer_pairs = buffer_pairs
         n = is_core.shape[0]
         self._n = n
         #: per-point minimum core neighbour seen (sentinel ``n`` = none).
@@ -181,13 +150,10 @@ class PairResolver:
         """
         if x.shape[0] == 0:
             return
-        if self.buffer_pairs is None:
-            self._resolve(np.asarray(x), np.asarray(y))
-            return
         self._buf_x.append(np.array(x, dtype=np.int64, copy=True))
         self._buf_y.append(np.array(y, dtype=np.int64, copy=True))
         self._buffered += x.shape[0]
-        if self._buffered >= self.buffer_pairs:
+        if self._buffered >= DEFAULT_PAIR_BUFFER:
             self.flush()
 
     def flush(self) -> None:
@@ -332,3 +298,67 @@ def pruned_main_phase(
             )
     finally:
         device.memory.free(nbytes, "components")
+
+
+def point_main_phase(
+    tree: BVH,
+    X: np.ndarray,
+    eps: float,
+    is_core: np.ndarray | None,
+    device: Device,
+    kernel_name: str,
+    info: dict,
+    use_mask: bool = True,
+    active: np.ndarray | None = None,
+    **traversal_kwargs,
+) -> DBSCANResult:
+    """The main phase over a tree of points, from a fresh union-find to
+    the labels.
+
+    Every point of ``X`` with ``active`` set queries ``tree`` (built over
+    ``X``) under :func:`pruned_main_phase`; each hit's leaf is a point,
+    so the pairs go straight to a :class:`PairResolver`.  ``is_core`` is
+    the preprocessing's core mask, or ``None`` for ``minpts == 2``, where
+    every point resolves as core and core status follows from component
+    sizes at finalisation.  The union-find's ``"labels"`` bytes are
+    returned to ``device``'s ledger once the labels are built, also when
+    the phase aborts.
+
+    ``info`` gains ``t_main`` and ``t_finalize`` and becomes the result's
+    ``info``; ``traversal_kwargs`` go to every traversal launch.
+    """
+    t0 = time.perf_counter()
+    n = X.shape[0]
+    uf = EclUnionFind(n, device=device)
+    try:
+        resolver = PairResolver(
+            uf, np.ones(n, dtype=bool) if is_core is None else is_core, device
+        )
+        order = tree.order
+
+        def on_hits(q_ids: np.ndarray, leaf_pos: np.ndarray) -> None:
+            # A query's own leaf is in its own component, so it never hits.
+            resolver.add(q_ids, order[leaf_pos])
+
+        pruned_main_phase(
+            tree,
+            X,
+            eps,
+            resolver,
+            on_hits,
+            positions=tree.position,
+            prim_rep=np.arange(n, dtype=np.int64),
+            use_mask=use_mask,
+            device=device,
+            kernel_name=kernel_name,
+            active=active,
+            **traversal_kwargs,
+        )
+        resolver.finalize()
+        t1 = time.perf_counter()
+        labels, core_mask, n_clusters = finalize_clusters(uf.parents, is_core, device.counters)
+    finally:
+        uf.release()
+    info["t_main"] = t1 - t0
+    info["t_finalize"] = time.perf_counter() - t1
+    return DBSCANResult(labels=labels, is_core=core_mask, n_clusters=n_clusters, info=info)

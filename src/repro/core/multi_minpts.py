@@ -14,8 +14,8 @@ tree algorithms:
    value follows by thresholding;
 3. run one main phase per requested ``minpts`` against the shared index,
    each skipping pairs already joined and pairs of two non-core points,
-   exactly as FDBSCAN's does
-   (:func:`repro.core.framework.pruned_main_phase`); points whose full
+   through the same function as FDBSCAN's
+   (:func:`repro.core.framework.point_main_phase`); points whose full
    count is 1 have no pair and run no main-phase query.
 
 For FDBSCAN the index and the counts are shared across the whole sweep;
@@ -35,11 +35,10 @@ import numpy as np
 from repro.bvh.aabb import boxes_from_points
 from repro.bvh.builder import build_bvh
 from repro.bvh.traversal import DEFAULT_CHUNK_SIZE, count_within
-from repro.core.framework import PairResolver, pruned_main_phase
-from repro.core.labels import DBSCANResult, finalize_clusters
+from repro.core.framework import point_main_phase
+from repro.core.labels import DBSCANResult
 from repro.core.validation import validate_params, validate_points
 from repro.device.device import Device, default_device
-from repro.unionfind.ecl import EclUnionFind
 
 
 def dbscan_minpts_sweep(
@@ -89,61 +88,37 @@ def dbscan_minpts_sweep(
     )
     t_count = time.perf_counter() - t0
 
-    order = tree.order
-    all_ids = np.arange(n, dtype=np.int64)
     active = None if counts is None else counts > 1
     results: dict[int, DBSCANResult] = {}
     for mp in canon:
         if mp in results:
             continue
-        t0 = time.perf_counter()
         if mp == 2:
             is_core = None
-            resolution_core = np.ones(n, dtype=bool)
         elif mp == 1:
             is_core = np.ones(n, dtype=bool)
-            resolution_core = is_core
         else:
             is_core = counts >= mp
-            resolution_core = is_core
-
-        uf = EclUnionFind(n, device=dev)
-        resolver = PairResolver(uf, resolution_core, device=dev)
-
-        def on_hits(q_ids: np.ndarray, leaf_pos: np.ndarray) -> None:
-            resolver.add(q_ids, order[leaf_pos])
-
+        info = {
+            "algorithm": "fdbscan-sweep",
+            "n": n,
+            "eps": eps,
+            "min_samples": mp,
+            "t_build": t_build,
+            "t_count": t_count,
+            "core_counts_shared": needs_counts,
+        }
         # One span per main phase, holding its per-epoch launches.
         with dev.kernel(f"sweep_main_mp{mp}", threads=n):
-            pruned_main_phase(
+            results[mp] = point_main_phase(
                 tree,
                 X,
                 eps,
-                resolver,
-                on_hits,
-                positions=tree.position,
-                prim_rep=all_ids,
-                use_mask=True,
-                device=dev,
-                kernel_name="fdbscan_main",
+                is_core,
+                dev,
+                "fdbscan_main",
+                info,
                 active=active,
                 chunk_size=chunk_size,
             )
-        resolver.finalize()
-        labels, core_mask, n_clusters = finalize_clusters(uf.parents, is_core, dev.counters)
-        results[mp] = DBSCANResult(
-            labels=labels,
-            is_core=core_mask,
-            n_clusters=n_clusters,
-            info={
-                "algorithm": "fdbscan-sweep",
-                "n": n,
-                "eps": eps,
-                "min_samples": mp,
-                "t_build": t_build,
-                "t_count": t_count,
-                "t_main": time.perf_counter() - t0,
-                "core_counts_shared": needs_counts,
-            },
-        )
     return results

@@ -9,10 +9,12 @@ the rank-local engine):
    the full eps-neighbourhood is local), giving owned core flags;
 2. **flag exchange** — ghost core flags arrive from their owner ranks
    (simulated; one boolean per ghost), after which each rank runs the
-   fused main phase with queries restricted to owned points: owned-owned
-   pairs resolve locally, owned-ghost pairs resolve on both sharing ranks
-   (idempotent for unions; border CAS divergence is reconciled in phase 3
-   by preferring the owner rank's attachment);
+   single-device main phase (:func:`repro.core.framework.point_main_phase`:
+   component-pruned, non-core pairs skipped) with only its owned rows
+   querying and no leaf mask, since ghost rows never query: owned-owned
+   pairs resolve locally, owned-ghost pairs on both sharing ranks
+   (idempotent for unions), and each owned border point takes its
+   minimum-row core neighbour — the attachment its owner ships in phase 3;
 3. **merge phase** — each rank ships, per local cluster, its *core*
    members' global ids plus its owned border attachments.  Core groups are
    unioned globally — any core-core eps-pair was locally clustered on the
@@ -62,8 +64,8 @@ import numpy as np
 
 from repro.bvh.aabb import boxes_from_points
 from repro.bvh.builder import build_bvh
-from repro.bvh.traversal import count_within, for_each_leaf_hit
-from repro.core.framework import resolve_pairs
+from repro.bvh.traversal import count_within
+from repro.core.framework import point_main_phase
 from repro.core.labels import DBSCANResult, relabel_consecutive
 from repro.core.validation import validate_params, validate_points
 from repro.device.device import Device, default_device
@@ -81,36 +83,35 @@ def _merge_payloads(
     local_ids: np.ndarray,
     n_owned: int,
     local_core: np.ndarray,
-    labels_local: np.ndarray,
+    labels_local: np.ndarray | None,
 ) -> tuple[tuple[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]]:
     """One partition's merge-phase contributions, in global ids.
 
-    Returns ``((group_firsts, group_members), (border_ids, border_targets))``
-    — the core-group union pairs and the owner-authoritative border
-    attachments.  These arrays are exactly what the merge gather ships, so
-    they double as the partition's phase-2 checkpoint.
+    ``labels_local`` are the partition's local cluster labels (``-1`` for
+    an unattached non-core row; ``None`` when it owns no point).  Returns
+    ``((group_firsts, group_members), (border_ids, border_targets))`` —
+    the core-group union pairs and the owner-authoritative border
+    attachments.  These arrays are exactly what the merge gather ships,
+    so they double as the partition's phase-2 checkpoint.
     """
     empty = np.zeros(0, dtype=np.int64)
     if n_owned == 0 or local_ids.shape[0] == 0:
         return (empty, empty), (empty, empty)
     core_rows = np.flatnonzero(local_core)
-    rep_for_root = np.full(local_ids.shape[0], -1, dtype=np.int64)
+    rep_of_label = np.full(local_ids.shape[0], -1, dtype=np.int64)
     if core_rows.size:
-        roots = labels_local[core_rows]
-        order = np.argsort(roots, kind="stable")
+        groups = labels_local[core_rows]
+        order = np.argsort(groups, kind="stable")
         core_sorted = core_rows[order]
-        uroots, starts, lengths = run_length_encode(roots[order])
+        ugroups, starts, lengths = run_length_encode(groups[order])
         firsts = np.repeat(core_sorted[starts], lengths) if starts.size else core_sorted
         core_payload = (local_ids[firsts], local_ids[core_sorted])
-        rep_for_root[uroots] = core_sorted[starts]
+        rep_of_label[ugroups] = core_sorted[starts]
     else:
         core_payload = (empty, empty)
-    owned_rows = np.arange(n_owned)
-    border_rows = owned_rows[
-        ~local_core[:n_owned] & (labels_local[:n_owned] != owned_rows)
-    ]
+    border_rows = np.flatnonzero(~local_core[:n_owned] & (labels_local[:n_owned] >= 0))
     if border_rows.size:
-        targets = rep_for_root[labels_local[border_rows]]
+        targets = rep_of_label[labels_local[border_rows]]
         attach_payload = (local_ids[border_rows], local_ids[targets])
     else:
         attach_payload = (empty, empty)
@@ -340,24 +341,20 @@ def distributed_dbscan(
 
             def attempt():
                 if tree is None:
-                    return np.arange(ids.shape[0], dtype=np.int64)
-                uf = EclUnionFind(ids.shape[0], device=dev)
-                order = tree.order
-
-                def on_hits(q_ids: np.ndarray, leaf_pos: np.ndarray) -> None:
-                    nbr = order[leaf_pos]
-                    keep = nbr != q_ids  # queries are the first n_owned local rows
-                    resolve_pairs(uf, local_core, q_ids[keep], nbr[keep], dev)
-
-                for_each_leaf_hit(
+                    return None
+                # Ghost rows do not query, so no leaf mask: each owned
+                # query must see every neighbour, ghosts included.
+                return point_main_phase(
                     tree,
-                    X[ids[:n_owned]],
+                    X[ids],
                     eps,
-                    on_hits,
-                    device=dev,
-                    kernel_name=f"dist_main_rank{p}",
-                )
-                return uf.finalize()
+                    local_core,
+                    dev,
+                    f"dist_main_rank{p}",
+                    {},
+                    use_mask=False,
+                    active=np.arange(ids.shape[0]) < n_owned,
+                ).labels
 
             labels_local = run_attempt("main", p, attempt)
             merge_core[p], merge_attach[p] = _merge_payloads(
@@ -428,6 +425,7 @@ def distributed_dbscan(
         # --- assemble the global result ------------------------------------------
         with tr.span("finalize", category="phase"):
             roots = find_roots(guf.parents, np.arange(n, dtype=np.int64), dev.counters)
+            guf.release()
             if minpts == 2:
                 sizes = np.bincount(roots, minlength=n)
                 global_core = sizes[roots] >= 2

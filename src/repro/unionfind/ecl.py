@@ -162,6 +162,11 @@ class EclUnionFind:
             launch.steps = 1
         return self.parents
 
+    def release(self) -> None:
+        """Return the parents array's ``"labels"`` bytes to the device
+        ledger, once the labels have been read off it."""
+        self.device.memory.free(self.parents.nbytes, tag="labels")
+
     def n_sets(self) -> int:
         """Number of disjoint sets currently represented."""
         return int(np.count_nonzero(self.parents == np.arange(self.n)))

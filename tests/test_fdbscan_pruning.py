@@ -1,7 +1,8 @@
 """Exactness of the component-pruned main phase.
 
-FDBSCAN's, DenseBox's and the minpts sweep's main phases skip every
-subtree already in the query's component, as of the last refresh epoch.
+FDBSCAN's, DenseBox's, the minpts sweep's and every distributed rank's
+main phases skip every subtree already in the query's component, as of
+the last refresh epoch.
 These tests check DBSCAN's three-part contract against a cKDTree brute
 force on tie-heavy input (distances exactly eps, duplicates, a border
 point between two clusters, dense cells that are both pruned and hit),
@@ -22,10 +23,11 @@ from repro.bvh.builder import build_bvh
 from repro.bvh.traversal import spread_epochs
 from repro.core.densebox import fdbscan_densebox
 from repro.core.fdbscan import fdbscan
-from repro.core.framework import DEFAULT_PAIR_BUFFER, PairResolver
+from repro.core.framework import PairResolver
 from repro.core.index import DBSCANIndex
 from repro.core.multi_minpts import dbscan_minpts_sweep
 from repro.device.device import Device
+from repro.distributed import distributed_dbscan
 
 #: Lattice spacing and eps: a power of two, so lattice distances are exact.
 SPACING = 0.25
@@ -44,9 +46,10 @@ def _tie_heavy_points() -> np.ndarray:
     return np.concatenate([a, bridge, b, dups, noise])
 
 
-def _check_contract(X, eps, minpts, weights, labels, is_core):
+def _check_contract(X, eps, minpts, weights, labels, is_core, min_index_border=True):
     """Exact core set, identical core partition, and each border point in
-    the cluster of its minimum-index core neighbour within eps."""
+    the cluster of its minimum-index core neighbour within eps (of any
+    core neighbour, without ``min_index_border``)."""
     n = X.shape[0]
     w = np.ones(n) if weights is None else weights
     pairs = cKDTree(X).query_pairs(eps, output_type="ndarray")
@@ -70,10 +73,12 @@ def _check_contract(X, eps, minpts, weights, labels, is_core):
     anchor = np.where(core[i], i, j)[cross]
     np.minimum.at(first_core, border, anchor)
     for p in np.flatnonzero(~core):
-        if first_core[p] < n:
+        if first_core[p] == n:
+            assert labels[p] == -1, p
+        elif min_index_border:
             assert labels[p] == labels[first_core[p]], p
         else:
-            assert labels[p] == -1, p
+            assert labels[p] in labels[anchor[border == p]], p
 
 
 def _dense_lattice_points() -> np.ndarray:
@@ -211,14 +216,13 @@ def delivered(monkeypatch):
 def test_noise_heavy_contract_across_knobs(chunk_size, delivered):
     weights = np.where(np.arange(X_SPARSE.shape[0]) % 3 == 0, 2.0, 1.0)
     reference = {}
-    for algorithm, minpts, pair_buffer, use_mask, weighted in itertools.product(
-        (fdbscan, fdbscan_densebox), (3, 5, 8), (None, DEFAULT_PAIR_BUFFER),
-        (True, False), (False, True),
+    for algorithm, minpts, use_mask, weighted in itertools.product(
+        (fdbscan, fdbscan_densebox), (3, 5, 8), (True, False), (False, True),
     ):
         w = weights if weighted else None
         res = algorithm(
             X_SPARSE, SPACING, minpts, chunk_size=chunk_size,
-            pair_buffer=pair_buffer, use_mask=use_mask, sample_weight=w,
+            use_mask=use_mask, sample_weight=w,
         )
         _check_contract(X_SPARSE, SPACING, minpts, w, res.labels, res.is_core)
         ref = reference.setdefault((weighted, minpts), res)
@@ -229,6 +233,30 @@ def test_noise_heavy_contract_across_knobs(chunk_size, delivered):
         _check_contract(X_SPARSE, SPACING, minpts, None, res.labels, res.is_core)
         np.testing.assert_array_equal(res.labels, reference[False, minpts].labels)
     # Pairs of two non-core points never reach the resolver.
+    assert delivered
+    for x, y, core in delivered:
+        assert (core[x] | core[y]).all()
+
+
+@pytest.mark.parametrize("n_ranks", [1, 2, 3, 7])
+@pytest.mark.parametrize("data", ["ties", "lattice", "sparse"])
+def test_distributed_contract_on_lattices(data, n_ranks, delivered):
+    # Every rank runs the shared pruned main phase over its owned and
+    # ghost rows.  Its border points pick their minimum core neighbour in
+    # local row order, so only a single rank (rows in input order) must
+    # reproduce FDBSCAN's labels byte for byte.
+    X = {"ties": X_TIES, "lattice": X_DENSE, "sparse": X_SPARSE}[data]
+    for minpts in (1, 2, 3, 5, 8):
+        res = distributed_dbscan(X, SPACING, minpts, n_ranks=n_ranks)
+        _check_contract(
+            X, SPACING, minpts, None, res.labels, res.is_core,
+            min_index_border=n_ranks == 1,
+        )
+        if n_ranks == 1:
+            ref = fdbscan(X, SPACING, minpts)
+            np.testing.assert_array_equal(res.labels, ref.labels)
+            np.testing.assert_array_equal(res.is_core, ref.is_core)
+    # Pairs of two non-core points never reach a rank's resolver.
     assert delivered
     for x, y, core in delivered:
         assert (core[x] | core[y]).all()
@@ -341,19 +369,22 @@ def test_spread_epochs_keep_shared_positions_together():
 
 def test_component_mask_ledger_freed_when_main_phase_aborts():
     X = np.random.default_rng(3).normal(0.0, 0.05, (300, 2))
-    calls = []
-    fdbscan(X, 0.05, 5, device=Device(), watchdog=lambda: calls.append(1))
 
     class Abort(Exception):
         pass
 
-    def watchdog():
-        calls.pop()
-        if len(calls) == 1:  # the last poll, inside the main phase
-            raise Abort
+    for algorithm in (fdbscan, fdbscan_densebox):
+        calls = []
+        algorithm(X, 0.05, 5, device=Device(), watchdog=lambda: calls.append(1))
 
-    dev = Device()
-    with pytest.raises(Abort):
-        fdbscan(X, 0.05, 5, device=dev, watchdog=watchdog)
-    assert dev.memory.peak_by_tag["components"] > 0
-    assert dev.memory.live_by_tag["components"] == 0
+        def watchdog():
+            calls.pop()
+            if len(calls) == 1:  # the last poll, inside the main phase
+                raise Abort
+
+        dev = Device()
+        with pytest.raises(Abort):
+            algorithm(X, 0.05, 5, device=dev, watchdog=watchdog)
+        for tag in ("components", "labels"):
+            assert dev.memory.peak_by_tag[tag] > 0, (algorithm, tag)
+            assert dev.memory.live_by_tag[tag] == 0, (algorithm, tag)

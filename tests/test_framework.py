@@ -3,7 +3,7 @@ the CAS border attachment and its no-bridging guarantee."""
 
 import numpy as np
 
-from repro.core.framework import attach_border, resolve_pairs
+from repro.core.framework import PairResolver, attach_border
 from repro.device.device import Device
 from repro.unionfind.ecl import EclUnionFind
 
@@ -42,36 +42,43 @@ class TestAttachBorder:
 
 
 class TestResolvePairs:
+    """Algorithm 3's per-edge rule, as :class:`PairResolver` applies it:
+    border points attach when the stream is finalised."""
+
+    @staticmethod
+    def _resolve(uf, is_core, x, y, device=None):
+        resolver = PairResolver(uf, is_core, device=device)
+        resolver.add(np.asarray(x), np.asarray(y))
+        resolver.finalize()
+        return resolver
+
     def test_core_core_unions(self):
         uf = EclUnionFind(4)
         is_core = np.array([True, True, False, False])
-        resolve_pairs(uf, is_core, np.array([0]), np.array([1]))
+        self._resolve(uf, is_core, [0], [1])
         assert uf.find(np.array([0]))[0] == uf.find(np.array([1]))[0]
 
     def test_core_noncore_attaches_either_orientation(self):
-        for orientation in ("xy", "yx"):
+        for x, y in (([0], [1]), ([1], [0])):
             uf = EclUnionFind(3)
             is_core = np.array([True, False, True])
-            if orientation == "xy":
-                resolve_pairs(uf, is_core, np.array([0]), np.array([1]))
-            else:
-                resolve_pairs(uf, is_core, np.array([1]), np.array([0]))
+            self._resolve(uf, is_core, x, y)
             labels = uf.finalize()
-            assert labels[1] == labels[0], orientation
+            assert labels[1] == labels[0], (x, y)
 
     def test_noncore_pair_ignored(self):
         uf = EclUnionFind(2)
-        resolve_pairs(uf, np.array([False, False]), np.array([0]), np.array([1]))
+        self._resolve(uf, np.array([False, False]), [0], [1])
         assert uf.n_sets() == 2
 
     def test_mixed_batch(self):
         uf = EclUnionFind(6)
         is_core = np.array([True, True, True, False, False, False])
-        resolve_pairs(
+        self._resolve(
             uf,
             is_core,
-            np.array([0, 1, 3, 4]),
-            np.array([1, 2, 2, 5]),  # core-core, core-core, border-core, border-border
+            [0, 1, 3, 4],
+            [1, 2, 2, 5],  # core-core, core-core, border-core, border-border
         )
         labels = uf.finalize()
         assert labels[0] == labels[1] == labels[2] == labels[3]
@@ -81,24 +88,33 @@ class TestResolvePairs:
         dev = Device()
         uf = EclUnionFind(4, device=dev)
         is_core = np.array([True, True, True, False])
-        resolve_pairs(uf, is_core, np.array([0, 0]), np.array([1, 3]), dev)
+        self._resolve(uf, is_core, [0, 0], [1, 3], dev)
         assert dev.counters.pairs_processed == 2
         assert dev.counters.union_ops == 1
-        assert dev.counters.cas_attempts >= 1
+        # One attachment per border point: the commit never loses a CAS.
+        assert dev.counters.cas_attempts == 1
         assert dev.counters.cas_successes == 1
 
     def test_attached_border_never_unioned_through(self):
         # Even if a border point appears in many pairs with cores from
         # different clusters, the clusters remain separate (the paper's
-        # bridging effect is prevented).
+        # bridging effect is prevented), and each border point joins the
+        # cluster of its minimum-index core neighbour.
         uf = EclUnionFind(7)
         is_core = np.array([True, True, True, True, False, False, False])
         uf.union(np.array([0]), np.array([1]))
         uf.union(np.array([2]), np.array([3]))
+        resolver = PairResolver(uf, is_core)
         rng = np.random.default_rng(0)
+        seen = {4: set(), 5: set(), 6: set()}
         for _ in range(5):
             cores = rng.choice([0, 1, 2, 3], size=6)
             borders = rng.choice([4, 5, 6], size=6)
-            resolve_pairs(uf, is_core, cores, borders)
+            resolver.add(cores, borders)
+            for c, b in zip(cores, borders):
+                seen[int(b)].add(int(c))
+        resolver.finalize()
         labels = uf.finalize()
         assert labels[0] != labels[2]
+        for border, cores in seen.items():
+            assert labels[border] == labels[min(cores)]

@@ -11,15 +11,18 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.spatial import cKDTree
 
 from repro.bvh.aabb import boxes_from_points
 from repro.bvh.builder import build_bvh
 from repro.bvh.traversal import count_within
 from repro.core.densebox import fdbscan_densebox
 from repro.core.fdbscan import fdbscan
+from repro.core.framework import PairResolver
 from repro.core.index import DBSCANIndex
 from repro.device.device import Device
 from repro.device.primitives import scatter_add
+from repro.unionfind.ecl import EclUnionFind
 
 ALGORITHMS = {"fdbscan": fdbscan, "fdbscan-densebox": fdbscan_densebox}
 
@@ -68,19 +71,45 @@ class TestChunkAndBufferParity:
             np.testing.assert_array_equal(result.is_core, baseline.is_core)
             assert _invariant_counters(dev) == _invariant_counters(dev0)
 
-    @pytest.mark.parametrize("name", sorted(ALGORITHMS))
     @given(seed=st.integers(0, 10_000))
     @settings(max_examples=10, deadline=None)
-    def test_labels_and_pairs_identical_across_buffering(self, name, seed):
-        algo = ALGORITHMS[name]
+    def test_resolver_labels_identical_across_flushes(self, seed):
+        # The same pairs, in the same batches, flushed after every batch,
+        # after every 64 pairs and once at the end: union-find batch
+        # boundaries change neither the labels nor the union/CAS work.
         X = _mixed_points(seed, 120)
-        dev0 = Device()
-        baseline = algo(X, 0.1, 5, device=dev0, pair_buffer=None)
-        for buffer_pairs in (1, 64, 1 << 16):
+        rng = np.random.default_rng(seed)
+        pairs = cKDTree(X).query_pairs(0.1, output_type="ndarray")
+        pairs = rng.permutation(pairs)
+        flip = rng.random(pairs.shape[0]) < 0.5
+        pairs[flip] = pairs[flip, ::-1]
+        degree = np.bincount(pairs.ravel(), minlength=X.shape[0])
+        is_core = degree + 1 >= 5
+        cuts = np.cumsum(rng.integers(1, 17, size=pairs.shape[0]))
+        batches = np.split(pairs, cuts[cuts < pairs.shape[0]])
+
+        def resolve(flush_every):
             dev = Device()
-            result = algo(X, 0.1, 5, device=dev, pair_buffer=buffer_pairs)
-            np.testing.assert_array_equal(result.labels, baseline.labels)
-            assert _invariant_counters(dev) == _invariant_counters(dev0)
+            uf = EclUnionFind(X.shape[0], device=dev)
+            resolver = PairResolver(uf, is_core, device=dev)
+            held = 0
+            for batch in batches:
+                resolver.add(batch[:, 0], batch[:, 1])
+                held += batch.shape[0]
+                if flush_every is not None and held >= flush_every:
+                    resolver.flush()
+                    held = 0
+            resolver.finalize()
+            snap = dev.counters.snapshot()
+            work = {k: snap[k] for k in ("pairs_processed", "union_ops", "cas_attempts", "cas_successes")}
+            return uf.finalize().copy(), work
+
+        labels, work = resolve(None)
+        assert work["pairs_processed"] == pairs.shape[0]
+        for flush_every in (1, 64):
+            other_labels, other_work = resolve(flush_every)
+            np.testing.assert_array_equal(other_labels, labels)
+            assert other_work == work
 
 
 class TestBinningCache:

@@ -319,7 +319,8 @@ class TestServiceLoop:
     def test_device_ledger_holds_only_live_trees(self):
         # A mutation discards the index's tree and a dropped index frees
         # its tree, so the service device's "bvh" bytes are exactly those
-        # of the trees still in use, however long the churn.
+        # of the trees still in use, however long the churn; no "labels"
+        # bytes outlive their request.
         svc = ClusteringService()
         for name, seed in (("a", 0), ("b", 1)):
             svc.handle({"op": "create_index", "index": name, "points": _points(seed, 120).tolist()})
@@ -341,6 +342,9 @@ class TestServiceLoop:
         live = sum(si.tree.nbytes() for si in svc.indexes.values() if si.tree is not None)
         assert live > 0
         assert svc.device.memory.live_by_tag["bvh"] == live
+        # Each cluster request's union-find is returned to the ledger.
+        assert svc.device.memory.peak_by_tag["labels"] > 0
+        assert svc.device.memory.live_by_tag["labels"] == 0
 
     def test_replay_detects_divergence(self, tmp_path):
         path = str(tmp_path / "svc.jsonl")
