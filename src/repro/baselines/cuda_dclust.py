@@ -82,35 +82,38 @@ def cuda_dclust(
         owner[unclaimed] = chain
         return fresh
 
-    while True:
-        seeds = []
-        while next_seed < n and len(seeds) < chains_per_round:
-            if is_core[next_seed] and owner[next_seed] == _UNOWNED:
-                seeds.append(next_seed)
-            next_seed += 1
-        if not seeds:
-            break
-        with dev.kernel("dclust_chains", threads=len(seeds)) as launch:
-            levels = 0
-            for seed in seeds:
-                chain = chain_count
-                chain_count += 1
-                if owner[seed] != _UNOWNED:
-                    # Raced within the round: an earlier chain claimed the
-                    # seed; record the contact and move on.
-                    collisions.add(
-                        (min(chain, int(owner[seed])), max(chain, int(owner[seed])))
-                    )
-                    continue
-                owner[seed] = chain
-                frontier = np.array([seed], dtype=np.int64)
-                while frontier.size:
-                    levels += 1
-                    frontier = expand_level(frontier, chain)
-            launch.steps = levels
-
-    # The original keeps a chains x chains byte matrix on the device.
-    dev.memory.allocate(max(chain_count, 1) ** 2, tag="collision_matrix")
+    try:
+        while True:
+            seeds = []
+            while next_seed < n and len(seeds) < chains_per_round:
+                if is_core[next_seed] and owner[next_seed] == _UNOWNED:
+                    seeds.append(next_seed)
+                next_seed += 1
+            if not seeds:
+                break
+            with dev.kernel("dclust_chains", threads=len(seeds)) as launch:
+                levels = 0
+                for seed in seeds:
+                    chain = chain_count
+                    chain_count += 1
+                    if owner[seed] != _UNOWNED:
+                        # Raced within the round: an earlier chain claimed the
+                        # seed; record the contact and move on.
+                        collisions.add(
+                            (min(chain, int(owner[seed])), max(chain, int(owner[seed])))
+                        )
+                        continue
+                    owner[seed] = chain
+                    frontier = np.array([seed], dtype=np.int64)
+                    while frontier.size:
+                        levels += 1
+                        frontier = expand_level(frontier, chain)
+                launch.steps = levels
+        # The original keeps a chains x chains byte matrix on the device.
+        dev.memory.allocate(max(chain_count, 1) ** 2, tag="collision_matrix")
+    finally:
+        # What remains runs on the host.
+        dev.memory.free(owner.nbytes, tag="labels")
     dev.counters.add("union_ops", len(collisions))
 
     # Host-side resolution: merge colliding chains.

@@ -10,8 +10,9 @@ and lets dense regions be resolved per-cell instead of per-point.
 
 Phases:
 
-1. **decompose** — grid, dense cells, mixed primitives
-   (:func:`repro.grid.dense_cells.decompose`);
+1. **decompose** — the eps grid binning (cached per ``eps`` by the
+   index), then, per fit, the dense cells, the mixed primitives
+   (:func:`repro.grid.dense_cells.threshold_binning`) and their tree;
 2. **preprocessing** — only isolated points need a core test; their
    batched traversal counts isolated-point hits directly and counts the
    members of hit dense boxes within ``eps``, terminating at ``minpts``.
@@ -25,8 +26,8 @@ Phases:
    standard core/border rule; a dense-box hit needs only *one* member
    within ``eps``, after which the query is unioned into (or, if
    non-core, attached to) the cell's cluster.  Step (b) skips objects
-   already in the query's cluster, as FDBSCAN's main phase does
-   (:func:`repro.core.framework.pruned_main_phase`): it runs in refresh
+   already in the query's cluster, through FDBSCAN's main phase
+   (:func:`repro.core.framework.main_phase`): it runs in refresh
    epochs in spread order, and before each epoch every primitive takes
    the component of a representative point (an isolated point its own,
    a box its cell's first member, which (a) joined to every other).  A
@@ -61,10 +62,12 @@ import time
 
 import numpy as np
 
+from repro.bvh.builder import build_bvh, release_bvh
 from repro.bvh.traversal import DEFAULT_CHUNK_SIZE, chunk_plan, polled, run_chunks
-from repro.core.framework import PairResolver, pruned_main_phase
+from repro.bvh.tree import BVH
+from repro.core.framework import PairResolver, main_phase
 from repro.core.index import DBSCANIndex
-from repro.core.labels import DBSCANResult, finalize_clusters
+from repro.core.labels import DBSCANResult
 from repro.core.validation import validate_params, validate_points, validate_weights
 from repro.device.device import Device, default_device
 from repro.device.primitives import (
@@ -72,8 +75,7 @@ from repro.device.primitives import (
     scatter_add,
     segment_ids_from_counts,
 )
-from repro.grid.dense_cells import DenseDecomposition
-from repro.unionfind.ecl import EclUnionFind
+from repro.grid.dense_cells import DenseDecomposition, threshold_binning
 
 
 def _scan_cells(
@@ -152,6 +154,98 @@ def _scan_cells(
     return starts, cnts, hit[o], slot[o]
 
 
+def _isolated_counts(
+    X: np.ndarray,
+    eps: float,
+    minpts: int,
+    deco: DenseDecomposition,
+    tree: BVH,
+    dev: Device,
+    weights: np.ndarray | None,
+    early_exit: bool,
+    chunk_size: int,
+    watchdog,
+) -> np.ndarray:
+    """Neighbour counts (summed weights, if weighted) of the isolated
+    points, by one ``densebox_preprocess`` traversal of the mixed tree;
+    with ``early_exit`` a count stops once it reaches ``minpts``."""
+    queries = X[deco.isolated_idx]
+    cell_pts = X[deco.members]
+    counts = np.zeros(
+        deco.n_isolated, dtype=np.int64 if weights is None else np.float64
+    )
+
+    def pre_hits(q_ids: np.ndarray, leaf_pos: np.ndarray) -> None:
+        prim = tree.order[leaf_pos]
+        box = deco.prim_is_box[prim]
+        pt_hits = ~box
+        if pt_hits.any():
+            # A point-primitive hit already passed the (exact,
+            # degenerate-box) distance test; the query's own
+            # primitive contributes its self-count here.
+            if weights is None:
+                scatter_add(counts, q_ids[pt_hits], counters=dev.counters)
+            else:
+                scatter_add(
+                    counts,
+                    q_ids[pt_hits],
+                    weights[deco.prim_point[prim[pt_hits]]],
+                    counters=dev.counters,
+                )
+            dev.counters.add("distance_evals", int(pt_hits.sum()))
+        if box.any():
+            qb = q_ids[box]
+            ranks = deco.prim_point[prim[box]]
+            quota = None
+            if early_exit and weights is None:
+                # Members past minpts cannot change is_core.
+                uq, owner = np.unique(qb, return_inverse=True)
+                quota = (owner, minpts - counts[uq])
+            starts, cnts, hit, slot = _scan_cells(
+                cell_pts, deco, queries[qb], ranks, eps * eps,
+                first_only=False, quota=quota,
+            )
+            values = None
+            if weights is not None:  # added one by one, in scan order
+                values = weights[deco.members[starts[hit] + slot]]
+            scatter_add(counts, qb[hit], values)
+            # The kernel tests and scatters every member of every hit
+            # cell; charge that, not the host's shortcut.
+            dev.counters.add("scatter_adds", int(cnts.sum()))
+            dev.counters.add("distance_evals", int(cnts.sum()))
+
+    finished_fn = None
+    if early_exit:
+
+        def finished_fn(ids: np.ndarray) -> np.ndarray:
+            return counts[ids] >= minpts
+
+    contained = None
+    if weights is None:
+        # A subtree inside a query's ball credits its members
+        # whole: one per point leaf, a cell's count per box leaf.
+        sizes = np.ones(tree.n_primitives, dtype=np.int64)
+        sizes[deco.n_isolated :] = deco.cell_counts[deco.dense_cells]
+        prefix = np.zeros(tree.n_primitives + 1, dtype=np.int64)
+        np.cumsum(sizes[tree.order], out=prefix[1:])
+        contained = (counts, prefix)
+    if watchdog is not None:
+        watchdog()
+    run_chunks(
+        tree,
+        queries,
+        eps,
+        chunk_plan(queries.shape[0], chunk_size),
+        pre_hits,
+        finished_fn=polled(finished_fn, watchdog),
+        device=dev,
+        kernel_name="densebox_preprocess",
+        leaf_test_is_distance=False,
+        contained=contained,
+    )
+    return counts
+
+
 def fdbscan_densebox(
     X: np.ndarray,
     eps: float,
@@ -171,16 +265,19 @@ def fdbscan_densebox(
     member weight, and the all-members-core guarantee carries over;
     ``chunk_size`` is the same output-preserving scheduling lever, and
     ``watchdog`` is polled per wavefront step in both traversals).  The
-    main phase runs in its refresh epochs.  ``info`` additionally carries ``dense_fraction`` (share of points
-    inside dense cells — the regime indicator the paper reports),
-    ``n_dense_cells`` and ``total_cells`` (the virtual grid size).
+    main phase runs in its refresh epochs.  ``info`` additionally carries
+    ``dense_fraction`` (share of points inside dense cells — the regime
+    indicator the paper reports), ``n_dense_cells`` and ``total_cells``
+    (the virtual grid size).
 
-    A prebuilt ``index`` caches *dense decompositions + mixed trees* keyed
-    by ``(eps, minpts, weights)`` — unlike FDBSCAN's parameter-free points
-    tree, the DenseBox index depends on the parameters, so reuse only
-    pays when the same cell is revisited (e.g. two algorithm aliases in a
-    sweep).  Warm entries replay their recorded build cost onto
-    ``device``; the index used is returned in ``info["index"]``.
+    A prebuilt ``index`` lends the fit its cached eps binning
+    (:meth:`~repro.core.index.DBSCANIndex.grid_binning`): the first fit
+    at an ``eps`` bins the points live, and a later one replays the
+    recorded cost onto ``device`` instead, so ``info["index_reused"]``
+    means the binning was replayed.  The dense cells and the mixed tree
+    depend on ``minpts`` and the weights, so every fit builds them live
+    and returns their ``"grid"`` and ``"bvh"`` bytes to the ledger when
+    it ends.  The index used is returned in ``info["index"]``.
     """
     X = validate_points(X)
     eps, minpts = validate_params(eps, min_samples)
@@ -193,132 +290,56 @@ def fdbscan_densebox(
 
     weights = None if sample_weight is None else validate_weights(sample_weight, n)
 
-    # --- decomposition + tree over the mixed primitive set ------------------
+    # --- grid binning, dense cells and the mixed tree -----------------------
     t0 = time.perf_counter()
     if index is None:
         index = DBSCANIndex(X)
     else:
         index.check_points(X)
-    deco, tree, reused = index.dense_decomposition(
-        eps, minpts, device=dev, sample_weight=weights
-    )
-    order = tree.order
-    cell_pts = X[deco.members]
-    t1 = time.perf_counter()
-    info["t_build"] = t1 - t0
-    info["index"] = index
-    info["index_reused"] = reused
-    info["dense_fraction"] = deco.dense_fraction()
-    info["n_dense_cells"] = deco.n_dense
-    info["total_cells"] = deco.grid.total_cells
-
-    # --- preprocessing: core status ------------------------------------------
-    is_core: np.ndarray | None
-    active = None
-    if weights is None and minpts == 2:
-        is_core = None
-        resolution_core = np.ones(n, dtype=bool)
-    else:
-        is_core = np.zeros(n, dtype=bool)
-        is_core[deco.is_dense_point] = True  # dense-cell points are core by construction
-        if weights is None and minpts == 1:
-            is_core[:] = True  # every point is its own neighbour
-        elif deco.n_isolated:
-            queries = X[deco.isolated_idx]
-            counts = np.zeros(
-                deco.n_isolated, dtype=np.int64 if weights is None else np.float64
-            )
-
-            def pre_hits(q_ids: np.ndarray, leaf_pos: np.ndarray) -> None:
-                prim = order[leaf_pos]
-                box = deco.prim_is_box[prim]
-                pt_hits = ~box
-                if pt_hits.any():
-                    # A point-primitive hit already passed the (exact,
-                    # degenerate-box) distance test; the query's own
-                    # primitive contributes its self-count here.
-                    if weights is None:
-                        scatter_add(counts, q_ids[pt_hits], counters=dev.counters)
-                    else:
-                        scatter_add(
-                            counts,
-                            q_ids[pt_hits],
-                            weights[deco.prim_point[prim[pt_hits]]],
-                            counters=dev.counters,
-                        )
-                    dev.counters.add("distance_evals", int(pt_hits.sum()))
-                if box.any():
-                    qb = q_ids[box]
-                    ranks = deco.prim_point[prim[box]]
-                    quota = None
-                    if early_exit and weights is None:
-                        # Members past minpts cannot change is_core.
-                        uq, owner = np.unique(qb, return_inverse=True)
-                        quota = (owner, minpts - counts[uq])
-                    starts, cnts, hit, slot = _scan_cells(
-                        cell_pts, deco, queries[qb], ranks, eps2,
-                        first_only=False, quota=quota,
-                    )
-                    values = None
-                    if weights is not None:  # added one by one, in scan order
-                        values = weights[deco.members[starts[hit] + slot]]
-                    scatter_add(counts, qb[hit], values)
-                    # The kernel tests and scatters every member of every hit
-                    # cell; charge that, not the host's shortcut.
-                    dev.counters.add("scatter_adds", int(cnts.sum()))
-                    dev.counters.add("distance_evals", int(cnts.sum()))
-
-            finished_fn = None
-            if early_exit:
-
-                def finished_fn(ids: np.ndarray) -> np.ndarray:
-                    return counts[ids] >= minpts
-
-            contained = None
-            if weights is None:
-                # A subtree inside a query's ball credits its members
-                # whole: one per point leaf, a cell's count per box leaf.
-                sizes = np.ones(tree.n_primitives, dtype=np.int64)
-                sizes[deco.n_isolated :] = deco.cell_counts[deco.dense_cells]
-                prefix = np.zeros(tree.n_primitives + 1, dtype=np.int64)
-                np.cumsum(sizes[order], out=prefix[1:])
-                contained = (counts, prefix)
-            if watchdog is not None:
-                watchdog()
-            run_chunks(
-                tree,
-                queries,
-                eps,
-                chunk_plan(queries.shape[0], chunk_size),
-                pre_hits,
-                finished_fn=polled(finished_fn, watchdog),
-                device=dev,
-                kernel_name="densebox_preprocess",
-                leaf_test_is_distance=False,
-                contained=contained,
-            )
-            is_core[deco.isolated_idx] = counts >= minpts
-            if weights is None:
-                active = np.ones(n, dtype=bool)
-                active[deco.isolated_idx] = counts > 1
-            if not early_exit:
-                info["isolated_core_counts"] = counts
-        resolution_core = is_core
-    t2 = time.perf_counter()
-    info["t_preprocess"] = t2 - t1
-
-    # --- main phase ------------------------------------------------------------
-    uf = EclUnionFind(n, device=dev)
+    binning, reused = index.grid_binning(eps, device=dev)
+    deco = threshold_binning(X, binning, minpts, device=dev, sample_weight=weights)
+    tree = None
     try:
-        resolver = PairResolver(uf, resolution_core, device=dev)
+        tree = build_bvh(deco.prim_lo, deco.prim_hi, device=dev)
+        order = tree.order
+        cell_pts = X[deco.members]
+        t1 = time.perf_counter()
+        info["t_build"] = t1 - t0
+        info["index"] = index
+        info["index_reused"] = reused
+        info["dense_fraction"] = deco.dense_fraction()
+        info["n_dense_cells"] = deco.n_dense
+        info["total_cells"] = deco.grid.total_cells
 
+        # --- preprocessing: core status ------------------------------------------
+        is_core: np.ndarray | None
+        active = None
+        if weights is None and minpts == 2:
+            is_core = None
+        else:
+            is_core = np.zeros(n, dtype=bool)
+            is_core[deco.is_dense_point] = True  # dense-cell points are core by construction
+            if weights is None and minpts == 1:
+                is_core[:] = True  # every point is its own neighbour
+            elif deco.n_isolated:
+                counts = _isolated_counts(
+                    X, eps, minpts, deco, tree, dev, weights, early_exit, chunk_size, watchdog
+                )
+                is_core[deco.isolated_idx] = counts >= minpts
+                if weights is None:
+                    active = np.ones(n, dtype=bool)
+                    active[deco.isolated_idx] = counts > 1
+                if not early_exit:
+                    info["isolated_core_counts"] = counts
+        t2 = time.perf_counter()
+        info["t_preprocess"] = t2 - t1
+
+        # --- main phase ------------------------------------------------------------
         # (a) union all points within each dense cell.  A box primitive's
         # representative is its cell's first member; an isolated point is its own.
         starts, cnts = deco.dense_members(np.arange(deco.n_dense))
         firsts = deco.members[starts]
         rest = deco.members[concatenated_ranges(starts + 1, cnts - 1)]
-        uf.union(np.repeat(firsts, cnts - 1), rest)
-        prim_rep = np.concatenate([deco.isolated_idx, firsts])
 
         # (b) every point against the mixed tree, skipping primitives already
         # in its component: its own point or box among them.
@@ -329,7 +350,7 @@ def fdbscan_densebox(
             deco.cell_of_point[dense_pts]
         ]
 
-        def main_hits(q_ids: np.ndarray, leaf_pos: np.ndarray) -> None:
+        def main_hits(resolver: PairResolver, q_ids: np.ndarray, leaf_pos: np.ndarray) -> None:
             prim = order[leaf_pos]
             box = deco.prim_is_box[prim]
             pt_hits = ~box
@@ -350,34 +371,33 @@ def fdbscan_densebox(
                 dev.counters.add("distance_evals", int(evals.sum()))
                 if not hit.size:
                     return
-                # The member is a dense-cell point, hence core: a core query is
-                # unioned into the cell's cluster, a non-core query becomes a
-                # border candidate of it — both are exactly the resolver's
+                # The member is a dense-cell point, hence core: a core query
+                # is unioned into the cell's cluster, a non-core query becomes
+                # a border candidate of it — both are exactly the resolver's
                 # per-edge rule for a (query, core member) pair.
                 resolver.add(qb[hit], deco.members[starts[hit] + slot])
 
-        pruned_main_phase(
+        return main_phase(
             tree,
             X,
             eps,
-            resolver,
-            main_hits,
-            positions=tree.position[prim_of_point],
-            prim_rep=prim_rep,
+            is_core,
+            dev,
+            "densebox_main",
+            info,
             use_mask=use_mask,
-            device=dev,
-            kernel_name="densebox_main",
             active=active,
+            hits=main_hits,
+            positions=tree.position[prim_of_point],
+            prim_rep=np.concatenate([deco.isolated_idx, firsts]),
+            unions=(np.repeat(firsts, cnts - 1), rest),
             leaf_test_is_distance=False,
             chunk_size=chunk_size,
             watchdog=watchdog,
         )
-        resolver.finalize()
-        t3 = time.perf_counter()
-        info["t_main"] = t3 - t2
-
-        labels, core_mask, n_clusters = finalize_clusters(uf.parents, is_core, dev.counters)
     finally:
-        uf.release()
-    info["t_finalize"] = time.perf_counter() - t3
-    return DBSCANResult(labels=labels, is_core=core_mask, n_clusters=n_clusters, info=info)
+        # The mixed tree and the dense cells live for one fit; the eps
+        # binning stays cached in the index.
+        if tree is not None:
+            release_bvh(tree, dev)
+        dev.memory.free(deco.nbytes() - binning.nbytes(), "grid")

@@ -15,12 +15,12 @@ framework with one thread (query) per point:
   Union-Find operations.
 
 The main phase also skips pairs that are already joined, and pairs of
-two non-core points (:func:`repro.core.framework.point_main_phase`,
-shared with the minpts sweep and the distributed ranks, over the loop
-DenseBox shares).  It runs under the traversal's component mask: a
-query never sees a leaf of its own union-find component, and a subtree
-whose points all lie in the query's component is pruned without
-descending; every non-core point shares one sentinel component.  On
+two non-core points (:func:`repro.core.framework.main_phase`, shared
+with DenseBox, the minpts sweep and the distributed ranks).  It runs
+under the traversal's component mask: a query never sees a leaf of its
+own union-find component, and a subtree whose points all lie in the
+query's component is pruned without descending; every non-core point
+shares one sentinel component.  On
 dense data nearly every pair joins two points already in one cluster,
 so this removes most of the phase's distance tests and unions; on
 sparse data most points are noise, and noise queries see core leaves
@@ -52,7 +52,7 @@ import time
 import numpy as np
 
 from repro.bvh.traversal import DEFAULT_CHUNK_SIZE, count_within
-from repro.core.framework import point_main_phase
+from repro.core.framework import main_phase
 from repro.core.index import DBSCANIndex
 from repro.core.labels import DBSCANResult
 from repro.core.validation import validate_params, validate_points, validate_weights
@@ -173,7 +173,7 @@ def fdbscan(
     info["t_preprocess"] = t2 - t1
 
     # --- main phase: fused traversal + union-find, then finalisation --------
-    return point_main_phase(
+    return main_phase(
         tree,
         X,
         eps,

@@ -30,25 +30,26 @@ attachment with a commutative scatter-min over candidate core
 neighbours, making the final labels independent of pair arrival order —
 and hence identical across chunk sizes and batch boundaries.
 
-:func:`pruned_main_phase` is the main-phase loop over a tree: it feeds a
-:class:`PairResolver` while skipping pairs whose ends the union-find has
-already joined, and, as Wang, Gu & Shun's parallel DBSCAN does, every
-pair of two non-core points (the "neither core" case above), which can
-change nothing.  Both cuts are exact, so the labels equal the unpruned
-phase's.  :func:`point_main_phase` is that loop over a tree of points,
-from the union-find to the labels: FDBSCAN, the minpts sweep and every
-distributed rank call it; DenseBox, whose hits are boxes, calls
-:func:`pruned_main_phase` directly.
+:func:`main_phase` is the main phase of every tree DBSCAN, from a fresh
+union-find to the labels: FDBSCAN, FDBSCAN-DenseBox, the minpts sweep
+and every distributed rank call it.  It runs the tree traversal under a
+component mask that skips pairs whose ends the union-find has already
+joined and, as Wang, Gu & Shun's parallel DBSCAN does, every pair of two
+non-core points (the "neither core" case above), which can change
+nothing.  Both cuts are exact, so the labels equal the unpruned phase's.
+The algorithms differ only in their primitives: FDBSCAN's leaves are
+points, DenseBox's are isolated points and dense-cell boxes, whose hits
+it turns into pairs itself.
 """
 
 from __future__ import annotations
 
 import time
+from typing import Callable
 
 import numpy as np
 
 from repro.bvh.traversal import (
-    LeafCallback,
     for_each_leaf_hit,
     refresh_node_components,
     spread_epochs,
@@ -198,41 +199,59 @@ class PairResolver:
         pending = np.flatnonzero(self._border_min < self._n)
         if pending.size:
             attach_border(self.uf, self._border_min[pending], pending, self.dev)
-        self.dev.memory.free(self._border_min.nbytes, "border")
+        self.release()
+
+    def release(self) -> None:
+        """Return the ``"border"`` bytes to the device ledger, once.
+
+        :meth:`finalize` calls it; a main phase that aborts calls it
+        instead, resolving nothing.
+        """
+        if self._border_min is not None:
+            self.dev.memory.free(self._border_min.nbytes, "border")
+            self._border_min = None
 
 
-def pruned_main_phase(
+def main_phase(
     tree: BVH,
     X: np.ndarray,
     eps: float,
-    resolver: PairResolver,
-    on_hits: LeafCallback,
-    positions: np.ndarray,
-    prim_rep: np.ndarray,
-    use_mask: bool,
+    is_core: np.ndarray | None,
     device: Device,
     kernel_name: str,
+    info: dict,
+    use_mask: bool = True,
     active: np.ndarray | None = None,
+    hits: Callable[[PairResolver, np.ndarray, np.ndarray], None] | None = None,
+    positions: np.ndarray | None = None,
+    prim_rep: np.ndarray | None = None,
+    unions: tuple[np.ndarray, np.ndarray] | None = None,
     **traversal_kwargs,
-) -> None:
-    """Run a main phase that skips pairs already joined, and pairs of two
-    non-core points.
+) -> DBSCANResult:
+    """The main phase of every tree DBSCAN, from a fresh union-find to the
+    labels.  It skips pairs already joined, and pairs of two non-core
+    points.
 
-    Every point of ``X`` with ``active`` set (all, by default) queries
+    ``is_core`` is the preprocessing's core mask, or ``None`` for
+    ``minpts == 2``, where every point resolves as core and core status
+    follows from component sizes at finalisation.  A fresh
+    :class:`EclUnionFind` first takes the ``unions`` pairs, if any.  Then
+    every point of ``X`` with ``active`` set (all, by default) queries
     ``tree`` once under the component mask: a query never sees a leaf of
     its own component, and a subtree whose primitives all lie in the
     query's component is pruned without descending.  The components are
-    the union-find's, except that every non-core point (by
-    ``resolver.is_core``) shares one sentinel component ``n``: a non-core
-    query skips every non-core leaf, and every subtree holding no core
-    primitive.  ``on_hits(query_ids, leaf_positions)`` gets the surviving
-    hits, with query ids into ``X``, and feeds ``resolver``.
+    the union-find's, except that every non-core point shares one
+    sentinel component ``n``: a non-core query skips every non-core leaf,
+    and every subtree holding no core primitive.
 
-    - **Primitives.**  ``positions[q]`` is the sorted leaf position of
-      query ``q``'s own primitive; it orders the epochs and, with
-      ``use_mask``, is the leaf-index mask.  ``prim_rep[p]`` is a point
-      in primitive ``p``'s component: the point itself for a point
-      leaf, any member of a box whose members were unioned beforehand.
+    - **Primitives.**  By default the tree's leaves are the points of
+      ``X`` and each hit is a pair for the :class:`PairResolver`.  A tree
+      over other primitives passes three things.  ``hits(resolver,
+      query_ids, leaf_positions)`` turns its hits into resolver pairs.
+      ``positions[q]`` is the sorted leaf position of query ``q``'s own
+      primitive; it orders the epochs and, with ``use_mask``, is the
+      leaf-index mask.  ``prim_rep[p]`` is a point in primitive ``p``'s
+      component: any member of a box whose members ``unions`` joins.
     - **Epochs.**  The queries run in refresh epochs
       (:func:`repro.bvh.traversal.spread_epochs`), one ``kernel_name``
       launch each.  Before each epoch the pair buffer is flushed, every
@@ -261,18 +280,36 @@ def pruned_main_phase(
       396,880 to 104,923 at minpts 50.
 
     The mask arrays are charged to ``device``'s ledger as a transient
-    ``"components"`` tag.
+    ``"components"`` tag.  They, the resolver's ``"border"`` bytes and
+    the union-find's ``"labels"`` bytes are all returned to the ledger
+    when the phase ends, also when it aborts.  ``info`` gains ``t_main``
+    and ``t_finalize`` and becomes the result's ``info``;
     ``traversal_kwargs`` go to every
     :func:`~repro.bvh.traversal.for_each_leaf_hit` launch.
     """
-    uf = resolver.uf
+    t0 = time.perf_counter()
     n = X.shape[0]
+    if hits is None:
+        order = tree.order
+        positions = tree.position
+        prim_rep = np.arange(n, dtype=np.int64)
+
+        def hits(resolver: PairResolver, q_ids: np.ndarray, leaf_pos: np.ndarray) -> None:
+            # A query's own leaf is in its own component, so it never hits.
+            resolver.add(q_ids, order[leaf_pos])
+
     all_ids = np.arange(n, dtype=np.int64)
     comp = np.empty(n, dtype=np.int64)
     node_comp = np.empty(tree.node_lo.shape[0], dtype=np.int64)
     nbytes = comp.nbytes + node_comp.nbytes
+    uf = EclUnionFind(n, device=device)
+    resolver = PairResolver(
+        uf, np.ones(n, dtype=bool) if is_core is None else is_core, device
+    )
     device.memory.allocate(nbytes, "components", transient=True)
     try:
+        if unions is not None:
+            uf.union(*unions)
         for ids in spread_epochs(positions):
             if active is not None:
                 ids = ids[active[ids]]
@@ -282,7 +319,7 @@ def pruned_main_phase(
             refresh_node_components(tree, comp[prim_rep], node_comp)
 
             def epoch_hits(q: np.ndarray, leaf_pos: np.ndarray, ids=ids) -> None:
-                on_hits(ids[q], leaf_pos)
+                hits(resolver, ids[q], leaf_pos)
 
             for_each_leaf_hit(
                 tree,
@@ -296,68 +333,12 @@ def pruned_main_phase(
                 node_components=node_comp,
                 **traversal_kwargs,
             )
-    finally:
-        device.memory.free(nbytes, "components")
-
-
-def point_main_phase(
-    tree: BVH,
-    X: np.ndarray,
-    eps: float,
-    is_core: np.ndarray | None,
-    device: Device,
-    kernel_name: str,
-    info: dict,
-    use_mask: bool = True,
-    active: np.ndarray | None = None,
-    **traversal_kwargs,
-) -> DBSCANResult:
-    """The main phase over a tree of points, from a fresh union-find to
-    the labels.
-
-    Every point of ``X`` with ``active`` set queries ``tree`` (built over
-    ``X``) under :func:`pruned_main_phase`; each hit's leaf is a point,
-    so the pairs go straight to a :class:`PairResolver`.  ``is_core`` is
-    the preprocessing's core mask, or ``None`` for ``minpts == 2``, where
-    every point resolves as core and core status follows from component
-    sizes at finalisation.  The union-find's ``"labels"`` bytes are
-    returned to ``device``'s ledger once the labels are built, also when
-    the phase aborts.
-
-    ``info`` gains ``t_main`` and ``t_finalize`` and becomes the result's
-    ``info``; ``traversal_kwargs`` go to every traversal launch.
-    """
-    t0 = time.perf_counter()
-    n = X.shape[0]
-    uf = EclUnionFind(n, device=device)
-    try:
-        resolver = PairResolver(
-            uf, np.ones(n, dtype=bool) if is_core is None else is_core, device
-        )
-        order = tree.order
-
-        def on_hits(q_ids: np.ndarray, leaf_pos: np.ndarray) -> None:
-            # A query's own leaf is in its own component, so it never hits.
-            resolver.add(q_ids, order[leaf_pos])
-
-        pruned_main_phase(
-            tree,
-            X,
-            eps,
-            resolver,
-            on_hits,
-            positions=tree.position,
-            prim_rep=np.arange(n, dtype=np.int64),
-            use_mask=use_mask,
-            device=device,
-            kernel_name=kernel_name,
-            active=active,
-            **traversal_kwargs,
-        )
         resolver.finalize()
         t1 = time.perf_counter()
         labels, core_mask, n_clusters = finalize_clusters(uf.parents, is_core, device.counters)
     finally:
+        device.memory.free(nbytes, "components")
+        resolver.release()
         uf.release()
     info["t_main"] = t1 - t0
     info["t_finalize"] = time.perf_counter() - t1

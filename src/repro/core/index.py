@@ -14,11 +14,10 @@ An index wraps:
 
 - the **points BVH** (tree + sorted order), shared by every FDBSCAN run
   over the same point set regardless of parameters;
-- an optional bounded cache of **dense-cell decompositions** for
-  FDBSCAN-DenseBox, keyed by ``(eps, minpts, weights)`` — the DenseBox
-  mixed tree *does* depend on the parameters, so entries are only shared
-  by runs with equal keys (e.g. the same cell swept by two algorithm
-  aliases, or repeated calls while tuning);
+- a bounded cache of **grid binnings** for FDBSCAN-DenseBox, keyed by
+  ``eps`` alone: the dense cells and the mixed tree built over them
+  depend on ``minpts`` and the weights too, so every DenseBox fit builds
+  those from the cached binning and frees them when it ends;
 - a **content fingerprint** of the validated points, so a stale index can
   never be silently applied to different data.
 
@@ -55,22 +54,11 @@ from repro.bvh.builder import build_bvh, release_bvh
 from repro.bvh.tree import BVH
 from repro.core.validation import validate_points
 from repro.device.device import Device, ReplayableCost, default_device
-from repro.grid.dense_cells import (
-    DenseDecomposition,
-    GridBinning,
-    bin_points,
-    threshold_binning,
-)
+from repro.grid.dense_cells import GridBinning, bin_points
 
-#: Default bound on cached DenseBox decompositions per index (FIFO
-#: eviction).  Each entry holds a mixed tree plus the grid CSR arrays, so
-#: the cache is kept small; sweeps revisit at most a handful of identical
-#: (eps, minpts) keys.
-DEFAULT_MAX_DENSE_ENTRIES = 4
-
-#: Default bound on cached eps-keyed grid binnings (FIFO eviction).  A
-#: binning is the minpts-independent half of a decomposition (cell ids +
-#: CSR membership), so one entry serves a whole minpts sweep at that eps.
+#: Bound on cached eps-keyed grid binnings (FIFO eviction).  A binning is
+#: the minpts-independent half of a decomposition (cell ids + CSR
+#: membership), so one entry serves a whole minpts sweep at that eps.
 DEFAULT_MAX_BINNINGS = 8
 
 
@@ -83,13 +71,6 @@ def points_fingerprint(X: np.ndarray) -> str:
     return digest.hexdigest()
 
 
-def _weights_key(weights: np.ndarray | None) -> str:
-    if weights is None:
-        return "unweighted"
-    weights = np.ascontiguousarray(weights, dtype=np.float64)
-    return hashlib.sha1(weights.tobytes()).hexdigest()
-
-
 @dataclass
 class _PointsEntry:
     tree: BVH
@@ -100,18 +81,6 @@ class _PointsEntry:
 class _BinningEntry:
     binning: GridBinning
     cost: ReplayableCost
-
-
-@dataclass
-class _DenseEntry:
-    deco: DenseDecomposition
-    tree: BVH
-    #: recorded cost of the threshold + mixed-tree stage only.
-    cost: ReplayableCost
-    #: recorded cost of the eps-binning this entry was thresholded from
-    #: (shared with the binning cache; replayed first on a warm hit so a
-    #: warm run's accounting equals a cold run's).
-    bin_cost: ReplayableCost
 
 
 class DBSCANIndex:
@@ -137,27 +106,17 @@ class DBSCANIndex:
     X:
         ``(n, d)`` points, validated exactly as the clustering entry
         points validate them.
-    max_dense_entries:
-        Bound on the cached DenseBox decompositions (FIFO eviction).
     """
 
-    def __init__(
-        self,
-        X: np.ndarray,
-        max_dense_entries: int = DEFAULT_MAX_DENSE_ENTRIES,
-        max_binnings: int = DEFAULT_MAX_BINNINGS,
-    ):
+    def __init__(self, X: np.ndarray):
         X = validate_points(X)
         self._X = X
         self.n, self.dim = X.shape
         self.fingerprint = points_fingerprint(X)
-        self.max_dense_entries = int(max_dense_entries)
-        self.max_binnings = int(max_binnings)
         self._points: _PointsEntry | None = None
         #: devices the points tree is charged to (by identity: ``Device``
         #: is an eq-dataclass, so it is unhashable).
         self._charged: list[weakref.ref] = []
-        self._dense: "OrderedDict[tuple, _DenseEntry]" = OrderedDict()
         self._binnings: "OrderedDict[float, _BinningEntry]" = OrderedDict()
         #: live grid binnings actually executed for this index.
         self.binning_builds = 0
@@ -254,17 +213,17 @@ class DBSCANIndex:
         self,
         eps: float,
         device: Device | None = None,
-    ) -> tuple[GridBinning, ReplayableCost, bool]:
+    ) -> tuple[GridBinning, bool]:
         """The eps-keyed grid binning (the minpts-independent half of a
         DenseBox decomposition).
 
-        Returns ``(binning, cost, reused)``.  Cell coordinates and the CSR
+        Returns ``(binning, reused)``.  Cell coordinates and the CSR
         membership depend only on the points and ``eps``, so one cached
         binning serves every ``minpts`` (and every sample weighting) at
         that ``eps`` — a minpts sweep re-thresholds dense cells instead of
         redecomposing.  The first call per eps bins live on ``device`` and
         records the cost; later calls replay it.  At most
-        :attr:`max_binnings` entries are kept (FIFO).
+        :data:`DEFAULT_MAX_BINNINGS` entries are kept (FIFO).
         """
         dev = default_device(device)
         key = float(eps)
@@ -273,99 +232,40 @@ class DBSCANIndex:
             self._binnings.move_to_end(key)
             dev.replay(entry.cost)
             self.binning_hits += 1
-            return entry.binning, entry.cost, True
+            return entry.binning, True
         with dev.recording() as cost:
             binning = bin_points(self._X, eps, device=dev)
         self._binnings[key] = _BinningEntry(binning=binning, cost=cost)
         self.binning_builds += 1
-        while len(self._binnings) > self.max_binnings:
+        while len(self._binnings) > DEFAULT_MAX_BINNINGS:
             self._binnings.popitem(last=False)
-        return binning, cost, False
-
-    def dense_decomposition(
-        self,
-        eps: float,
-        minpts: int,
-        device: Device | None = None,
-        sample_weight: np.ndarray | None = None,
-    ) -> tuple[DenseDecomposition, BVH, bool]:
-        """The dense-cell decomposition + mixed tree (DenseBox's index).
-
-        Returns ``(decomposition, tree, reused)``.  Entries are keyed by
-        ``(eps, minpts, weights)`` because the dense-cell *set* — and hence
-        the mixed primitive set the tree is built over — depends on all
-        three; at most :attr:`max_dense_entries` are kept (FIFO).  The
-        underlying grid binning, however, is keyed by ``eps`` alone
-        (:meth:`grid_binning`): a cold decomposition at a warm eps replays
-        the cached binning and only runs the threshold + tree stages live.
-        """
-        dev = default_device(device)
-        key = (float(eps), int(minpts), _weights_key(sample_weight))
-        entry = self._dense.get(key)
-        if entry is not None:
-            self._dense.move_to_end(key)
-            dev.replay(entry.bin_cost)
-            dev.replay(entry.cost)
-            return entry.deco, entry.tree, True
-        binning, bin_cost, _bin_reused = self.grid_binning(eps, device=dev)
-        with dev.recording() as cost:
-            deco = threshold_binning(
-                self._X, binning, minpts, device=dev, sample_weight=sample_weight
-            )
-            tree = build_bvh(deco.prim_lo, deco.prim_hi, device=dev)
-        self._dense[key] = _DenseEntry(deco=deco, tree=tree, cost=cost, bin_cost=bin_cost)
-        while len(self._dense) > self.max_dense_entries:
-            self._dense.popitem(last=False)
-        return deco, tree, False
+        return binning, False
 
     # -- introspection ---------------------------------------------------------
 
-    @property
-    def n_dense_entries(self) -> int:
-        return len(self._dense)
-
     def build_seconds(self) -> dict[str, float]:
         """Recorded build wall-seconds per component (cold costs a warm
-        run skipped; keys: ``"points"``, one ``"binning eps=.."`` per
-        cached grid binning and one ``"dense eps=.. minpts=.."`` per
-        cached decomposition — the dense figure covers only the threshold
-        + tree stage, its binning is reported separately)."""
+        run skipped; keys: ``"points"`` and one ``"binning eps=.."`` per
+        cached grid binning)."""
         out: dict[str, float] = {}
         if self._points is not None:
             out["points"] = self._points.cost.seconds
         for eps, bentry in self._binnings.items():
             out[f"binning eps={eps:g}"] = bentry.cost.seconds
-        for (eps, minpts, _w), entry in self._dense.items():
-            out[f"dense eps={eps:g} minpts={minpts}"] = entry.cost.seconds
         return out
 
     def nbytes(self) -> int:
-        """Host-side footprint of the cached structures.
-
-        Dense decompositions share their binning arrays with the binning
-        cache, so those bytes are counted once (under the binning) and
-        subtracted from each decomposition's total.
-        """
+        """Host-side footprint of the cached structures."""
         total = 0
         if self._points is not None:
             total += self._points.tree.nbytes()
         for bentry in self._binnings.values():
             total += bentry.binning.nbytes()
-        for (eps, _minpts, _w), entry in self._dense.items():
-            total += entry.tree.nbytes() + entry.deco.nbytes()
-            if eps in self._binnings:
-                # CSR arrays shared with the cached binning: count once.
-                total -= (
-                    entry.deco.cell_of_point.nbytes
-                    + entry.deco.cell_counts.nbytes
-                    + entry.deco.members.nbytes
-                    + entry.deco.cell_starts.nbytes
-                )
         return total
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         built = "built" if self._points is not None else "unbuilt"
         return (
             f"DBSCANIndex(n={self.n}, dim={self.dim}, points_tree={built}, "
-            f"dense_entries={len(self._dense)}, fp={self.fingerprint[:10]})"
+            f"binnings={len(self._binnings)}, fp={self.fingerprint[:10]})"
         )

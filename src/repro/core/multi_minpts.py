@@ -15,7 +15,7 @@ tree algorithms:
 3. run one main phase per requested ``minpts`` against the shared index,
    each skipping pairs already joined and pairs of two non-core points,
    through the same function as FDBSCAN's
-   (:func:`repro.core.framework.point_main_phase`); points whose full
+   (:func:`repro.core.framework.main_phase`); points whose full
    count is 1 have no pair and run no main-phase query.
 
 For FDBSCAN the index and the counts are shared across the whole sweep;
@@ -32,10 +32,9 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.bvh.aabb import boxes_from_points
-from repro.bvh.builder import build_bvh
 from repro.bvh.traversal import DEFAULT_CHUNK_SIZE, count_within
-from repro.core.framework import point_main_phase
+from repro.core.framework import main_phase
+from repro.core.index import DBSCANIndex
 from repro.core.labels import DBSCANResult
 from repro.core.validation import validate_params, validate_points
 from repro.device.device import Device, default_device
@@ -74,8 +73,7 @@ def dbscan_minpts_sweep(
     n = X.shape[0]
 
     t0 = time.perf_counter()
-    lo, hi = boxes_from_points(X)
-    tree = build_bvh(lo, hi, device=dev)
+    tree, _ = DBSCANIndex(X).points_tree(dev)
     t_build = time.perf_counter() - t0
 
     # One full count serves every threshold (the amortisation).
@@ -110,7 +108,7 @@ def dbscan_minpts_sweep(
         }
         # One span per main phase, holding its per-epoch launches.
         with dev.kernel(f"sweep_main_mp{mp}", threads=n):
-            results[mp] = point_main_phase(
+            results[mp] = main_phase(
                 tree,
                 X,
                 eps,

@@ -9,7 +9,7 @@ the rank-local engine):
    the full eps-neighbourhood is local), giving owned core flags;
 2. **flag exchange** — ghost core flags arrive from their owner ranks
    (simulated; one boolean per ghost), after which each rank runs the
-   single-device main phase (:func:`repro.core.framework.point_main_phase`:
+   single-device main phase (:func:`repro.core.framework.main_phase`:
    component-pruned, non-core pairs skipped) with only its owned rows
    querying and no leaf mask, since ghost rows never query: owned-owned
    pairs resolve locally, owned-ghost pairs on both sharing ranks
@@ -65,7 +65,7 @@ import numpy as np
 from repro.bvh.aabb import boxes_from_points
 from repro.bvh.builder import build_bvh
 from repro.bvh.traversal import count_within
-from repro.core.framework import point_main_phase
+from repro.core.framework import main_phase
 from repro.core.labels import DBSCANResult, relabel_consecutive
 from repro.core.validation import validate_params, validate_points
 from repro.device.device import Device, default_device
@@ -328,7 +328,7 @@ def distributed_dbscan(
                     lambda: local_state(p, core=global_core[local_ids_per_rank[p]]),
                 )
 
-        def main_phase(p: int) -> None:
+        def rank_main_phase(p: int) -> None:
             """Fused main phase for one partition, then its merge payloads
             (which double as the phase-2 checkpoint)."""
             ensure_local_state(p)
@@ -344,7 +344,7 @@ def distributed_dbscan(
                     return None
                 # Ghost rows do not query, so no leaf mask: each owned
                 # query must see every neighbour, ghosts included.
-                return point_main_phase(
+                return main_phase(
                     tree,
                     X[ids],
                     eps,
@@ -390,14 +390,14 @@ def distributed_dbscan(
 
         # --- phase 2: ghost core-flag fill + local main phase ----------------------
         for p in range(n_ranks):
-            main_phase(p)
+            rank_main_phase(p)
         checkpoints.append("merge_payloads")
 
         # --- boundary: post-main crashes lose not-yet-gathered merge payloads -----
         handle_crashes("pre_merge")
         for p in range(n_ranks):
             if p not in merge_core:
-                main_phase(p)  # full recompute from the core_flags checkpoint
+                rank_main_phase(p)  # full recompute from the core_flags checkpoint
 
         # --- phase 3: merge --------------------------------------------------------
         with tr.span("merge", category="phase"):

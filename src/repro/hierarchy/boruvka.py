@@ -229,46 +229,49 @@ def mutual_reachability_mst_boruvka(
     n_edges = 0
     ids = np.arange(n, dtype=np.int64)
 
-    with dev.kernel("boruvka_mst", threads=n) as launch:
-        rounds = 0
-        while n_edges < n - 1:
-            rounds += 1
-            dev.counters.add("boruvka_rounds", 1)
-            comp = uf.find(ids)
-            refresh_node_components(tree, comp, node_comp)
-            best_w, best_b = _component_nearest(
-                tree, X, comp, node_comp, core_dist, pts_pos, core_pos, dev, chunk_size
-            )
-            best_u, best_v = np.minimum(ids, best_b), np.maximum(ids, best_b)
-            # Points stopped by the component bound may hold no candidate
-            # of their own; every component still holds at least one (its
-            # seeded bound is a member's edge).
-            idx = np.flatnonzero(best_b >= 0)
-            if idx.size == 0:  # pragma: no cover - defensive
-                raise RuntimeError("no component found an outside neighbour")
-            # One candidate per component: minimum under (w, u, v).
-            csel = idx[np.lexsort((best_v[idx], best_u[idx], best_w[idx], comp[idx]))]
-            comp_sorted = comp[csel]
-            first = np.empty(comp_sorted.shape[0], dtype=bool)
-            first[0] = True
-            np.not_equal(comp_sorted[1:], comp_sorted[:-1], out=first[1:])
-            cand = csel[first]
-            # Under the strict total order the picks form a forest once the
-            # edge two components both picked is kept once (its first
-            # occurrence in the stable sort, the lower component's
-            # orientation), so the round is one batched union.
-            pick = cand[np.lexsort((best_v[cand], best_u[cand], best_w[cand]))]
-            keep = np.ones(pick.size, dtype=bool)
-            keep[1:] = (np.diff(best_u[pick]) != 0) | (np.diff(best_v[pick]) != 0)
-            pick = pick[keep]
-            b = best_b[pick]
-            k = pick.size
-            edges[n_edges : n_edges + k] = np.column_stack((pick, b, best_w[pick]))
-            n_edges += k
-            uf.union(pick, b)
-            if uf.n_sets() != n - n_edges:  # pragma: no cover - defensive
-                raise RuntimeError("Borůvka picks closed a cycle")
-        launch.steps = rounds
+    try:
+        with dev.kernel("boruvka_mst", threads=n) as launch:
+            rounds = 0
+            while n_edges < n - 1:
+                rounds += 1
+                dev.counters.add("boruvka_rounds", 1)
+                comp = uf.find(ids)
+                refresh_node_components(tree, comp, node_comp)
+                best_w, best_b = _component_nearest(
+                    tree, X, comp, node_comp, core_dist, pts_pos, core_pos, dev, chunk_size
+                )
+                best_u, best_v = np.minimum(ids, best_b), np.maximum(ids, best_b)
+                # Points stopped by the component bound may hold no candidate
+                # of their own; every component still holds at least one (its
+                # seeded bound is a member's edge).
+                idx = np.flatnonzero(best_b >= 0)
+                if idx.size == 0:  # pragma: no cover - defensive
+                    raise RuntimeError("no component found an outside neighbour")
+                # One candidate per component: minimum under (w, u, v).
+                csel = idx[np.lexsort((best_v[idx], best_u[idx], best_w[idx], comp[idx]))]
+                comp_sorted = comp[csel]
+                first = np.empty(comp_sorted.shape[0], dtype=bool)
+                first[0] = True
+                np.not_equal(comp_sorted[1:], comp_sorted[:-1], out=first[1:])
+                cand = csel[first]
+                # Under the strict total order the picks form a forest once the
+                # edge two components both picked is kept once (its first
+                # occurrence in the stable sort, the lower component's
+                # orientation), so the round is one batched union.
+                pick = cand[np.lexsort((best_v[cand], best_u[cand], best_w[cand]))]
+                keep = np.ones(pick.size, dtype=bool)
+                keep[1:] = (np.diff(best_u[pick]) != 0) | (np.diff(best_v[pick]) != 0)
+                pick = pick[keep]
+                b = best_b[pick]
+                k = pick.size
+                edges[n_edges : n_edges + k] = np.column_stack((pick, b, best_w[pick]))
+                n_edges += k
+                uf.union(pick, b)
+                if uf.n_sets() != n - n_edges:  # pragma: no cover - defensive
+                    raise RuntimeError("Borůvka picks closed a cycle")
+            launch.steps = rounds
+    finally:
+        uf.release()
 
     order = np.argsort(edges[:, 2], kind="stable")
     return edges[order]

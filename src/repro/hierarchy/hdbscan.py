@@ -251,7 +251,10 @@ def dbscan_star_cut(
     a = mst[use, 0].astype(np.int64)
     b = mst[use, 1].astype(np.int64)
     keep = eligible[a] & eligible[b]
-    uf.union(a[keep], b[keep])
-    roots = uf.finalize()
+    try:
+        uf.union(a[keep], b[keep])
+        roots = uf.finalize()
+    finally:
+        uf.release()
     labels, _ = relabel_consecutive(roots, eligible)
     return labels

@@ -3,7 +3,15 @@
 import numpy as np
 import pytest
 
+from repro.baselines import cuda_dclust, grid_dbscan
+from repro.core.densebox import fdbscan_densebox
+from repro.core.fdbscan import fdbscan
+from repro.core.multi_minpts import dbscan_minpts_sweep
+from repro.device.device import Device
 from repro.device.memory import DeviceMemoryError, MemoryTracker
+from repro.distributed import distributed_dbscan
+from repro.grid.dense_cells import bin_points
+from repro.hierarchy.hdbscan import dbscan_star_cut, hdbscan
 
 
 class TestBasicAccounting:
@@ -138,3 +146,34 @@ class TestTransientAllocations:
         mem.allocate(500, "frontier", transient=True)
         with pytest.raises(DeviceMemoryError):
             mem.allocate(101, "tree")
+
+
+#: One fit per algorithm on a fresh device; each returns its union-find,
+#: border and component-mask bytes to the ledger when it ends.
+_LEDGER_X = np.random.default_rng(3).normal(0.0, 0.05, (300, 2))
+_LEDGER_FITS = {
+    "fdbscan": lambda dev: fdbscan(_LEDGER_X, 0.05, 5, device=dev),
+    "densebox": lambda dev: fdbscan_densebox(_LEDGER_X, 0.05, 5, device=dev),
+    "minpts_sweep": lambda dev: dbscan_minpts_sweep(_LEDGER_X, 0.05, (3, 5), device=dev),
+    "hdbscan": lambda dev: hdbscan(_LEDGER_X, 5, device=dev),
+    "dbscan_star_cut": lambda dev: dbscan_star_cut(_LEDGER_X, 0.05, 5, device=dev),
+    "cuda-dclust": lambda dev: cuda_dclust(_LEDGER_X, 0.05, 5, device=dev),
+    "grid": lambda dev: grid_dbscan(_LEDGER_X, 0.05, 5, device=dev),
+    "distributed": lambda dev: distributed_dbscan(_LEDGER_X, 0.05, 5, device=dev),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_LEDGER_FITS))
+def test_fit_returns_transient_bytes_to_ledger(name):
+    dev = Device()
+    _LEDGER_FITS[name](dev)
+    for tag in ("labels", "border", "components"):
+        assert dev.memory.live_by_tag.get(tag, 0) == 0, tag
+    if name == "densebox":
+        # The mixed tree and dense cells live for one fit; only the eps
+        # binning stays, cached in the index.  They are freed after the
+        # fit's high-water mark, so the peak counts them once.
+        binning = bin_points(_LEDGER_X, 0.05, device=Device())
+        assert dev.memory.live_by_tag["bvh"] == 0
+        assert dev.memory.live_by_tag["grid"] == binning.nbytes()
+        assert dev.memory.peak_bytes == 91_530

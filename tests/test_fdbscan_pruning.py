@@ -24,10 +24,10 @@ from repro.bvh.traversal import spread_epochs
 from repro.core.densebox import fdbscan_densebox
 from repro.core.fdbscan import fdbscan
 from repro.core.framework import PairResolver
-from repro.core.index import DBSCANIndex
 from repro.core.multi_minpts import dbscan_minpts_sweep
 from repro.device.device import Device
 from repro.distributed import distributed_dbscan
+from repro.grid.dense_cells import decompose
 
 #: Lattice spacing and eps: a power of two, so lattice distances are exact.
 SPACING = 0.25
@@ -333,7 +333,8 @@ def test_densebox_pruning_fires():
     res = fdbscan_densebox(X, eps, minpts, device=dev)
     assert res.n_clusters == 1 and res.is_core.all()
 
-    deco, tree, _ = DBSCANIndex(X).dense_decomposition(eps, minpts, device=Device())
+    deco = decompose(X, eps, minpts, device=Device())
+    tree = build_bvh(deco.prim_lo, deco.prim_hi, device=Device())
     prim = np.empty(X.shape[0], dtype=np.int64)
     prim[deco.isolated_idx] = np.arange(deco.n_isolated)
     dense = np.flatnonzero(deco.is_dense_point)
@@ -385,6 +386,6 @@ def test_component_mask_ledger_freed_when_main_phase_aborts():
         dev = Device()
         with pytest.raises(Abort):
             algorithm(X, 0.05, 5, device=dev, watchdog=watchdog)
-        for tag in ("components", "labels"):
+        for tag in ("components", "labels", "border"):
             assert dev.memory.peak_by_tag[tag] > 0, (algorithm, tag)
             assert dev.memory.live_by_tag[tag] == 0, (algorithm, tag)

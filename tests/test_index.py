@@ -119,33 +119,6 @@ class TestPointsTreeReuse:
 
 
 class TestDenseCache:
-    def test_hit_requires_equal_key(self, blobs_2d):
-        index = DBSCANIndex(blobs_2d)
-        _, _, reused0 = index.dense_decomposition(0.2, 5, device=Device())
-        _, _, reused1 = index.dense_decomposition(0.2, 5, device=Device())
-        _, _, reused2 = index.dense_decomposition(0.3, 5, device=Device())
-        _, _, reused3 = index.dense_decomposition(0.2, 6, device=Device())
-        assert (reused0, reused1, reused2, reused3) == (False, True, False, False)
-        assert index.n_dense_entries == 3
-
-    def test_weights_part_of_key(self, blobs_2d):
-        index = DBSCANIndex(blobs_2d)
-        w = np.ones(blobs_2d.shape[0])
-        index.dense_decomposition(0.2, 5, device=Device())
-        _, _, reused = index.dense_decomposition(0.2, 5, device=Device(), sample_weight=w)
-        assert not reused
-
-    def test_fifo_eviction_bound(self, blobs_2d):
-        index = DBSCANIndex(blobs_2d, max_dense_entries=2)
-        for eps in (0.1, 0.2, 0.3):
-            index.dense_decomposition(eps, 5, device=Device())
-        assert index.n_dense_entries == 2
-        # the oldest key (0.1) was evicted: using it again is a cold build
-        _, _, reused = index.dense_decomposition(0.1, 5, device=Device())
-        assert not reused
-        _, _, reused = index.dense_decomposition(0.3, 5, device=Device())
-        assert reused
-
     def test_densebox_warm_accounting_matches_cold(self, blobs_2d):
         cold_dev, warm_dev = Device(), Device()
         cold = fdbscan_densebox(blobs_2d, 0.2, 5, device=cold_dev)
@@ -156,6 +129,20 @@ class TestDenseCache:
         np.testing.assert_array_equal(cold.labels, warm.labels)
         assert cold_dev.counters.snapshot() == warm_dev.counters.snapshot()
         assert cold_dev.memory.peak_bytes == warm_dev.memory.peak_bytes
+
+    def test_repeated_cell_matches_cold_index(self, blobs_2d):
+        # The dense cells and mixed tree are rebuilt for every fit: a cell
+        # repeated on one index runs as a cold index does.
+        index = DBSCANIndex(blobs_2d)
+        fdbscan_densebox(blobs_2d, 0.2, 5, device=Device(), index=index)
+        repeat_dev, cold_dev = Device(), Device()
+        repeat = fdbscan_densebox(blobs_2d, 0.2, 5, device=repeat_dev, index=index)
+        cold = fdbscan_densebox(blobs_2d, 0.2, 5, device=cold_dev, index=DBSCANIndex(blobs_2d))
+        assert repeat.info["index_reused"] and not cold.info["index_reused"]
+        np.testing.assert_array_equal(repeat.labels, cold.labels)
+        np.testing.assert_array_equal(repeat.is_core, cold.is_core)
+        assert repeat_dev.counters.snapshot() == cold_dev.counters.snapshot()
+        assert repeat_dev.memory.peak_bytes == cold_dev.memory.peak_bytes
 
 
 class TestApiIntegration:
@@ -172,7 +159,7 @@ class TestApiIntegration:
         a = dbscan(blobs_2d, 0.2, 5, algorithm="fdbscan", index=index)
         b = dbscan(blobs_2d, 0.2, 5, algorithm="fdbscan-densebox", index=index)
         assert a.info["index"] is b.info["index"] is index
-        assert index.has_points_tree and index.n_dense_entries == 1
+        assert index.has_points_tree and index.binning_builds == 1
 
     def test_baseline_rejects_index(self, blobs_2d):
         with pytest.raises(ValueError, match="does not use a spatial index"):
@@ -188,6 +175,6 @@ class TestApiIntegration:
         dbscan(blobs_2d, 0.2, 5, algorithm="fdbscan", index=index)
         dbscan(blobs_2d, 0.2, 5, algorithm="fdbscan-densebox", index=index)
         secs = index.build_seconds()
-        assert set(secs) == {"points", "binning eps=0.2", "dense eps=0.2 minpts=5"}
+        assert set(secs) == {"points", "binning eps=0.2"}
         assert all(s >= 0 for s in secs.values())
         assert index.nbytes() > 0

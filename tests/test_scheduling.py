@@ -19,7 +19,7 @@ from repro.bvh.traversal import count_within
 from repro.core.densebox import fdbscan_densebox
 from repro.core.fdbscan import fdbscan
 from repro.core.framework import PairResolver
-from repro.core.index import DBSCANIndex
+from repro.core.index import DEFAULT_MAX_BINNINGS, DBSCANIndex
 from repro.device.device import Device
 from repro.device.primitives import scatter_add
 from repro.unionfind.ecl import EclUnionFind
@@ -151,14 +151,15 @@ class TestBinningCache:
 
     def test_binning_cache_fifo_bound(self):
         X = _mixed_points(7, 100)
-        index = DBSCANIndex(X, max_binnings=2)
-        for eps in (0.05, 0.1, 0.2):
+        index = DBSCANIndex(X)
+        eps_values = 0.05 * (1 + np.arange(DEFAULT_MAX_BINNINGS + 1))
+        for eps in eps_values:
             index.grid_binning(eps)
-        assert len(index._binnings) == 2
+        assert len(index._binnings) == DEFAULT_MAX_BINNINGS
         # the oldest eps was evicted; re-requesting it builds live again
-        _, _, reused = index.grid_binning(0.05)
+        _, reused = index.grid_binning(eps_values[0])
         assert not reused
-        assert index.binning_builds == 4
+        assert index.binning_builds == DEFAULT_MAX_BINNINGS + 2
 
     def test_weighted_and_unweighted_share_binning(self):
         X = _mixed_points(8, 150)
@@ -166,8 +167,7 @@ class TestBinningCache:
         index = DBSCANIndex(X)
         fdbscan_densebox(X, 0.1, 5, index=index)
         fdbscan_densebox(X, 0.1, 5, index=index, sample_weight=w)
-        # different dense keys (weights differ), one shared binning
-        assert index.n_dense_entries == 2
+        # different dense cells (weights differ), one shared binning
         assert index.binning_builds == 1
         assert index.binning_hits == 1
 
