@@ -110,17 +110,19 @@ def cuda_dclust(
                         frontier = expand_level(frontier, chain)
                 launch.steps = levels
         # The original keeps a chains x chains byte matrix on the device.
-        dev.memory.allocate(max(chain_count, 1) ** 2, tag="collision_matrix")
+        matrix_bytes = max(chain_count, 1) ** 2
+        dev.memory.allocate(matrix_bytes, tag="collision_matrix")
     finally:
         # What remains runs on the host.
         dev.memory.free(owner.nbytes, tag="labels")
     dev.counters.add("union_ops", len(collisions))
 
-    # Host-side resolution: merge colliding chains.
+    # Host-side resolution: merge colliding chains, then drop the matrix.
     uf = SequentialUnionFind(max(chain_count, 1))
     for a, b in collisions:
         uf.union(a, b)
     chain_root = uf.labels()
+    dev.memory.free(matrix_bytes, tag="collision_matrix")
     clustered = owner != _UNOWNED
     raw = np.full(n, -1, dtype=np.int64)
     raw[clustered] = chain_root[owner[clustered]]

@@ -73,50 +73,54 @@ def dbscan_minpts_sweep(
     n = X.shape[0]
 
     t0 = time.perf_counter()
-    tree, _ = DBSCANIndex(X).points_tree(dev)
+    index = DBSCANIndex(X)
+    tree, _ = index.points_tree(dev)
     t_build = time.perf_counter() - t0
+    # The index is the sweep's own: its tree's bytes go back when it ends.
+    try:
+        # One full count serves every threshold (the amortisation).
+        t0 = time.perf_counter()
+        needs_counts = any(mp > 2 for mp in canon)
+        counts = (
+            count_within(tree, X, eps, stop_at=None, device=dev, chunk_size=chunk_size)
+            if needs_counts
+            else None
+        )
+        t_count = time.perf_counter() - t0
 
-    # One full count serves every threshold (the amortisation).
-    t0 = time.perf_counter()
-    needs_counts = any(mp > 2 for mp in canon)
-    counts = (
-        count_within(tree, X, eps, stop_at=None, device=dev, chunk_size=chunk_size)
-        if needs_counts
-        else None
-    )
-    t_count = time.perf_counter() - t0
-
-    active = None if counts is None else counts > 1
-    results: dict[int, DBSCANResult] = {}
-    for mp in canon:
-        if mp in results:
-            continue
-        if mp == 2:
-            is_core = None
-        elif mp == 1:
-            is_core = np.ones(n, dtype=bool)
-        else:
-            is_core = counts >= mp
-        info = {
-            "algorithm": "fdbscan-sweep",
-            "n": n,
-            "eps": eps,
-            "min_samples": mp,
-            "t_build": t_build,
-            "t_count": t_count,
-            "core_counts_shared": needs_counts,
-        }
-        # One span per main phase, holding its per-epoch launches.
-        with dev.kernel(f"sweep_main_mp{mp}", threads=n):
-            results[mp] = main_phase(
-                tree,
-                X,
-                eps,
-                is_core,
-                dev,
-                "fdbscan_main",
-                info,
-                active=active,
-                chunk_size=chunk_size,
-            )
+        active = None if counts is None else counts > 1
+        results: dict[int, DBSCANResult] = {}
+        for mp in canon:
+            if mp in results:
+                continue
+            if mp == 2:
+                is_core = None
+            elif mp == 1:
+                is_core = np.ones(n, dtype=bool)
+            else:
+                is_core = counts >= mp
+            info = {
+                "algorithm": "fdbscan-sweep",
+                "n": n,
+                "eps": eps,
+                "min_samples": mp,
+                "t_build": t_build,
+                "t_count": t_count,
+                "core_counts_shared": needs_counts,
+            }
+            # One span per main phase, holding its per-epoch launches.
+            with dev.kernel(f"sweep_main_mp{mp}", threads=n):
+                results[mp] = main_phase(
+                    tree,
+                    X,
+                    eps,
+                    is_core,
+                    dev,
+                    "fdbscan_main",
+                    info,
+                    active=active,
+                    chunk_size=chunk_size,
+                )
+    finally:
+        index.release_points_tree()
     return results

@@ -63,8 +63,9 @@ from dataclasses import replace
 import numpy as np
 
 from repro.bvh.aabb import boxes_from_points
-from repro.bvh.builder import build_bvh
+from repro.bvh.builder import build_bvh, release_bvh
 from repro.bvh.traversal import count_within
+from repro.bvh.tree import BVH
 from repro.core.framework import main_phase
 from repro.core.labels import DBSCANResult, relabel_consecutive
 from repro.core.validation import validate_params, validate_points
@@ -182,6 +183,9 @@ def distributed_dbscan(
     prev_dev_tracer = dev.tracer
     if tracer is not None:
         dev.tracer = tracer
+    # Every rank tree built, recovery rebuilds included: all are released
+    # when the call ends, so recovery can reuse a tree until then.
+    built: list[BVH] = []
     try:
         with tr.span("partition", category="phase"):
             partition = rcb_partition(X, n_ranks)
@@ -308,6 +312,7 @@ def distributed_dbscan(
             pts = X[ids]
             lo, hi = boxes_from_points(pts)
             tree = build_bvh(lo, hi, device=dev)
+            built.append(tree)
             if minpts <= 2:
                 return tree, np.ones(ids.shape[0], dtype=bool)
             if core is None:
@@ -472,5 +477,7 @@ def distributed_dbscan(
             labels=labels, is_core=global_core, n_clusters=n_clusters, info=info
         )
     finally:
+        for tree in built:
+            release_bvh(tree, dev)
         dev.tracer = prev_dev_tracer
         tr.end(root)

@@ -52,19 +52,19 @@ class CondensedTree:
         return self.child[rows].astype(np.int64)
 
 
-def _subtree_points(Z: np.ndarray, n: int, node: int) -> list[int]:
-    """Original points under a dendrogram node (iterative DFS)."""
-    out: list[int] = []
-    stack = [node]
-    while stack:
-        current = stack.pop()
-        if current < n:
-            out.append(current)
-        else:
-            row = current - n
-            stack.append(int(Z[row, 0]))
-            stack.append(int(Z[row, 1]))
-    return out
+def _sum_to_root(up: np.ndarray, val: np.ndarray) -> np.ndarray:
+    """Sum ``val`` along every node's path to the root.
+
+    ``up`` maps each node to its parent and the root to itself, whose
+    value must be 0.  Pointer jumping: after each pass a node's sum covers
+    twice as much of its path, so the passes number O(log depth).
+    """
+    while True:
+        val = val + val[up]
+        nxt = up[up]
+        if np.array_equal(nxt, up):
+            return val
+        up = nxt
 
 
 def condense_dendrogram(Z: np.ndarray, n: int, min_cluster_size: int = 5) -> CondensedTree:
@@ -73,6 +73,13 @@ def condense_dendrogram(Z: np.ndarray, n: int, min_cluster_size: int = 5) -> Con
     ``Z`` is the ``(n - 1, 4)`` linkage array of
     :func:`repro.hierarchy.mst.single_linkage_dendrogram`; merges must be
     sorted ascending by height (they are, by construction).
+
+    The rows are those of a stack walk from the root that visits the
+    right child first and descends only into nodes of at least
+    ``min_cluster_size`` points.  Instead of walking, whole-array passes
+    place every node in that right-first order, give each split's two new
+    clusters their ids in walk order, and emit a fallen-out subtree's
+    points as one slice of the right-first leaf order.
     """
     if min_cluster_size < 2:
         raise ValueError(f"min_cluster_size must be >= 2; got {min_cluster_size}")
@@ -84,54 +91,56 @@ def condense_dendrogram(Z: np.ndarray, n: int, min_cluster_size: int = 5) -> Con
             lambda_val=np.zeros(0),
             size=np.zeros(0, dtype=np.int64),
         )
-    parents: list[int] = []
-    children: list[int] = []
-    lambdas: list[float] = []
-    sizes: list[int] = []
+    m = 2 * n - 1
+    left = Z[:, 0].astype(np.int64)
+    right = Z[:, 1].astype(np.int64)
+    size = np.ones(m, dtype=np.int64)
+    size[n:] = Z[:, 3]
+    up = np.full(m, m - 1, dtype=np.int64)
+    up[left] = up[right] = np.arange(n, m)
+    # A node's points start where its parent's do, after the right
+    # sibling's when it is a left child.
+    offset = np.zeros(m, dtype=np.int64)
+    offset[left] = size[right]
+    start = _sum_to_root(up, offset)
+    order = np.empty(n, dtype=np.int64)
+    order[start[:n]] = np.arange(n)
 
-    def emit(parent: int, child: int, lam: float, size: int) -> None:
-        parents.append(parent)
-        children.append(child)
-        lambdas.append(lam)
-        sizes.append(size)
+    big = size >= min_cluster_size
+    big[m - 1] = True  # the walk starts at the root whatever its size
+    visit = n + np.flatnonzero(big[n:])
+    # Walk order: by first point, an ancestor before its descendants.
+    visit = visit[np.lexsort((-size[visit], start[visit]))]
+    pair = np.stack([left[visit - n], right[visit - n]], axis=1)
+    split = big[pair].all(axis=1)
+    # Split k in walk order makes clusters n + 1 + 2k (left) and n + 2 + 2k.
+    new_ids = n + 1 + 2 * (np.cumsum(split) - split)[:, None] + [0, 1]
+    # A visited node that no split made follows its parent in walk order,
+    # in the same cluster: carry the last made id forward.
+    made = np.full(m, -1, dtype=np.int64)
+    made[pair[split]] = new_ids[split]
+    made[m - 1] = n
+    made = made[visit]
+    cluster = made[np.maximum.accumulate(np.where(made >= 0, np.arange(made.size), 0))]
+    dist = Z[visit - n, 2]
+    lam = np.divide(1.0, dist, out=np.full(dist.shape, np.inf), where=dist > 0)
 
-    def node_size(node: int) -> int:
-        return 1 if node < n else int(Z[node - n, 3])
-
-    root = 2 * n - 2
-    next_cluster = n + 1
-    # stack of (dendrogram node, condensed cluster id it belongs to)
-    stack = [(root, n)]
-    while stack:
-        node, cluster = stack.pop()
-        row = node - n
-        left, right = int(Z[row, 0]), int(Z[row, 1])
-        dist = Z[row, 2]
-        lam = 1.0 / dist if dist > 0 else np.inf
-        s_left, s_right = node_size(left), node_size(right)
-        big_left = s_left >= min_cluster_size
-        big_right = s_right >= min_cluster_size
-        if big_left and big_right:
-            for side, s_side in ((left, s_left), (right, s_right)):
-                emit(cluster, next_cluster, lam, s_side)
-                stack.append((side, next_cluster))
-                next_cluster += 1
-        elif big_left or big_right:
-            keep, drop = (left, right) if big_left else (right, left)
-            for p in _subtree_points(Z, n, drop):
-                emit(cluster, p, lam, 1)
-            stack.append((keep, cluster))
-        else:
-            for p in _subtree_points(Z, n, left):
-                emit(cluster, p, lam, 1)
-            for p in _subtree_points(Z, n, right):
-                emit(cluster, p, lam, 1)
+    # Each visited node emits a segment per child, left first: a split
+    # child's cluster row, nothing for a kept child, a fallen-out child's
+    # points.
+    side = pair.ravel()
+    seg_split = np.repeat(split, 2)
+    seg_len = np.where(seg_split, 1, np.where(big[side], 0, size[side]))
+    seg = np.repeat(np.arange(side.size), seg_len)
+    within = np.arange(seg.size) - np.repeat(np.cumsum(seg_len) - seg_len, seg_len)
+    row_side = side[seg]
+    row_split = seg_split[seg]
     return CondensedTree(
         n_points=n,
-        parent=np.array(parents, dtype=np.int64),
-        child=np.array(children, dtype=np.int64),
-        lambda_val=np.array(lambdas, dtype=np.float64),
-        size=np.array(sizes, dtype=np.int64),
+        parent=np.repeat(cluster, 2)[seg],
+        child=np.where(row_split, new_ids.ravel()[seg], order[start[row_side] + within]),
+        lambda_val=np.repeat(lam, 2)[seg],
+        size=np.where(row_split, size[row_side], 1),
     )
 
 
@@ -142,21 +151,25 @@ def cluster_stabilities(tree: CondensedTree) -> dict[int, float]:
     (0 for the root); finite row levels only (infinite levels — duplicate
     points — contribute through a capped lambda to keep stabilities
     finite, matching the reference implementation's clipping).
+
+    One ``bincount`` adds each cluster's terms in row order, so every sum
+    is the one a running per-row total gives.  Keys follow each cluster's
+    first row.
     """
-    birth: dict[int, float] = {int(tree.n_points): 0.0}
+    n = tree.n_points
+    if tree.parent.size == 0:
+        return {}
     finite = tree.lambda_val[np.isfinite(tree.lambda_val)]
     cap = float(finite.max()) if finite.size else 1.0
     lam = np.minimum(tree.lambda_val, cap)
-    for parent, child, level in zip(tree.parent, tree.child, lam):
-        if child >= tree.n_points:
-            birth[int(child)] = float(level)
-    stability: dict[int, float] = {}
-    for parent, level, size in zip(tree.parent, lam, tree.size):
-        parent = int(parent)
-        stability[parent] = stability.get(parent, 0.0) + (
-            float(level) - birth.get(parent, 0.0)
-        ) * int(size)
-    return stability
+    rel = tree.parent - n
+    birth = np.zeros(int(rel.max()) + 1)
+    kids = tree.child >= n
+    birth[tree.child[kids] - n] = lam[kids]
+    total = np.bincount(rel, weights=(lam - birth[rel]) * tree.size)
+    ids, first = np.unique(rel, return_index=True)
+    ids = ids[np.argsort(first)]
+    return dict(zip((ids + n).tolist(), total[ids].tolist()))
 
 
 def extract_eom_clusters(
@@ -170,12 +183,14 @@ def extract_eom_clusters(
     participates when ``allow_single_cluster``.
     """
     stability = cluster_stabilities(tree)
-    clusters = sorted(stability, reverse=True)  # children before parents
+    children: dict[int, list[int]] = {cluster: [] for cluster in stability}
+    rows = tree.child >= tree.n_points
+    for parent, child in zip(tree.parent[rows].tolist(), tree.child[rows].tolist()):
+        children[parent].append(child)
     selected: dict[int, bool] = {}
     propagated: dict[int, float] = {}
-    for cluster in clusters:
-        kids = tree.children_of(cluster)
-        child_sum = float(sum(propagated.get(int(k), 0.0) for k in kids))
+    for cluster in sorted(stability, reverse=True):  # children before parents
+        child_sum = float(sum(propagated[kid] for kid in children[cluster]))
         own = stability[cluster]
         is_root = cluster == tree.n_points
         if is_root and not allow_single_cluster:
@@ -197,9 +212,9 @@ def extract_eom_clusters(
             continue
         if selected[cluster]:
             chosen.append(cluster)
-            stack = list(tree.children_of(cluster))
+            stack = list(children[cluster])
             while stack:
-                kid = int(stack.pop())
+                kid = stack.pop()
                 blocked.add(kid)
-                stack.extend(tree.children_of(kid))
+                stack.extend(children[kid])
     return chosen, stability

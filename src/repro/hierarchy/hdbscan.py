@@ -81,60 +81,42 @@ class HDBSCANResult:
 def _labels_from_selection(
     tree: CondensedTree, chosen: list[int]
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Assign each point to its lowest selected ancestor cluster."""
+    """Assign each point to the chosen cluster above it, if any.
+
+    One ascending pass over the condensed clusters (a parent's id is below
+    its children's) gives every cluster its chosen ancestor; labels, each
+    cluster's densest level and the probabilities are then array passes.
+    """
     n = tree.n_points
     labels = np.full(n, -1, dtype=np.int64)
     probabilities = np.zeros(n, dtype=np.float64)
     if not chosen:
         return labels, probabilities
+    # Condensed ids run n, n + 1, ...; ``ancestor`` is indexed by id - n.
+    rows = tree.child >= n
+    up = np.full(int(tree.parent.max()) - n + 1, -1, dtype=np.int64)
+    up[tree.child[rows] - n] = tree.parent[rows] - n
     chosen_set = set(chosen)
-    # condensed parent of every condensed cluster
-    cluster_parent: dict[int, int] = {}
-    for parent, child in zip(tree.parent, tree.child):
-        if child >= n:
-            cluster_parent[int(child)] = int(parent)
-    # max lambda per chosen cluster (its densest level) for probabilities
+    ancestor = [-1] * up.size
+    for cluster, parent in enumerate(up.tolist()):
+        if cluster + n in chosen_set:
+            ancestor[cluster] = cluster
+        elif parent >= 0:
+            ancestor[cluster] = ancestor[parent]
     finite = tree.lambda_val[np.isfinite(tree.lambda_val)]
     cap = float(finite.max()) if finite.size else 1.0
-    lam_capped = np.minimum(tree.lambda_val, cap)
-    max_lambda: dict[int, float] = {c: 0.0 for c in chosen}
-
-    point_rows = tree.child < n
-    own_cluster = np.full(n, -1, dtype=np.int64)
-    own_lambda = np.zeros(n, dtype=np.float64)
-    own_cluster[tree.child[point_rows]] = tree.parent[point_rows]
-    own_lambda[tree.child[point_rows]] = lam_capped[point_rows]
-
-    # Resolve each point's membership by climbing to a chosen ancestor.
-    resolve_cache: dict[int, int] = {}
-
-    def chosen_ancestor(cluster: int) -> int:
-        seen = []
-        current = cluster
-        while current != -1 and current not in resolve_cache:
-            if current in chosen_set:
-                resolve_cache[current] = current
-                break
-            seen.append(current)
-            current = cluster_parent.get(current, -1)
-        result = resolve_cache.get(current, -1)
-        for c in seen:
-            resolve_cache[c] = result
-        return result
-
-    for p in range(n):
-        cluster = int(own_cluster[p])
-        if cluster < 0:
-            continue
-        target = chosen_ancestor(cluster)
-        if target == -1:
-            continue
-        labels[p] = target
-        max_lambda[target] = max(max_lambda[target], float(own_lambda[p]))
-    for p in range(n):
-        if labels[p] >= 0:
-            top = max_lambda[int(labels[p])]
-            probabilities[p] = 1.0 if top <= 0 else min(own_lambda[p], top) / top
+    points = ~rows
+    slot = np.array(ancestor, dtype=np.int64)[tree.parent[points] - n]
+    member = slot >= 0
+    pts = tree.child[points][member]
+    slot = slot[member]
+    lam = np.minimum(tree.lambda_val[points][member], cap)
+    labels[pts] = slot + n
+    # Each chosen cluster's densest level; probabilities are levels over it.
+    top = np.zeros(up.size)
+    np.maximum.at(top, slot, lam)
+    top = top[slot]
+    probabilities[pts] = np.divide(lam, top, out=np.ones_like(lam), where=top > 0)
     final, n_clusters = relabel_consecutive(labels, labels >= 0)
     return final, probabilities if n_clusters else np.zeros(n)
 
@@ -189,11 +171,14 @@ def hdbscan(
     core = core_distances(tree, X, min_samples, device=dev)
     t1 = time.perf_counter()
     mst = _mreach_mst(X, core, tree, mst_algorithm, dev)
+    t_edges = time.perf_counter()
     Z = single_linkage_dendrogram(mst, n)
     t2 = time.perf_counter()
     condensed = condense_dendrogram(Z, n, min_cluster_size)
+    t3 = time.perf_counter()
     chosen, stabilities = extract_eom_clusters(condensed, allow_single_cluster)
     labels, probabilities = _labels_from_selection(condensed, chosen)
+    t4 = time.perf_counter()
     n_clusters = int(labels.max()) + 1 if labels.size and labels.max() >= 0 else 0
     info = {
         "algorithm": "hdbscan",
@@ -206,6 +191,11 @@ def hdbscan(
         "t_core": t1 - t0,
         "t_mst": t2 - t1,
         "t_extract": time.perf_counter() - t2,
+        # The tail's stages: t_dendrogram is inside t_mst, the other two
+        # inside t_extract.
+        "t_dendrogram": t2 - t_edges,
+        "t_condense": t3 - t2,
+        "t_select": t4 - t3,
     }
     return HDBSCANResult(
         labels=labels,

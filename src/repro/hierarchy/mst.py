@@ -81,30 +81,33 @@ def single_linkage_dendrogram(mst_edges: np.ndarray, n: int) -> np.ndarray:
         raise ValueError(
             f"expected {n - 1} MST edges for {n} points; got {mst_edges.shape[0]}"
         )
-    Z = np.empty((n - 1, 4), dtype=np.float64)
     # Union-find over points, tracking each set's current dendrogram node.
-    parent = np.arange(2 * n - 1, dtype=np.int64)
-    node_of_root = np.arange(n, dtype=np.int64)
-    size = np.ones(n, dtype=np.int64)
-
-    def find(x: int) -> int:
-        root = x
-        while parent[root] != root:
-            root = parent[root]
-        while parent[x] != root:
-            parent[x], x = root, parent[x]
-        return root
-
+    # Python lists, not numpy scalars: the loop is per edge.  Path halving
+    # leaves every root where full compression would, so ``Z`` is unchanged.
+    ends_a = mst_edges[:, 0].astype(np.int64).tolist()
+    ends_b = mst_edges[:, 1].astype(np.int64).tolist()
+    parent = list(range(n))
+    node_of_root = list(range(n))
+    size = [1] * n
+    left = [0] * (n - 1)
+    right = [0] * (n - 1)
+    merged = [0] * (n - 1)
     for i in range(n - 1):
-        a, b, w = int(mst_edges[i, 0]), int(mst_edges[i, 1]), mst_edges[i, 2]
-        ra, rb = find(a), find(b)
-        if ra == rb:  # pragma: no cover - MST edges never cycle
+        a, b = ends_a[i], ends_b[i]
+        while parent[a] != a:
+            parent[a] = a = parent[parent[a]]
+        while parent[b] != b:
+            parent[b] = b = parent[parent[b]]
+        if a == b:  # pragma: no cover - MST edges never cycle
             raise AssertionError("cycle in MST edge list")
-        Z[i, 0] = node_of_root[ra]
-        Z[i, 1] = node_of_root[rb]
-        Z[i, 2] = w
-        Z[i, 3] = size[ra] + size[rb]
-        parent[rb] = ra
-        node_of_root[ra] = n + i
-        size[ra] += size[rb]
+        left[i] = node_of_root[a]
+        right[i] = node_of_root[b]
+        size[a] = merged[i] = size[a] + size[b]
+        parent[b] = a
+        node_of_root[a] = n + i
+    Z = np.empty((n - 1, 4), dtype=np.float64)
+    Z[:, 0] = left
+    Z[:, 1] = right
+    Z[:, 2] = mst_edges[:, 2]
+    Z[:, 3] = merged
     return Z

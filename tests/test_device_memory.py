@@ -149,7 +149,8 @@ class TestTransientAllocations:
 
 
 #: One fit per algorithm on a fresh device; each returns its union-find,
-#: border and component-mask bytes to the ledger when it ends.
+#: border and component-mask bytes to the ledger when it ends.  Freeing
+#: after the high-water mark leaves each fit's peak where it was.
 _LEDGER_X = np.random.default_rng(3).normal(0.0, 0.05, (300, 2))
 _LEDGER_FITS = {
     "fdbscan": lambda dev: fdbscan(_LEDGER_X, 0.05, 5, device=dev),
@@ -161,14 +162,28 @@ _LEDGER_FITS = {
     "grid": lambda dev: grid_dbscan(_LEDGER_X, 0.05, 5, device=dev),
     "distributed": lambda dev: distributed_dbscan(_LEDGER_X, 0.05, 5, device=dev),
 }
+_LEDGER_PEAKS = {
+    "fdbscan": 412_719,
+    "densebox": 91_530,
+    "minpts_sweep": 543_822,
+    "hdbscan": 193_470,
+    "dbscan_star_cut": 193_470,
+    "cuda-dclust": 6_496,
+    "grid": 4_800,
+    "distributed": 291_072,
+}
 
 
 @pytest.mark.parametrize("name", sorted(_LEDGER_FITS))
 def test_fit_returns_transient_bytes_to_ledger(name):
     dev = Device()
     _LEDGER_FITS[name](dev)
-    for tag in ("labels", "border", "components"):
+    for tag in ("labels", "border", "components", "collision_matrix"):
         assert dev.memory.live_by_tag.get(tag, 0) == 0, tag
+    assert dev.memory.peak_bytes == _LEDGER_PEAKS[name]
+    if name in ("minpts_sweep", "distributed"):
+        # Neither hands its trees back to the caller, so neither keeps them.
+        assert dev.memory.live_by_tag["bvh"] == 0
     if name == "densebox":
         # The mixed tree and dense cells live for one fit; only the eps
         # binning stays, cached in the index.  They are freed after the

@@ -284,6 +284,10 @@ class TestHdbscan:
         X = rng.uniform(size=(60, 2))
         res = hdbscan(X, min_cluster_size=5)
         assert {"t_core", "t_mst", "t_extract"} <= set(res.info)
+        tail = ("t_dendrogram", "t_condense", "t_select")
+        assert all(res.info[key] >= 0 for key in tail)
+        assert res.info["t_dendrogram"] <= res.info["t_mst"]
+        assert res.info["t_condense"] + res.info["t_select"] <= res.info["t_extract"]
 
 
 class TestDbscanStarCut:
