@@ -10,7 +10,9 @@ at 166x CUDA-DClust's footprint.
 This example grows eps on a fixed dataset, reports each algorithm's peak
 device bytes (broken down by data structure), and then caps the device to
 show G-DBSCAN hitting the out-of-memory wall — the paper's missing data
-points in Figure 4(h) — while FDBSCAN keeps running.
+points in Figure 4(h) — while FDBSCAN keeps running.  Every device runs
+its traversals 1,024 queries per wavefront chunk (``chunk_size``), which
+bounds the tree algorithms' transient frontier; G-DBSCAN has none.
 
 Run:  python examples/memory_footprint.py
 """
@@ -32,11 +34,8 @@ def main() -> None:
     for eps in (0.0025, 0.005, 0.01, 0.02, 0.04):
         row = []
         for algorithm in ("fdbscan", "fdbscan-densebox", "gdbscan"):
-            device = Device(name=algorithm)
-            result = dbscan(
-                X, eps, minpts, algorithm=algorithm, device=device,
-                **({"chunk_size": 1024} if algorithm != "gdbscan" else {}),
-            )
+            device = Device(name=algorithm, chunk_size=1024)
+            result = dbscan(X, eps, minpts, algorithm=algorithm, device=device)
             row.append(device.memory.peak_bytes / 1e6)
             edges = result.info.get("n_edges")
         print(f"{eps:>7} {row[0]:>11.2f} {row[1]:>12.2f} {row[2]:>11.2f} {edges:>12,}")
@@ -44,9 +43,8 @@ def main() -> None:
     # Breakdown by structure for one configuration.
     print("\nper-structure peaks at eps=0.02:")
     for algorithm in ("fdbscan", "gdbscan"):
-        device = Device(name=algorithm)
-        kwargs = {"chunk_size": 1024} if algorithm == "fdbscan" else {}
-        dbscan(X, 0.02, minpts, algorithm=algorithm, device=device, **kwargs)
+        device = Device(name=algorithm, chunk_size=1024)
+        dbscan(X, 0.02, minpts, algorithm=algorithm, device=device)
         print(f"  {algorithm}:")
         for tag, nbytes in device.memory.report()["peak_by_tag"].items():
             print(f"    {tag:<18} {nbytes / 1e6:>8.2f} MB")
@@ -55,10 +53,9 @@ def main() -> None:
     cap = 4_000_000
     print(f"\ncapped device ({cap / 1e6:.0f} MB), eps=0.04:")
     for algorithm in ("gdbscan", "fdbscan"):
-        device = Device(name=algorithm, capacity_bytes=cap)
-        kwargs = {"chunk_size": 1024} if algorithm == "fdbscan" else {}
+        device = Device(name=algorithm, capacity_bytes=cap, chunk_size=1024)
         try:
-            result = dbscan(X, 0.04, minpts, algorithm=algorithm, device=device, **kwargs)
+            result = dbscan(X, 0.04, minpts, algorithm=algorithm, device=device)
             print(f"  {algorithm:<10} OK    ({result.n_clusters} clusters, "
                   f"peak {device.memory.peak_bytes / 1e6:.2f} MB)")
         except DeviceMemoryError as exc:

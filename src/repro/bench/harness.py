@@ -153,7 +153,8 @@ class RunRecord:
 
 
 #: Algorithms that accept the tree-specific options (use_mask,
-#: early_exit, chunk_size) and a prebuilt ``index=``.
+#: early_exit, and chunk_size, which goes to the cell's device) and a
+#: prebuilt ``index=``.
 TREE_ALGORITHMS = {"auto", "fdbscan", "fdbscan-densebox", "densebox"}
 
 #: Names routed to :func:`repro.distributed.distributed_dbscan` instead
@@ -205,7 +206,8 @@ def run_once(
     """Execute one benchmark cell on a fresh device (fresh per attempt).
 
     ``tree_kwargs`` (e.g. ``{"chunk_size": 4096, "use_mask": False}``) is
-    forwarded only to the tree-based algorithms; ``index`` (a prebuilt
+    forwarded only to the tree-based algorithms, except that its
+    ``chunk_size`` configures the cell's :class:`Device`; ``index`` (a prebuilt
     :class:`~repro.core.index.DBSCANIndex`) goes to tree-based and
     hierarchy cells; ``kwargs`` go to every algorithm.  The record's
     ``counters`` / ``kernels`` / ``peak_bytes`` are captured on the
@@ -254,8 +256,11 @@ def run_once(
     min_cluster_size = int(
         kwargs.pop("min_cluster_size", 0) or max(2, int(min_samples))
     )
+    device_kwargs = {}
     if tree_kwargs and is_tree:
         kwargs = {**kwargs, **tree_kwargs}
+        if "chunk_size" in kwargs:
+            device_kwargs["chunk_size"] = kwargs.pop("chunk_size")
     if index is not None and (is_tree or is_hierarchy):
         kwargs = {**kwargs, "index": index}
     phase = _cell_phase(algorithm, dataset, rec.n, rec.eps, rec.min_samples)
@@ -279,7 +284,9 @@ def run_once(
         attempt = 0
         while True:
             attempt += 1
-            dev = Device(name=f"bench-{algorithm}", capacity_bytes=capacity_bytes)
+            dev = Device(
+                name=f"bench-{algorithm}", capacity_bytes=capacity_bytes, **device_kwargs
+            )
             if tracer is not None:
                 dev.tracer = tracer
             if cell_timeout is not None:

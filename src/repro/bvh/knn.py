@@ -21,7 +21,7 @@ an exact upper bound before the search starts:
   segmented sort picks each query's ``k``-th smallest.
 
 The gather holds every point within the true ``k``-th distance, so
-results never depend on the bound or on ``chunk_size``.
+results never depend on the bound or on the device's ``chunk_size``.
 
 The tree must have zero-extent (point) leaves: each leaf box *is* its
 primitive's coordinate, so the gather's leaf tests are the point
@@ -34,13 +34,9 @@ from __future__ import annotations
 import numpy as np
 
 from repro.bvh.morton import morton_codes
-from repro.bvh.traversal import (
-    DEFAULT_CHUNK_SIZE,
-    RADIUS_PAD,
-    for_each_leaf_hit,
-)
+from repro.bvh.traversal import RADIUS_PAD, for_each_leaf_hit
 from repro.bvh.tree import BVH
-from repro.device.device import Device, default_device
+from repro.device.device import DEFAULT_CHUNK_SIZE, Device, default_device
 
 
 def knn_radii(
@@ -48,8 +44,6 @@ def knn_radii(
     queries: np.ndarray,
     k: int,
     device: Device | None = None,
-    chunk_size: int | None = DEFAULT_CHUNK_SIZE,
-    watchdog=None,
 ) -> np.ndarray:
     """Distance from each query to its ``k``-th nearest primitive.
 
@@ -58,14 +52,9 @@ def knn_radii(
     its own neighbour" convention.  Requires ``k <= n_primitives`` and a
     tree with point leaves, and rejects non-finite queries and queries so
     far from the tree's points that their squared distances overflow
-    (``ValueError`` for each).
-
-    Parameters
-    ----------
-    watchdog:
-        Optional zero-argument callable polled once per traversal
-        wavefront step of the gather; aborts by raising (deadline
-        enforcement).
+    (``ValueError`` for each).  The gather runs in slices of the
+    device's ``chunk_size`` and polls its ``watchdog`` once per slice and
+    per wavefront step.
 
     Returns the ``(m,)`` float64 radii.
     """
@@ -92,8 +81,7 @@ def knn_radii(
     out = np.zeros(m, dtype=np.float64)
     if m == 0:
         return out
-    if chunk_size is None or chunk_size <= 0:
-        chunk_size = m
+    chunk_size = dev.chunk_size or m
     # Chunked so the transient pair set stays proportional to the chunk.
     with dev.kernel("knn_gather", threads=m):
         radius = _window_bound(tree, queries, k, dev) * RADIUS_PAD
@@ -115,8 +103,6 @@ def knn_radii(
                 on_hits,
                 device=dev,
                 kernel_name="knn_gather_chunk",
-                chunk_size=None,
-                watchdog=watchdog,
             )
             qs = np.concatenate(collected_q)
             ds = np.concatenate(collected_d)
@@ -175,16 +161,15 @@ def core_distances(
     X: np.ndarray,
     min_samples: int,
     device: Device | None = None,
-    watchdog=None,
 ) -> np.ndarray:
     """HDBSCAN core distances: distance to the ``min_samples``-th nearest
     point, the point itself included (Campello et al.'s ``d_core`` with the
     self-counting convention used throughout this repository).
 
     ``X`` is the tree's own ``n`` points (``ValueError`` otherwise); the
-    result is :func:`knn_radii`'s at the default chunk size.
+    result is :func:`knn_radii`'s.
     """
     X = np.ascontiguousarray(X, dtype=np.float64)
     if X.shape != (tree.n_primitives, tree.dim):
         raise ValueError(f"core_distances takes the tree's own points; got {X.shape}")
-    return knn_radii(tree, X, min_samples, device=device, watchdog=watchdog)
+    return knn_radii(tree, X, min_samples, device=device)

@@ -25,10 +25,11 @@ Three properties of the paper's algorithms map directly onto arguments:
   positions ``> p`` are reported and each pair is processed exactly once.
 
 Every traversal is one launch over a **chunk plan** (:func:`chunk_plan`):
-the query ids in input order, cut into ``chunk_size`` slices.  The runner
-(:func:`run_chunks`) opens one kernel span and runs the chunks in order
-on one frontier pool.  Two levers shape the constant factors without
-changing any result:
+the query ids in input order, cut into slices of the device's
+``chunk_size``.  The runner (:func:`run_chunks`) opens one kernel span,
+runs the chunks in order on one frontier pool, and polls the device's
+``watchdog`` on entry and once per wavefront step.  Two levers shape the
+constant factors without changing any result:
 
 - the **frontier pool**: all per-step arrays (the double-buffered
   frontier, compacted hit/parent views, gathered boxes, predicates) live
@@ -87,13 +88,6 @@ class TraversalResult:
     leaf_hits: int = 0
     frontier_peak: int = 0
 
-
-#: Default number of queries advanced per wavefront (the analogue of the
-#: resident-thread limit on a GPU: a V100 runs ~163k threads concurrently;
-#: queries beyond the chunk wait for a free "slot").  Bounding the chunk
-#: bounds the frontier, keeping transient memory proportional to the chunk's
-#: neighbourhood mass rather than the whole dataset's.
-DEFAULT_CHUNK_SIZE = 8192
 
 #: Relative pad that makes a radius taken from a computed distance reach
 #: that distance's point.  The traversal keeps a point at squared distance
@@ -244,12 +238,12 @@ def refresh_node_components(
 
 def chunk_plan(m: int, chunk_size: int | None) -> ChunkPlan:
     """The chunks one launch over ``m`` queries runs, in launch order:
-    the query ids in input order, sliced every ``chunk_size`` (``None`` or
-    ``<= 0`` = one chunk).  Ids are in the narrowest index dtype that
+    the query ids in input order, sliced every ``chunk_size`` (``None`` =
+    one chunk).  Ids are in the narrowest index dtype that
     fits (real traversal kernels carry 32-bit ids; halving the index
     traffic of a bandwidth-bound wavefront is a direct win).
     """
-    if chunk_size is None or chunk_size <= 0:
+    if chunk_size is None:
         chunk_size = m
     qdt = np.int32 if m <= np.iinfo(np.int32).max else np.int64
     ids = np.arange(m, dtype=qdt)
@@ -260,7 +254,6 @@ def run_chunks(
     tree: BVH,
     queries: np.ndarray,
     eps: float | np.ndarray,
-    plan: ChunkPlan,
     callback: LeafCallback,
     *,
     mask_positions: np.ndarray | None = None,
@@ -272,17 +265,23 @@ def run_chunks(
     leaf_test_is_distance: bool = True,
     contained: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> TraversalResult:
-    """Run a chunk plan as one kernel launch: each chunk in plan order,
-    sharing one frontier pool.  Chunks run sequentially, so cross-chunk
-    state — a stateful ``finished_fn``, the component mask — behaves the
-    same for any plan.  Inputs must already be validated (see
-    :func:`for_each_leaf_hit` for their meaning).  ``contained`` is
-    ``(counts, prefix)`` for a contained-subtree count: the query counts
-    to credit and the int64 cumulative leaf size over sorted leaf
-    positions, ``(n_primitives + 1,)`` with ``prefix[0] == 0`` (see
-    :func:`_credit_contained`)."""
+    """Run the queries as one kernel launch over the :func:`chunk_plan` of
+    ``device.chunk_size``: each chunk in plan order, sharing one frontier
+    pool.  Chunks run sequentially, so cross-chunk state — a stateful
+    ``finished_fn``, the component mask — behaves the same for any plan.
+    ``device.watchdog``, when set, is polled once here, then at each
+    chunk's root seeding and each expanding step (where ``finished_fn``
+    is consulted); it aborts the launch by raising.  Inputs must already
+    be validated (see :func:`for_each_leaf_hit` for their meaning).
+    ``contained`` is ``(counts, prefix)`` for a contained-subtree count:
+    the query counts to credit and the int64 cumulative leaf size over
+    sorted leaf positions, ``(n_primitives + 1,)`` with ``prefix[0] ==
+    0`` (see :func:`_credit_contained`)."""
     dev = device
     m = queries.shape[0]
+    if dev.watchdog is not None:
+        dev.watchdog()
+    plan = chunk_plan(m, dev.chunk_size)
     # A scalar keeps its scalar compare: running it through the per-row
     # gather made the flat fdbscan cells 4-6% slower (ngsim n=8192 and
     # hacc n=16384, interleaved min of 6, 2-CPU x86 host).  A per-query
@@ -306,28 +305,6 @@ def run_chunks(
     return result
 
 
-def polled(
-    finished_fn: Callable[[np.ndarray], np.ndarray] | None,
-    watchdog: Callable[[], None] | None,
-) -> Callable[[np.ndarray], np.ndarray] | None:
-    """Thread ``watchdog`` through the ``finished_fn`` evaluation points:
-    the traversal already consults ``finished_fn`` every wavefront step,
-    so composing it there gives per-step deadline polling with no new
-    hook in the hot loop.  The all-``False`` answer (no inner
-    ``finished_fn``) is freshly allocated per call — the traversal
-    negates the returned array in place."""
-    if watchdog is None:
-        return finished_fn
-
-    def polled_fn(ids: np.ndarray) -> np.ndarray:
-        watchdog()
-        if finished_fn is None:
-            return np.zeros(ids.shape[0], dtype=bool)
-        return finished_fn(ids)
-
-    return polled_fn
-
-
 def for_each_leaf_hit(
     tree: BVH,
     queries: np.ndarray,
@@ -338,15 +315,13 @@ def for_each_leaf_hit(
     device: Device | None = None,
     kernel_name: str = "bvh_traverse",
     leaf_test_is_distance: bool = True,
-    chunk_size: int | None = DEFAULT_CHUNK_SIZE,
     component_of: np.ndarray | None = None,
     node_components: np.ndarray | None = None,
-    watchdog: Callable[[], None] | None = None,
 ) -> TraversalResult:
     """Stream every ``(query, leaf)`` pair within ``eps`` to ``callback``.
 
-    The queries are cut into one :func:`chunk_plan`, which
-    :func:`run_chunks` runs as one launch.
+    :func:`run_chunks` runs the queries as one launch, chunked and
+    watched as ``device`` says.
 
     Parameters
     ----------
@@ -385,15 +360,12 @@ def for_each_leaf_hit(
         ``(m,)`` query set.  The returned array must be freshly allocated
         (the traversal negates it in place).
     device:
-        Accounting device.
+        Accounting device; its ``chunk_size`` and ``watchdog`` schedule
+        and guard the launch (results are identical for any chunking).
     leaf_test_is_distance:
         Count leaf box tests as ``distance_evals`` (true for point leaves,
         where the box test *is* the distance computation); internal box
         tests always land in the ``box_tests`` counter.
-    chunk_size:
-        Queries per plan chunk (``None`` = all at once).  Models the
-        device's resident-thread limit and bounds the transient frontier
-        memory; results are identical for any chunking.
     component_of / node_components:
         Optional *component mask* (passed together): ``component_of[q]``
         is query ``q``'s component id (``>= 0``) and
@@ -408,13 +380,6 @@ def for_each_leaf_hit(
         stream equals leaf-level filtering exactly.  Same-component leaf
         children are not counted as leaf tests (they are resolved by the
         id comparison, not a distance computation).
-    watchdog:
-        Optional zero-argument callable polled once on entry and once per
-        wavefront step (piggybacking on the ``finished_fn`` evaluation
-        points).  It aborts the traversal by *raising* — the service's
-        deadline enforcement threads :meth:`repro.faults.Deadline.check`
-        through here.  A watchdog that returns normally never changes
-        results.
 
     Returns
     -------
@@ -443,13 +408,10 @@ def for_each_leaf_hit(
             raise ValueError(
                 f"node_components must be ({n_nodes},); got {node_components.shape}"
             )
-    if watchdog is not None:
-        watchdog()
-    plan = chunk_plan(m, chunk_size)
     return run_chunks(
-        tree, queries, eps, plan, callback,
+        tree, queries, eps, callback,
         mask_positions=mask_positions,
-        finished_fn=polled(finished_fn, watchdog),
+        finished_fn=finished_fn,
         component_of=component_of,
         node_components=node_components,
         device=dev,
@@ -484,6 +446,7 @@ def _single_chunk(
     ndt = ch_ids.dtype
     qdt = chunk_ids.dtype
     per_query = isinstance(eps2, np.ndarray)
+    watchdog = dev.watchdog
     # Seed the frontier with the root, testing it like any other
     # node (also prunes queries entirely outside the scene).
     root_lo = tree.node_lo[tree.root]
@@ -497,6 +460,8 @@ def _single_chunk(
         ok &= tree.node_range_hi[tree.root] > mask_positions[chunk_ids]
     if component_of is not None:
         ok &= node_components[tree.root] != component_of[chunk_ids]
+    if watchdog is not None:
+        watchdog()
     if finished_fn is not None:
         ok &= ~finished_fn(chunk_ids)
     size = int(np.count_nonzero(ok))
@@ -597,6 +562,8 @@ def _single_chunk(
             visible = pool.take2("visible", n_par, dtype=bool)
             np.greater(rng_hi, q_mask[:, None], out=visible)
             keep &= visible
+        if watchdog is not None:
+            watchdog()
         if finished_fn is not None:
             fin = finished_fn(par_q)
             np.logical_not(fin, out=fin)
@@ -733,16 +700,13 @@ def count_within(
     eps: float | np.ndarray,
     stop_at: float | None = None,
     device: Device | None = None,
-    chunk_size: int | None = DEFAULT_CHUNK_SIZE,
     leaf_weights: np.ndarray | None = None,
-    watchdog: Callable[[], None] | None = None,
 ) -> np.ndarray:
     """Count leaves within ``eps`` of each query (point-leaf trees).
 
     ``eps`` is a scalar or an ``(m,)`` per-query radius array, validated
-    and honoured exactly as in :func:`for_each_leaf_hit`, and so is
-    ``chunk_size``: the counts run as one ``"bvh_count"`` launch over one
-    :func:`chunk_plan`.
+    and honoured exactly as in :func:`for_each_leaf_hit`, and so is the
+    device's ``chunk_size``: the counts run as one ``"bvh_count"`` launch.
 
     With ``stop_at`` set, a query's traversal terminates early once its
     count reaches ``stop_at`` — the paper's core-point determination
@@ -763,7 +727,7 @@ def count_within(
     The early-exit check is evaluated per step against the *frontier's*
     query ids only — an O(frontier) gather, not an O(m) recompute — and a
     query's per-step hit batches depend only on its own tree path, so the
-    returned counts are identical for every ``chunk_size``.
+    returned counts are identical for every chunk size.
 
     Unweighted counts credit a contained subtree whole: a
     child whose box lies inside the query's ball adds its leaf count
@@ -801,9 +765,6 @@ def count_within(
     counts = np.zeros(m, dtype=np.int64 if leaf_weights is None else np.float64)
     if m == 0:
         return counts
-    if watchdog is not None:
-        watchdog()
-    plan = chunk_plan(m, chunk_size)
     if leaf_weights is None:
 
         def on_hits(q_ids: np.ndarray, _pos: np.ndarray) -> None:
@@ -821,8 +782,8 @@ def count_within(
             return counts[ids] >= stop_at
 
     run_chunks(
-        tree, queries, eps, plan, on_hits,
-        finished_fn=polled(finished_fn, watchdog),
+        tree, queries, eps, on_hits,
+        finished_fn=finished_fn,
         device=dev,
         kernel_name="bvh_count",
         contained=(

@@ -63,7 +63,7 @@ import time
 import numpy as np
 
 from repro.bvh.builder import build_bvh, release_bvh
-from repro.bvh.traversal import DEFAULT_CHUNK_SIZE, chunk_plan, polled, run_chunks
+from repro.bvh.traversal import run_chunks
 from repro.bvh.tree import BVH
 from repro.core.framework import PairResolver, main_phase
 from repro.core.index import DBSCANIndex
@@ -163,8 +163,6 @@ def _isolated_counts(
     dev: Device,
     weights: np.ndarray | None,
     early_exit: bool,
-    chunk_size: int,
-    watchdog,
 ) -> np.ndarray:
     """Neighbour counts (summed weights, if weighted) of the isolated
     points, by one ``densebox_preprocess`` traversal of the mixed tree;
@@ -229,15 +227,12 @@ def _isolated_counts(
         prefix = np.zeros(tree.n_primitives + 1, dtype=np.int64)
         np.cumsum(sizes[tree.order], out=prefix[1:])
         contained = (counts, prefix)
-    if watchdog is not None:
-        watchdog()
     run_chunks(
         tree,
         queries,
         eps,
-        chunk_plan(queries.shape[0], chunk_size),
         pre_hits,
-        finished_fn=polled(finished_fn, watchdog),
+        finished_fn=finished_fn,
         device=dev,
         kernel_name="densebox_preprocess",
         leaf_test_is_distance=False,
@@ -253,19 +248,16 @@ def fdbscan_densebox(
     device: Device | None = None,
     use_mask: bool = True,
     early_exit: bool = True,
-    chunk_size: int | None = None,
     sample_weight=None,
     index: DBSCANIndex | None = None,
-    watchdog=None,
 ) -> DBSCANResult:
     """Cluster ``X`` with FDBSCAN-DenseBox.
 
     Arguments match :func:`repro.core.fdbscan.fdbscan` (including the
     weighted-density ``sample_weight``: dense cells then threshold summed
-    member weight, and the all-members-core guarantee carries over;
-    ``chunk_size`` is the same output-preserving scheduling lever, and
-    ``watchdog`` is polled per wavefront step in both traversals).  The
-    main phase runs in its refresh epochs.  ``info`` additionally carries
+    member weight, and the all-members-core guarantee carries over; the
+    device's ``chunk_size`` and ``watchdog`` apply to both traversals).
+    The main phase runs in its refresh epochs.  ``info`` additionally carries
     ``dense_fraction`` (share of points inside dense cells — the regime
     indicator the paper reports), ``n_dense_cells`` and ``total_cells``
     (the virtual grid size).
@@ -282,8 +274,6 @@ def fdbscan_densebox(
     X = validate_points(X)
     eps, minpts = validate_params(eps, min_samples)
     dev = default_device(device)
-    if chunk_size is None:
-        chunk_size = DEFAULT_CHUNK_SIZE
     n = X.shape[0]
     eps2 = eps * eps
     info: dict = {"algorithm": "fdbscan-densebox", "n": n, "eps": eps, "min_samples": minpts}
@@ -323,7 +313,7 @@ def fdbscan_densebox(
                 is_core[:] = True  # every point is its own neighbour
             elif deco.n_isolated:
                 counts = _isolated_counts(
-                    X, eps, minpts, deco, tree, dev, weights, early_exit, chunk_size, watchdog
+                    X, eps, minpts, deco, tree, dev, weights, early_exit
                 )
                 is_core[deco.isolated_idx] = counts >= minpts
                 if weights is None:
@@ -392,8 +382,6 @@ def fdbscan_densebox(
             prim_rep=np.concatenate([deco.isolated_idx, firsts]),
             unions=(np.repeat(firsts, cnts - 1), rest),
             leaf_test_is_distance=False,
-            chunk_size=chunk_size,
-            watchdog=watchdog,
         )
     finally:
         # The mixed tree and the dense cells live for one fit; the eps

@@ -38,8 +38,8 @@ only.
   whose unweighted count is 1 (exact: early exit stops only at ``minpts >= 3``) are in no
   pair and run no main-phase query.  Labels and ``is_core`` are
   identical to the unpruned phase.
-- **Scheduling.**  ``chunk_size`` slices preprocessing and each epoch
-  and changes no result or work counter.
+- **Scheduling.**  The device's ``chunk_size`` slices preprocessing and
+  each epoch and changes no result or work counter.
 
 ``use_mask`` and ``early_exit`` are exposed as switches so the ablation
 benchmarks can quantify each one.
@@ -51,7 +51,7 @@ import time
 
 import numpy as np
 
-from repro.bvh.traversal import DEFAULT_CHUNK_SIZE, count_within
+from repro.bvh.traversal import count_within
 from repro.core.framework import main_phase
 from repro.core.index import DBSCANIndex
 from repro.core.labels import DBSCANResult
@@ -66,10 +66,8 @@ def fdbscan(
     device: Device | None = None,
     use_mask: bool = True,
     early_exit: bool = True,
-    chunk_size: int | None = None,
     sample_weight=None,
     index: DBSCANIndex | None = None,
-    watchdog=None,
 ) -> DBSCANResult:
     """Cluster ``X`` with FDBSCAN.
 
@@ -84,7 +82,11 @@ def fdbscan(
         ``eps``-neighbourhood (itself included) holds at least this many
         points.
     device:
-        Accounting device (optional).
+        Accounting device (optional).  Its ``chunk_size`` (queries per
+        traversal wavefront; output is invariant to it, transient
+        frontier memory is proportional to it) and ``watchdog`` (polled
+        once per wavefront step in both phases; aborts by raising) apply
+        to every traversal of the fit.
     use_mask:
         Apply the leaf-index traversal mask in the main phase (Section
         4.1).  Disabling it lets each pair be seen from both ends — the
@@ -93,10 +95,6 @@ def fdbscan(
         Terminate preprocessing traversals at ``minpts`` neighbours
         (Section 3.2).  Disabling computes full neighbourhood counts
         (useful for ``minpts`` sweeps; exposed in ``info['core_counts']``).
-    chunk_size:
-        Queries advanced per traversal wavefront (the resident-thread
-        bound; ``None`` = the traversal default).  Output is invariant to
-        it; transient frontier memory is proportional to it.
     sample_weight:
         Optional positive per-point weights: a point is core when the
         summed weight of its eps-neighbourhood (itself included) reaches
@@ -110,10 +108,6 @@ def fdbscan(
         so counters and memory peaks stay comparable to a cold run; the
         index used (built here if none was given) is returned in
         ``info["index"]`` for reuse.
-    watchdog:
-        Optional zero-argument callable polled once per traversal
-        wavefront step in both phases (a deadline's
-        :meth:`~repro.faults.Deadline.check`); aborts by raising.
 
     Returns
     -------
@@ -126,8 +120,6 @@ def fdbscan(
     X = validate_points(X)
     eps, minpts = validate_params(eps, min_samples)
     dev = default_device(device)
-    if chunk_size is None:
-        chunk_size = DEFAULT_CHUNK_SIZE
     n = X.shape[0]
     info: dict = {"algorithm": "fdbscan", "n": n, "eps": eps, "min_samples": minpts}
 
@@ -160,9 +152,7 @@ def fdbscan(
             eps,
             stop_at=minpts if early_exit else None,
             device=dev,
-            chunk_size=chunk_size,
             leaf_weights=None if weights is None else weights[tree.order],
-            watchdog=watchdog,
         )
         is_core = counts >= minpts
         if weights is None:
@@ -183,6 +173,4 @@ def fdbscan(
         info,
         use_mask=use_mask,
         active=active,
-        chunk_size=chunk_size,
-        watchdog=watchdog,
     )

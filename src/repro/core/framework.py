@@ -226,7 +226,7 @@ def main_phase(
     positions: np.ndarray | None = None,
     prim_rep: np.ndarray | None = None,
     unions: tuple[np.ndarray, np.ndarray] | None = None,
-    **traversal_kwargs,
+    leaf_test_is_distance: bool = True,
 ) -> DBSCANResult:
     """The main phase of every tree DBSCAN, from a fresh union-find to the
     labels.  It skips pairs already joined, and pairs of two non-core
@@ -258,7 +258,8 @@ def main_phase(
       point's component is read with ``find``, and the per-node
       summaries are rebuilt from ``comp[prim_rep]``
       (:func:`repro.bvh.traversal.refresh_node_components`).  The
-      epoch's own order is its schedule; ``chunk_size`` still slices it.
+      epoch's own order is its schedule; the device's ``chunk_size``
+      still slices it.
     - **Inactive queries.**  A caller clears ``active`` only for points
       proven to have no neighbour but themselves: an unweighted count of
       1, exact because an early-exit count stops only at
@@ -283,8 +284,8 @@ def main_phase(
     ``"components"`` tag.  They, the resolver's ``"border"`` bytes and
     the union-find's ``"labels"`` bytes are all returned to the ledger
     when the phase ends, also when it aborts.  ``info`` gains ``t_main``
-    and ``t_finalize`` and becomes the result's ``info``;
-    ``traversal_kwargs`` go to every
+    and ``t_finalize`` and becomes the result's ``info``.
+    ``leaf_test_is_distance`` goes to every
     :func:`~repro.bvh.traversal.for_each_leaf_hit` launch.
     """
     t0 = time.perf_counter()
@@ -331,7 +332,7 @@ def main_phase(
                 kernel_name=kernel_name,
                 component_of=comp[ids],
                 node_components=node_comp,
-                **traversal_kwargs,
+                leaf_test_is_distance=leaf_test_is_distance,
             )
         resolver.finalize()
         t1 = time.perf_counter()

@@ -32,7 +32,7 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.bvh.traversal import DEFAULT_CHUNK_SIZE, count_within
+from repro.bvh.traversal import count_within
 from repro.core.framework import main_phase
 from repro.core.index import DBSCANIndex
 from repro.core.labels import DBSCANResult
@@ -45,7 +45,6 @@ def dbscan_minpts_sweep(
     eps: float,
     minpts_values: Sequence[int],
     device: Device | None = None,
-    chunk_size: int | None = None,
 ) -> dict[int, DBSCANResult]:
     """Cluster ``X`` for every ``minpts`` in ``minpts_values`` with one
     index build and one full neighbour count.
@@ -68,8 +67,6 @@ def dbscan_minpts_sweep(
         canon.append(mp)
     eps = eps_v
     dev = default_device(device)
-    if chunk_size is None:
-        chunk_size = DEFAULT_CHUNK_SIZE
     n = X.shape[0]
 
     t0 = time.perf_counter()
@@ -82,7 +79,7 @@ def dbscan_minpts_sweep(
         t0 = time.perf_counter()
         needs_counts = any(mp > 2 for mp in canon)
         counts = (
-            count_within(tree, X, eps, stop_at=None, device=dev, chunk_size=chunk_size)
+            count_within(tree, X, eps, stop_at=None, device=dev)
             if needs_counts
             else None
         )
@@ -119,7 +116,6 @@ def dbscan_minpts_sweep(
                     "fdbscan_main",
                     info,
                     active=active,
-                    chunk_size=chunk_size,
                 )
     finally:
         index.release_points_tree()

@@ -28,6 +28,7 @@ Algorithms accept ``device=None`` and fall back to a shared default device
 
 from __future__ import annotations
 
+import numbers
 import time
 from collections import deque
 from contextlib import contextmanager
@@ -39,6 +40,13 @@ from repro.device.memory import MemoryTracker
 #: Default capacity of the kernel-trace ring.  Old launches are evicted
 #: first; :attr:`Device.trace_dropped` reports how many were lost.
 DEFAULT_TRACE_MAXLEN = 4096
+
+#: Default number of queries advanced per wavefront (the analogue of the
+#: resident-thread limit on a GPU: a V100 runs ~163k threads concurrently;
+#: queries beyond the chunk wait for a free "slot").  Bounding the chunk
+#: bounds the frontier, keeping transient memory proportional to the chunk's
+#: neighbourhood mass rather than the whole dataset's.
+DEFAULT_CHUNK_SIZE = 8192
 
 
 class KernelFaultError(RuntimeError):
@@ -105,6 +113,17 @@ class Device:
         (default) disables OOM simulation.
     trace_maxlen:
         Kernel-trace ring capacity (oldest launches evicted first).
+    chunk_size:
+        Queries every traversal launch advances per wavefront chunk: the
+        resident-thread limit (``None`` = one chunk per launch).  Results
+        and work counters are identical for every setting; the transient
+        frontier memory grows with it.  A positive int or ``None``
+        (``ValueError`` otherwise).
+    watchdog:
+        Optional zero-argument callable every traversal polls once on
+        entry and once per wavefront step; it aborts the run by raising
+        (the service arms a :meth:`repro.faults.Deadline.check` here for
+        each attempt).  One that returns normally changes no result.
     """
 
     name: str = "sim-gpu0"
@@ -127,8 +146,15 @@ class Device:
     tracer: object = field(default=None, compare=False)
     _epoch: float = field(init=False, default=0.0)
     _kernel_stack: list = field(init=False, default_factory=list, compare=False)
+    chunk_size: int | None = DEFAULT_CHUNK_SIZE
+    watchdog: object = field(default=None, compare=False)
 
     def __post_init__(self):
+        size = self.chunk_size
+        if size is not None and (
+            isinstance(size, bool) or not isinstance(size, numbers.Integral) or size <= 0
+        ):
+            raise ValueError(f"chunk_size must be a positive int or None; got {size!r}")
         self.memory = MemoryTracker(self.capacity_bytes)
         self.launches = deque(maxlen=self.trace_maxlen)
         self._epoch = time.perf_counter()

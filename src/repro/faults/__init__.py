@@ -23,8 +23,8 @@ mid-run.  This package supplies both halves of that story:
     replayable and accountable rather than wall-clock noise.
 
 ``deadline``
-    :class:`Deadline` — cooperative watchdogs threaded through the
-    traversals (``watchdog=``) or armed as a ``Device.fault_hook``;
+    :class:`Deadline` — cooperative watchdogs armed as a device's
+    ``watchdog`` (polled by every traversal) or ``fault_hook``;
     wall-clock or deterministic step budgets, raising
     :class:`DeadlineExceededError` (deliberately *not* transient).
 

@@ -1,13 +1,14 @@
 """Deadlines: cooperative watchdogs for traversals, kernels and bench cells.
 
 A production request cannot be allowed to run forever — but the wavefront
-traversals are long-lived loops with no natural preemption point, so the
-deadline has to be *threaded through* them, the same way ``finished_fn``
-early-exit is.  :class:`Deadline` is that thread: a single object that
+traversals are long-lived loops with no natural preemption point, so they
+poll the deadline where they consult ``finished_fn`` early exit.
+:class:`Deadline` is a single object that
 
-- the traversals poll once per wavefront step (pass
-  ``deadline.check`` as the ``watchdog=`` argument of
-  :func:`~repro.bvh.traversal.for_each_leaf_hit` or any API above it);
+- the traversals poll once on entry and once per wavefront step (arm
+  ``deadline.check`` as the device's ``watchdog``,
+  :attr:`repro.device.Device.watchdog`, as the service does per
+  attempt);
 - a :class:`~repro.device.device.Device` polls once per kernel launch
   (install :meth:`as_fault_hook` — the bench harness's per-cell watchdog,
   coarse but algorithm-agnostic);
@@ -122,7 +123,7 @@ class Deadline:
 
     def check(self, detail: str = "") -> None:
         """Count one poll; raise :class:`DeadlineExceededError` if over
-        budget.  This is the traversal ``watchdog=`` callable."""
+        budget.  This is the callable armed as ``Device.watchdog``."""
         self.checks += 1
         if self.max_checks is not None and self.checks > self.max_checks:
             raise DeadlineExceededError(self.label, self.elapsed(), self.checks, detail)

@@ -47,7 +47,6 @@ import numpy as np
 from repro.bvh.aabb import boxes_from_points
 from repro.bvh.builder import build_bvh
 from repro.bvh.traversal import (
-    DEFAULT_CHUNK_SIZE,
     RADIUS_PAD,
     for_each_leaf_hit,
     refresh_node_components,
@@ -69,7 +68,6 @@ def _component_nearest(
     pts_pos: np.ndarray,
     core_pos: np.ndarray,
     dev: Device,
-    chunk_size: int | None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Per-point best *other-component* edge under mutual reachability,
     minimised by the strict order ``(w, min(a,b), max(a,b))``, exact for
@@ -166,7 +164,6 @@ def _component_nearest(
         on_hits,
         device=dev,
         kernel_name="boruvka_nn",
-        chunk_size=chunk_size,
         component_of=rcomp,
         node_components=node_comp,
     )
@@ -178,7 +175,6 @@ def mutual_reachability_mst_boruvka(
     core_dist: np.ndarray,
     tree: BVH | None = None,
     device: Device | None = None,
-    chunk_size: int | None = DEFAULT_CHUNK_SIZE,
 ) -> np.ndarray:
     """Borůvka MST of the mutual reachability graph over a BVH.
 
@@ -198,9 +194,9 @@ def mutual_reachability_mst_boruvka(
         Optional prebuilt point-leaf BVH over ``X`` (e.g. from
         :class:`repro.core.index.DBSCANIndex`); built on the fly when
         omitted.
-    chunk_size:
-        Queries per traversal wavefront; results are identical for every
-        setting.
+
+    The device's ``chunk_size`` slices every traversal; results are
+    identical for every setting.
     """
     dev = default_device(device)
     X = np.ascontiguousarray(X, dtype=np.float64)
@@ -238,7 +234,7 @@ def mutual_reachability_mst_boruvka(
                 comp = uf.find(ids)
                 refresh_node_components(tree, comp, node_comp)
                 best_w, best_b = _component_nearest(
-                    tree, X, comp, node_comp, core_dist, pts_pos, core_pos, dev, chunk_size
+                    tree, X, comp, node_comp, core_dist, pts_pos, core_pos, dev
                 )
                 best_u, best_v = np.minimum(ids, best_b), np.maximum(ids, best_b)
                 # Points stopped by the component bound may hold no candidate

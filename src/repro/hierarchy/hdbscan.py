@@ -221,30 +221,37 @@ def dbscan_star_cut(
     :func:`repro.core.dbscan_star.dbscan_star(X, eps, min_samples)`
     (clusters of core points only; everything else noise), but computed
     through the mutual-reachability MST — the hierarchy view of the same
-    object.  Returns the ``(n,)`` label array.
+    object.  Returns the ``(n,)`` label array.  Without ``index`` the
+    points tree is built for this call and its bytes go back to
+    ``device``'s ledger when it ends.
     """
     X = validate_points(X)
     eps, min_samples = validate_params(eps, min_samples)
     dev = default_device(device)
     n = X.shape[0]
-    if index is None:
+    own_index = index is None
+    if own_index:
         index = DBSCANIndex(X)
     else:
         index.check_points(X)
-    tree, _ = index.points_tree(dev)
-    core = core_distances(tree, X, min_samples, device=dev)
-    mst = _mreach_mst(X, core, tree, mst_algorithm, dev)
-
-    eligible = core <= eps  # DBSCAN* core points
-    uf = EclUnionFind(n, device=dev)
-    use = mst[:, 2] <= eps
-    a = mst[use, 0].astype(np.int64)
-    b = mst[use, 1].astype(np.int64)
-    keep = eligible[a] & eligible[b]
     try:
-        uf.union(a[keep], b[keep])
-        roots = uf.finalize()
+        tree, _ = index.points_tree(dev)
+        core = core_distances(tree, X, min_samples, device=dev)
+        mst = _mreach_mst(X, core, tree, mst_algorithm, dev)
+
+        eligible = core <= eps  # DBSCAN* core points
+        uf = EclUnionFind(n, device=dev)
+        use = mst[:, 2] <= eps
+        a = mst[use, 0].astype(np.int64)
+        b = mst[use, 1].astype(np.int64)
+        keep = eligible[a] & eligible[b]
+        try:
+            uf.union(a[keep], b[keep])
+            roots = uf.finalize()
+        finally:
+            uf.release()
     finally:
-        uf.release()
+        if own_index:
+            index.release_points_tree()
     labels, _ = relabel_consecutive(roots, eligible)
     return labels

@@ -11,7 +11,8 @@
 4. **ladder** — backlog pressure picks the degradation rung
    (full/cached/count_only/shed) the executor honours.
 5. **execute** — under the per-request :class:`~repro.faults.Deadline`
-   (threaded into the traversals as ``watchdog=``) and the retry policy;
+   (armed as the device's ``watchdog`` for each attempt, so every
+   traversal polls it) and the retry policy;
    seeded kernel faults are injected through
    :meth:`~repro.faults.FaultPlan.device_faults` exactly like the bench
    harness does, and terminal kernel faults feed the breaker.
@@ -455,8 +456,13 @@ class ClusteringService:
                 if self.fault_plan is not None
                 else nullcontext()
             )
-            with ctx:
-                return self._execute(req, rung, deadline)
+            previous = self.device.watchdog
+            self.device.watchdog = deadline.check
+            try:
+                with ctx:
+                    return self._execute(req, rung)
+            finally:
+                self.device.watchdog = previous
 
         try:
             (result, mode), _attempts = call_with_retries(
@@ -503,9 +509,8 @@ class ClusteringService:
 
     # -- execution -------------------------------------------------------------
 
-    def _execute(self, req: Request, rung: str, deadline: Deadline) -> tuple[dict, str | None]:
+    def _execute(self, req: Request, rung: str) -> tuple[dict, str | None]:
         op = req.op
-        watchdog = deadline.check
         index = self.indexes.get(req.index)
 
         if op == "create_index":
@@ -541,8 +546,7 @@ class ClusteringService:
         if op == "count":
             # Counts are the ladder's floor: always exact, any rung.
             result = index.count(
-                req.eps, req.min_samples, queries=req.points,
-                device=self.device, watchdog=watchdog,
+                req.eps, req.min_samples, queries=req.points, device=self.device
             )
             return result, None
 
@@ -551,17 +555,13 @@ class ClusteringService:
                 # knn has no weaker exact form below `full`; shed it
                 # rather than fake it.
                 raise _LadderShed()
-            result = index.knn(
-                req.k, queries=req.points, device=self.device, watchdog=watchdog,
-            )
+            result = index.knn(req.k, queries=req.points, device=self.device)
             return result, None
 
         # -- cluster, down the ladder -----------------------------------------
         cache_key = (req.index, index.generation, req.eps, req.min_samples)
         if rung == "full":
-            result = index.cluster(
-                req.eps, req.min_samples, device=self.device, watchdog=watchdog,
-            )
+            result = index.cluster(req.eps, req.min_samples, device=self.device)
             self._cache[cache_key] = result
             self._cache.move_to_end(cache_key)
             while len(self._cache) > self.config.result_cache_size:
@@ -573,14 +573,12 @@ class ClusteringService:
                 self._cache.move_to_end(cache_key)
                 return dict(hit), "cached"
             result = index.cluster(
-                req.eps, req.min_samples, device=self.device,
-                watchdog=watchdog, count_only=True,
+                req.eps, req.min_samples, device=self.device, count_only=True
             )
             return result, "cache_miss_count_only"
         # count_only rung
         result = index.cluster(
-            req.eps, req.min_samples, device=self.device,
-            watchdog=watchdog, count_only=True,
+            req.eps, req.min_samples, device=self.device, count_only=True
         )
         return result, "count_only"
 

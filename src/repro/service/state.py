@@ -153,7 +153,6 @@ class ServiceIndex:
         min_samples: int,
         queries: np.ndarray | None = None,
         device: Device | None = None,
-        watchdog=None,
     ) -> dict:
         """Exact neighbour counts within ``eps`` for ``queries`` (default:
         the live points themselves), plus the core count at
@@ -166,7 +165,7 @@ class ServiceIndex:
             return {"counts": [], "n_core": 0, "n_points": 0}
         if queries is None:
             queries = self.points
-        counts = count_within(self.tree, queries, eps, device=device, watchdog=watchdog)
+        counts = count_within(self.tree, queries, eps, device=device)
         return {
             "counts": counts.tolist(),
             "n_core": int((counts >= minpts).sum()),
@@ -178,7 +177,6 @@ class ServiceIndex:
         eps: float,
         min_samples: int,
         device: Device | None = None,
-        watchdog=None,
         count_only: bool = False,
     ) -> dict:
         """DBSCAN over the live points: :func:`~repro.core.fdbscan.fdbscan`
@@ -201,13 +199,10 @@ class ServiceIndex:
             return out
         if count_only:
             counts = count_within(
-                self.tree, self.points, eps, stop_at=minpts, device=device,
-                watchdog=watchdog,
+                self.tree, self.points, eps, stop_at=minpts, device=device
             )
             return {"n_points": self.n_live, "n_core": int((counts >= minpts).sum())}
-        result = fdbscan(
-            self.points, eps, minpts, device=device, index=self.index, watchdog=watchdog,
-        )
+        result = fdbscan(self.points, eps, minpts, device=device, index=self.index)
         return {
             "ids": self.ids.tolist(),
             "labels": result.labels.tolist(),
@@ -222,7 +217,6 @@ class ServiceIndex:
         k: int,
         queries: np.ndarray | None = None,
         device: Device | None = None,
-        watchdog=None,
     ) -> dict:
         """Distance to each query's ``k``-th nearest live point."""
         device = default_device(device)
@@ -231,5 +225,5 @@ class ServiceIndex:
             raise ValueError(f"k={k} exceeds the {self.n_live} live points")
         if queries is None:
             queries = self.points
-        radii = knn_radii(self.tree, queries, int(k), device=device, watchdog=watchdog)
+        radii = knn_radii(self.tree, queries, int(k), device=device)
         return {"radii": [round(float(r), 12) for r in radii], "n_points": int(queries.shape[0])}

@@ -5,7 +5,9 @@ import pytest
 
 from repro.bench.harness import RunRecord, run_once, run_sweep
 from repro.bench.report import format_kernel_profile, format_records, format_series
+from repro.core.fdbscan import fdbscan
 from repro.datasets import gaussian_blobs
+from repro.device.device import Device
 
 
 def _live_builds(records, kernel="bvh_build"):
@@ -42,6 +44,13 @@ class TestRunOnce:
         a = run_once("fdbscan", small_blobs, 0.2, 5)
         b = run_once("fdbscan", small_blobs, 0.2, 5)
         assert a.counters["distance_evals"] == b.counters["distance_evals"]
+
+    def test_tree_chunk_size_configures_the_device(self, small_blobs):
+        rec = run_once("fdbscan", small_blobs, 0.2, 5, tree_kwargs={"chunk_size": 16})
+        dev = Device(chunk_size=16)
+        fdbscan(small_blobs, 0.2, 5, device=dev)
+        assert rec.peak_bytes == dev.memory.peak_bytes
+        assert rec.peak_bytes < run_once("fdbscan", small_blobs, 0.2, 5).peak_bytes
 
     def test_as_row_keys(self, small_blobs):
         row = run_once("fdbscan", small_blobs, 0.2, 5).as_row()

@@ -169,7 +169,9 @@ class TestEquivalence:
         tree = _tree_over(X)
         core = core_distances(tree, X, 5)
         base = mutual_reachability_mst_boruvka(X, core, tree=tree)
-        got = mutual_reachability_mst_boruvka(X, core, tree=tree, chunk_size=64)
+        got = mutual_reachability_mst_boruvka(
+            X, core, tree=tree, device=Device(chunk_size=64)
+        )
         np.testing.assert_array_equal(_normalised_edges(got), _normalised_edges(base))
 
     @settings(deadline=None, max_examples=12)
@@ -261,7 +263,7 @@ class TestSeededBounds:
         tree = _tree_over(X)
         core = core_distances(tree, X, minpts) if minpts else np.zeros(len(X))
         got = mutual_reachability_mst_boruvka(
-            X, core, tree=tree, chunk_size=chunk_size
+            X, core, tree=tree, device=Device(chunk_size=chunk_size)
         )
         np.testing.assert_array_equal(
             _normalised_edges(got), _dense_strict_mst(X, core)
@@ -397,15 +399,17 @@ class TestPipelineIntegration:
         np.testing.assert_allclose(fast.probabilities, ref.probabilities)
 
     def test_hdbscan_traversal_invariance(self):
-        # chunk_size slices the core-distance kNN and Borůvka traversals;
+        # the device's chunk_size slices the core-distance kNN and Borůvka
+        # traversals;
         # every chunking yields the same core distances and MST, hence
         # the same hierarchy
         X = load_dataset("ngsim", n=300, seed=2)
         tree = _tree_over(X)
         core = core_distances(tree, X, 5)
-        np.testing.assert_array_equal(knn_radii(tree, X, 5, chunk_size=7), core)
+        dev = Device(chunk_size=7)
+        np.testing.assert_array_equal(knn_radii(tree, X, 5, device=dev), core)
         base = mutual_reachability_mst_boruvka(X, core, tree=tree)
-        got = mutual_reachability_mst_boruvka(X, core, tree=tree, chunk_size=7)
+        got = mutual_reachability_mst_boruvka(X, core, tree=tree, device=dev)
         np.testing.assert_array_equal(_normalised_edges(got), _normalised_edges(base))
 
     def test_dbscan_star_cut_engines_agree(self, rng):

@@ -297,14 +297,16 @@ class TestContainedCounts:
         tree = _tree_over(pts)
         base = count_within(tree, pts, radii, stop_at=12)
         for chunk_size in (1, 7, 64, None):
-            got = count_within(tree, pts, radii, stop_at=12, chunk_size=chunk_size)
+            got = count_within(
+                tree, pts, radii, stop_at=12, device=Device(chunk_size=chunk_size)
+            )
             np.testing.assert_array_equal(got, base)
 
     def test_watchdog_polled_every_step(self):
         pts, _, eps = _contained_cases()["lattice"]
         tree = _tree_over(pts)
         calls = []
-        count_within(tree, pts, eps, watchdog=lambda: calls.append(1))
+        count_within(tree, pts, eps, device=Device(watchdog=lambda: calls.append(1)))
         dev = Device()
         count_within(tree, pts, eps, device=dev)
         # once on entry, then once per wavefront step
@@ -320,7 +322,7 @@ class TestContainedCounts:
 
         calls.clear()
         with pytest.raises(Expired):
-            count_within(tree, pts, eps, watchdog=expire)
+            count_within(tree, pts, eps, device=Device(watchdog=expire))
 
 
     @pytest.mark.parametrize("eps", [1e155, 1e300])
@@ -372,8 +374,8 @@ class TestPerQueryRadii:
             np.add.at(seen, q, 1)
             hits.append((q.astype(np.int64), pos.astype(np.int64)))
 
-        dev = Device()
-        for_each_leaf_hit(tree, X, eps, cb, device=dev, chunk_size=97, **kw)
+        dev = Device(chunk_size=97)
+        for_each_leaf_hit(tree, X, eps, cb, device=dev, **kw)
         q = np.concatenate([h[0] for h in hits]) if hits else np.zeros(0, np.int64)
         p = np.concatenate([h[1] for h in hits]) if hits else np.zeros(0, np.int64)
         return q, p, dev.counters.snapshot()
@@ -422,8 +424,8 @@ class TestPerQueryRadii:
             hits.append((q, tree.order[pos]))
             np.minimum.at(radius, q, np.sqrt(d2) * RADIUS_PAD)
 
-        dev = Device()
-        for_each_leaf_hit(tree, queries, radius, cb, device=dev, chunk_size=41)
+        dev = Device(chunk_size=41)
+        for_each_leaf_hit(tree, queries, radius, cb, device=dev)
         d2 = ((queries[:, None, :] - X[None, :, :]) ** 2).sum(-1)
         np.testing.assert_array_equal(radius, np.sqrt(d2.min(1)) * RADIUS_PAD)
         # every point within a query's final radius was delivered
@@ -522,8 +524,8 @@ class TestLeafHits:
         rng = np.random.default_rng(24)
         pts = rng.uniform(0, 1, size=(90, 2))
         tree = _tree_over(pts)
-        base, _ = _collect_pairs(tree, pts, 0.25, chunk_size=None)
-        chunked, _ = _collect_pairs(tree, pts, 0.25, chunk_size=chunk)
+        base, _ = _collect_pairs(tree, pts, 0.25, device=Device(chunk_size=None))
+        chunked, _ = _collect_pairs(tree, pts, 0.25, device=Device(chunk_size=chunk))
         assert sorted(base) == sorted(chunked)
 
     def test_eps_zero_finds_exact_duplicates(self):

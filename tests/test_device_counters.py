@@ -2,6 +2,9 @@
 
 import time
 
+import numpy as np
+import pytest
+
 from repro.device.counters import KernelCounters
 from repro.device.device import Device, default_device, get_default_device
 
@@ -77,6 +80,16 @@ class TestDevice:
         except RuntimeError:
             pass
         assert len(dev.launches) == 1
+
+    @pytest.mark.parametrize("chunk_size", [0, -1, 8.0, 0.5, True, False, "64"])
+    def test_bad_chunk_size_raises(self, chunk_size):
+        with pytest.raises(ValueError, match="chunk_size"):
+            Device(chunk_size=chunk_size)
+
+    def test_chunk_size_accepts_positive_int_or_none(self):
+        assert Device().chunk_size == 8192
+        assert Device(chunk_size=None).chunk_size is None
+        assert Device(chunk_size=np.int64(7)).chunk_size == 7
 
     def test_capacity_forwarded(self):
         dev = Device(capacity_bytes=123)

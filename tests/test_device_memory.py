@@ -181,8 +181,8 @@ def test_fit_returns_transient_bytes_to_ledger(name):
     for tag in ("labels", "border", "components", "collision_matrix"):
         assert dev.memory.live_by_tag.get(tag, 0) == 0, tag
     assert dev.memory.peak_bytes == _LEDGER_PEAKS[name]
-    if name in ("minpts_sweep", "distributed"):
-        # Neither hands its trees back to the caller, so neither keeps them.
+    if name in ("minpts_sweep", "distributed", "dbscan_star_cut"):
+        # None hands its trees back to the caller, so none keeps them.
         assert dev.memory.live_by_tag["bvh"] == 0
     if name == "densebox":
         # The mixed tree and dense cells live for one fit; only the eps

@@ -140,6 +140,11 @@ CHUNK_SIZES = pytest.mark.parametrize(
 )
 
 
+def _device(chunk_size: int | None) -> Device:
+    """A fit's device at ``chunk_size``; ``None`` names the default."""
+    return Device() if chunk_size is None else Device(chunk_size=chunk_size)
+
+
 @CHUNK_SIZES
 def test_contract_on_ties_across_knobs(chunk_size):
     reference = {}
@@ -149,7 +154,7 @@ def test_contract_on_ties_across_knobs(chunk_size):
         weights = WEIGHTS if weighted else None
         res = fdbscan(
             X_TIES, SPACING, minpts,
-            chunk_size=chunk_size, use_mask=use_mask, sample_weight=weights,
+            device=_device(chunk_size), use_mask=use_mask, sample_weight=weights,
         )
         _check_contract(X_TIES, SPACING, minpts, weights, res.labels, res.is_core)
         # Labels, not just the partition, are identical across the knobs.
@@ -176,7 +181,7 @@ def test_densebox_contract_across_knobs(data, chunk_size):
         weights = w if weighted else None
         res = fdbscan_densebox(
             X, SPACING, minpts,
-            chunk_size=chunk_size, use_mask=use_mask, sample_weight=weights,
+            device=_device(chunk_size), use_mask=use_mask, sample_weight=weights,
         )
         _check_contract(X, SPACING, minpts, weights, res.labels, res.is_core)
         # DenseBox's labels equal FDBSCAN's, which are knob-independent.
@@ -189,7 +194,7 @@ def test_densebox_contract_across_knobs(data, chunk_size):
 @pytest.mark.parametrize("data", sorted(INPUTS))
 def test_minpts_sweep_contract(data, chunk_size):
     X, _ = INPUTS[data]
-    results = dbscan_minpts_sweep(X, SPACING, [1, 2, 5], chunk_size=chunk_size)
+    results = dbscan_minpts_sweep(X, SPACING, [1, 2, 5], device=_device(chunk_size))
     for minpts, res in results.items():
         _check_contract(X, SPACING, minpts, None, res.labels, res.is_core)
         ref = _reference(data, False, minpts)
@@ -221,14 +226,14 @@ def test_noise_heavy_contract_across_knobs(chunk_size, delivered):
     ):
         w = weights if weighted else None
         res = algorithm(
-            X_SPARSE, SPACING, minpts, chunk_size=chunk_size,
+            X_SPARSE, SPACING, minpts, device=_device(chunk_size),
             use_mask=use_mask, sample_weight=w,
         )
         _check_contract(X_SPARSE, SPACING, minpts, w, res.labels, res.is_core)
         ref = reference.setdefault((weighted, minpts), res)
         np.testing.assert_array_equal(res.labels, ref.labels)
         np.testing.assert_array_equal(res.is_core, ref.is_core)
-    sweep = dbscan_minpts_sweep(X_SPARSE, SPACING, [3, 5, 8], chunk_size=chunk_size)
+    sweep = dbscan_minpts_sweep(X_SPARSE, SPACING, [3, 5, 8], device=_device(chunk_size))
     for minpts, res in sweep.items():
         _check_contract(X_SPARSE, SPACING, minpts, None, res.labels, res.is_core)
         np.testing.assert_array_equal(res.labels, reference[False, minpts].labels)
@@ -244,14 +249,24 @@ def test_distributed_contract_on_lattices(data, n_ranks, delivered):
     # Every rank runs the shared pruned main phase over its owned and
     # ghost rows.  Its border points pick their minimum core neighbour in
     # local row order, so only a single rank (rows in input order) must
-    # reproduce FDBSCAN's labels byte for byte.
+    # reproduce FDBSCAN's labels byte for byte.  Every rank runs on the
+    # caller's device, so its chunk size reaches them all; the labels
+    # must not depend on it.
     X = {"ties": X_TIES, "lattice": X_DENSE, "sparse": X_SPARSE}[data]
     for minpts in (1, 2, 3, 5, 8):
-        res = distributed_dbscan(X, SPACING, minpts, n_ranks=n_ranks)
-        _check_contract(
-            X, SPACING, minpts, None, res.labels, res.is_core,
-            min_index_border=n_ranks == 1,
-        )
+        first = None
+        for chunk_size in (1, 7, None):
+            res = distributed_dbscan(
+                X, SPACING, minpts, n_ranks=n_ranks, device=Device(chunk_size=chunk_size)
+            )
+            _check_contract(
+                X, SPACING, minpts, None, res.labels, res.is_core,
+                min_index_border=n_ranks == 1,
+            )
+            if first is None:
+                first = res
+            np.testing.assert_array_equal(res.labels, first.labels)
+            np.testing.assert_array_equal(res.is_core, first.is_core)
         if n_ranks == 1:
             ref = fdbscan(X, SPACING, minpts)
             np.testing.assert_array_equal(res.labels, ref.labels)
@@ -376,16 +391,16 @@ def test_component_mask_ledger_freed_when_main_phase_aborts():
 
     for algorithm in (fdbscan, fdbscan_densebox):
         calls = []
-        algorithm(X, 0.05, 5, device=Device(), watchdog=lambda: calls.append(1))
+        algorithm(X, 0.05, 5, device=Device(watchdog=lambda: calls.append(1)))
 
         def watchdog():
             calls.pop()
             if len(calls) == 1:  # the last poll, inside the main phase
                 raise Abort
 
-        dev = Device()
+        dev = Device(watchdog=watchdog)
         with pytest.raises(Abort):
-            algorithm(X, 0.05, 5, device=dev, watchdog=watchdog)
+            algorithm(X, 0.05, 5, device=dev)
         for tag in ("components", "labels", "border"):
             assert dev.memory.peak_by_tag[tag] > 0, (algorithm, tag)
             assert dev.memory.live_by_tag[tag] == 0, (algorithm, tag)

@@ -15,8 +15,10 @@ import tests.hierarchy_tail_reference as ref
 from repro.bvh.knn import core_distances
 from repro.core.index import DBSCANIndex
 from repro.datasets.registry import load_dataset
+from repro.device.device import DEFAULT_CHUNK_SIZE, Device
 from repro.hierarchy import (
     condense_dendrogram,
+    dbscan_star_cut,
     extract_eom_clusters,
     hdbscan,
     mutual_reachability_mst_boruvka,
@@ -110,6 +112,29 @@ def test_tail_matches_reference(X, mcs, ms, allow_single_cluster):
     _same_array(res.probabilities, prob_ref)
     _same_array(res.condensed_tree.child, tree_ref.child)
     assert list(res.stabilities.items()) == list(stab_ref.items())
+
+
+@pytest.mark.parametrize(
+    "X,mcs,ms", [case[1:] for case in _HOSTILE], ids=[case[0] for case in _HOSTILE]
+)
+def test_outputs_invariant_to_chunk_size(X, mcs, ms):
+    """The kNN and Borůvka traversals run at the device's chunk size; no
+    output may depend on it.  ``eps=0.25`` is the lattice's spacing, so
+    the cut also meets ties at exactly eps."""
+    runs = [
+        (
+            hdbscan(X, mcs, ms, device=Device(chunk_size=chunk_size)),
+            dbscan_star_cut(X, 0.25, ms, device=Device(chunk_size=chunk_size)),
+        )
+        for chunk_size in (None, 97, DEFAULT_CHUNK_SIZE)
+    ]
+    (want, want_cut), *rest = runs
+    for res, cut in rest:
+        _same_array(res.labels, want.labels)
+        _same_array(res.probabilities, want.probabilities)
+        for field in ("parent", "child", "lambda_val", "size"):
+            _same_array(getattr(res.condensed_tree, field), getattr(want.condensed_tree, field))
+        _same_array(cut, want_cut)
 
 
 def test_hostile_cases_reach_their_corners():

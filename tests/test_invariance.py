@@ -26,7 +26,9 @@ ALGORITHMS = {"fdbscan": fdbscan, "fdbscan-densebox": fdbscan_densebox}
 
 #: Chunk sizes spanning the degenerate (one query per wavefront), odd,
 #: moderate, and unchunked schedules.
-CHUNK_SIZES = (1, 7, 100, None)
+def chunked_devices() -> list[Device]:
+    """Fresh devices at every chunk size under test, the default last."""
+    return [Device(chunk_size=1), Device(chunk_size=7), Device(chunk_size=100), Device()]
 
 
 def _mixed_points(seed: int, n: int):
@@ -46,9 +48,11 @@ class TestScheduleInvariance:
     def test_clustering_invariant_to_chunk_size(self, name, seed, eps):
         algo = ALGORITHMS[name]
         X = _mixed_points(seed, 120)
-        baseline = algo(X, eps, 5, chunk_size=CHUNK_SIZES[0])
-        for chunk in CHUNK_SIZES[1:]:
-            result = algo(X, eps, 5, chunk_size=chunk)
+        first, *rest = chunked_devices()
+        baseline = algo(X, eps, 5, device=first)
+        for dev in rest:
+            chunk = dev.chunk_size
+            result = algo(X, eps, 5, device=dev)
             np.testing.assert_array_equal(
                 result.is_core,
                 baseline.is_core,
@@ -83,8 +87,8 @@ class TestScheduleInvariance:
         index = DBSCANIndex(X)
         for name, algo in sorted(ALGORITHMS.items()):
             baseline = None
-            for chunk in CHUNK_SIZES:
-                result = algo(X, 0.1, 5, chunk_size=chunk, index=index)
+            for dev in chunked_devices():
+                result = algo(X, 0.1, 5, device=dev, index=index)
                 if baseline is None:
                     baseline = result
                 else:

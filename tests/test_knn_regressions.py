@@ -171,7 +171,8 @@ class TestWindowBound:
         pts, k = self.CASES[case]
         tree = _point_tree(pts)
         got = core_distances(tree, pts, k)
-        np.testing.assert_array_equal(got, knn_radii(tree, pts, k, chunk_size=3))
+        chunked = knn_radii(tree, pts, k, device=Device(chunk_size=3))
+        np.testing.assert_array_equal(got, chunked)
         np.testing.assert_array_equal(got, _kdtree_kth(pts, k))
 
     def test_duplicates_gather_at_zero_radius(self):
@@ -230,7 +231,7 @@ class TestForeignQueries:
         want = _brute_kth(pts, k, queries)
         np.testing.assert_allclose(want, _kdtree_kth(pts, k, queries), rtol=1e-14)
         for chunk_size in (None, 7):
-            got = knn_radii(tree, queries, k, chunk_size=chunk_size)
+            got = knn_radii(tree, queries, k, device=Device(chunk_size=chunk_size))
             np.testing.assert_array_equal(got, want)
 
     def test_duplicates_of_tree_points(self, rng):
@@ -282,7 +283,7 @@ def test_watchdog_aborts_the_gather(rng):
         if len(polls) > 3:
             raise TimeoutError("deadline")
 
-    dev = Device()
+    dev = Device(watchdog=watchdog)
     with pytest.raises(TimeoutError):
-        knn_radii(tree, pts, 5, device=dev, watchdog=watchdog)
+        knn_radii(tree, pts, 5, device=dev)
     assert dev.profile()["knn_gather_chunk"]["launches"] == 1

@@ -62,11 +62,10 @@ class TestChunkAndBufferParity:
         # depend on n alone, so its work counters are too.
         algo = ALGORITHMS[name]
         X = _mixed_points(seed, 120)
-        dev0 = Device()
-        baseline = algo(X, eps, 5, device=dev0, chunk_size=1)
-        for chunk in (7, 100, None):
-            dev = Device()
-            result = algo(X, eps, 5, device=dev, chunk_size=chunk)
+        dev0 = Device(chunk_size=1)
+        baseline = algo(X, eps, 5, device=dev0)
+        for dev in (Device(chunk_size=7), Device(chunk_size=100), Device()):
+            result = algo(X, eps, 5, device=dev)
             np.testing.assert_array_equal(result.labels, baseline.labels)
             np.testing.assert_array_equal(result.is_core, baseline.is_core)
             assert _invariant_counters(dev) == _invariant_counters(dev0)
@@ -181,9 +180,9 @@ class TestFrontierPool:
         lo, hi = boxes_from_points(X)
         peaks = []
         for chunk in (32, 64, 128, 256, 400):
-            dev = Device()
+            dev = Device(chunk_size=chunk)
             tree = build_bvh(lo, hi, device=dev)
-            count_within(tree, X, 0.1, device=dev, chunk_size=chunk)
+            count_within(tree, X, 0.1, device=dev)
             peaks.append(dev.memory.report()["peak_by_tag"]["frontier"])
         assert peaks == sorted(peaks)
         assert peaks[0] > 0
@@ -199,10 +198,10 @@ class TestFrontierPool:
 
     def test_frontier_peak_counter_recorded(self):
         X = _mixed_points(11, 150)
-        dev = Device()
+        dev = Device(chunk_size=50)
         lo, hi = boxes_from_points(X)
         tree = build_bvh(lo, hi, device=dev)
-        count_within(tree, X, 0.1, device=dev, chunk_size=50)
+        count_within(tree, X, 0.1, device=dev)
         # the peak counts live (query, node) frontier entries — many nodes
         # per query, so it exceeds chunk_size but is bounded by the pool.
         assert dev.counters.frontier_peak > 0

@@ -223,6 +223,25 @@ class TestServiceLoop:
         assert r["error"]["code"] == "deadline_exceeded"
         assert svc.breakers["a"].consecutive_failures == 0
 
+    def test_watchdog_disarmed_after_every_request(self):
+        svc = ClusteringService()
+        svc.handle({"op": "create_index", "index": "a", "points": _points().tolist()})
+        cluster = {"op": "cluster", "index": "a", "eps": 0.08, "min_samples": 5}
+
+        def after(request, fault_plan, status, code):
+            svc.fault_plan = fault_plan
+            r = svc.handle(request)
+            assert (r["status"], r.get("error", {}).get("code")) == (status, code)
+            assert svc.device.watchdog is None
+            svc.fault_plan = None
+            assert svc.handle(cluster)["status"] == "ok"
+            assert svc.device.watchdog is None
+
+        after({**cluster, "deadline_checks": 0}, None, "error", "deadline_exceeded")
+        faults = FaultPlan(0, FaultSpec(p_device_fault=1.0, fault_attempts=99))
+        after(cluster, faults, "error", "kernel_fault")
+        after(cluster, None, "ok", None)
+
     def test_kernel_faults_trip_breaker_then_half_open_recovers(self):
         plan = FaultPlan(0, FaultSpec(p_device_fault=1.0, fault_attempts=99))
         svc = ClusteringService(fault_plan=plan)
